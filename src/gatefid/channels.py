@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NumericalError, ParameterError
+from .errors import ConfigError, DimensionError, FormatError, NumericalError, ParameterError
 from .quantum import KrausChannel, exact_average_fidelity
 
 _CLOSED_FORM_TOL = 1e-9
@@ -106,6 +106,8 @@ def _check_prob(p, name):
 def noise_preset(kind: str, params=(), d: int = 2) -> NoiseModel:
     """Build a preset channel; F-bar is recorded from the Kraus oracle."""
     params = tuple(params)
+    if d < 1:
+        raise DimensionError(f"dimension must be >= 1, got d={d}")
     if kind == "identity":
         ch = KrausChannel((np.eye(d, dtype=np.complex128),))
         spec = "identity"

@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .channels import parse_channel_spec
 from .ensembles import builtin_ensemble, load_ensemble, tpe_lambda
 from .errors import (
@@ -132,7 +134,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_check_design(args) -> int:
     ensemble = _resolve_ensemble(args.ensemble, args.d)
-    t_list = [int(t) for t in args.t.split(",")]
+    try:
+        t_list = [int(t) for t in args.t.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"--t must be comma-separated integers, got {args.t!r}") from exc
     rows = []
     for t in t_list:
         chk = tpe_lambda(ensemble, t, dense_cap=args.dense_cap)
@@ -220,6 +225,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
+def hex_stream(bits) -> str:
+    """Bits as MSB-first hex nibbles, the last nibble zero-padded on the right."""
+    return np.packbits(bits).tobytes().hex()[: (len(bits) + 3) // 4]
+
+
 def cmd_gen_bits(args) -> int:
     r = tape_seed_length(args.k, args.n, args.theta)
     hex_len = (r + 3) // 4
@@ -231,15 +241,7 @@ def cmd_gen_bits(args) -> int:
     if value >> r:
         raise ParameterError(f"seed encodes more than {r} bits")
     seed_bits = [(value >> j) & 1 for j in range(r)]
-    tape = generate_tape(args.k, args.n, args.theta, seed_bits)
-    nibbles = []
-    for pos in range(0, tape.n, 4):
-        chunk = tape.bits[pos : pos + 4]
-        val = 0
-        for j, b in enumerate(chunk):
-            val |= int(b) << (3 - j)
-        nibbles.append(format(val, "x"))
-    stream = "".join(nibbles)
+    stream = hex_stream(generate_tape(args.k, args.n, args.theta, seed_bits).bits)
     lines = [f"{args.n} {args.k} {args.theta:g} {r} {args.seed}"]
     lines.extend(stream[i : i + 64] for i in range(0, len(stream), 64))
     _emit("\n".join(lines) + "\n", args.output)
@@ -309,6 +311,8 @@ def _apply_config(parser, argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise FormatError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
     try:

@@ -20,6 +20,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     FormatError,
+    ParameterError,
     ValidationError,
 )
 from .quantum import dagger, matrices_close
@@ -115,6 +116,8 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
         return UnitaryEnsemble(2, stack, "pauli1q")
     if name == "identity_only":
         dd = 2 if d is None else int(d)
+        if dd < 1:
+            raise ParameterError(f"dimension must be >= 1, got d={dd}")
         return UnitaryEnsemble(dd, np.eye(dd, dtype=np.complex128)[None, :, :], "identity_only")
     raise ConfigError(f"unknown builtin ensemble {name!r}")
 
@@ -222,6 +225,8 @@ class HaarTwirlProjector:
 
 
 def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
+    if t < 1:
+        raise ParameterError(f"tensor power t must be >= 1, got {t}")
     if t > TWIRL_T_CAP:
         raise CapacityError(f"t = {t} exceeds the twirl cap t <= {TWIRL_T_CAP}")
     perms = list(itertools.permutations(range(t)))

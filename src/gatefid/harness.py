@@ -121,6 +121,12 @@ class SuiteParams:
     prop1_repeats: int = 2000
     seed: int = 0x0F0F
 
+    def __post_init__(self):
+        for name in ("variance_samples", "moment_samples", "tail_t", "tail_repeats",
+                     "prop1_t", "prop1_repeats"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _one_sided(name, bound, empirical, slack, vacuous_above, note="") -> BoundCheck:
     vacuous = bound > vacuous_above

@@ -12,6 +12,15 @@ joint distribution to be theta-close to uniform in L1 (Parseval over the
 subset's parities).
 The resulting seed length 2m generally exceeds the constant-free textbook
 formula kwise_seed_length(); both are reported and tests bound their ratio.
+
+Expansion: with e = i*B + r and B = isqrt(n) + 1, bilinearity of
+(u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
+the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row r of V
+those of x^r, and H is the m x m Hankel matrix H[j, l] = <t^(j+l), y>. The
+products run on float32 BLAS; every entry is a count <= m, exact for
+m < 2^24 (checked, with a working-set cap, by CapacityError), so the tape is
+bit-exact whatever the BLAS build, thread count or summation order.
+BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 """
 
 from __future__ import annotations
@@ -311,11 +320,6 @@ def generate_tape(
     return BiasedTape(n, k, theta, -lt, seed, gf, x, y, bits)
 
 
-def _pack_elems(elems, words: int) -> np.ndarray:
-    buf = b"".join(e.to_bytes(words * 8, "little") for e in elems)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(elems), words)
-
-
 class _FixedMultiplier:
     """Byte-comb multiplication by one fixed field element."""
 
@@ -341,47 +345,104 @@ class _FixedMultiplier:
         return _fold(r, self.m, self.taps)
 
 
-def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
-    """Bits <x^i, y> for i = 1..n by block-bilinear expansion.
+# Rows per chunk of the power tables and of the products.
+_STRIDE = 64
+# Every product entry is a count <= m, an exact float32 integer while m < 2^24.
+_FLOAT32_EXACT = 1 << 24
+# Largest float32 working set of one tape.
+TAPE_MATRIX_CAP = 1 << 28
 
-    With e = q*B + r we have x^e = H_q * A_r, and since u -> <u*H_q, y> is
-    GF(2)-linear in u, bit e reduces to a masked popcount parity of A_r
-    against the per-block vector w_q[a] = <t^a * H_q, y>.
+
+def _bit_rows(elems, m: int) -> np.ndarray:
+    """float32 matrix whose row i holds the m coefficient bits of elems[i]."""
+    nbytes = (m + 7) // 8
+    buf = b"".join(e.to_bytes(nbytes, "little") for e in elems)
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(elems), nbytes)
+    return np.unpackbits(raw, axis=1, count=m, bitorder="little").astype(np.float32)
+
+
+def _element(row: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(row.astype(np.uint8), bitorder="little").tobytes(), "little")
+
+
+def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod 2 for 0/1 float32 matrices, as int32."""
+    # entries are exact small counts; OpenBLAS can raise a stray invalid flag
+    with np.errstate(invalid="ignore"):
+        counts = a @ b
+    return counts.astype(np.int32) & 1
+
+
+def _power_chunks(gf: GF2mField, base: int, count: int):
+    """Bit rows of base^0 .. base^(count-1), _STRIDE rows at a time.
+
+    The first chunk comes from the byte-comb multiplier; each later chunk is
+    the previous one times the matrix of multiplication by base^_STRIDE,
+    whose row j holds the bits of t^j * base^_STRIDE.
+    """
+    by_base = _FixedMultiplier(gf, base)
+    first = min(count, _STRIDE)
+    head = [1]
+    for _ in range(first):
+        head.append(by_base.mul(head[-1]))
+    chunk = _bit_rows(head[:first], gf.m)
+    yield chunk
+    if count > _STRIDE:
+        step = [head[_STRIDE]]
+        for _ in range(gf.m - 1):
+            step.append(gf.mul_t(step[-1]))
+        stride = _bit_rows(step, gf.m)
+        for lo in range(_STRIDE, count, _STRIDE):
+            chunk = _gf2_matmul(chunk[: count - lo], stride).astype(np.float32)
+            yield chunk
+
+
+def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
+    """Bits <x^e, y> for e = 1..n as one GF(2) matrix product.
+
+    Write e = i*B + r with B = isqrt(n) + 1, 0 <= r < B and 0 <= i < Q =
+    n // B + 1. Since (u, v) -> <u*v, y> is GF(2)-bilinear, bit e is
+    u H v^T with u, v the coefficient bits of x^(iB), x^r and H the m x m
+    Hankel matrix H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B matrix
+    is therefore U H V^T mod 2, where row i of U holds x^(iB) and row r of V
+    holds x^r. H V^T is formed from row chunks of H, then U streams through
+    in chunks of _STRIDE rows. All products run on float32 BLAS; every entry
+    is a count <= m, so the result is exact while m < 2^24 and independent of
+    the BLAS build, thread count and summation order.
     """
     out = np.zeros(n, dtype=np.uint8)
     if x == 0 or y == 0 or n == 0:
         out.flags.writeable = False
         return out
     m = gf.m
-    words = (m + 63) // 64
-    block = max(16, min(1 << 13, math.isqrt(10 * n) + 1))
-    by_x = _FixedMultiplier(gf, x)
-    a_elems = [1] * min(block, n + 1)
-    cur = 1
-    for r in range(1, len(a_elems)):
-        cur = by_x.mul(cur)
-        a_elems[r] = cur
-    a_packed = _pack_elems(a_elems, words)
-    by_block = _FixedMultiplier(gf, by_x.mul(cur)) if len(a_elems) == block else None
-    h = 1
-    q = 0
-    while q * block <= n:
-        if q > 0:
-            h = by_block.mul(h)
-        w = 0
-        z = h
-        for a in range(m):
-            if (z & y).bit_count() & 1:
-                w |= 1 << a
-            z = gf.mul_t(z)
-        w_packed = _pack_elems([w], words)[0]
-        vals = (np.bitwise_count(a_packed & w_packed[None, :]).sum(axis=1) & 1).astype(np.uint8)
-        start_e = q * block
-        lo = max(1, start_e)  # exponent 0 is not part of the tape
-        hi = min(start_e + len(a_elems) - 1, n)
-        if hi >= lo:
-            out[lo - 1 : hi] = vals[lo - start_e : hi - start_e + 1]
-        q += 1
+    block = math.isqrt(n) + 1
+    if m >= _FLOAT32_EXACT:
+        raise CapacityError(f"field degree m = {m} exceeds the float32 exactness bound 2^24")
+    working = 4 * m * (m + 2 * block)  # V, H V^T and one m x m stride matrix
+    if working > TAPE_MATRIX_CAP:
+        raise CapacityError(
+            f"tape over GF(2^{m}) needs {working} bytes of matrices > cap {TAPE_MATRIX_CAP}"
+        )
+    v_rows = np.concatenate(list(_power_chunks(gf, x, block)))
+    seq = np.zeros(2 * m - 1, dtype=np.float32)
+    z = 1
+    for a in range(2 * m - 1):
+        seq[a] = (z & y).bit_count() & 1
+        z = gf.mul_t(z)
+    hankel = np.lib.stride_tricks.sliding_window_view(seq, m)  # H[j, l] = seq[j + l]
+    hv = np.empty((m, block), dtype=np.float32)
+    for lo in range(0, m, _STRIDE):
+        rows = np.ascontiguousarray(hankel[lo : lo + _STRIDE])
+        hv[lo : lo + _STRIDE] = _gf2_matmul(rows, v_rows.T)
+    x_block = _FixedMultiplier(gf, x).mul(_element(v_rows[-1]))
+    del v_rows
+    flat = np.empty((n // block + 1) * block, dtype=np.uint8)
+    lo = 0
+    for u_rows in _power_chunks(gf, x_block, n // block + 1):
+        hi = lo + len(u_rows) * block
+        flat[lo:hi] = _gf2_matmul(u_rows, hv).ravel()
+        lo = hi
+    out[:] = flat[1 : n + 1]  # exponent 0 is not part of the tape
     out.flags.writeable = False
     return out
 

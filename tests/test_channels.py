@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatefid import apply_channel, compose_channels, noise_preset, parse_channel_spec
-from gatefid.errors import ConfigError, FormatError, ParameterError
+from gatefid.errors import ConfigError, DimensionError, FormatError, ParameterError
 from gatefid.quantum import exact_average_fidelity, random_density_matrix
 
 
@@ -86,6 +86,10 @@ class TestComposition:
 
 
 class TestSpecParsing:
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DimensionError):
+            parse_channel_spec("depolarizing:0.2", 0)
+
     def test_single(self):
         model = parse_channel_spec("depolarizing:0.2", 2)
         assert model.kind == "depolarizing" and model.exact_fidelity == pytest.approx(0.9)

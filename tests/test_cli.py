@@ -1,6 +1,11 @@
+import hashlib
 import json
 
-from gatefid.cli import main
+import numpy as np
+import pytest
+
+from gatefid.cli import hex_stream, main
+from gatefid.prg import tape_seed_length
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +196,70 @@ class TestGenBits:
         )
         assert code == 3
         assert "hex digits" in err
+
+
+def nibble_loop_hex(bits):
+    """The per-nibble reference encoding of gen-bits."""
+    digits = []
+    for pos in range(0, len(bits), 4):
+        val = 0
+        for j, b in enumerate(bits[pos : pos + 4]):
+            val |= int(b) << (3 - j)
+        digits.append(format(val, "x"))
+    return "".join(digits)
+
+
+class TestGenBitsGolden:
+    @pytest.mark.parametrize("n", [1, 5, 4099])
+    def test_hex_matches_nibble_loop(self, n):
+        bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+        assert hex_stream(bits) == nibble_loop_hex(bits)
+
+    def test_one_bit(self):
+        assert hex_stream(np.array([1], dtype=np.uint8)) == "8"
+        assert hex_stream(np.array([0], dtype=np.uint8)) == "0"
+
+    def test_n5_output(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "gen-bits", "--k", "2", "--n", "5", "--theta", "0.5", "--seed", "0b5"
+        )
+        assert code == 0
+        assert out == "5 2 0.5 12 0b5\n18\n"
+
+    def test_n4099_output(self, capsys):
+        r = tape_seed_length(6, 4099, 0.01)
+        seed = format(0x5A5A5A5A5A5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
+        code, out, _ = run_cli(
+            capsys, "gen-bits", "--k", "6", "--n", "4099", "--theta", "0.01", "--seed", seed
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 17  # 1025 hex digits, 64 a line
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4375d33812181eb6ca6de7fb644e522c2c65ffb58edb9cabe3916c2277feff8c"
+        )
+
+
+class TestBadArgvExitCode:
+    """Inputs that once ended in a traceback (exit 1) now exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config"],
+            ["estimate", "--config"],
+            ["estimate", "--algorithm", "naive-haar", "--channel", "depolarizing:0.2",
+             "--d", "0", "--epsilon", "0.2", "--delta", "0.2", "--seed", "1"],
+            ["check-design", "--ensemble", "clifford1q", "--t", "0"],
+            ["check-design", "--ensemble", "clifford1q", "--t", "a"],
+            ["check-design", "--ensemble", "identity_only", "--d", "0"],
+            ["validate", "--suite", "variance", "--channel", "depolarizing:0.2",
+             "--samples", "0"],
+        ],
+    )
+    def test_exit_3(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error: ")
 
 
 class TestConfigFile:

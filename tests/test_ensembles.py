@@ -14,7 +14,13 @@ from gatefid import (
     tpe_lambda,
 )
 from gatefid.ensembles import _phase_canonical
-from gatefid.errors import CapacityError, ConfigError, FormatError, ValidationError
+from gatefid.errors import (
+    CapacityError,
+    ConfigError,
+    FormatError,
+    ParameterError,
+    ValidationError,
+)
 from gatefid.quantum import haar_unitaries_batch
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -161,6 +167,11 @@ class TestMomentOperator:
 
 
 class TestHaarTwirlProjector:
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_nonpositive_power_rejected(self, t):
+        with pytest.raises(ParameterError):
+            haar_twirl_projector(2, t)
+
     def test_t1_closed_form(self, rng):
         proj = haar_twirl_projector(3, 1)
         m = random_matrix(rng, 3)

@@ -58,6 +58,11 @@ class TestHarnessConfidence:
 
 
 class TestBoundChecks:
+    @pytest.mark.parametrize("field", ["variance_samples", "tail_repeats", "prop1_t"])
+    def test_nonpositive_counts_rejected(self, field):
+        with pytest.raises(ParameterError):
+            SuiteParams(**{field: 0})
+
     def test_variance_check_nontrivial_channel(self):
         rot = noise_preset("amplitude_damping", (0.3,), 2)
         chk = variance_check(rot, FAST)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,15 +14,18 @@ from gatefid import (
     tape_seed_length,
 )
 from gatefid.errors import CapacityError, ParameterError, ValidationError
+from gatefid import prg
+from gatefid.estimators import plan_kwise_design, plan_two_phase
 from gatefid.prg import (
     IRREDUCIBLE_TABLE,
+    _tape_bits,
     _exhaustive_irreducible,
     _rabin_irreducible,
     indices_from_bits,
     irreducible_modulus,
     tape_field_degree,
 )
-from gatefid.streams import BitSource
+from gatefid.streams import BitSource, split_seed
 
 
 class TestField:
@@ -146,6 +150,113 @@ class TestGenerateTape:
         seed = BitSource(11).take_bits(2 * m)
         tape = generate_tape(4, 32, 0.25, seed)
         assert len(tape.seed_bits) == tape.r == 2 * m
+
+
+def tape_of_degree(m, n, seed_bits, k=2):
+    """A generated tape over GF(2^m): theta chosen so the planned degree is m."""
+    theta_log2 = -(m - 1 - k / 2 - math.log2(n)) + 0.5
+    assert tape_field_degree(k, n, theta_log2=theta_log2) == m
+    return generate_tape(k, n, None, seed_bits, theta_log2=theta_log2)
+
+
+def x_one_seed(m, y=0b1011):
+    return [1] + [0] * (m - 1) + [(y >> j) & 1 for j in range(m)]
+
+
+def assert_matches_local_decoder(tape, positions=None, bits=None):
+    bits = tape.bits if bits is None else bits
+    positions = sorted(set(range(len(bits)) if positions is None else positions))
+    assert bits[positions].tolist() == [tape.bit(i) for i in positions]
+
+
+def boundary_positions(n):
+    """0-indexed positions next to the B boundary and the 64-row strides."""
+    block = math.isqrt(n) + 1
+    exps = {1, 2, n - 1, n}
+    for e in (63, 64, 65, block - 1, block, block + 1):
+        exps.add(e)
+    for i in (1, 63, 64, 65):
+        for r in (-1, 0, 1, 63, 64, 65, block - 1):
+            exps.add(i * block + r)
+    return [e - 1 for e in exps if 1 <= e <= n]
+
+
+class TestTapeAgainstLocalDecoder:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4099])
+    def test_every_position(self, n):
+        # a tape needs n >= k >= 2; bit e does not depend on n, so n = 1 is a
+        # one-bit expansion of the n = 2 tape's seed
+        tape = tape_of_degree(20, max(n, 2), BitSource(n).take_bits(40))
+        assert_matches_local_decoder(tape, bits=_tape_bits(tape.gf, tape.x, tape.y, n))
+
+    @pytest.mark.parametrize("m", [65, 128, 129])
+    def test_multiword_field_every_position(self, m):
+        assert_matches_local_decoder(tape_of_degree(m, 300, BitSource(m).take_bits(2 * m)))
+
+    @pytest.mark.parametrize("n", [2, 65, 4099])
+    def test_x_one(self, n):
+        # every power of x = 1 is 1, so every bit is the low bit of y
+        tape = tape_of_degree(24, n, x_one_seed(24))
+        assert tape.bits.all()
+        assert_matches_local_decoder(tape, boundary_positions(n))
+
+    @pytest.mark.parametrize("n", [4224, 4225, 4290, 8000])
+    def test_shapes_straddling_strides(self, n):
+        # B = isqrt(n) + 1 and Q = n // B + 1 land on both sides of 64 and 65
+        tape = tape_of_degree(24, n, BitSource(n + 1).take_bits(48))
+        assert_matches_local_decoder(tape)
+
+    @pytest.mark.parametrize("m", [65, 129])
+    def test_multiword_field_straddling_strides(self, m):
+        tape = tape_of_degree(m, 4225, BitSource(m + 1).take_bits(2 * m))
+        assert_matches_local_decoder(tape, boundary_positions(4225))
+
+    def test_kwise_contract_plan_sampled(self):
+        plan = plan_kwise_design(0.05, 0.1, 24)
+        assert (plan.field_degree, plan.n_bits) == (526, 276393)
+        tape = generate_tape(plan.k_bits, plan.n_bits, None, BitSource(7).take_bits(plan.r),
+                             theta_log2=plan.theta_log2)
+        rng = np.random.default_rng(3)
+        sampled = rng.integers(0, plan.n_bits, size=24).tolist()
+        assert_matches_local_decoder(tape, sampled + boundary_positions(plan.n_bits)[::4])
+
+
+def tape_digest(tape):
+    return hashlib.sha256(tape.bits.tobytes()).hexdigest()
+
+
+class TestPinnedTapes:
+    """SHA-256 of the tape bits: any change to a seed's stream must show here."""
+
+    def test_kwise_acceptance_first_op(self):
+        plan = plan_kwise_design(0.05, 0.1, 24)
+        seed_bits = BitSource(split_seed(0xACC6, 0)).take_bits(plan.r)
+        tape = generate_tape(plan.k_bits, plan.n_bits, None, seed_bits, theta_log2=plan.theta_log2)
+        assert tape_digest(tape) == (
+            "3e009ebd312160967030ac1092ca6dc8d927a876e6600ba49111d2f5012284e7"
+        )
+
+    def test_two_phase_tape(self):
+        plan = plan_two_phase(0.2, 0.3, 2, 24)
+        source = BitSource(0x2A)
+        source.take_bits(plan.r_phase1)
+        w2 = plan.width_phase2
+        tape = generate_tape(plan.k * w2, plan.n * w2, None, source.take_bits(plan.r_phase2),
+                             theta_log2=plan.theta_log2)
+        assert (tape.gf.m, tape.n) == (212, 38870)
+        assert tape_digest(tape) == (
+            "8ece48c31394481b396b0fcdafe12423c1e486a8bd2a4d17481db016e6ca2134"
+        )
+
+
+class TestTapeCapacity:
+    def test_matrix_cap(self, monkeypatch):
+        # n = 4 gives B = 3: m = 20 needs 4 * 20 * (20 + 2 * 3) bytes
+        monkeypatch.setattr(prg, "TAPE_MATRIX_CAP", 4 * 20 * 26 - 1)
+        with pytest.raises(CapacityError):
+            _tape_bits(GF2mField(20), 3, 5, 4)
+        monkeypatch.setattr(prg, "TAPE_MATRIX_CAP", 4 * 20 * 26)
+        assert _tape_bits(GF2mField(20), 3, 5, 4).shape == (4,)
 
 
 class TestSampleIndices:
