@@ -17,8 +17,8 @@ Expansion: with e = i*B + r and B = isqrt(n) + 1, bilinearity of
 (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
 the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row r of V
 those of x^r, and H is the m x m Hankel matrix H[j, l] = <t^(j+l), y>. The
-products run on float32 BLAS; every entry is a count <= m, exact for
-m < 2^24 (checked, with a working-set cap, by CapacityError), so the tape is
+products run on float32 BLAS in blocks of bounded size; every entry is a
+count <= m, exact for m < 2^24 (checked by CapacityError), so the tape is
 bit-exact whatever the BLAS build, thread count or summation order.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 """
@@ -325,6 +325,7 @@ class _FixedMultiplier:
 
     def __init__(self, gf: GF2mField, c: int):
         self.m = gf.m
+        self.nbytes = (gf.m + 7) // 8
         self.taps = _low_taps(gf.modulus)
         table = [0] * 256
         for v in range(1, 256):
@@ -333,36 +334,41 @@ class _FixedMultiplier:
         self.table = table
 
     def mul(self, z: int) -> int:
+        # Horner over the bytes of z, most significant first
         r = 0
-        shift = 0
         table = self.table
-        while z:
-            b = z & 0xFF
-            if b:
-                r ^= table[b] << shift
-            z >>= 8
-            shift += 8
+        for b in z.to_bytes(self.nbytes, "big"):
+            r = (r << 8) ^ table[b]
         return _fold(r, self.m, self.taps)
 
 
-# Rows per chunk of the power tables and of the products.
+# Rows per chunk of the products.
 _STRIDE = 64
 # Every product entry is a count <= m, an exact float32 integer while m < 2^24.
 _FLOAT32_EXACT = 1 << 24
-# Largest float32 working set of one tape.
-TAPE_MATRIX_CAP = 1 << 28
+# Largest float32 column block of V and of H V^T, so memory stays O(m) in n.
+_BLOCK_BYTES = 1 << 22
 
 
-def _bit_rows(elems, m: int) -> np.ndarray:
-    """float32 matrix whose row i holds the m coefficient bits of elems[i]."""
+def _powers(gf: GF2mField, base: int, count: int) -> list:
+    """base^0 .. base^count, each from the last by the byte-comb multiplier."""
+    by_base = _FixedMultiplier(gf, base)
+    out = [1]
+    for _ in range(count):
+        out.append(by_base.mul(out[-1]))
+    return out
+
+
+def _packed_rows(elems, m: int) -> np.ndarray:
+    """uint8 matrix whose row i holds the little-endian bytes of elems[i]."""
     nbytes = (m + 7) // 8
     buf = b"".join(e.to_bytes(nbytes, "little") for e in elems)
-    raw = np.frombuffer(buf, dtype=np.uint8).reshape(len(elems), nbytes)
-    return np.unpackbits(raw, axis=1, count=m, bitorder="little").astype(np.float32)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(elems), nbytes)
 
 
-def _element(row: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(row.astype(np.uint8), bitorder="little").tobytes(), "little")
+def _bit_rows(packed: np.ndarray, m: int) -> np.ndarray:
+    """float32 0/1 matrix of the m coefficient bits of each packed row."""
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(np.float32)
 
 
 def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,30 +379,6 @@ def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return counts.astype(np.int32) & 1
 
 
-def _power_chunks(gf: GF2mField, base: int, count: int):
-    """Bit rows of base^0 .. base^(count-1), _STRIDE rows at a time.
-
-    The first chunk comes from the byte-comb multiplier; each later chunk is
-    the previous one times the matrix of multiplication by base^_STRIDE,
-    whose row j holds the bits of t^j * base^_STRIDE.
-    """
-    by_base = _FixedMultiplier(gf, base)
-    first = min(count, _STRIDE)
-    head = [1]
-    for _ in range(first):
-        head.append(by_base.mul(head[-1]))
-    chunk = _bit_rows(head[:first], gf.m)
-    yield chunk
-    if count > _STRIDE:
-        step = [head[_STRIDE]]
-        for _ in range(gf.m - 1):
-            step.append(gf.mul_t(step[-1]))
-        stride = _bit_rows(step, gf.m)
-        for lo in range(_STRIDE, count, _STRIDE):
-            chunk = _gf2_matmul(chunk[: count - lo], stride).astype(np.float32)
-            yield chunk
-
-
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     """Bits <x^e, y> for e = 1..n as one GF(2) matrix product.
 
@@ -405,44 +387,44 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     u H v^T with u, v the coefficient bits of x^(iB), x^r and H the m x m
     Hankel matrix H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B matrix
     is therefore U H V^T mod 2, where row i of U holds x^(iB) and row r of V
-    holds x^r. H V^T is formed from row chunks of H, then U streams through
-    in chunks of _STRIDE rows. All products run on float32 BLAS; every entry
-    is a count <= m, so the result is exact while m < 2^24 and independent of
-    the BLAS build, thread count and summation order.
+    holds x^r; both come from the byte-comb multiplier and are kept packed.
+    V is taken in column blocks of about _BLOCK_BYTES of float32; for each
+    block, H V^T is formed from _STRIDE-row chunks of H and U streams through
+    in _STRIDE-row chunks, so the float32 working set is one block plus a few
+    m x _STRIDE chunks whatever m and n. All products run on float32 BLAS;
+    every entry is a count <= m, so the result is exact while m < 2^24 and
+    independent of the BLAS build, thread count and summation order.
     """
-    out = np.zeros(n, dtype=np.uint8)
-    if x == 0 or y == 0 or n == 0:
-        out.flags.writeable = False
-        return out
     m = gf.m
-    block = math.isqrt(n) + 1
     if m >= _FLOAT32_EXACT:
         raise CapacityError(f"field degree m = {m} exceeds the float32 exactness bound 2^24")
-    working = 4 * m * (m + 2 * block)  # V, H V^T and one m x m stride matrix
-    if working > TAPE_MATRIX_CAP:
-        raise CapacityError(
-            f"tape over GF(2^{m}) needs {working} bytes of matrices > cap {TAPE_MATRIX_CAP}"
-        )
-    v_rows = np.concatenate(list(_power_chunks(gf, x, block)))
+    if x == 0 or y == 0 or n == 0:
+        out = np.zeros(n, dtype=np.uint8)
+        out.flags.writeable = False
+        return out
+    block = math.isqrt(n) + 1
+    rows = n // block + 1
+    v_pow = _powers(gf, x, block)  # x^0 .. x^B
+    u_packed = _packed_rows(_powers(gf, v_pow.pop(), rows - 1), m)
+    v_packed = _packed_rows(v_pow, m)
     seq = np.zeros(2 * m - 1, dtype=np.float32)
     z = 1
     for a in range(2 * m - 1):
         seq[a] = (z & y).bit_count() & 1
         z = gf.mul_t(z)
     hankel = np.lib.stride_tricks.sliding_window_view(seq, m)  # H[j, l] = seq[j + l]
-    hv = np.empty((m, block), dtype=np.float32)
-    for lo in range(0, m, _STRIDE):
-        rows = np.ascontiguousarray(hankel[lo : lo + _STRIDE])
-        hv[lo : lo + _STRIDE] = _gf2_matmul(rows, v_rows.T)
-    x_block = _FixedMultiplier(gf, x).mul(_element(v_rows[-1]))
-    del v_rows
-    flat = np.empty((n // block + 1) * block, dtype=np.uint8)
-    lo = 0
-    for u_rows in _power_chunks(gf, x_block, n // block + 1):
-        hi = lo + len(u_rows) * block
-        flat[lo:hi] = _gf2_matmul(u_rows, hv).ravel()
-        lo = hi
-    out[:] = flat[1 : n + 1]  # exponent 0 is not part of the tape
+    tape = np.empty((rows, block), dtype=np.uint8)
+    width = max(_STRIDE, _BLOCK_BYTES // (4 * m))
+    for c0 in range(0, block, width):
+        v_rows = _bit_rows(v_packed[c0 : c0 + width], m)
+        hv = np.empty((m, len(v_rows)), dtype=np.float32)
+        for lo in range(0, m, _STRIDE):
+            h_rows = np.ascontiguousarray(hankel[lo : lo + _STRIDE])
+            hv[lo : lo + _STRIDE] = _gf2_matmul(h_rows, v_rows.T)
+        for lo in range(0, rows, _STRIDE):
+            u_rows = _bit_rows(u_packed[lo : lo + _STRIDE], m)
+            tape[lo : lo + _STRIDE, c0 : c0 + width] = _gf2_matmul(u_rows, hv)
+    out = tape.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape
     out.flags.writeable = False
     return out
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +208,12 @@ class TestTapeAgainstLocalDecoder:
         tape = tape_of_degree(24, n, BitSource(n + 1).take_bits(48))
         assert_matches_local_decoder(tape)
 
+    def test_column_blocks(self, monkeypatch):
+        # shrink the block so B = 90 columns split into 64 + 26
+        monkeypatch.setattr(prg, "_BLOCK_BYTES", 4 * 24 * 64)
+        tape = tape_of_degree(24, 8000, BitSource(8001).take_bits(48))
+        assert_matches_local_decoder(tape)
+
     @pytest.mark.parametrize("m", [65, 129])
     def test_multiword_field_straddling_strides(self, m):
         tape = tape_of_degree(m, 4225, BitSource(m + 1).take_bits(2 * m))
@@ -250,13 +258,30 @@ class TestPinnedTapes:
 
 
 class TestTapeCapacity:
-    def test_matrix_cap(self, monkeypatch):
-        # n = 4 gives B = 3: m = 20 needs 4 * 20 * (20 + 2 * 3) bytes
-        monkeypatch.setattr(prg, "TAPE_MATRIX_CAP", 4 * 20 * 26 - 1)
+    def test_float32_exactness_bound(self):
+        # product entries are counts <= m, exact in float32 only below 2^24
         with pytest.raises(CapacityError):
-            _tape_bits(GF2mField(20), 3, 5, 4)
-        monkeypatch.setattr(prg, "TAPE_MATRIX_CAP", 4 * 20 * 26)
-        assert _tape_bits(GF2mField(20), 3, 5, 4).shape == (4,)
+            _tape_bits(SimpleNamespace(m=1 << 24), 3, 5, 4)
+
+    def test_high_confidence_plan(self):
+        # delta = 1e-10 plans a field ten times wider than the contract point;
+        # the products are blocked, so memory stays far below one m x m
+        # float32 matrix (119 MB here) and no working-set limit applies
+        plan = plan_kwise_design(0.05, 1e-10, 24)
+        assert (plan.field_degree, plan.n_bits) == (5460, 2763852)
+        GF2mField(plan.field_degree)  # the modulus search is not measured
+        tracemalloc.start()
+        try:
+            tape = generate_tape(plan.k_bits, plan.n_bits, None, BitSource(9).take_bits(plan.r),
+                                 theta_log2=plan.theta_log2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tape.bits.shape == (plan.n_bits,)
+        assert peak < 40 * 2**20
+        rng = np.random.default_rng(5)
+        sampled = rng.integers(0, plan.n_bits, size=4).tolist()
+        assert_matches_local_decoder(tape, sampled + boundary_positions(plan.n_bits)[::8])
 
 
 class TestSampleIndices:
