@@ -328,6 +328,9 @@ def _apply_config(parser, argv):
     unknown = set(doc) - known
     if unknown:
         raise FormatError(f"unknown config keys: {sorted(unknown)}")
+    if "seed" in doc and not isinstance(doc["seed"], str):
+        # a JSON number would otherwise be reread as hex: 42 -> 0x42
+        raise ParameterError(f"config seed must be a hex string or \"auto\", got {doc['seed']!r}")
     extra = []
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")

@@ -42,6 +42,7 @@ from .quantum import (
     exact_average_fidelity,
     gate_fidelity,
     gate_fidelity_vector,
+    phase_fixed_qr,
 )
 from .streams import BitSource, measurement_rng
 
@@ -351,10 +352,7 @@ def estimate_naive_haar(
     gauss = source.take_gaussians(plan.n * 2 * d * d).reshape(plan.n, 2 * d * d)
     ledger.record("haar_unitaries", plan.total_bits)
     z = (gauss[:, : d * d] + 1j * gauss[:, d * d :]).reshape(plan.n, d, d) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag)).conj()[:, None, :]
-    probs = _fidelity_columns(ch, q[:, :, 0])
+    probs = _fidelity_columns(ch, phase_fixed_qr(z)[:, :, 0])
     ids = np.arange(plan.n)
     return _finish(
         "naive-haar", d, epsilon, delta, fbar, seed, ledger, source, ids, probs, plan,

@@ -18,11 +18,19 @@ from .ensembles import UnitaryEnsemble, tpe_lambda
 from .errors import CapacityError, ParameterError
 from .estimators import _fidelity_columns, _fidelity_table, _resolve_channel
 from .prg import GF2mField, tape_field_degree, tape_seed_length
-from .quantum import haar_unitaries_batch
+# Not called here any more (the bound suite samples first columns without QR);
+# kept importable from this module, where perfbench/spans.py looks it up.
+from .quantum import haar_unitaries_batch  # noqa: F401
 from .streams import _generator, split_seed
 
 # Exhaustive PRG enumeration is only attempted up to this seed length.
 EXHAUSTIVE_R_CAP = 24
+# Bytes the certificate may hold in packed output columns and character sums.
+CERT_MEMORY_CAP = 1 << 27
+# uint64 words XORed and popcounted per numpy call in the certificate.
+_XOR_BLOCK_WORDS = 1 << 19
+# Subsets per Walsh-Hadamard batch in the certificate.
+_WHT_BLOCK_ROWS = 1 << 14
 
 
 @dataclass
@@ -135,9 +143,22 @@ def _one_sided(name, bound, empirical, slack, vacuous_above, note="") -> BoundCh
     return BoundCheck(name, bound, empirical, slack, empirical <= bound + slack, vacuous, note)
 
 
+def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """First columns of `count` Haar unitaries, shape (count, d), without QR.
+
+    The phase-fixed QR of a Ginibre matrix has first column z0 / |z0|, z0 its
+    first column. The same (count, d, d) draws as haar_unitaries_batch keep the
+    rng stream and each sample's Gaussians.
+    """
+    # copies, so that each full draw is freed before the next one
+    re = rng.standard_normal((count, d, d))[:, :, 0].copy()
+    im = rng.standard_normal((count, d, d))[:, :, 0].copy()
+    z0 = re + 1j * im
+    return z0 / np.linalg.norm(z0, axis=1, keepdims=True)
+
+
 def _haar_fidelities(ch, d, count, rng) -> np.ndarray:
-    batch = haar_unitaries_batch(d, count, rng)
-    return _fidelity_columns(ch, batch[:, :, 0])
+    return _fidelity_columns(ch, _haar_columns(d, count, rng))
 
 
 def variance_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
@@ -263,46 +284,124 @@ class BiasReport:
 
 
 def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
-    """Enumerate every seed; certify every <= k-subset within theta in L1.
+    """Certify every <= k-subset of the powering tape within theta in L1, exactly.
 
-    The joint distribution of each subset is tabulated over all 2^r seeds;
-    parity biases come from the same tables via the +-1 character sums.
+    Every output column is packed over all 2^r seeds into uint64 words. The
+    character sum of a nonempty set T of at most k columns, the sum over
+    seeds of (-1)^(XOR of T's bits), is seeds - 2 * popcount(XOR of T's
+    words). Each subset's joint law is then an integer Walsh-Hadamard
+    transform of the character sums of its sub-subsets (the Vazirani XOR
+    lemma), and its parity bias is its own character sum over the seeds.
+    Every count is an exact integer and 2^r is a power of two, so the L1
+    distances and biases are the exact rationals an enumeration gives.
+
+    Refused with CapacityError when r exceeds EXHAUSTIVE_R_CAP or the packed
+    columns and character sums would exceed CERT_MEMORY_CAP bytes.
     """
     r = tape_seed_length(k, n, theta)
     if r > EXHAUSTIVE_R_CAP:
         raise CapacityError(f"exhaustive enumeration needs r <= {EXHAUSTIVE_R_CAP}, got {r}")
     m = tape_field_degree(k, n, theta)
-    gf = GF2mField(m)
-    size = 1 << m
-    powers = np.zeros((size, n), dtype=np.uint32)
-    for x in range(1, size):
-        cur = x
-        for i in range(n):
-            powers[x, i] = cur
-            cur = gf.mul(cur, x)
-    ys = np.arange(size, dtype=np.uint32)
-    # bit for (x, y, i) is the parity of popcount(x^(i+1) & y)
-    bits = np.bitwise_count(powers[:, None, :] & ys[None, :, None]).astype(np.uint8) & 1
-    bits = bits.reshape(size * size, n)
-    worst_l1 = 0.0
-    worst_bias = 0.0
-    total = size * size
-    subsets = 0
-    signs_cache = {}
-    for j in range(1, k + 1):
-        if j not in signs_cache:
-            outcomes = np.arange(1 << j)
-            signs_cache[j] = 1.0 - 2.0 * (np.bitwise_count(outcomes) & 1).astype(np.float64)
-        signs = signs_cache[j]
-        for subset in itertools.combinations(range(n), j):
-            values = np.zeros(total, dtype=np.int64)
-            for pos, col in enumerate(subset):
-                values += bits[:, col].astype(np.int64) << pos
-            counts = np.bincount(values, minlength=1 << j)
-            probs = counts / total
-            l1 = float(np.abs(probs - 1.0 / (1 << j)).sum())
-            bias = float(abs(np.dot(signs, probs)))
-            worst_l1 = max(worst_l1, l1)
-            worst_bias = max(worst_bias, bias)
-            subsets += 1
+    # n packed columns of 2^m rows of max(1, 2^m / 64) words, one int64 per subset
+    need = n * (1 << m) * max(8, (1 << m) // 8) + 8 * sum(math.comb(n, j) for j in range(1, k + 1))
+    if need > CERT_MEMORY_CAP:
+        raise CapacityError(
+            f"the certificate for n={n}, k={k}, r={r} needs {need / 2**20:.0f} MiB of packed"
+            f" columns and character sums, over the {CERT_MEMORY_CAP >> 20} MiB cap"
+        )
+    subsets, worst_l1, worst_bias = _packed_laws(_powering_columns(GF2mField(m), n), 1 << r, k)
     return BiasReport(n, k, theta, r, subsets, worst_l1, worst_bias, worst_l1 <= theta)
+
+
+def _pack_columns(bits: np.ndarray) -> np.ndarray:
+    """A seeds x n 0/1 matrix as n rows of uint64 words: seed s is bit s % 64 of
+    word s // 64 of its column; the last word is zero-padded."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=0, bitorder="little")
+    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
+    return np.ascontiguousarray(packed.T).view(np.uint64)
+
+
+def _field_mul(a: np.ndarray, b: np.ndarray, gf: GF2mField) -> np.ndarray:
+    """Elementwise GF(2^m) product of int64 arrays (m <= 31)."""
+    acc = np.zeros_like(a)
+    for bit in range(gf.m):
+        acc ^= np.where((b >> bit) & 1, a << bit, 0)
+    for bit in range(2 * gf.m - 2, gf.m - 1, -1):
+        acc ^= np.where((acc >> bit) & 1, gf.modulus << (bit - gf.m), 0)
+    return acc
+
+
+def _powering_columns(gf: GF2mField, n: int) -> np.ndarray:
+    """Output bit i of every seed (x, y), packed; seed x * 2^m + y of column i
+    is bit y % 64 of word x * W + y // 64, with W = max(1, 2^m / 64) (the
+    words of one x are zero-padded when m < 6).
+
+    Bit i is <x^(i+1), y>, linear in y: the packed words of y -> <a, y> are the
+    XOR of the packed words of y -> bit b of y over the set bits b of a,
+    looked up one byte of a at a time.
+    """
+    m = gf.m
+    ys = np.arange(1 << m)
+    bit_rows = _pack_columns((ys[:, None] >> np.arange(m)) & 1)
+    tables = []
+    for lo in range(0, m, 8):
+        table = np.zeros((1, bit_rows.shape[1]), dtype=np.uint64)
+        for row in bit_rows[lo : lo + 8]:
+            table = np.concatenate([table, table ^ row])
+        tables.append(table)
+    cols = np.empty((n, (1 << m) * bit_rows.shape[1]), dtype=np.uint64)
+    power = ys.astype(np.int64)
+    for i in range(n):
+        words = tables[0][power & 0xFF]
+        for g, table in enumerate(tables[1:], start=1):
+            words ^= table[(power >> (8 * g)) & 0xFF]
+        cols[i] = words.reshape(-1)
+        power = _field_mul(power, ys, gf)
+    return cols
+
+
+def _packed_laws(cols: np.ndarray, seeds: int, k: int) -> tuple:
+    """(subsets, worst L1 from uniform, worst parity bias) over every nonempty
+    subset of at most k of the packed columns `cols` (n x words, zero padding).
+
+    The results are exact when `seeds` is a power of two below 2^50.
+    """
+    n, words = cols.shape
+    # binom[c, j] = C(c, j); the colex rank of t_1 < ... < t_j is sum_p C(t_p, p)
+    binom = np.array([[math.comb(c, j) for j in range(k + 1)] for c in range(n)], dtype=np.int64)
+    sums = [None] + [np.empty(math.comb(n, j), dtype=np.int64) for j in range(1, k + 1)]
+    chunk = max(1, _XOR_BLOCK_WORDS // words)
+
+    def extend(j, start, rank, acc):
+        # character sums of every j-set whose first j - 1 columns XOR to acc
+        for lo in range(start, n, chunk):
+            block = cols[lo : lo + chunk] ^ acc
+            ones = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+            sums[j][rank + binom[lo : lo + chunk, j]] = seeds - 2 * ones
+        if j < k:
+            for c in range(start, n):
+                extend(j + 1, c + 1, rank + binom[c, j], acc ^ cols[c])
+
+    extend(1, 0, 0, np.uint64(0))
+    worst_bias = max(int(np.abs(s).max()) for s in sums[1:]) / seeds
+    worst_l1 = 0.0
+    for j in range(1, k + 1):
+        # picks[u]: the positions within a j-set of its sub-subset u (bit p selects position p)
+        picks = [[p for p in range(j) if u >> p & 1] for u in range(1 << j)]
+        combos = itertools.combinations(range(n), j)
+        while rows := list(itertools.islice(combos, _WHT_BLOCK_ROWS)):
+            block = np.array(rows, dtype=np.int64)
+            spectrum = np.zeros((len(block), 1 << j), dtype=np.int64)
+            for u in range(1, 1 << j):
+                sub = block[:, picks[u]]
+                ranks = binom[sub, np.arange(1, len(picks[u]) + 1)].sum(axis=1)
+                spectrum[:, u] = sums[len(picks[u])][ranks]
+            # Walsh-Hadamard butterflies: entry v becomes 2^j * count(v) - seeds
+            for h in (1 << p for p in range(j)):
+                pairs = spectrum.reshape(len(block), -1, 2, h)
+                even, odd = pairs[:, :, 0].copy(), pairs[:, :, 1].copy()
+                pairs[:, :, 0] = even + odd
+                pairs[:, :, 1] = even - odd
+            worst = int(np.abs(spectrum).sum(axis=1).max())
+            worst_l1 = max(worst_l1, worst / (seeds << j))
+    return sum(math.comb(n, j) for j in range(1, k + 1)), worst_l1, worst_bias

@@ -196,26 +196,25 @@ def haar_random_unitary(d: int, rng: np.random.Generator) -> UnitaryOperator:
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    return _unitary_from_ginibre(z)
-
-
-def _unitary_from_ginibre(z: np.ndarray) -> UnitaryOperator:
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    # force the triangular factor's diagonal to be positive real; this makes the
-    # QR factorization unique and the resulting distribution exactly Haar
-    phases = diag / np.abs(diag)
-    q = q * phases.conj()
-    return UnitaryOperator(q)
+    return UnitaryOperator(phase_fixed_qr(z))
 
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar unitaries, shape (count, d, d). Vectorized QR."""
     z = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / np.sqrt(2)
+    return phase_fixed_qr(z)
+
+
+def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """Q factor of a (stack of) complex Ginibre matrices, shape (..., d, d).
+
+    Forcing the triangular factor's diagonal to be positive real makes the QR
+    factorization unique and the resulting distribution exactly Haar.
+    """
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
-    return q * phases.conj()[:, None, :]
+    return q * phases.conj()[..., None, :]
 
 
 def schatten_norm(m, p) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,33 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
         assert code == 3
         assert "frobnicate" in err
+
+
+    @pytest.mark.parametrize("seed", [42, 4.2, True, None, ["2a"]])
+    def test_non_string_seed_rejected(self, capsys, tmp_path, seed):
+        # a JSON number was once reread as hex: 42 ran as seed 0x42
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        code, out, err = run_cli(capsys, *ESTIMATE_ARGS[:-2], "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert "config seed must be a hex string" in err
+
+
+class TestCertificateCapacity:
+    def test_packed_columns_capped_before_allocation(self, capsys):
+        # r = 24 over n = 500 columns: 1 GB packed, and the old enumeration's
+        # (4096, 4096, 500) uint32 temporary was 33.5 GB
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "validate", "--suite", "prg", "--n", "500", "--k", "2", "--theta", "0.9"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert err.startswith("capacity: ") and "r=24" in err
+        assert peak < 4 << 20
 
 
 class TestMiscFlags:
