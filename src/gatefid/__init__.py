@@ -54,15 +54,12 @@ from .prg import (
     tape_seed_length,
 )
 from .quantum import (
-    DensityMatrix,
     KrausChannel,
     UnitaryOperator,
-    apply_channel,
     exact_average_fidelity,
+    gate_fidelities,
     gate_fidelity,
     haar_random_unitary,
-    schatten_norm,
-    state_fidelity,
 )
 from .streams import BitSource, fresh_seed, measurement_rng, split_seed
 

@@ -64,12 +64,14 @@ def _weyl_operators(d: int) -> list:
 
 
 def _depolarizing_kraus(p: float, d: int) -> tuple:
+    # scaled in place: at d = 64 the d^2 operators take 268 MB
     ops = _weyl_operators(d)
-    kraus = [math.sqrt(1.0 - p + p / d**2) * ops[0]]
-    scale = math.sqrt(p) / d
-    if p > 0:
-        kraus.extend(scale * w for w in ops[1:])
-    return tuple(kraus)
+    ops[0] *= math.sqrt(1.0 - p + p / d**2)
+    if p == 0:
+        return (ops[0],)
+    for w in ops[1:]:
+        w *= math.sqrt(p) / d
+    return tuple(ops)
 
 
 def _dephasing_kraus(p: float, d: int) -> tuple:

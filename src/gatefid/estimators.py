@@ -40,10 +40,13 @@ from .quantum import (
     KrausChannel,
     UnitaryOperator,
     exact_average_fidelity,
+    gate_fidelities,
     gate_fidelity,
-    gate_fidelity_vector,
     phase_fixed_qr,
 )
+# Not called here any more (tables come from one batched kernel call); kept
+# importable from this module, where perfbench/spans.py looks it up.
+from .quantum import gate_fidelity_vector  # noqa: F401
 from .streams import BitSource, measurement_rng
 
 ALGORITHMS = ("naive-haar", "design-iid", "kwise-design", "single-qtpe", "two-phase")
@@ -74,7 +77,8 @@ def _resolve_channel(channel) -> tuple:
 
 
 def _fidelity_table(ch: KrausChannel, ensemble: UnitaryEnsemble) -> np.ndarray:
-    return np.array([gate_fidelity_vector(ch, u[:, 0]) for u in ensemble.unitaries])
+    """Success probability of every ensemble member, in ensemble order."""
+    return gate_fidelities(ch, ensemble.unitaries[:, :, 0])
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,8 @@ class NaivePlan:
 
 def plan_naive_haar(epsilon: float, delta: float, d: int, n_override: int | None = None) -> NaivePlan:
     _check_eps_delta(epsilon, delta)
+    if n_override is not None and n_override < 1:
+        raise ParameterError(f"n_override must be >= 1, got {n_override}")
     n = n_override if n_override is not None else math.ceil(3.0 / epsilon**2 * math.log(2.0 / delta))
     return NaivePlan(n, HAAR_BITS_PER_DIM2 * d * d)
 
@@ -362,13 +368,7 @@ def estimate_naive_haar(
 
 def _fidelity_columns(ch: KrausChannel, columns: np.ndarray) -> np.ndarray:
     """Success probabilities for a batch of preparation columns, shape (n, d)."""
-    p = np.zeros(len(columns))
-    for a in ch.kraus_ops:
-        amp = np.einsum("nd,de,ne->n", columns.conj(), a, columns)
-        p += np.abs(amp) ** 2
-    if p.min() < -1e-9 or p.max() > 1 + 1e-9:
-        raise NumericalError("batched gate fidelity outside [0,1] beyond tolerance")
-    return np.clip(p, 0.0, 1.0)
+    return gate_fidelities(ch, columns)
 
 
 def _certify_design(ensemble: UnitaryEnsemble, epsilon: float, lambda2) -> tuple:
@@ -471,9 +471,9 @@ def estimate_single_qtpe(
     draw = indices_from_bits(source.take_bits(plan.width), ensemble.size, 1)
     ledger.record("index", plan.width)
     chosen = int(draw.indices[0])
-    table = _fidelity_table(ch, ensemble)
+    p = _fidelity_columns(ch, ensemble.unitaries[chosen : chosen + 1, :, 0])[0]
     ids = np.full(plan.n, chosen)
-    probs = np.full(plan.n, table[chosen])
+    probs = np.full(plan.n, p)
     return _finish(
         "single-qtpe", ch.dim, epsilon, delta, fbar, seed, ledger, source, ids, probs, plan,
         diagnostic=diagnostic, flags=flags, started=started,

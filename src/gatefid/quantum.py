@@ -1,8 +1,11 @@
-"""Dense complex linear algebra for states, channels, and gate fidelity.
+"""Dense complex linear algebra for unitaries, channels, and gate fidelity.
 
 Everything is desk scale: dense complex128 matrices, dimension capped at
 MAX_DIM by default. All wrapper objects are immutable after construction
 and safe to share between workers.
+
+Every gate fidelity in the package comes from one kernel, gate_fidelities,
+over the real weight matrix each KrausChannel caches at construction.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from .errors import CapacityError, DimensionError, NumericalError, ParameterErro
 
 # Absolute entrywise tolerance for matrix equality checks.
 ATOL = 1e-10
-# Slack allowed on eigenvalue positivity, absorbs roundoff from channel composition.
-EIG_SLACK = 1e-8
-# Trace-preservation tolerance for Kraus sets.
+# Trace-preservation tolerance for Kraus sets; also the slack on fidelities above 1.
 TRACE_TOL = 1e-9
 # Default cap on Hilbert-space dimension for dense storage.
 MAX_DIM = 64
+# Bytes of float64 temporaries the fidelity kernel holds per block of rows, about.
+_BLOCK_BYTES = 1 << 22
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -46,15 +49,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def basis_state(d: int, j: int = 0) -> np.ndarray:
-    """The j-th standard basis vector of C^d. |0> is the first one."""
-    if not 0 <= j < d:
-        raise DimensionError(f"basis index {j} out of range for dimension {d}")
-    v = np.zeros(d, dtype=np.complex128)
-    v[j] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class UnitaryOperator:
     """A d x d unitary, checked at construction (U U^dag = I within ATOL)."""
@@ -75,46 +69,12 @@ class UnitaryOperator:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """A density matrix: Hermitian, unit trace, eigenvalues >= -EIG_SLACK."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"density matrix must be square, got shape {m.shape}")
-        if m.shape[0] > MAX_DIM:
-            raise CapacityError(f"dimension {m.shape[0]} exceeds the dense cap {MAX_DIM}")
-        if not matrices_close(m, dagger(m), ATOL):
-            raise NumericalError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > ATOL:
-            raise NumericalError(f"density matrix trace {tr} deviates from 1")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -EIG_SLACK:
-            raise NumericalError(f"density matrix has eigenvalue {w.min()} < -{EIG_SLACK}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def pure_state(vector) -> DensityMatrix:
-    """|psi><psi| for a unit vector psi."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-9:
-        v = v / nrm
-    return DensityMatrix(np.outer(v, v.conj()))
-
-
-@dataclass(frozen=True)
 class KrausChannel:
     """A CPTP map given by d x d Kraus operators A_k with sum A_k^dag A_k = I."""
 
     kraus_ops: tuple = field()
+    # (2K, d^2) real weight matrix of the fidelity kernel; see _weight_matrix.
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(as_complex_matrix(a) for a in self.kraus_ops)
@@ -134,43 +94,68 @@ class KrausChannel:
         if not matrices_close(total, np.eye(d), TRACE_TOL):
             raise NumericalError("Kraus operators do not satisfy trace preservation")
         object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "weights", _weight_matrix(ops))
 
     @property
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
 
 
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d, dtype=np.complex128),))
+def _weight_matrix(ops: tuple) -> np.ndarray:
+    """Real W of shape (2K, d^2) with <c|A_k|c> = (W r)_k + i (W r)_(K+k).
+
+    r = r(c) holds the d^2 real coordinates of |c><c| that _coordinates
+    builds: |c_i|^2, then Re z_ij and Im z_ij for z_ij = conj(c_i) c_j, i < j.
+    Since <c|A|c> = sum_i A_ii |c_i|^2 + sum_(i<j) (A_ij + A_ji) Re z_ij
+    + i (A_ij - A_ji) Im z_ij, row k holds the real parts of those
+    coefficients for A_k and row K + k their imaginary parts.
+    """
+    i, j = np.triu_indices(ops[0].shape[0], 1)
+    w = np.empty((2 * len(ops), ops[0].size))
+    for k, a in enumerate(ops):
+        f = np.concatenate([np.diagonal(a), a[i, j] + a[j, i], 1j * (a[i, j] - a[j, i])])
+        w[k], w[len(ops) + k] = f.real, f.imag
+    w.flags.writeable = False
+    return w
 
 
-def unitary_channel(u) -> KrausChannel:
-    m = u.matrix if isinstance(u, UnitaryOperator) else as_complex_matrix(u)
-    return KrausChannel((m,))
+def _coordinates(c: np.ndarray) -> np.ndarray:
+    """r(c) of shape (n, d^2) for rows c of shape (n, d); see _weight_matrix."""
+    i, j = np.triu_indices(c.shape[1], 1)
+    z = c[:, i].conj() * c[:, j]
+    return np.concatenate([c.real**2 + c.imag**2, z.real, z.imag], axis=1)
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel: sum_k A_k rho A_k^dag."""
-    if ch.dim != rho.dim:
-        raise DimensionError(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = np.zeros((ch.dim, ch.dim), dtype=np.complex128)
-    r = rho.matrix
-    for a in ch.kraus_ops:
-        out += a @ r @ dagger(a)
-    return DensityMatrix(out)
+def _block_rows(w: np.ndarray) -> int:
+    """Rows per kernel block: the 2K outputs and about 4 d^2 coordinate and
+    pair-product temporaries per row, in _BLOCK_BYTES of float64."""
+    return max(1, _BLOCK_BYTES // (8 * (w.shape[0] + 4 * w.shape[1])))
 
 
-def gate_fidelity_vector(ch: KrausChannel, psi: np.ndarray) -> float:
-    """<psi| Lambda(|psi><psi|) |psi> = sum_k |<psi|A_k|psi>|^2 for unit psi."""
-    if ch.dim != len(psi):
-        raise DimensionError(f"channel dim {ch.dim} != state dim {len(psi)}")
-    p = 0.0
-    for a in ch.kraus_ops:
-        amp = np.vdot(psi, a @ psi)
-        p += (amp * amp.conjugate()).real
-    if not -TRACE_TOL <= p <= 1.0 + TRACE_TOL:
-        raise NumericalError(f"gate fidelity {p} outside [0,1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+def gate_fidelities(ch: KrausChannel, columns) -> np.ndarray:
+    """Success probabilities p(c) = <c|Lambda(|c><c|)|c> for unit rows c.
+
+    columns has shape (n, d); the result has shape (n,). p(c) is
+    sum_k |<c|A_k|c>|^2 = |W r(c)|^2, one real matrix product with the
+    channel's cached weights per block of rows, so the temporaries stay near
+    _BLOCK_BYTES whatever n is.
+    """
+    cols = np.asarray(columns, dtype=np.complex128)
+    if cols.ndim != 2 or cols.shape[1] != ch.dim:
+        raise DimensionError(f"expected columns of shape (n, {ch.dim}), got {cols.shape}")
+    rows = _block_rows(ch.weights)
+    p = np.empty(len(cols))
+    for s in range(0, len(cols), rows):
+        y = _coordinates(cols[s : s + rows]) @ ch.weights.T
+        p[s : s + rows] = np.einsum("nk,nk->n", y, y)
+    if p.size and (p.min() < -TRACE_TOL or p.max() > 1.0 + TRACE_TOL):
+        raise NumericalError("gate fidelity outside [0,1] beyond tolerance")
+    return np.clip(p, 0.0, 1.0)
+
+
+def gate_fidelity_vector(ch: KrausChannel, psi) -> float:
+    """<psi| Lambda(|psi><psi|) |psi> for one unit vector psi."""
+    return float(gate_fidelities(ch, np.reshape(psi, (1, -1)))[0])
 
 
 def gate_fidelity(ch: KrausChannel, v: UnitaryOperator) -> float:
@@ -179,9 +164,7 @@ def gate_fidelity(ch: KrausChannel, v: UnitaryOperator) -> float:
     Equals <0| V^dag Lambda(V|0><0|V^dag) V |0>, computed against the first
     column of V without forming the full conjugation.
     """
-    if ch.dim != v.dim:
-        raise DimensionError(f"channel dim {ch.dim} != unitary dim {v.dim}")
-    return gate_fidelity_vector(ch, v.matrix[:, 0])
+    return float(gate_fidelities(ch, v.matrix[None, :, 0])[0])
 
 
 def exact_average_fidelity(ch: KrausChannel) -> float:
@@ -215,55 +198,3 @@ def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases.conj()[..., None, :]
-
-
-def schatten_norm(m, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}: l_p norm of the singular values."""
-    a = np.asarray(m, dtype=np.complex128)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if p == 1:
-        return float(sv.sum())
-    if p == 2:
-        return float(np.sqrt((sv * sv).sum()))
-    if p in (np.inf, float("inf"), "inf"):
-        return float(sv.max()) if sv.size else 0.0
-    raise ParameterError(f"p must be 1, 2 or inf, got {p!r}")
-
-
-def _clamped_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD matrix with roundoff-scale values zeroed.
-
-    Values below 1e-13 of the largest eigenvalue are indistinguishable from
-    rank-deficiency noise; zeroing them keeps the subsequent square root from
-    amplifying 1e-16 noise into 1e-8 errors.
-    """
-    w = np.linalg.eigvalsh(m)
-    top = max(float(w.max()), 0.0)
-    w[w < top * 1e-13] = 0.0
-    return w
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix, eigenvalues clamped at 0."""
-    w, u = np.linalg.eigh(m)
-    top = max(float(w.max()), 0.0)
-    w[w < top * 1e-13] = 0.0
-    return (u * np.sqrt(w)) @ dagger(u)
-
-
-def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0,1]."""
-    if rho.dim != sigma.dim:
-        raise DimensionError(f"state dims differ: {rho.dim} vs {sigma.dim}")
-    sr = _psd_sqrt(rho.matrix)
-    inner = sr @ sigma.matrix @ sr
-    w = _clamped_eigvals(inner)
-    f = float(np.sqrt(w).sum() ** 2)
-    return min(max(f, 0.0), 1.0)
-
-
-def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """Hilbert-Schmidt random mixed state G G^dag / Tr(G G^dag)."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ dagger(g)
-    return DensityMatrix(m / np.trace(m))

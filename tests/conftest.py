@@ -28,3 +28,25 @@ def preset_channels_d2():
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240811))
+
+
+def _apply_kraus(ops, rho):
+    """sum_k A_k rho A_k^dag, the state-level action of a Kraus set."""
+    return sum(a @ rho @ a.conj().T for a in ops)
+
+
+def _random_state(d, rng):
+    """Hilbert-Schmidt random mixed state G G^dag / Tr(G G^dag)."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    return m / np.trace(m)
+
+
+@pytest.fixture(scope="session")
+def apply_kraus():
+    return _apply_kraus
+
+
+@pytest.fixture(scope="session")
+def random_state():
+    return _random_state

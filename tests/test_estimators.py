@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from gatefid import (
     UnitaryOperator,
     basic_procedure,
+    builtin_ensemble,
     estimate_design_iid,
     estimate_kwise_design,
     estimate_naive_haar,
@@ -13,9 +15,11 @@ from gatefid import (
     estimate_two_phase,
     gate_fidelity,
     noise_preset,
+    parse_channel_spec,
     plan_kwise_design,
     plan_single_qtpe,
     plan_two_phase,
+    tensor_product,
 )
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
 from gatefid.estimators import HAAR_BITS_PER_DIM2, plan_naive_haar
@@ -107,6 +111,17 @@ class TestNaiveHaar:
     def test_estimate_is_exact_bit_mean(self):
         result = estimate_naive_haar(DEPOL, 0.2, 0.5, seed=3)
         assert result.estimate == float(result.bits.mean())
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_trial_count_rejected(self, n):
+        with pytest.raises(ParameterError):
+            plan_naive_haar(0.2, 0.5, 2, n_override=n)
+        with pytest.raises(ParameterError):
+            estimate_naive_haar(DEPOL, 0.2, 0.5, seed=3, n_override=n)
+
+    def test_single_trial_override(self):
+        result = estimate_naive_haar(DEPOL, 0.2, 0.5, seed=3, n_override=1)
+        assert result.n_trials == 1 and result.ledger.total == HAAR_BITS_PER_DIM2 * 4
 
 
 class TestDesignIid:
@@ -309,3 +324,51 @@ class TestSeedLengthCrossCheck:
         for eps, delta in [(0.05, 0.1), (0.1, 0.2), (0.2, 0.5)]:
             plan = plan_kwise_design(eps, delta, 24)
             assert plan.r <= 4 * plan.r_sampling_formula + 64
+
+# Pinned at the commit before the fidelity kernel became one batched product
+# over the channel's weight matrix: (estimate, SHA-256 of the measured bits,
+# ledger) per (algorithm, d, seed). The channel's fidelity varies with the
+# prepared state, so a wrong probability table moves the bits.
+GOLDEN_SPEC = "depolarizing:0.1+over_rotation:z,0.35"
+GOLDEN = {
+    ("naive-haar", 2, 0xacc6): (0.9279554937413074, "7c38d0d8dd5a10adc980e3cd7a05c8ba2fd46cefb133e34f3838bbbdffb92c4b", [{'label': 'haar_unitaries', 'bits': 1840640}]),
+    ("single-qtpe", 2, 0xacc6): (0.921240115869412, "9a88c75717b6fc6ea4d9a570530c36f52764abddf68d349045fcf1931104f944", [{'label': 'index', 'bits': 13}]),
+    ("two-phase", 2, 0xacc6): (0.9204013377926421, "79c462ed3e03e98556fb5bef3e8e192b7a451204b9342e7f53d2a3329cd32e23", [{'label': 'phase1_indices', 'bits': 1996800}, {'label': 'phase2_tape_seed', 'bits': 424}]),
+    ("design-iid", 2, 0xacc6): (0.9279554937413074, "1dbc6693e01f02e3d077cdbbe3361797cff97ae8ca30427bfb8a0c527e664870", [{'label': 'indices', 'bits': 46735}]),
+    ("kwise-design", 2, 0xacc6): (0.9301067682611354, "9913e6a113d730b6bdaa0acde3e658b6285ceefa47ed07d22b6a0c49202531f8", [{'label': 'tape_seed', 'bits': 1052}]),
+    ("naive-haar", 4, 0xacc6): (0.8102920723226704, "5f2c9ee89dc34d95028be4768db6c781453a9b05be1ac8433df7f8a39e41c4dd", [{'label': 'haar_unitaries', 'bits': 7362560}]),
+    ("single-qtpe", 4, 0xacc6): (0.7924919752603147, "b2a4399c3509ead0859e3c755cc87ff4dabda4a6c5b2feaaa5c88241f6eba703", [{'label': 'index', 'bits': 18}]),
+    ("two-phase", 4, 0xacc6): (0.8187290969899665, "7e3cd92101956fd1dd61494ec6561144c32de41897e13a10b6b8aac692e17c73", [{'label': 'phase1_indices', 'bits': 1382400}, {'label': 'phase2_tape_seed', 'bits': 412}]),
+    ("naive-haar", 2, 0xacc7): (0.9354659248956885, "2247f102da418d985323ad30326e8109ef2f80623e17bdc507a1d6fc3216bfef", [{'label': 'haar_unitaries', 'bits': 1840640}]),
+    ("single-qtpe", 2, 0xacc7): (0.9230799342362797, "5be641b6694b18fd3f6d92fcfa42a502306812ea1b361e90b06f0de8ede9ac7b", [{'label': 'index', 'bits': 13}]),
+    ("two-phase", 2, 0xacc7): (0.9297658862876255, "9bccf75ae2df8d746a4052608efcd9c715bcdcb5c4aaded98381a01e4e7215c8", [{'label': 'phase1_indices', 'bits': 1996800}, {'label': 'phase2_tape_seed', 'bits': 424}]),
+    ("design-iid", 2, 0xacc7): (0.9343532684283727, "0456201eff89a13f0db104fde1ace120933619f9e526e8324cd8ec80cac1ce4d", [{'label': 'indices', 'bits': 46735}]),
+    ("kwise-design", 2, 0xacc7): (0.9313766991204553, "64889111603e2f23bd7a12c18bf9f48a1074e23c3d4cecfa95f8d65b92f67e58", [{'label': 'tape_seed', 'bits': 1052}]),
+    ("naive-haar", 4, 0xacc7): (0.8233657858136301, "82c7c2d5c8ab5460c367709a4ec69cf96c954a2d061a4a54201e727912bb1d11", [{'label': 'haar_unitaries', 'bits': 7362560}]),
+    ("single-qtpe", 4, 0xacc7): (0.817897126751742, "fe84f636cd01ac5ccd74602a21d8c6331bc38322000966f84acb14833eeefea1", [{'label': 'index', 'bits': 18}]),
+    ("two-phase", 4, 0xacc7): (0.8441471571906355, "597f3855d94631ff5beb1334f658aaea936d94ae767a44d0545ffbe58c1e8e30", [{'label': 'phase1_indices', 'bits': 1382400}, {'label': 'phase2_tape_seed', 'bits': 412}]),
+}
+
+
+def _golden_run(algorithm, d, seed):
+    c1 = builtin_ensemble("clifford1q")
+    ensemble = c1 if d == 2 else tensor_product(c1, c1)
+    model = parse_channel_spec(GOLDEN_SPEC, d)
+    if algorithm == "naive-haar":
+        return estimate_naive_haar(model, 0.05, 0.1, seed)
+    if algorithm == "design-iid":
+        return estimate_design_iid(model, 0.05, 0.1, ensemble, seed)
+    if algorithm == "kwise-design":
+        return estimate_kwise_design(model, 0.05, 0.1, ensemble, seed)
+    if algorithm == "single-qtpe":
+        return estimate_single_qtpe(model, 0.05, 0.1, ensemble, seed, waive_preconditions=True)
+    return estimate_two_phase(model, 0.2, 0.3, ensemble, seed, waive_preconditions=True)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-d{k[1]}-{k[2]:x}")
+def test_golden_outputs(key):
+    estimate, bits_sha, ledger = GOLDEN[key]
+    result = _golden_run(*key)
+    assert result.estimate == estimate
+    assert hashlib.sha256(result.bits.tobytes()).hexdigest() == bits_sha
+    assert result.ledger.as_dicts() == ledger
