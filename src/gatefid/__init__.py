@@ -60,6 +60,7 @@ from .quantum import (
     gate_fidelities,
     gate_fidelity,
     haar_random_unitary,
+    schatten_norm,
 )
 from .streams import BitSource, fresh_seed, measurement_rng, split_seed
 

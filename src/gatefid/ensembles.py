@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .quantum import dagger, matrices_close
+from .quantum import dagger, matrices_close, schatten_norm
 
 # Dense superoperators are built only up to this many rows (d^{2t} <= cap).
 DENSE_CAP = 4096
@@ -380,7 +380,7 @@ def tpe_lambda(
     if rows <= dense_cap:
         g = moment_superoperator(e, t, dense_cap=dense_cap)
         diff = g.dense - proj.dense()
-        lam = float(np.linalg.svd(diff, compute_uv=False).max())
+        lam = schatten_norm(diff, np.inf)
         return DesignCheck(t, lam, "dense-svd", eps(lam), eps(lam) > 2)
     g = moment_superoperator(e, t, dense_cap=dense_cap, form="matrix-free")
     lam, iters, resid = _power_iteration_lambda(g, proj, tol, max_iter)

@@ -198,3 +198,16 @@ def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases.conj()[..., None, :]
+
+
+def schatten_norm(m, p) -> float:
+    """Schatten p-norm for p in {1, 2, inf}: l_p norm of the singular values."""
+    a = np.asarray(m, dtype=np.complex128)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if p == 1:
+        return float(sv.sum())
+    if p == 2:
+        return float(np.sqrt((sv * sv).sum()))
+    if p in (np.inf, float("inf"), "inf"):
+        return float(sv.max()) if sv.size else 0.0
+    raise ParameterError(f"p must be 1, 2 or inf, got {p!r}")

@@ -13,6 +13,7 @@ from gatefid import (
     haar_random_unitary,
     noise_preset,
     parse_channel_spec,
+    schatten_norm,
     tensor_product,
 )
 from gatefid import quantum
@@ -234,6 +235,25 @@ class TestExactAverageFidelity:
             f = exact_average_fidelity(KrausChannel((w.matrix,)))
             expect = (abs(np.trace(w.matrix)) ** 2 + d) / (d * d + d)
             assert abs(f - expect) <= 1e-12
+
+
+class TestSchattenNorm:
+    def test_identity_norms(self):
+        assert schatten_norm(np.eye(2), 1) == pytest.approx(2.0)
+        assert schatten_norm(np.eye(2), np.inf) == pytest.approx(1.0)
+
+    def test_diag_3_4(self):
+        assert schatten_norm(np.diag([3.0, 4.0]), 2) == pytest.approx(5.0)
+
+    def test_two_norm_matches_frobenius(self, rng):
+        for _ in range(10):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            frob = math.sqrt(np.sum(np.abs(a) ** 2))
+            assert abs(schatten_norm(a, 2) - frob) <= 1e-9
+
+    def test_rejects_other_p(self):
+        with pytest.raises(ParameterError):
+            schatten_norm(np.eye(2), 3)
 
 
 class TestHaarSampling:
