@@ -333,3 +333,110 @@ class TestMiscFlags:
         code, out, err = run_cli(capsys, *ESTIMATE_ARGS[:-1], "auto")
         assert code == 0
         assert "seed auto ->" in err
+
+
+# Pinned before the estimators shared one run pipeline: exit code, SHA-256 of
+# stdout and the exact stderr of `estimate` argvs over all five algorithms,
+# both output forms, claimed-lambda forms and each refusal. The channel's
+# fidelity varies with the prepared state, so a wrong table moves the bits.
+GOLDEN_CLI_SPEC = "depolarizing:0.1+over_rotation:z,0.35"
+_GOLDEN_CLI_ALGOS = {
+    "naive-haar": ["--epsilon", "0.1", "--delta", "0.2"],
+    "design-iid": ["--epsilon", "0.1", "--delta", "0.2", "--ensemble", "clifford1q"],
+    "kwise-design": ["--epsilon", "0.1", "--delta", "0.2", "--ensemble", "clifford1q"],
+    "single-qtpe": ["--epsilon", "0.1", "--delta", "0.2", "--ensemble", "clifford1q",
+                    "--waive-preconditions"],
+    "two-phase": ["--epsilon", "0.2", "--delta", "0.3", "--ensemble", "clifford1q",
+                  "--waive-preconditions"],
+}
+_GOLDEN_CLI_FORMS = {"trials": ["--emit-trials"], "csv": ["--format", "csv"]}
+
+
+def _golden_cli_cases():
+    cases = {}
+    for algo, rest in _GOLDEN_CLI_ALGOS.items():
+        for seed in ("acc6", "acc7"):
+            for form, extra in _GOLDEN_CLI_FORMS.items():
+                argv = ["--algorithm", algo, *rest, "--seed", seed, *extra]
+                cases[f"{algo}-{seed}-{form}"] = argv
+    others = {
+        # exit 2: single-qtpe at d = 2 violates 108/(eps^2 d) < delta/2
+        "single-qtpe-unwaived": ["--algorithm", "single-qtpe", "--epsilon", "0.1",
+                                 "--delta", "0.2", "--ensemble", "clifford1q"],
+        # exit 3: the Pauli group is not a 2-design
+        "design-iid-pauli": ["--algorithm", "design-iid", "--epsilon", "0.1", "--delta", "0.2",
+                             "--ensemble", "pauli1q"],
+        # exit 4: phase-1 pool above T_CAP
+        "two-phase-cap": ["--algorithm", "two-phase", "--epsilon", "0.01", "--delta", "0.3",
+                          "--ensemble", "clifford1q", "--waive-preconditions"],
+        # exit 2 on a claimed lambda above 1/(4 d^3); exit 0 with notes when waived
+        "single-qtpe-claimed": ["--algorithm", "single-qtpe", "--epsilon", "0.1",
+                                "--delta", "0.2", "--ensemble", "clifford1q",
+                                "--claimed-lambda", "0.5"],
+        "two-phase-claimed": ["--algorithm", "two-phase", "--epsilon", "0.2", "--delta", "0.3",
+                              "--ensemble", "clifford1q", "--claimed-lambda", "1e-300",
+                              "--waive-preconditions"],
+        # a claimed exact design and a claim too coarse for the target (exit 3)
+        "design-iid-claimed": ["--algorithm", "design-iid", "--epsilon", "0.1",
+                               "--delta", "0.2", "--ensemble", "clifford1q",
+                               "--claimed-lambda", "0", "--format", "csv"],
+        "kwise-design-claimed": ["--algorithm", "kwise-design", "--epsilon", "0.1",
+                                 "--delta", "0.2", "--ensemble", "clifford1q",
+                                 "--claimed-lambda", "0.5"],
+    }
+    for name, argv in others.items():
+        cases[name] = [*argv, "--seed", "acc6"]
+    for algo in ("design-iid", "kwise-design", "single-qtpe", "two-phase"):
+        # exit 3: a d = 4 channel against the d = 2 Clifford group
+        cases[f"{algo}-d4-dims"] = [*cases[f"{algo}-acc6-csv"], "--d", "4"]
+    for argv in cases.values():
+        argv[:0] = ["--channel", GOLDEN_CLI_SPEC]
+    # a `note:` line: epsilon 0.6 is above the fidelity 0.5 of full depolarizing
+    cases["kwise-design-eps-above-f"] = [
+        "--channel", "depolarizing:1.0", "--algorithm", "kwise-design", "--epsilon", "0.6",
+        "--delta", "0.5", "--ensemble", "clifford1q", "--seed", "acc6",
+    ]
+    return cases
+
+
+GOLDEN_CLI_CASES = _golden_cli_cases()
+GOLDEN_CLI = {
+    'design-iid-acc6-csv': (0, 'f295a6ca420b0cc0ae78bf379191c7a2a42f221048d2b0b9c7709e81c5cee031', ''),
+    'design-iid-acc6-trials': (0, '8f3bacf604f1e7d14653b06490842d6c4a6ce7f22eb45ebdee65b233292cd10f', ''),
+    'design-iid-acc7-csv': (0, 'cbfd11592959ee0e31b5fa94040b80b46b20decdf78bf76393718ed12a04491c', ''),
+    'design-iid-acc7-trials': (0, '8418a1bfb27859593621fdae4dc345de7cea63c885c9588b71ac7d95924dda1d', ''),
+    'design-iid-claimed': (0, 'f295a6ca420b0cc0ae78bf379191c7a2a42f221048d2b0b9c7709e81c5cee031', ''),
+    'design-iid-d4-dims': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: channel dim 4 != ensemble dim 2\n'),
+    'design-iid-pauli': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: ensemble 'pauli1q' certifies only epsilon_2 = 16 >= epsilon/2 = 0.05; design too coarse for the target\n"),
+    'kwise-design-acc6-csv': (0, '40853ced018bf6e6ef32e9ebca24123d21b276de4b0ec61f510ad582e81db32e', ''),
+    'kwise-design-acc6-trials': (0, 'f372a0662cfdc7ee098eb5e780046e09a2bd590fb5a13b79047fb06d952ab43b', ''),
+    'kwise-design-acc7-csv': (0, 'ea947cd986751f275679afab5529075cb8805beb170dda7405310764a2f6d0e1', ''),
+    'kwise-design-acc7-trials': (0, 'bcd71bccd74d05f0005dfebc9ff30489afe1d2b3705f08d3e6a76bf824857a07', ''),
+    'kwise-design-claimed': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "error: ensemble 'clifford1q' certifies only epsilon_2 = 8 >= epsilon/2 = 0.05; design too coarse for the target\n"),
+    'kwise-design-d4-dims': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: channel dim 4 != ensemble dim 2\n'),
+    'kwise-design-eps-above-f': (0, '099aae8357ce0753694b95e607ae1688ab514bf68487b4c2bc0ad2e7cac7a7ba', 'note: epsilon >= exact average fidelity; the deviation guarantee is void\n'),
+    'naive-haar-acc6-csv': (0, 'a2174268e05156723b629339d029b0170cd4082a1fa7c5ff8fe7d41060b3ff86', ''),
+    'naive-haar-acc6-trials': (0, '47de46c01dd9a5d95e2856b9e8aaa69096c54ef5ea153f5a207e4955197e0cc8', ''),
+    'naive-haar-acc7-csv': (0, 'cd2ca522660981b250284009f86e0d9351f66f81746a2c3eb54e5715849f4c00', ''),
+    'naive-haar-acc7-trials': (0, '416bcb3956a0168d9af453846971e73a18abac2a95bac383d3659d07ec91a1df', ''),
+    'single-qtpe-acc6-csv': (0, '56e9ebb68bcbf3c6c85b602844bfa3d22d2bcb6fe0e598068b556db4459022e1', 'note: 108/(epsilon^2 d) < delta/2 violated: 5400 >= 0.1 (needs d > 108000)\nnote: lambda <= 1/(4 d^3) violated: 1 > 0.03125\n'),
+    'single-qtpe-acc6-trials': (0, '3c58fc72a13a287776a54c305379864ec59ab9caeffad3378bff9e7c35ce8cd6', 'note: 108/(epsilon^2 d) < delta/2 violated: 5400 >= 0.1 (needs d > 108000)\nnote: lambda <= 1/(4 d^3) violated: 1 > 0.03125\n'),
+    'single-qtpe-acc7-csv': (0, '7495b55045a4215e0fee043f949156bde1c319d98c7f1cb708c2986a708ffc6c', 'note: 108/(epsilon^2 d) < delta/2 violated: 5400 >= 0.1 (needs d > 108000)\nnote: lambda <= 1/(4 d^3) violated: 1 > 0.03125\n'),
+    'single-qtpe-acc7-trials': (0, 'dbd444d1a5055c01cec4a3b0806fd174955d3493fc934f913c9e4c5713ffc435', 'note: 108/(epsilon^2 d) < delta/2 violated: 5400 >= 0.1 (needs d > 108000)\nnote: lambda <= 1/(4 d^3) violated: 1 > 0.03125\n'),
+    'single-qtpe-claimed': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'precondition violated: 108/(epsilon^2 d) < delta/2 violated: 5400 >= 0.1 (needs d > 108000); lambda <= 1/(4 d^3) violated: 0.5 > 0.03125\n'),
+    'single-qtpe-d4-dims': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: channel dim 4 != ensemble dim 2\n'),
+    'single-qtpe-unwaived': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'precondition violated: 108/(epsilon^2 d) < delta/2 violated: 5400 >= 0.1 (needs d > 108000); lambda <= 1/(4 d^3) violated: 1 > 0.03125\n'),
+    'two-phase-acc6-csv': (0, 'c11480f6d2714b1d02306e87de0daba26589fefd1b609fd8708c3ca9e8043db6', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
+    'two-phase-acc6-trials': (0, '36f708edc14615bc75c1b9d2611c7eae0a1bbd910550d21ff6ed956a51e40459', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
+    'two-phase-acc7-csv': (0, 'd394111cb4e31da4ee93b5de0f74f1f4055dd3dbcbb7a1826e7e933431c89684', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
+    'two-phase-acc7-trials': (0, 'd196dced8877c6c606c73f47b8c982692bcdadc03db78e4067e487d08de8d8f4', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
+    'two-phase-cap': (4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'capacity: phase-1 sample count t = 61440000 exceeds the cap 1048576\n'),
+    'two-phase-claimed': (0, '37a1ba3539c9a3269703840ef97e6eb692ae721dfb13e30e0f0a402dc7509d63', 'note: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
+    'two-phase-d4-dims': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: channel dim 4 != ensemble dim 2\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLI_CASES))
+def test_golden_cli(capsys, case):
+    code, out, err = run_cli(capsys, "estimate", *GOLDEN_CLI_CASES[case])
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == GOLDEN_CLI[case]
