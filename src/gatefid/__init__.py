@@ -23,7 +23,6 @@ from .ensembles import (
 )
 from .estimators import (
     EstimationResult,
-    TrialRecord,
     basic_procedure,
     estimate_design_iid,
     estimate_kwise_design,

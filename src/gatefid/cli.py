@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import (
+    ALGORITHMS,
     estimate_design_iid,
     estimate_kwise_design,
     estimate_naive_haar,
@@ -64,6 +66,17 @@ def _parse_seed(text: str) -> int:
         raise ParameterError(f"seed must be a hex string or 'auto', got {text!r}") from exc
 
 
+def _lambda_arg(text: str) -> float:
+    """A claimed spectral gap lambda: a finite number >= 0 (0 is an exact design)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _resolve_ensemble(name: str, d: int):
     if "(x)" in name:
         parts = name.split("(x)")
@@ -94,29 +107,14 @@ def cmd_estimate(args) -> int:
     else:
         if not args.ensemble:
             raise ParameterError(f"algorithm {args.algorithm} needs --ensemble")
-        ensemble = _resolve_ensemble(args.ensemble, args.d)
-        if args.algorithm == "design-iid":
-            result = estimate_design_iid(
-                model, args.epsilon, args.delta, ensemble, seed, lambda2=args.claimed_lambda
-            )
-        elif args.algorithm == "kwise-design":
-            result = estimate_kwise_design(
-                model, args.epsilon, args.delta, ensemble, seed, lambda2=args.claimed_lambda
-            )
-        elif args.algorithm == "single-qtpe":
-            result = estimate_single_qtpe(
-                model, args.epsilon, args.delta, ensemble, seed,
-                claimed_lambda=args.claimed_lambda,
-                waive_preconditions=args.waive_preconditions,
-            )
-        elif args.algorithm == "two-phase":
-            result = estimate_two_phase(
-                model, args.epsilon, args.delta, ensemble, seed,
-                claimed_lambda=args.claimed_lambda,
-                waive_preconditions=args.waive_preconditions,
-            )
+        common = (model, args.epsilon, args.delta, _resolve_ensemble(args.ensemble, args.d), seed)
+        if args.algorithm in ("design-iid", "kwise-design"):
+            estimate = estimate_design_iid if args.algorithm == "design-iid" else estimate_kwise_design
+            result = estimate(*common, lambda2=args.claimed_lambda)
         else:
-            raise ConfigError(f"unknown algorithm {args.algorithm!r}")
+            estimate = estimate_single_qtpe if args.algorithm == "single-qtpe" else estimate_two_phase
+            result = estimate(*common, claimed_lambda=args.claimed_lambda,
+                              waive_preconditions=args.waive_preconditions)
     for flag in result.flags:
         print(f"note: {flag}", file=sys.stderr)
     doc = result.to_json_dict(include_trials=args.emit_trials, include_elapsed=args.emit_timing)
@@ -253,14 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="run one estimation algorithm")
-    est.add_argument("--algorithm", required=True,
-                     choices=["naive-haar", "design-iid", "kwise-design", "single-qtpe", "two-phase"])
+    est.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     est.add_argument("--channel", required=True, help="e.g. depolarizing:0.2 or a '+' composition")
     est.add_argument("--d", type=int, default=2)
     est.add_argument("--epsilon", type=float, required=True)
     est.add_argument("--delta", type=float, required=True)
     est.add_argument("--ensemble", help="builtin name, 'a(x)b' tensor product, or a JSON file path")
-    est.add_argument("--claimed-lambda", type=float, default=None)
+    est.add_argument("--claimed-lambda", type=_lambda_arg, default=None)
     est.add_argument("--seed", required=True, help="hex string, or 'auto' to draw and log one")
     est.add_argument("--waive-preconditions", action="store_true")
     est.add_argument("--emit-trials", action="store_true")
@@ -283,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--channel")
     val.add_argument("--d", type=int, default=2)
     val.add_argument("--ensemble")
-    val.add_argument("--claimed-lambda", type=float, default=None)
-    val.add_argument("--claimed-lambda4", type=float, default=None)
+    val.add_argument("--claimed-lambda", type=_lambda_arg, default=None)
+    val.add_argument("--claimed-lambda4", type=_lambda_arg, default=None)
     val.add_argument("--n", type=int)
     val.add_argument("--k", type=int)
     val.add_argument("--theta", type=float)

@@ -360,8 +360,8 @@ class DesignCheck:
 
 def design_epsilon_from_lambda(lambda2: float, d: int) -> float:
     """Certified approximate-2-design epsilon from a 2-copy lambda: lambda * d^4."""
-    if lambda2 < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lambda2}")
+    if not lambda2 >= 0:  # also refuses NaN
+        raise ParameterError(f"lambda must be nonnegative, got {lambda2}")
     return float(lambda2) * d**4
 
 

@@ -1,12 +1,18 @@
 """The five average-fidelity estimation algorithms with exact bit ledgers.
 
-Every estimator follows the same pattern: a pure planner derives all sample
-counts and pseudorandomness parameters from (epsilon, delta, dimension,
-ensemble size); the run draws classical randomness only through a counted
-BitSource whose total must equal the ledger; measurement outcomes come from
-a separate uncounted stream (they model quantum, not classical, randomness);
-per-trial success probabilities are computed exactly by strong simulation
-and a single Bernoulli draw decides each outcome bit.
+All five run one experiment and differ only in how they draw unitary indices:
+Haar gaussians, iid indices, one k-wise tape, one single draw, or two phases.
+Each estimator checks its design certificate or preconditions, calls a pure
+planner (every sample count and pseudorandomness parameter from epsilon,
+delta, dimension and ensemble size), draws its indices and finishes. The
+private ``_Run`` owns the shared steps: the timer, channel resolution and the
+dimension check; every counted draw, one call that takes bits from a
+BitSource and ledgers them under a label; the k-wise tape draw; the
+precondition gate (epsilon < F/2, PreconditionError unless waived, a waived
+run diagnostic with its failures in ``flags``); and the finish, which checks
+that the ledger equals the bits drawn and decides each outcome bit by one
+Bernoulli draw on the exactly simulated success probability, from a separate
+uncounted stream (measurement models quantum, not classical, randomness).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +38,6 @@ from .prg import (
     generate_tape,
     index_width,
     indices_from_bits,
-    sample_indices,
     sampling_seed_length,
     tape_field_degree,
     tape_seed_length,
@@ -81,14 +87,6 @@ def _fidelity_table(ch: KrausChannel, ensemble: UnitaryEnsemble) -> np.ndarray:
     return gate_fidelities(ch, ensemble.unitaries[:, :, 0])
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    index: int
-    unitary: int
-    p: float
-    bit: int
-
-
 @dataclass
 class EstimationResult:
     algorithm: str
@@ -111,13 +109,6 @@ class EstimationResult:
     def n_trials(self) -> int:
         return len(self.bits)
 
-    @property
-    def trials(self) -> list:
-        return [
-            TrialRecord(i, int(u), float(p), int(b))
-            for i, (u, p, b) in enumerate(zip(self.unitary_ids, self.probabilities, self.bits))
-        ]
-
     def to_json_dict(self, include_trials: bool = False, include_elapsed: bool = False) -> dict:
         doc = {
             "algorithm": self.algorithm,
@@ -135,8 +126,8 @@ class EstimationResult:
             doc["elapsed_ms"] = self.elapsed_s * 1e3
         if include_trials:
             doc["trials"] = [
-                {"index": t.index, "unitary": t.unitary, "p": t.p, "bit": t.bit}
-                for t in self.trials
+                {"index": i, "unitary": int(u), "p": float(p), "bit": int(b)}
+                for i, (u, p, b) in enumerate(zip(self.unitary_ids, self.probabilities, self.bits))
             ]
         return doc
 
@@ -312,58 +303,102 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
 # estimators
 
 
-def _measured_bits(probabilities: np.ndarray, seed: int) -> np.ndarray:
-    rng = measurement_rng(seed)
-    return (rng.random(len(probabilities)) < probabilities).astype(np.uint8)
+class _Run:
+    """The steps every estimator shares, from the timer to the result.
 
+    The bit source is created at the first draw, so every planning and
+    precondition error still comes before a bad seed is noticed.
+    """
 
-def _finish(
-    algorithm, d, epsilon, delta, fbar, seed, ledger, source, ids, probs, plan,
-    diagnostic=False, flags=(), started=0.0,
-) -> EstimationResult:
-    if ledger.total != source.total_bits:
-        raise NumericalError(
-            f"ledger total {ledger.total} != bits actually drawn {source.total_bits}"
+    def __init__(self, algorithm: str, channel, epsilon: float, delta: float, seed: int,
+                 ensemble: UnitaryEnsemble | None = None):
+        self.started = time.perf_counter()
+        self.algorithm, self.epsilon, self.delta, self.seed = algorithm, epsilon, delta, seed
+        self.channel, self.fbar = _resolve_channel(channel)
+        if ensemble is not None and self.channel.dim != ensemble.dim:
+            raise ParameterError(f"channel dim {self.channel.dim} != ensemble dim {ensemble.dim}")
+        self.ledger = RandomnessLedger()
+        self.flags: list = []
+        self.diagnostic = False
+
+    @cached_property
+    def source(self) -> BitSource:
+        return BitSource(self.seed)
+
+    def take_bits(self, label: str, count: int) -> np.ndarray:
+        """Draw `count` counted bits and ledger them under `label`."""
+        bits = self.source.take_bits(count)
+        self.ledger.record(label, count)
+        return bits
+
+    def take_gaussians(self, label: str, count: int, bits: int) -> np.ndarray:
+        """Draw `count` counted normals, ledgered as the planner's `bits`."""
+        gauss = self.source.take_gaussians(count)
+        self.ledger.record(label, bits)
+        return gauss
+
+    def indices(self, label: str, bits: int, set_size: int, n: int) -> np.ndarray:
+        """n indices in [0, set_size) decoded from `bits` counted bits."""
+        return indices_from_bits(self.take_bits(label, bits), set_size, n).indices
+
+    def tape_indices(self, label: str, r: int, k_bits: int, n_bits: int, theta_log2: float,
+                     set_size: int, n: int) -> np.ndarray:
+        """n indices in [0, set_size) read from a k-wise tape on r counted seed bits."""
+        seed_bits = self.take_bits(label, r)
+        tape = generate_tape(k_bits, n_bits, None, seed_bits, theta_log2=theta_log2)
+        return indices_from_bits(tape.bits, set_size, n).indices
+
+    def gate(self, plan, extra: list, waive: bool) -> None:
+        """Refuse unless waived: the plan's failures, epsilon < F/2, then `extra`.
+
+        A waived run is diagnostic and carries its failures as flags.
+        """
+        failures = list(plan.precondition_failures)
+        if not self.epsilon < self.fbar / 2.0:
+            failures.append(f"epsilon < F/2 violated: {self.epsilon:g} >= {self.fbar / 2.0:g}")
+        failures.extend(extra)
+        if failures and not waive:
+            raise PreconditionError("; ".join(failures))
+        self.diagnostic = bool(failures)
+        self.flags.extend(failures)
+
+    def finish(self, plan, ids: np.ndarray, probs: np.ndarray) -> EstimationResult:
+        if self.ledger.total != self.source.total_bits:
+            raise NumericalError(
+                f"ledger total {self.ledger.total} != bits actually drawn {self.source.total_bits}"
+            )
+        bits = (measurement_rng(self.seed).random(len(probs)) < probs).astype(np.uint8)
+        return EstimationResult(
+            algorithm=self.algorithm,
+            d=self.channel.dim,
+            epsilon=self.epsilon,
+            delta=self.delta,
+            estimate=float(bits.mean()),
+            exact_reference=self.fbar,
+            seed=self.seed,
+            ledger=self.ledger,
+            unitary_ids=ids,
+            probabilities=probs,
+            bits=bits,
+            plan=plan,
+            diagnostic=self.diagnostic,
+            flags=tuple(self.flags),
+            elapsed_s=time.perf_counter() - self.started,
         )
-    bits = _measured_bits(probs, seed)
-    return EstimationResult(
-        algorithm=algorithm,
-        d=d,
-        epsilon=epsilon,
-        delta=delta,
-        estimate=float(bits.mean()),
-        exact_reference=fbar,
-        seed=seed,
-        ledger=ledger,
-        unitary_ids=ids,
-        probabilities=probs,
-        bits=bits,
-        plan=plan,
-        diagnostic=diagnostic,
-        flags=tuple(flags),
-        elapsed_s=time.perf_counter() - started,
-    )
 
 
 def estimate_naive_haar(
     channel, epsilon: float, delta: float, seed: int, *, n_override: int | None = None
 ) -> EstimationResult:
     """Fresh Haar unitary per trial, n = ceil(3 eps^-2 ln(2/delta)) trials."""
-    started = time.perf_counter()
-    ch, fbar = _resolve_channel(channel)
-    d = ch.dim
+    run = _Run("naive-haar", channel, epsilon, delta, seed)
+    d = run.channel.dim
     plan = plan_naive_haar(epsilon, delta, d, n_override)
-    source = BitSource(seed)
-    ledger = RandomnessLedger()
-    gauss = source.take_gaussians(plan.n * 2 * d * d).reshape(plan.n, 2 * d * d)
-    ledger.record("haar_unitaries", plan.total_bits)
+    gauss = run.take_gaussians("haar_unitaries", plan.n * 2 * d * d, plan.total_bits)
+    gauss = gauss.reshape(plan.n, 2 * d * d)
     z = (gauss[:, : d * d] + 1j * gauss[:, d * d :]).reshape(plan.n, d, d) / math.sqrt(2)
-    probs = _fidelity_columns(ch, phase_fixed_qr(z)[:, :, 0])
-    ids = np.arange(plan.n)
-    return _finish(
-        "naive-haar", d, epsilon, delta, fbar, seed, ledger, source, ids, probs, plan,
-        started=started,
-    )
+    probs = _fidelity_columns(run.channel, phase_fixed_qr(z)[:, :, 0])
+    return run.finish(plan, np.arange(plan.n), probs)
 
 
 def _fidelity_columns(ch: KrausChannel, columns: np.ndarray) -> np.ndarray:
@@ -387,53 +422,29 @@ def estimate_design_iid(
     channel, epsilon: float, delta: float, ensemble: UnitaryEnsemble, seed: int, *, lambda2=None
 ) -> EstimationResult:
     """Independent uniform draws from a certified (approximate) 2-design."""
-    started = time.perf_counter()
-    ch, fbar = _resolve_channel(channel)
-    _match_dims(ch, ensemble)
+    run = _Run("design-iid", channel, epsilon, delta, seed, ensemble)
     lam, eps2, exact = _certify_design(ensemble, epsilon, lambda2)
     budget = epsilon if exact else epsilon / 2.0
     _check_eps_delta(epsilon, delta)
     n = math.ceil(3.0 / budget**2 * math.log(2.0 / delta))
     plan = IidPlan(n, index_width(ensemble.size), budget, lam, eps2)
-    source = BitSource(seed)
-    ledger = RandomnessLedger()
-    draw = indices_from_bits(source.take_bits(n * plan.width), ensemble.size, n)
-    ledger.record("indices", n * plan.width)
-    table = _fidelity_table(ch, ensemble)
-    return _finish(
-        "design-iid", ch.dim, epsilon, delta, fbar, seed, ledger, source,
-        draw.indices, table[draw.indices], plan, started=started,
-    )
-
-
-def _match_dims(ch: KrausChannel, ensemble: UnitaryEnsemble) -> None:
-    if ch.dim != ensemble.dim:
-        raise ParameterError(f"channel dim {ch.dim} != ensemble dim {ensemble.dim}")
+    ids = run.indices("indices", n * plan.width, ensemble.size, n)
+    return run.finish(plan, ids, _fidelity_table(run.channel, ensemble)[ids])
 
 
 def estimate_kwise_design(
     channel, epsilon: float, delta: float, ensemble: UnitaryEnsemble, seed: int, *, lambda2=None
 ) -> EstimationResult:
     """Design sampling driven by an approximately k-wise independent bit tape."""
-    started = time.perf_counter()
-    ch, fbar = _resolve_channel(channel)
-    _match_dims(ch, ensemble)
+    run = _Run("kwise-design", channel, epsilon, delta, seed, ensemble)
     _certify_design(ensemble, epsilon, lambda2)
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
-    flags = []
-    if epsilon >= fbar:
-        flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
-    source = BitSource(seed)
-    ledger = RandomnessLedger()
-    seed_bits = source.take_bits(plan.r)
-    ledger.record("tape_seed", plan.r)
-    tape = generate_tape(plan.k_bits, plan.n_bits, None, seed_bits, theta_log2=plan.theta_log2)
-    draw = sample_indices(tape, ensemble.size, plan.n)
-    table = _fidelity_table(ch, ensemble)
-    return _finish(
-        "kwise-design", ch.dim, epsilon, delta, fbar, seed, ledger, source,
-        draw.indices, table[draw.indices], plan, flags=flags, started=started,
+    if epsilon >= run.fbar:
+        run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
+    ids = run.tape_indices(
+        "tape_seed", plan.r, plan.k_bits, plan.n_bits, plan.theta_log2, ensemble.size, plan.n
     )
+    return run.finish(plan, ids, _fidelity_table(run.channel, ensemble)[ids])
 
 
 def estimate_single_qtpe(
@@ -447,42 +458,32 @@ def estimate_single_qtpe(
     waive_preconditions: bool = False,
 ) -> EstimationResult:
     """One uniform ensemble draw, repeated n times with the same unitary."""
-    started = time.perf_counter()
-    ch, fbar = _resolve_channel(channel)
-    _match_dims(ch, ensemble)
-    plan = plan_single_qtpe(epsilon, delta, ch.dim, ensemble.size)
-    failures = list(plan.precondition_failures)
-    flags = []
-    if not epsilon < fbar / 2.0:
-        failures.append(f"epsilon < F/2 violated: {epsilon:g} >= {fbar / 2.0:g}")
+    run = _Run("single-qtpe", channel, epsilon, delta, seed, ensemble)
+    plan = plan_single_qtpe(epsilon, delta, run.channel.dim, ensemble.size)
+    failures = []
     lam4 = _lambda4_or_none(ensemble, claimed_lambda)
     if lam4 is None:
-        flags.append("4-copy lambda unverifiable at this size; trusting the ensemble claim")
+        run.flags.append("4-copy lambda unverifiable at this size; trusting the ensemble claim")
     elif lam4 > plan.lambda_required:
-        failures.append(
-            f"lambda <= 1/(4 d^3) violated: {lam4:g} > {plan.lambda_required:g}"
-        )
-    if failures and not waive_preconditions:
-        raise PreconditionError("; ".join(failures))
-    diagnostic = bool(failures)
-    flags.extend(failures)
-    source = BitSource(seed)
-    ledger = RandomnessLedger()
-    draw = indices_from_bits(source.take_bits(plan.width), ensemble.size, 1)
-    ledger.record("index", plan.width)
-    chosen = int(draw.indices[0])
-    p = _fidelity_columns(ch, ensemble.unitaries[chosen : chosen + 1, :, 0])[0]
-    ids = np.full(plan.n, chosen)
-    probs = np.full(plan.n, p)
-    return _finish(
-        "single-qtpe", ch.dim, epsilon, delta, fbar, seed, ledger, source, ids, probs, plan,
-        diagnostic=diagnostic, flags=flags, started=started,
-    )
+        failures.append(f"lambda <= 1/(4 d^3) violated: {lam4:g} > {plan.lambda_required:g}")
+    run.gate(plan, failures, waive_preconditions)
+    chosen = int(run.indices("index", plan.width, ensemble.size, 1)[0])
+    p = _fidelity_columns(run.channel, ensemble.unitaries[chosen : chosen + 1, :, 0])[0]
+    return run.finish(plan, np.full(plan.n, chosen), np.full(plan.n, p))
+
+
+def _claimed(value):
+    """A claimed lambda as a float (None stays None); ParameterError unless >= 0."""
+    if value is None:
+        return None
+    if not value >= 0.0:  # also refuses NaN
+        raise ParameterError(f"claimed lambda must be >= 0, got {value}")
+    return float(value)
 
 
 def _lambda4_or_none(ensemble: UnitaryEnsemble, claimed):
     if claimed is not None:
-        return float(claimed)
+        return _claimed(claimed)
     if ensemble.dim**8 <= DENSE_CAP:
         return tpe_lambda(ensemble, 4).lambda_value
     return None
@@ -499,50 +500,27 @@ def estimate_two_phase(
     waive_preconditions: bool = False,
 ) -> EstimationResult:
     """Phase 1 draws t unitaries uniformly; phase 2 samples among them k-wise."""
-    started = time.perf_counter()
-    ch, fbar = _resolve_channel(channel)
-    _match_dims(ch, ensemble)
-    plan = plan_two_phase(epsilon, delta, ch.dim, ensemble.size)
-    failures = list(plan.precondition_failures)
-    flags = []
-    if not epsilon < fbar / 2.0:
-        failures.append(f"epsilon < F/2 violated: {epsilon:g} >= {fbar / 2.0:g}")
-    if claimed_lambda is None:
-        flags.append("4l-copy lambda unverifiable; trusting the ensemble claim")
-    elif math.log2(claimed_lambda) > plan.lambda_required_log2:
+    run = _Run("two-phase", channel, epsilon, delta, seed, ensemble)
+    plan = plan_two_phase(epsilon, delta, run.channel.dim, ensemble.size)
+    failures = []
+    lam = _claimed(claimed_lambda)
+    if lam is None:
+        run.flags.append("4l-copy lambda unverifiable; trusting the ensemble claim")
+    elif lam > 0.0 and math.log2(lam) > plan.lambda_required_log2:  # lambda = 0 passes
         failures.append(
             f"lambda <= (eps^2/(2^5 d^2))^l violated:"
-            f" log2(lambda) = {math.log2(claimed_lambda):g} > {plan.lambda_required_log2:g}"
+            f" log2(lambda) = {math.log2(lam):g} > {plan.lambda_required_log2:g}"
         )
-    if failures and not waive_preconditions:
-        raise PreconditionError("; ".join(failures))
-    diagnostic = bool(failures)
-    flags.extend(failures)
-    source = BitSource(seed)
-    ledger = RandomnessLedger()
-    phase1 = indices_from_bits(
-        source.take_bits(plan.r_phase1), ensemble.size, plan.pool_size
-    )
-    ledger.record("phase1_indices", plan.r_phase1)
-    table = _fidelity_table(ch, ensemble)
-    sub_table = table[phase1.indices]
+    run.gate(plan, failures, waive_preconditions)
+    pool = run.indices("phase1_indices", plan.r_phase1, ensemble.size, plan.pool_size)
+    sub_table = _fidelity_table(run.channel, ensemble)[pool]
     if plan.pool_size == 1:
         positions = np.zeros(plan.n, dtype=np.int64)
-        ledger.record("phase2_tape_seed", 0)
+        run.ledger.record("phase2_tape_seed", 0)
     else:
-        seed_bits = source.take_bits(plan.r_phase2)
-        ledger.record("phase2_tape_seed", plan.r_phase2)
-        tape = generate_tape(
-            plan.k * plan.width_phase2,
-            plan.n * plan.width_phase2,
-            None,
-            seed_bits,
-            theta_log2=plan.theta_log2,
+        w = plan.width_phase2
+        positions = run.tape_indices(
+            "phase2_tape_seed", plan.r_phase2, plan.k * w, plan.n * w, plan.theta_log2,
+            plan.pool_size, plan.n,
         )
-        positions = sample_indices(tape, plan.pool_size, plan.n).indices
-    ids = phase1.indices[positions]
-    probs = sub_table[positions]
-    return _finish(
-        "two-phase", ch.dim, epsilon, delta, fbar, seed, ledger, source, ids, probs, plan,
-        diagnostic=diagnostic, flags=flags, started=started,
-    )
+    return run.finish(plan, pool[positions], sub_table[positions])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,18 +61,13 @@ class HarnessReport:
 
 
 def harness_confidence(
-    run, oracle: float, epsilon: float, delta: float, repeats: int, master_seed: int, jobs: int = 1
+    run, oracle: float, epsilon: float, delta: float, repeats: int, master_seed: int
 ) -> HarnessReport:
     """Run `run(seed)` `repeats` times on split seeds; PASS iff the fraction of
     runs within epsilon of the oracle is at least 1 - delta - 3 sigma."""
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
-    seeds = [split_seed(master_seed, i) for i in range(repeats)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
+    results = [run(split_seed(master_seed, i)) for i in range(repeats)]
     estimates = np.array([r.estimate for r in results])
     ledgers = np.array([r.ledger.total for r in results])
     frac = float(np.mean(np.abs(estimates - oracle) <= epsilon))

@@ -263,6 +263,52 @@ class TestBadArgvExitCode:
         assert err.startswith("error: ")
 
 
+def run_cli_exit(capsys, *argv):
+    """Like run_cli, with argparse's usage exit turned into its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestClaimedLambda:
+    """A claimed lambda must be finite and >= 0; lambda = 0 is an exact design."""
+
+    TWO_PHASE = ["estimate", "--algorithm", "two-phase", "--channel", "depolarizing:0.2",
+                 "--epsilon", "0.2", "--delta", "0.3", "--ensemble", "clifford1q", "--seed", "2a"]
+
+    def test_two_phase_zero_passes_the_lambda_check(self, capsys):
+        code, out, err = run_cli_exit(capsys, *self.TWO_PHASE, "--claimed-lambda", "0",
+                                      "--waive-preconditions")
+        assert code == 0 and json.loads(out)["algorithm"] == "two-phase"
+        assert "lambda" not in err
+        code, _, err = run_cli_exit(capsys, *self.TWO_PHASE, "--claimed-lambda", "0")
+        assert code == 2 and "lambda" not in err
+
+    @pytest.mark.parametrize("algorithm", ["design-iid", "kwise-design", "single-qtpe",
+                                           "two-phase"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-0.5e-3"])
+    def test_estimate_refuses_bad_claims(self, capsys, algorithm, value):
+        code, out, err = run_cli_exit(
+            capsys, *ESTIMATE_ARGS[:2], algorithm, *ESTIMATE_ARGS[3:], f"--claimed-lambda={value}"
+        )
+        assert code == 3 and out == ""
+        assert "argument --claimed-lambda: must be a finite number >= 0" in err
+
+    @pytest.mark.parametrize("suite", ["moment", "prop1"])
+    @pytest.mark.parametrize("flag", ["--claimed-lambda", "--claimed-lambda4"])
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_validate_refuses_bad_claims(self, capsys, suite, flag, value):
+        code, out, err = run_cli_exit(
+            capsys, "validate", "--suite", suite, "--channel", "depolarizing:0.2",
+            "--ensemble", "clifford1q", flag, value,
+        )
+        assert code == 3 and out == ""
+        assert f"argument {flag}: must be a finite number >= 0" in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -152,9 +152,9 @@ class TestDesignIid:
 
     def test_trial_probabilities_match_gate_fidelity(self, clifford):
         result = estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=8, lambda2=0.0)
-        for t in result.trials[:10]:
-            v = UnitaryOperator(clifford.unitaries[t.unitary])
-            assert abs(t.p - gate_fidelity(DEPOL.channel, v)) <= 1e-9
+        for u, p in zip(result.unitary_ids[:10], result.probabilities[:10]):
+            v = UnitaryOperator(clifford.unitaries[u])
+            assert abs(p - gate_fidelity(DEPOL.channel, v)) <= 1e-9
 
 
 class TestKwiseDesign:
@@ -245,6 +245,34 @@ class TestTwoPhase:
             estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=5)
 
 
+class TestClaimedLambda:
+    def test_nan_or_negative_lambda2_refused(self, clifford):
+        from gatefid import design_epsilon_from_lambda
+
+        for lam in (math.nan, -1.0):
+            with pytest.raises(ParameterError):
+                design_epsilon_from_lambda(lam, 2)
+            with pytest.raises(ParameterError):
+                estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=lam)
+            with pytest.raises(ParameterError):
+                estimate_kwise_design(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=lam)
+
+    def test_nan_or_negative_claim_refused_before_the_gate(self, clifford):
+        for lam in (math.nan, -1.0):
+            with pytest.raises(ParameterError):
+                estimate_single_qtpe(DEPOL, 0.2, 0.5, clifford, seed=1, claimed_lambda=lam,
+                                     waive_preconditions=True)
+            with pytest.raises(ParameterError):
+                estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=1, claimed_lambda=lam,
+                                   waive_preconditions=True)
+
+    def test_two_phase_exact_expander_claim_passes(self, clifford):
+        result = estimate_two_phase(
+            DEPOL, 0.2, 0.3, clifford, seed=1, claimed_lambda=0.0, waive_preconditions=True
+        )
+        assert not any("lambda" in f for f in result.flags)
+
+
 class TestResultContract:
     def test_estimates_in_unit_interval(self, clifford):
         for seed in range(5):
@@ -276,6 +304,19 @@ class TestResultContract:
         assert single.ledger.total < kw.ledger.total < iid.ledger.total
 
 
+_RUNS = {
+    "naive-haar": lambda c: estimate_naive_haar(DEPOL, 0.2, 0.5, seed=1),
+    "design-iid": lambda c: estimate_design_iid(DEPOL, 0.2, 0.5, c, seed=1, lambda2=0.0),
+    "kwise-design": lambda c: estimate_kwise_design(DEPOL, 0.2, 0.5, c, seed=1, lambda2=0.0),
+    "single-qtpe": lambda c: estimate_single_qtpe(
+        DEPOL, 0.2, 0.5, c, seed=1, waive_preconditions=True
+    ),
+    "two-phase": lambda c: estimate_two_phase(
+        DEPOL, 0.2, 0.3, c, seed=1, waive_preconditions=True
+    ),
+}
+
+
 class TestEntropyInstrumentation:
     def test_no_estimator_draws_outside_the_ledger(self, clifford, monkeypatch):
         # instrument the shared bit source: every bit handed out must be ledgered
@@ -289,22 +330,21 @@ class TestEntropyInstrumentation:
             return original(self, count)
 
         monkeypatch.setattr(streams.BitSource, "take_bits", counting)
-        runs = [
-            lambda: estimate_naive_haar(DEPOL, 0.2, 0.5, seed=1),
-            lambda: estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=0.0),
-            lambda: estimate_kwise_design(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=0.0),
-            lambda: estimate_single_qtpe(
-                DEPOL, 0.2, 0.5, clifford, seed=1, waive_preconditions=True
-            ),
-            lambda: estimate_two_phase(
-                DEPOL, 0.2, 0.3, clifford, seed=1, waive_preconditions=True
-            ),
-        ]
-        for run in runs:
+        for run in _RUNS.values():
             drawn.clear()
-            result = run()
+            result = run(clifford)
             # gaussian draws route through take_bits, so the sum is complete
             assert sum(drawn) == result.ledger.total
+
+    @pytest.mark.parametrize("algorithm", sorted(_RUNS))
+    def test_ledger_guard_catches_an_unledgered_draw(self, clifford, monkeypatch, algorithm):
+        # a ledger that drops its entries no longer matches the bits drawn
+        from gatefid.errors import NumericalError
+        from gatefid.prg import RandomnessLedger
+
+        monkeypatch.setattr(RandomnessLedger, "record", lambda self, label, bits: None)
+        with pytest.raises(NumericalError, match="ledger total"):
+            _RUNS[algorithm](clifford)
 
     def test_trials_count_matches_plan(self, clifford):
         result = estimate_kwise_design(DEPOL, 0.2, 0.5, clifford, seed=2, lambda2=0.0)

@@ -60,12 +60,6 @@ class TestHarnessConfidence:
         b = harness_confidence(run, 0.9, 0.1, 0.2, repeats=10, master_seed=5)
         assert np.array_equal(a.estimates, b.estimates)
 
-    def test_threaded_jobs_match_serial(self, clifford):
-        run = lambda s: estimate_kwise_design(DEPOL, 0.1, 0.2, clifford, s, lambda2=0.0)
-        serial = harness_confidence(run, 0.9, 0.1, 0.2, repeats=12, master_seed=7, jobs=1)
-        threaded = harness_confidence(run, 0.9, 0.1, 0.2, repeats=12, master_seed=7, jobs=4)
-        assert np.array_equal(serial.estimates, threaded.estimates)
-
     def test_repeats_validated(self):
         with pytest.raises(ParameterError):
             harness_confidence(lambda s: None, 1.0, 0.1, 0.1, repeats=0, master_seed=1)
