@@ -407,7 +407,7 @@ def _fidelity_columns(ch: KrausChannel, columns: np.ndarray) -> np.ndarray:
 
 
 def _certify_design(ensemble: UnitaryEnsemble, epsilon: float, lambda2) -> tuple:
-    lam = tpe_lambda(ensemble, 2).lambda_value if lambda2 is None else float(lambda2)
+    lam = tpe_lambda(ensemble, 2).lambda_value if lambda2 is None else _claimed(lambda2)
     eps2 = design_epsilon_from_lambda(lam, ensemble.dim)
     exact = lam <= EXACT_DESIGN_LAMBDA
     if not exact and eps2 >= epsilon / 2.0:
