@@ -6,7 +6,7 @@ two-phase expander scheme) run against an exact Kraus-formula oracle, with
 every truly random bit they consume recorded in an auditable ledger.
 """
 
-from .channels import NoiseModel, compose_channels, noise_preset, parse_channel_spec
+from .channels import compose_channels, noise_preset, parse_channel_spec
 from .ensembles import (
     DesignCheck,
     HaarTwirlProjector,
@@ -23,7 +23,6 @@ from .ensembles import (
 )
 from .estimators import (
     EstimationResult,
-    basic_procedure,
     estimate_design_iid,
     estimate_kwise_design,
     estimate_naive_haar,
@@ -52,15 +51,7 @@ from .prg import (
     sampling_seed_length,
     tape_seed_length,
 )
-from .quantum import (
-    KrausChannel,
-    UnitaryOperator,
-    exact_average_fidelity,
-    gate_fidelities,
-    gate_fidelity,
-    haar_random_unitary,
-    schatten_norm,
-)
+from .quantum import KrausChannel, exact_average_fidelity, gate_fidelities, schatten_norm
 from .streams import BitSource, fresh_seed, measurement_rng, split_seed
 
 __version__ = "0.1.0"

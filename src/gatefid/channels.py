@@ -1,38 +1,28 @@
 """Preset noise channels with oracle-exact average fidelities.
 
-Each preset stores the exact Haar-average fidelity computed from its Kraus
-operators at construction; where an independent closed form is known it is
-checked against that value, never assumed.
+Every preset and composition is a KrausChannel carrying its spec string and
+the exact Haar-average fidelity computed from its Kraus operators; where an
+independent closed form is known, noise_preset checks it against that value,
+never assumes it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, NumericalError, ParameterError
-from .quantum import KrausChannel, exact_average_fidelity
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DimensionError,
+    FormatError,
+    NumericalError,
+    ParameterError,
+)
+from .quantum import MAX_DIM, KrausChannel
 
 _CLOSED_FORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    kind: str
-    params: tuple
-    dim: int
-    channel: KrausChannel
-    exact_fidelity: float
-    spec: str  # canonical one-string form, parse_channel_spec round-trips it
-
-    def __post_init__(self):
-        closed = _closed_form(self.kind, self.params, self.dim)
-        if closed is not None and abs(closed - self.exact_fidelity) > _CLOSED_FORM_TOL:
-            raise NumericalError(
-                f"{self.spec}: closed form {closed} disagrees with oracle {self.exact_fidelity}"
-            )
 
 
 def _closed_form(kind, params, d):
@@ -93,11 +83,7 @@ _SIGMA = {
 def _over_rotation_unitary(axis: str, angle: float, d: int) -> np.ndarray:
     if axis == "z":
         return np.diag(np.exp(1j * angle * np.arange(d)))
-    if axis in _SIGMA:
-        if d != 2:
-            raise ParameterError(f"axis {axis!r} over-rotation is qubit-only, got d={d}")
-        return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _SIGMA[axis]
-    raise ParameterError(f"unknown rotation axis {axis!r}")
+    return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * _SIGMA[axis]
 
 
 def _check_prob(p, name):
@@ -105,28 +91,31 @@ def _check_prob(p, name):
         raise ParameterError(f"{name} must be in [0, 1], got {p}")
 
 
-def noise_preset(kind: str, params=(), d: int = 2) -> NoiseModel:
-    """Build a preset channel; F-bar is recorded from the Kraus oracle."""
+def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
+    """Build a preset channel; F-bar is recorded from the Kraus oracle.
+
+    Parameters are checked first and the dimension cap next, so that no
+    operator is allocated for a refused d.
+    """
     params = tuple(params)
     if d < 1:
         raise DimensionError(f"dimension must be >= 1, got d={d}")
     if kind == "identity":
-        ch = KrausChannel((np.eye(d, dtype=np.complex128),))
-        spec = "identity"
-    elif kind == "depolarizing":
+        spec, build = "identity", lambda: (np.eye(d, dtype=np.complex128),)
+    elif kind in ("depolarizing", "dephasing"):
         (p,) = params
-        _check_prob(p, "depolarizing p")
-        ch = KrausChannel(_depolarizing_kraus(float(p), d))
-        spec = f"depolarizing:{float(p):g}"
-    elif kind == "dephasing":
-        (p,) = params
-        _check_prob(p, "dephasing p")
-        ch = KrausChannel(_dephasing_kraus(float(p), d))
-        spec = f"dephasing:{float(p):g}"
+        _check_prob(p, f"{kind} p")
+        kraus = _depolarizing_kraus if kind == "depolarizing" else _dephasing_kraus
+        spec, build = f"{kind}:{float(p):g}", lambda: kraus(float(p), d)
     elif kind == "over_rotation":
         axis, angle = params
-        ch = KrausChannel((_over_rotation_unitary(str(axis), float(angle), d),))
-        spec = f"over_rotation:{axis},{float(angle):g}"
+        axis, angle = str(axis), float(angle)
+        if axis not in ("z", *_SIGMA):
+            raise ParameterError(f"unknown rotation axis {axis!r}")
+        if axis != "z" and d != 2:
+            raise ParameterError(f"axis {axis!r} over-rotation is qubit-only, got d={d}")
+        spec = f"over_rotation:{axis},{angle:g}"
+        build = lambda: (_over_rotation_unitary(axis, angle, d),)
     elif kind == "amplitude_damping":
         (g,) = params
         _check_prob(g, "damping gamma")
@@ -134,11 +123,18 @@ def noise_preset(kind: str, params=(), d: int = 2) -> NoiseModel:
             raise ParameterError(f"amplitude damping is qubit-only, got d={d}")
         a0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=np.complex128)
         a1 = np.array([[0, math.sqrt(g)], [0, 0]], dtype=np.complex128)
-        ch = KrausChannel((a0, a1) if g > 0 else (a0,))
-        spec = f"amplitude_damping:{float(g):g}"
+        spec, build = f"amplitude_damping:{float(g):g}", lambda: (a0, a1) if g > 0 else (a0,)
     else:
         raise ConfigError(f"unknown channel kind {kind!r}")
-    return NoiseModel(kind, params, d, ch, exact_average_fidelity(ch), spec)
+    if d > MAX_DIM:
+        raise CapacityError(f"dimension {d} exceeds the dense cap {MAX_DIM}")
+    ch = KrausChannel(build(), spec)
+    closed = _closed_form(kind, params, d)
+    if closed is not None and abs(closed - ch.exact_fidelity) > _CLOSED_FORM_TOL:
+        raise NumericalError(
+            f"{spec}: closed form {closed} disagrees with oracle {ch.exact_fidelity}"
+        )
+    return ch
 
 
 def _reduce_kraus(ops, d: int) -> tuple:
@@ -155,7 +151,7 @@ def _reduce_kraus(ops, d: int) -> tuple:
     return tuple(kraus)
 
 
-def compose_channels(models: list) -> NoiseModel:
+def compose_channels(models: list) -> KrausChannel:
     """Composite channel applying the listed channels first-to-last."""
     if not models:
         raise ParameterError("composition needs at least one channel")
@@ -164,15 +160,13 @@ def compose_channels(models: list) -> NoiseModel:
     d = models[0].dim
     ops = [np.eye(d, dtype=np.complex128)]
     for m in models:
-        ops = [a @ b for a in m.channel.kraus_ops for b in ops]
+        ops = [a @ b for a in m.kraus_ops for b in ops]
     if len(ops) > d * d:
         ops = _reduce_kraus(ops, d)
-    ch = KrausChannel(tuple(ops))
-    spec = "+".join(m.spec for m in models)
-    return NoiseModel("composed", tuple(models), d, ch, exact_average_fidelity(ch), spec)
+    return KrausChannel(tuple(ops), "+".join(m.spec for m in models))
 
 
-def parse_channel_spec(text: str, d: int) -> NoiseModel:
+def parse_channel_spec(text: str, d: int) -> KrausChannel:
     """Mini-grammar: kind[:param[,param]], composed with '+'.
 
     Examples: "depolarizing:0.2", "depolarizing:0.1+over_rotation:z,0.2".

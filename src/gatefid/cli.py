@@ -235,7 +235,10 @@ def cmd_gen_bits(args) -> int:
         raise ParameterError(
             f"seed must be exactly {hex_len} hex digits ({r} bits), got {len(args.seed)}"
         )
-    value = int(args.seed, 16)
+    try:
+        value = int(args.seed, 16)
+    except ValueError as exc:
+        raise ParameterError(f"seed must be {hex_len} hex digits, got {args.seed!r}") from exc
     if value >> r:
         raise ParameterError(f"seed encodes more than {r} bits")
     seed_bits = [(value >> j) & 1 for j in range(r)]

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .quantum import dagger, matrices_close, schatten_norm
+from .quantum import MAX_DIM, dagger, matrices_close, schatten_norm
 
 # Dense superoperators are built only up to this many rows (d^{2t} <= cap).
 DENSE_CAP = 4096
@@ -118,6 +118,8 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
         dd = 2 if d is None else int(d)
         if dd < 1:
             raise ParameterError(f"dimension must be >= 1, got d={dd}")
+        if dd > MAX_DIM:
+            raise CapacityError(f"dimension {dd} exceeds the dense cap {MAX_DIM}")
         return UnitaryEnsemble(dd, np.eye(dd, dtype=np.complex128)[None, :, :], "identity_only")
     raise ConfigError(f"unknown builtin ensemble {name!r}")
 

@@ -5,8 +5,8 @@ Haar gaussians, iid indices, one k-wise tape, one single draw, or two phases.
 Each estimator checks its design certificate or preconditions, calls a pure
 planner (every sample count and pseudorandomness parameter from epsilon,
 delta, dimension and ensemble size), draws its indices and finishes. The
-private ``_Run`` owns the shared steps: the timer, channel resolution and the
-dimension check; every counted draw, one call that takes bits from a
+private ``_Run`` owns the shared steps: the timer, the channel type and
+dimension checks; every counted draw, one call that takes bits from a
 BitSource and ledgers them under a label; the k-wise tape draw; the
 precondition gate (epsilon < F/2, PreconditionError unless waived, a waived
 run diagnostic with its failures in ``flags``); and the finish, which checks
@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import NoiseModel
 from .ensembles import DENSE_CAP, UnitaryEnsemble, design_epsilon_from_lambda, tpe_lambda
 from .errors import (
     CapacityError,
@@ -42,14 +41,7 @@ from .prg import (
     tape_field_degree,
     tape_seed_length,
 )
-from .quantum import (
-    KrausChannel,
-    UnitaryOperator,
-    exact_average_fidelity,
-    gate_fidelities,
-    gate_fidelity,
-    phase_fixed_qr,
-)
+from .quantum import KrausChannel, gate_fidelities, phase_fixed_qr
 # Not called here any more (tables come from one batched kernel call); kept
 # importable from this module, where perfbench/spans.py looks it up.
 from .quantum import gate_fidelity_vector  # noqa: F401
@@ -74,12 +66,11 @@ def _check_eps_delta(epsilon: float, delta: float) -> None:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
 
 
-def _resolve_channel(channel) -> tuple:
-    if isinstance(channel, NoiseModel):
-        return channel.channel, channel.exact_fidelity
-    if isinstance(channel, KrausChannel):
-        return channel, exact_average_fidelity(channel)
-    raise ParameterError(f"expected a KrausChannel or NoiseModel, got {type(channel)!r}")
+def _checked_channel(channel) -> KrausChannel:
+    """The channel itself; ParameterError unless it is a KrausChannel."""
+    if not isinstance(channel, KrausChannel):
+        raise ParameterError(f"expected a KrausChannel, got {type(channel)!r}")
+    return channel
 
 
 def _fidelity_table(ch: KrausChannel, ensemble: UnitaryEnsemble) -> np.ndarray:
@@ -130,12 +121,6 @@ class EstimationResult:
                 for i, (u, p, b) in enumerate(zip(self.unitary_ids, self.probabilities, self.bits))
             ]
         return doc
-
-
-def basic_procedure(ch: KrausChannel, v: UnitaryOperator, rng: np.random.Generator) -> int:
-    """One prepare/evolve/unprepare/measure round: success bit for unitary v."""
-    p = gate_fidelity(ch, v)
-    return int(rng.random() < p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +299,7 @@ class _Run:
                  ensemble: UnitaryEnsemble | None = None):
         self.started = time.perf_counter()
         self.algorithm, self.epsilon, self.delta, self.seed = algorithm, epsilon, delta, seed
-        self.channel, self.fbar = _resolve_channel(channel)
+        self.channel = _checked_channel(channel)
         if ensemble is not None and self.channel.dim != ensemble.dim:
             raise ParameterError(f"channel dim {self.channel.dim} != ensemble dim {ensemble.dim}")
         self.ledger = RandomnessLedger()
@@ -354,8 +339,9 @@ class _Run:
         A waived run is diagnostic and carries its failures as flags.
         """
         failures = list(plan.precondition_failures)
-        if not self.epsilon < self.fbar / 2.0:
-            failures.append(f"epsilon < F/2 violated: {self.epsilon:g} >= {self.fbar / 2.0:g}")
+        half = self.channel.exact_fidelity / 2.0
+        if not self.epsilon < half:
+            failures.append(f"epsilon < F/2 violated: {self.epsilon:g} >= {half:g}")
         failures.extend(extra)
         if failures and not waive:
             raise PreconditionError("; ".join(failures))
@@ -374,7 +360,7 @@ class _Run:
             epsilon=self.epsilon,
             delta=self.delta,
             estimate=float(bits.mean()),
-            exact_reference=self.fbar,
+            exact_reference=self.channel.exact_fidelity,
             seed=self.seed,
             ledger=self.ledger,
             unitary_ids=ids,
@@ -439,7 +425,7 @@ def estimate_kwise_design(
     run = _Run("kwise-design", channel, epsilon, delta, seed, ensemble)
     _certify_design(ensemble, epsilon, lambda2)
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
-    if epsilon >= run.fbar:
+    if epsilon >= run.channel.exact_fidelity:
         run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
     ids = run.tape_indices(
         "tape_seed", plan.r, plan.k_bits, plan.n_bits, plan.theta_log2, ensemble.size, plan.n

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ensembles import UnitaryEnsemble, tpe_lambda
 from .errors import CapacityError, ParameterError
-from .estimators import _fidelity_columns, _fidelity_table, _resolve_channel
+from .estimators import _checked_channel, _claimed, _fidelity_columns, _fidelity_table
 from .prg import GF2mField, tape_field_degree, tape_seed_length
 # Not called here any more (the bound suite samples first columns without QR);
 # kept importable from this module, where perfbench/spans.py looks it up.
@@ -45,19 +45,6 @@ class HarnessReport:
     passed: bool
     estimates: np.ndarray
     ledger_totals: np.ndarray
-
-    def summary_rows(self) -> list:
-        return [
-            {
-                "repeats": self.repeats,
-                "epsilon": self.epsilon,
-                "delta": self.delta,
-                "oracle": self.oracle,
-                "fraction_within": self.fraction_within,
-                "threshold": self.threshold,
-                "verdict": "PASS" if self.passed else "FAIL",
-            }
-        ]
 
 
 def harness_confidence(
@@ -157,7 +144,7 @@ def _haar_fidelities(ch, d, count, rng) -> np.ndarray:
 
 def variance_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     """Empirical Haar variance of the gate fidelity against the 26/d bound."""
-    ch, _ = _resolve_channel(channel)
+    ch = _checked_channel(channel)
     d = ch.dim
     rng = _generator(params.seed, "harness", 1)
     fids = _haar_fidelities(ch, d, params.variance_samples, rng)
@@ -170,8 +157,8 @@ def variance_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
 
 def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     """Tail of the t-fold Haar average against 4 exp(-delta'^2 d t / 256)."""
-    ch, fbar = _resolve_channel(channel)
-    d = ch.dim
+    ch = _checked_channel(channel)
+    d, fbar = ch.dim, ch.exact_fidelity
     t, dlt, reps = params.tail_t, params.tail_delta, params.tail_repeats
     rng = _generator(params.seed, "harness", 2)
     fids = _haar_fidelities(ch, d, reps * t, rng).reshape(reps, t)
@@ -189,11 +176,12 @@ def moment_gap_checks(
     The printed bound is lambda_{2l} ((1+|a|) d)^l; the l = 1 Haar side is the
     exact oracle value, the l = 2 side is Monte Carlo with its own 3 sigma.
     """
-    ch, fbar = _resolve_channel(channel)
-    d = ch.dim
+    ch = _checked_channel(channel)
+    d, fbar = ch.dim, ch.exact_fidelity
+    lam2, lam4 = _claimed(lambda2), _claimed(lambda4)
     lam = {
-        1: lambda2 if lambda2 is not None else tpe_lambda(ensemble, 2).lambda_value,
-        2: lambda4 if lambda4 is not None else tpe_lambda(ensemble, 4).lambda_value,
+        1: tpe_lambda(ensemble, 2).lambda_value if lam2 is None else lam2,
+        2: tpe_lambda(ensemble, 4).lambda_value if lam4 is None else lam4,
     }
     table = _fidelity_table(ch, ensemble)
     rng = _generator(params.seed, "harness", 3)
@@ -222,9 +210,9 @@ def prop1_tail_check(
     channel, ensemble: UnitaryEnsemble, lambda4=None, params: SuiteParams = SuiteParams()
 ) -> BoundCheck:
     """Tail of the t-average under iid ensemble draws vs the l = 1 moment bound."""
-    ch, fbar = _resolve_channel(channel)
-    d = ch.dim
-    lam4 = lambda4 if lambda4 is not None else tpe_lambda(ensemble, 4).lambda_value
+    ch = _checked_channel(channel)
+    d, fbar = ch.dim, ch.exact_fidelity
+    lam4 = tpe_lambda(ensemble, 4).lambda_value if lambda4 is None else _claimed(lambda4)
     t, dlt, reps = params.prop1_t, params.prop1_delta, params.prop1_repeats
     rng = _generator(params.seed, "harness", 4)
     table = _fidelity_table(ch, ensemble)

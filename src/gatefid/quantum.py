@@ -1,8 +1,8 @@
 """Dense complex linear algebra for unitaries, channels, and gate fidelity.
 
 Everything is desk scale: dense complex128 matrices, dimension capped at
-MAX_DIM by default. All wrapper objects are immutable after construction
-and safe to share between workers.
+MAX_DIM by default. KrausChannel, the one channel type, is immutable after
+construction and safe to share between workers.
 
 Every gate fidelity in the package comes from one kernel, gate_fidelities,
 over the real weight matrix each KrausChannel caches at construction.
@@ -50,31 +50,19 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UnitaryOperator:
-    """A d x d unitary, checked at construction (U U^dag = I within ATOL)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"unitary must be square, got shape {m.shape}")
-        if not matrices_close(m @ dagger(m), np.eye(m.shape[0]), ATOL):
-            raise NumericalError("matrix is not unitary within tolerance")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map given by d x d Kraus operators A_k with sum A_k^dag A_k = I."""
+    """A CPTP map given by d x d Kraus operators A_k with sum A_k^dag A_k = I.
+
+    `spec` names the channel (presets and compositions carry the string
+    parse_channel_spec reads back); `exact_fidelity` is its Haar-average
+    gate fidelity from exact_average_fidelity, computed once here.
+    """
 
     kraus_ops: tuple = field()
+    spec: str = "kraus"
     # (2K, d^2) real weight matrix of the fidelity kernel; see _weight_matrix.
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    exact_fidelity: float = field(init=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(as_complex_matrix(a) for a in self.kraus_ops)
@@ -95,6 +83,7 @@ class KrausChannel:
             raise NumericalError("Kraus operators do not satisfy trace preservation")
         object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "weights", _weight_matrix(ops))
+        object.__setattr__(self, "exact_fidelity", exact_average_fidelity(self))
 
     @property
     def dim(self) -> int:
@@ -158,28 +147,11 @@ def gate_fidelity_vector(ch: KrausChannel, psi) -> float:
     return float(gate_fidelities(ch, np.reshape(psi, (1, -1)))[0])
 
 
-def gate_fidelity(ch: KrausChannel, v: UnitaryOperator) -> float:
-    """Success probability of the prepare/evolve/unprepare/measure experiment.
-
-    Equals <0| V^dag Lambda(V|0><0|V^dag) V |0>, computed against the first
-    column of V without forming the full conjugation.
-    """
-    return float(gate_fidelities(ch, v.matrix[None, :, 0])[0])
-
-
 def exact_average_fidelity(ch: KrausChannel) -> float:
     """Closed-form Haar average of the gate fidelity: (sum_k |Tr A_k|^2 + d) / (d^2 + d)."""
     d = ch.dim
     s = sum(abs(np.trace(a)) ** 2 for a in ch.kraus_ops)
     return float((s + d) / (d * d + d))
-
-
-def haar_random_unitary(d: int, rng: np.random.Generator) -> UnitaryOperator:
-    """Haar-distributed unitary via a complex Ginibre matrix and phase-fixed QR."""
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {d}")
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    return UnitaryOperator(phase_fixed_qr(z))
 
 
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -61,7 +61,7 @@ def test_criterion_01_oracle_exactness(report):
         for p10 in range(11):
             p = p10 / 10
             model = noise_preset("depolarizing", (p,), d)
-            worst = max(worst, abs(exact_average_fidelity(model.channel) - (1 - p + p / d)))
+            worst = max(worst, abs(exact_average_fidelity(model) - (1 - p + p / d)))
     elapsed = time.perf_counter() - start
     report(1, "oracle exactness", worst <= 1e-9 and elapsed < 1.0,
             f"worst error {worst:.2e}, {elapsed:.2f} s")
@@ -76,7 +76,7 @@ def test_criterion_02_haar_convergence(report):
         model = noise_preset("depolarizing", (0.2,), 2 if d == 2 else 4)
         n = 100_000
         batch = haar_unitaries_batch(d, n, rng)
-        fids = _fidelity_columns(model.channel, batch[:, :, 0])
+        fids = _fidelity_columns(model, batch[:, :, 0])
         err = abs(float(fids.mean()) - model.exact_fidelity)
         tol = 3 * math.sqrt(26 / (d * n))
         ok = ok and err <= tol
@@ -97,7 +97,7 @@ def test_criterion_03_design_exactness(clifford, report):
     ]
     worst = 0.0
     for model in presets:
-        table = _fidelity_table(model.channel, clifford)
+        table = _fidelity_table(model, clifford)
         worst = max(worst, abs(float(table.mean()) - model.exact_fidelity))
     elapsed = time.perf_counter() - start
     report(3, "design exactness", worst <= 1e-9 and elapsed < 1.0,

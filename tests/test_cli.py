@@ -255,6 +255,8 @@ class TestBadArgvExitCode:
             ["check-design", "--ensemble", "identity_only", "--d", "0"],
             ["validate", "--suite", "variance", "--channel", "depolarizing:0.2",
              "--samples", "0"],
+            # the right length (r = 12 bits, 3 digits) but not hex
+            ["gen-bits", "--k", "2", "--n", "4", "--theta", "0.5", "--seed", "zzz"],
         ],
     )
     def test_exit_3(self, capsys, argv):
@@ -364,6 +366,34 @@ class TestCertificateCapacity:
             tracemalloc.stop()
         assert code == 4
         assert err.startswith("capacity: ") and "r=24" in err
+        assert peak < 4 << 20
+
+
+class TestDimensionCap:
+    """d above the dense cap exits 4 before any operator is built."""
+
+    NAIVE = ["estimate", "--algorithm", "naive-haar", "--epsilon", "0.1", "--delta", "0.1",
+             "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # d^2 = 40000 Weyl operators, 25.6 GB
+            NAIVE + ["--channel", "depolarizing:0.1", "--d", "200"],
+            # one 30000 x 30000 complex identity, 13.4 GiB
+            NAIVE + ["--channel", "identity", "--d", "30000"],
+            ["check-design", "--ensemble", "identity_only", "--d", "30000", "--t", "1"],
+        ],
+    )
+    def test_exit_4_without_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and out == ""
+        assert err.startswith("capacity: dimension ") and "exceeds the dense cap 64" in err
         assert peak < 4 << 20
 
 

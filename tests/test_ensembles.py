@@ -21,7 +21,7 @@ from gatefid.errors import (
     ParameterError,
     ValidationError,
 )
-from gatefid.quantum import haar_unitaries_batch
+from gatefid.quantum import MAX_DIM, haar_unitaries_batch
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array(
@@ -42,6 +42,11 @@ class TestBuiltins:
         e = builtin_ensemble("identity_only", d=3)
         assert e.size == 1 and e.dim == 3
         assert np.allclose(e.unitaries[0], np.eye(3))
+
+    def test_identity_only_dimension_cap(self):
+        assert builtin_ensemble("identity_only", d=MAX_DIM).dim == MAX_DIM
+        with pytest.raises(CapacityError, match="dense cap"):
+            builtin_ensemble("identity_only", d=MAX_DIM + 1)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):

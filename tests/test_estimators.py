@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from gatefid import (
-    UnitaryOperator,
-    basic_procedure,
     builtin_ensemble,
     estimate_design_iid,
     estimate_kwise_design,
     estimate_naive_haar,
     estimate_single_qtpe,
     estimate_two_phase,
-    gate_fidelity,
+    gate_fidelities,
     noise_preset,
     parse_channel_spec,
     plan_kwise_design,
@@ -23,33 +21,12 @@ from gatefid import (
 )
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
 from gatefid.estimators import HAAR_BITS_PER_DIM2, plan_naive_haar
-from gatefid.quantum import KrausChannel
-from gatefid.streams import measurement_rng
+from gatefid.quantum import KrausChannel, exact_average_fidelity
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 DEPOL = noise_preset("depolarizing", (0.2,), 2)
 IDENT = noise_preset("identity", (), 2)
-
-
-class TestBasicProcedure:
-    def test_identity_always_succeeds(self, clifford):
-        rng = measurement_rng(0)
-        v = UnitaryOperator(clifford.unitaries[7])
-        assert all(basic_procedure(IDENT.channel, v, rng) == 1 for _ in range(50))
-
-    def test_x_channel_at_identity_never_succeeds(self):
-        rng = measurement_rng(0)
-        ch = KrausChannel((X,))
-        v = UnitaryOperator(np.eye(2, dtype=complex))
-        assert all(basic_procedure(ch, v, rng) == 0 for _ in range(50))
-
-    def test_fully_depolarizing_mean(self):
-        rng = measurement_rng(1)
-        ch = noise_preset("depolarizing", (1.0,), 2).channel
-        v = UnitaryOperator(np.eye(2, dtype=complex))
-        hits = sum(basic_procedure(ch, v, rng) for _ in range(100_000))
-        assert abs(hits / 100_000 - 0.5) <= 0.005
 
 
 class TestPlanners:
@@ -130,7 +107,7 @@ class TestDesignIid:
         from gatefid.estimators import _fidelity_table
 
         for model in preset_channels_d2:
-            table = _fidelity_table(model.channel, clifford)
+            table = _fidelity_table(model, clifford)
             assert abs(table.mean() - model.exact_fidelity) <= 1e-9
 
     def test_identity_channel(self, clifford):
@@ -153,8 +130,7 @@ class TestDesignIid:
     def test_trial_probabilities_match_gate_fidelity(self, clifford):
         result = estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=8, lambda2=0.0)
         for u, p in zip(result.unitary_ids[:10], result.probabilities[:10]):
-            v = UnitaryOperator(clifford.unitaries[u])
-            assert abs(p - gate_fidelity(DEPOL.channel, v)) <= 1e-9
+            assert abs(p - gate_fidelities(DEPOL, clifford.unitaries[u][None, :, 0])[0]) <= 1e-9
 
 
 class TestKwiseDesign:
@@ -305,14 +281,16 @@ class TestResultContract:
 
 
 _RUNS = {
-    "naive-haar": lambda c: estimate_naive_haar(DEPOL, 0.2, 0.5, seed=1),
-    "design-iid": lambda c: estimate_design_iid(DEPOL, 0.2, 0.5, c, seed=1, lambda2=0.0),
-    "kwise-design": lambda c: estimate_kwise_design(DEPOL, 0.2, 0.5, c, seed=1, lambda2=0.0),
-    "single-qtpe": lambda c: estimate_single_qtpe(
-        DEPOL, 0.2, 0.5, c, seed=1, waive_preconditions=True
+    "naive-haar": lambda c, ch=DEPOL: estimate_naive_haar(ch, 0.2, 0.5, seed=1),
+    "design-iid": lambda c, ch=DEPOL: estimate_design_iid(ch, 0.2, 0.5, c, seed=1, lambda2=0.0),
+    "kwise-design": lambda c, ch=DEPOL: estimate_kwise_design(
+        ch, 0.2, 0.5, c, seed=1, lambda2=0.0
     ),
-    "two-phase": lambda c: estimate_two_phase(
-        DEPOL, 0.2, 0.3, c, seed=1, waive_preconditions=True
+    "single-qtpe": lambda c, ch=DEPOL: estimate_single_qtpe(
+        ch, 0.2, 0.5, c, seed=1, waive_preconditions=True
+    ),
+    "two-phase": lambda c, ch=DEPOL: estimate_two_phase(
+        ch, 0.2, 0.3, c, seed=1, waive_preconditions=True
     ),
 }
 
@@ -355,6 +333,20 @@ class TestEntropyInstrumentation:
 
         with pytest.raises(CapacityError):
             plan_two_phase(0.01, 0.5, 2, 24)
+
+
+class TestChannelType:
+    def test_raw_kraus_set_runs_with_its_oracle(self, clifford):
+        ch = KrausChannel((X,))
+        assert ch.spec == "kraus" and ch.exact_fidelity == exact_average_fidelity(ch)
+        result = estimate_design_iid(ch, 0.2, 0.5, clifford, seed=1, lambda2=0.0)
+        assert result.exact_reference == ch.exact_fidelity == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("algorithm", sorted(_RUNS))
+    def test_wrong_type_refused(self, clifford, algorithm):
+        for wrong in ("depolarizing:0.2", DEPOL.kraus_ops):
+            with pytest.raises(ParameterError, match="expected a KrausChannel"):
+                _RUNS[algorithm](clifford, wrong)
 
 
 class TestSeedLengthCrossCheck:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,35 @@ class TestBoundChecks:
         lam4 = tpe_lambda(cc, 4).lambda_value
         report = bound_validation_suite(model, cc, lambda2=lam2, lambda4=lam4, params=FAST)
         assert report.passed
+
+    @pytest.mark.parametrize("lam", [math.nan, -1.0])
+    def test_bad_claimed_lambda_refused(self, clifford, lam):
+        # once reported as bound=nan or a negative bound, i.e. a validation FAIL
+        with pytest.raises(ParameterError, match="claimed lambda"):
+            moment_gap_checks(DEPOL, clifford, lambda2=lam, lambda4=1.0, params=FAST)
+        with pytest.raises(ParameterError, match="claimed lambda"):
+            moment_gap_checks(DEPOL, clifford, lambda2=0.0, lambda4=lam, params=FAST)
+        with pytest.raises(ParameterError, match="claimed lambda"):
+            prop1_tail_check(DEPOL, clifford, lambda4=lam, params=FAST)
+
+    def test_unclaimed_lambda_is_computed(self, clifford):
+        lam2, lam4 = tpe_lambda(clifford, 2).lambda_value, tpe_lambda(clifford, 4).lambda_value
+        computed = moment_gap_checks(DEPOL, clifford, params=FAST)
+        assert computed == moment_gap_checks(DEPOL, clifford, lam2, lam4, params=FAST)
+        assert prop1_tail_check(DEPOL, clifford, params=FAST) == prop1_tail_check(
+            DEPOL, clifford, lambda4=lam4, params=FAST
+        )
+
+    def test_wrong_channel_type_refused(self, clifford):
+        for wrong in ("depolarizing:0.2", DEPOL.kraus_ops):
+            for check in (
+                lambda: variance_check(wrong, FAST),
+                lambda: tail_check(wrong, FAST),
+                lambda: moment_gap_checks(wrong, clifford, 0.0, 1.0, FAST),
+                lambda: prop1_tail_check(wrong, clifford, 1.0, FAST),
+            ):
+                with pytest.raises(ParameterError, match="expected a KrausChannel"):
+                    check()
 
 
 def _powering_matrix(gf, n):
