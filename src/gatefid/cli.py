@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -55,15 +56,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARAMETER, f"{self.prog}: error: {message}\n")
 
 
+# Hex digits only: int(text, 16) alone also takes a 0x prefix, underscores,
+# a sign and surrounding whitespace, so " 0x_1" and "1" would name one stream.
+_HEX_SEED = re.compile("[0-9a-fA-F]+")
+
+
 def _parse_seed(text: str) -> int:
     if text == "auto":
         seed = fresh_seed()
         print(f"seed auto -> {seed:x}", file=sys.stderr)
         return seed
-    try:
-        return int(text, 16)
-    except ValueError as exc:
-        raise ParameterError(f"seed must be a hex string or 'auto', got {text!r}") from exc
+    if not _HEX_SEED.fullmatch(text):
+        raise ParameterError(f"seed must be a hex string or 'auto', got {text!r}")
+    return int(text, 16)
 
 
 def _lambda_arg(text: str) -> float:
@@ -235,10 +240,9 @@ def cmd_gen_bits(args) -> int:
         raise ParameterError(
             f"seed must be exactly {hex_len} hex digits ({r} bits), got {len(args.seed)}"
         )
-    try:
-        value = int(args.seed, 16)
-    except ValueError as exc:
-        raise ParameterError(f"seed must be {hex_len} hex digits, got {args.seed!r}") from exc
+    if not _HEX_SEED.fullmatch(args.seed):
+        raise ParameterError(f"seed must be {hex_len} hex digits, got {args.seed!r}")
+    value = int(args.seed, 16)
     if value >> r:
         raise ParameterError(f"seed encodes more than {r} bits")
     seed_bits = [(value >> j) & 1 for j in range(r)]

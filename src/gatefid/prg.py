@@ -26,6 +26,7 @@ BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,27 +34,51 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationError
 
-# Sparse irreducible moduli over GF(2), smallest-tap trinomial/pentanomial per
-# degree. Verified irreducible at generation time and re-checked on first use
-# (exhaustive divisor scan for m <= 32, Rabin's test above that).
-IRREDUCIBLE_TABLE = {
-    1: 0x3, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B,
-    9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201B, 14: 0x4021,
-    15: 0x8003, 16: 0x1002B, 17: 0x20009, 18: 0x40009, 19: 0x80027,
-    20: 0x100009, 21: 0x200005, 22: 0x400003, 23: 0x800021, 24: 0x100001B,
-    25: 0x2000009, 26: 0x400001B, 27: 0x8000027, 28: 0x10000003,
-    29: 0x20000005, 30: 0x40000003, 31: 0x80000009, 32: 0x10000008D,
-    33: 0x200000401, 34: 0x400000081, 35: 0x800000005, 36: 0x1000000201,
-    37: 0x2000000053, 38: 0x4000000063, 39: 0x8000000011, 40: 0x10000000039,
-    41: 0x20000000009, 42: 0x40000000081, 43: 0x80000000059,
-    44: 0x100000000021, 45: 0x20000000001B, 46: 0x400000000003,
-    47: 0x800000000021, 48: 0x100000000002D, 49: 0x2000000000201,
-    50: 0x400000000001D, 51: 0x800000000004B, 52: 0x10000000000009,
-    53: 0x20000000000047, 54: 0x40000000000201, 55: 0x80000000000081,
-    56: 0x100000000000095, 57: 0x200000000000011, 58: 0x400000000080001,
-    59: 0x800000000000095, 60: 0x1000000000000003, 61: 0x2000000000000027,
-    62: 0x4000000020000001, 63: 0x8000000000000003, 64: 0x1000000000000001B,
+# Sparse irreducible moduli over GF(2): degree m -> the exponents t of the
+# middle terms of x^m + sum(x^t) + 1. For m >= 2 each entry is the modulus
+# _search_modulus returns, so a tape is the same whether its degree is on the
+# table or searched. Past 64 the table holds every field degree that
+# plan_kwise_design plans for epsilon in {0.01, 0.02, 0.05, 0.1, 0.2}, delta in
+# {0.1, 0.05, 0.01, 1e-3} and |S| in {24, 216, 576, 3000, 11520}, and the
+# benchmark's and tests' other tape degrees (tools/moduli.py lists them,
+# prints this table and re-derives it with --check). Rabin's test checks an
+# entry on its first use.
+_MODULUS_TAPS = {
+    1: (), 2: (1,), 3: (1,), 4: (1,), 5: (2,), 6: (1,), 7: (1,), 8: (4, 3, 1),
+    9: (1,), 10: (3,), 11: (2,), 12: (3,), 13: (4, 3, 1), 14: (5,), 15: (1,),
+    16: (5, 3, 1), 17: (3,), 18: (3,), 19: (5, 2, 1), 20: (3,), 21: (2,),
+    22: (1,), 23: (5,), 24: (4, 3, 1), 25: (3,), 26: (4, 3, 1), 27: (5, 2, 1),
+    28: (1,), 29: (2,), 30: (1,), 31: (3,), 32: (7, 3, 2), 33: (10,), 34: (7,),
+    35: (2,), 36: (9,), 37: (6, 4, 1), 38: (6, 5, 1), 39: (4,), 40: (5, 4, 3),
+    41: (3,), 42: (7,), 43: (6, 4, 3), 44: (5,), 45: (4, 3, 1), 46: (1,),
+    47: (5,), 48: (5, 3, 2), 49: (9,), 50: (4, 3, 2), 51: (6, 3, 1), 52: (3,),
+    53: (6, 2, 1), 54: (9,), 55: (7,), 56: (7, 4, 2), 57: (4,), 58: (19,),
+    59: (7, 4, 2), 60: (1,), 61: (5, 2, 1), 62: (29,), 63: (1,), 64: (4, 3, 1),
+    206: (10, 9, 5), 212: (105,), 337: (55,), 442: (7, 5, 2), 484: (105,),
+    501: (5, 4, 2), 526: (97,), 540: (9,), 543: (16,), 572: (12, 8, 1),
+    579: (12, 9, 7), 581: (13, 7, 6), 582: (85,), 585: (88,), 618: (295,),
+    621: (12, 6, 5), 623: (68,), 624: (11, 6, 5), 626: (251,), 640: (14, 3, 2),
+    648: (13, 3, 1), 660: (11,), 663: (107,), 679: (66,), 680: (23, 16, 9),
+    682: (171,), 698: (215,), 702: (37,), 718: (165,), 721: (9,), 748: (19,),
+    751: (18,), 752: (13, 10, 3), 755: (12, 10, 1), 757: (7, 6, 1),
+    760: (11, 6, 5), 798: (53,), 799: (25,), 802: (15, 13, 9), 805: (8, 7, 2),
+    806: (21,), 827: (12, 10, 7), 852: (159,), 856: (19, 10, 3),
+    877: (6, 5, 4), 880: (15, 7, 5), 889: (127,), 906: (123,), 927: (403,),
+    931: (10, 9, 4), 971: (6, 2, 1), 977: (15,), 981: (12, 6, 5),
+    1005: (12, 8, 2), 1031: (68,), 1052: (291,), 1082: (407,), 1086: (189,),
+    1159: (66,), 1160: (15, 11, 2), 1163: (11, 10, 1), 1168: (12, 7, 2),
+    1236: (49,), 1241: (54,), 1242: (203,), 1245: (13, 6, 1), 1276: (217,),
+    1318: (12, 11, 5), 1322: (10, 8, 3), 1345: (553,), 1353: (371,),
+    1358: (117,), 1399: (55,), 1430: (33,), 1435: (15, 10, 9),
+    1467: (13, 5, 2), 1507: (11, 10, 2), 1512: (10, 9, 3), 1518: (69,),
+    1588: (85,), 1589: (16, 8, 3), 1633: (147,), 1639: (427,), 1748: (567,),
+    1749: (20, 11, 7), 1755: (6, 4, 3), 1761: (13, 12, 10), 1863: (260,),
+    1870: (121,), 1876: (13, 9, 4), 1922: (23, 16, 15), 1985: (311,),
+    1991: (546,), 2037: (19, 18, 3), 2043: (9, 7, 4), 2106: (111,),
+    2152: (24, 13, 7), 2158: (93,), 2267: (18, 17, 8), 2274: (239,),
+    2389: (31, 12, 10), 5460: (29,), 6594: (2679,),
 }
+IRREDUCIBLE_TABLE = {m: (1 << m) | sum(1 << t for t in taps) | 1 for m, taps in _MODULUS_TAPS.items()}
 
 
 def _polymod(a: int, f: int) -> int:
@@ -115,62 +140,90 @@ def _prime_factors(n: int) -> set:
 
 
 def _rabin_irreducible(f: int) -> bool:
+    """Rabin's test: f of degree m >= 1 is irreducible over GF(2) iff
+    x^(2^m) = x mod f and gcd(f, x^(2^(m/q)) - x) = 1 for every prime q | m."""
     m = f.bit_length() - 1
-    if m <= 0 or not f & 1:
+    if m < 1:
         return False
     taps = _low_taps(f)
-    a = 2  # the element x
-    powers = {}
+    x = _fold(2, m, taps)  # x mod f, which is 1 when f = x + 1
+    checks = {m // q: 0 for q in _prime_factors(m)}
+    a = x
     for i in range(1, m + 1):
         a = _fold(_gf2_square(a), m, taps)
-        powers[i] = a
-    if powers[m] != 2:
-        return False
-    for q in _prime_factors(m):
-        if _polygcd(f, powers[m // q] ^ 2) != 1:
-            return False
-    return True
+        if i in checks:
+            checks[i] = a
+    return a == x and all(_polygcd(f, p ^ x) == 1 for p in checks.values())
 
 
-def _exhaustive_irreducible(f: int) -> bool:
-    m = f.bit_length() - 1
-    if m == 1:
+def _swan_reducible(m: int, a: int) -> bool:
+    """True when Swan's theorem (1962) proves x^m + x^a + 1 reducible.
+
+    With both exponents even the trinomial is a square. With exactly one odd,
+    it has an even number of irreducible factors, so at least two, iff
+      m even, a odd, m != 2a and ma/2 = 0 or 1 (mod 4), or
+      m odd, a even, a does not divide 2m and m = +-3 (mod 8), or
+      m odd, a even, a divides 2m and m = +-1 (mod 8).
+    With both odd the reciprocal x^m + x^(m-a) + 1, which has as many
+    factors, takes its place. No trinomial of degree 0 mod 8 survives.
+    """
+    if m % 2 == 0 and a % 2 == 0:
         return True
-    for g in range(2, 1 << (m // 2 + 1)):
-        if g.bit_length() - 1 >= 1 and _polymod(f, g) == 0:
-            return False
-    return True
+    if m % 2 and a % 2:
+        a = m - a
+    if m % 2 == 0:
+        return m != 2 * a and (m // 2 * a) % 4 in (0, 1)
+    return (m % 8 in (3, 5)) != (2 * m % a == 0)
+
+
+# Largest factor degree the pre-check looks for before Rabin's test.
+_SMALL_FACTOR_DEGREE = 12
+
+
+def _has_small_factor(f: int) -> bool:
+    """True when f has an irreducible factor of degree d <= b = min(12, m - 1).
+
+    The irreducible factors of x^(2^i) - x are those of degree dividing i,
+    and every d <= b divides some i in (b/2, b]. As d < m, a common factor
+    proves f reducible: the pre-check never rejects an irreducible f.
+    """
+    m = f.bit_length() - 1
+    b = min(_SMALL_FACTOR_DEGREE, m - 1)
+    taps = _low_taps(f)
+    a = 2
+    for i in range(1, b + 1):
+        a = _fold(_gf2_square(a), m, taps)
+        if 2 * i > b and _polygcd(f, a ^ 2) != 1:
+            return True
+    return False
 
 
 @functools.lru_cache(maxsize=None)
 def irreducible_modulus(m: int) -> int:
-    """Deterministic sparse irreducible polynomial of degree m."""
+    """Deterministic sparse irreducible polynomial of degree m: the table entry, else the search's."""
     if m < 1:
         raise ParameterError(f"field degree must be >= 1, got {m}")
     f = IRREDUCIBLE_TABLE.get(m)
     if f is None:
-        f = _search_modulus(m)
-    if m <= 32:
-        if not _exhaustive_irreducible(f):
-            raise ValidationError(f"modulus {f:#x} for m={m} failed the divisor scan")
-    elif not _rabin_irreducible(f):
+        return _search_modulus(m)
+    if not _rabin_irreducible(f):
         raise ValidationError(f"modulus {f:#x} for m={m} failed the irreducibility test")
     return f
 
 
 def _search_modulus(m: int) -> int:
     # trinomials with the smallest middle tap first, then pentanomials with
-    # the smallest top tap: small taps keep the tape recurrence blocks large
-    for a in range(1, m):
-        f = (1 << m) | (1 << a) | 1
-        if _rabin_irreducible(f):
+    # the smallest top tap: small taps keep the tape recurrence blocks large.
+    # Swan's rule and the pre-check skip only reducible candidates, so the
+    # first candidate that passes Rabin's test is the same without them.
+    trinomials = ((1 << m) | (1 << a) | 1 for a in range(1, m) if not _swan_reducible(m, a))
+    pentanomials = (
+        (1 << m) | (1 << c) | (1 << b) | (1 << a) | 1
+        for c in range(3, m) for b in range(2, c) for a in range(1, b)
+    )
+    for f in itertools.chain(trinomials, pentanomials):
+        if not _has_small_factor(f) and _rabin_irreducible(f):
             return f
-    for c in range(3, m):
-        for b in range(2, c):
-            for a in range(1, b):
-                f = (1 << m) | (1 << c) | (1 << b) | (1 << a) | 1
-                if _rabin_irreducible(f):
-                    return f
     raise ValidationError(f"no sparse irreducible polynomial found for degree {m}")
 
 
@@ -187,8 +240,7 @@ class GF2mField:
         else:
             if self.modulus.bit_length() - 1 != self.m:
                 raise ParameterError(f"modulus degree != {self.m}")
-            checker = _exhaustive_irreducible if self.m <= 32 else _rabin_irreducible
-            if not checker(self.modulus):
+            if not _rabin_irreducible(self.modulus):
                 raise ValidationError(f"modulus {self.modulus:#x} is reducible")
 
     @property

@@ -49,20 +49,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPTP map given by d x d Kraus operators A_k with sum A_k^dag A_k = I.
 
     `spec` names the channel (presets and compositions carry the string
     parse_channel_spec reads back); `exact_fidelity` is its Haar-average
-    gate fidelity from exact_average_fidelity, computed once here.
+    gate fidelity from exact_average_fidelity, computed once here. Channels
+    compare and hash by identity, as field-wise equality over arrays has no
+    single truth value.
     """
 
     kraus_ops: tuple = field()
     spec: str = "kraus"
     # (2K, d^2) real weight matrix of the fidelity kernel; see _weight_matrix.
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    exact_fidelity: float = field(init=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    exact_fidelity: float = field(init=False)
 
     def __post_init__(self):
         ops = tuple(as_complex_matrix(a) for a in self.kraus_ops)

@@ -264,6 +264,15 @@ class TestBadArgvExitCode:
         assert code == 3
         assert err.startswith("error: ")
 
+    # each is 3 characters, the gen-bits length at r = 12, and int(s, 16)
+    # reads it as a number, so distinct strings would name one stream
+    @pytest.mark.parametrize("seed", ["0x1", "1_2", " 12", "12 ", "+12", "\u0661\u0662\u0663"])
+    def test_seed_must_be_plain_hex(self, capsys, seed):
+        code, _, err = run_cli(capsys, *ESTIMATE_ARGS[:-1], seed)
+        assert code == 3 and "seed must be a hex string" in err
+        code, _, err = run_cli(capsys, "gen-bits", "--k", "2", "--n", "4", "--theta", "0.5", "--seed", seed)
+        assert code == 3 and "hex digits" in err
+
 
 def run_cli_exit(capsys, *argv):
     """Like run_cli, with argparse's usage exit turned into its code."""

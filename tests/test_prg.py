@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -20,14 +21,32 @@ from gatefid import prg
 from gatefid.estimators import plan_kwise_design, plan_two_phase
 from gatefid.prg import (
     IRREDUCIBLE_TABLE,
-    _tape_bits,
-    _exhaustive_irreducible,
+    _has_small_factor,
     _rabin_irreducible,
+    _search_modulus,
+    _swan_reducible,
+    _tape_bits,
     indices_from_bits,
     irreducible_modulus,
     tape_field_degree,
 )
 from gatefid.streams import BitSource, split_seed
+
+
+def _exhaustive_irreducible(f: int) -> bool:
+    """Slow reference: f of degree m >= 1 has no divisor of degree 1 to m/2."""
+    m = f.bit_length() - 1
+    return m >= 1 and all(prg._polymod(f, g) for g in range(2, 1 << (m // 2 + 1)))
+
+
+def _unfiltered_search(m: int) -> int:
+    """Reference search: the same candidate order, Rabin's test on every one."""
+    trinomials = ((1 << m) | (1 << a) | 1 for a in range(1, m))
+    pentanomials = (
+        (1 << m) | (1 << c) | (1 << b) | (1 << a) | 1
+        for c in range(3, m) for b in range(2, c) for a in range(1, b)
+    )
+    return next(f for f in itertools.chain(trinomials, pentanomials) if _rabin_irreducible(f))
 
 
 class TestField:
@@ -59,10 +78,8 @@ class TestField:
                 assert gf.mul(a, gf.pow(a, (1 << 11) - 2)) == 1
 
     def test_table_entries_are_irreducible(self):
-        for m in (1, 2, 3, 8, 16, 20):
-            assert _exhaustive_irreducible(IRREDUCIBLE_TABLE[m])
-        for m in (33, 48, 64):
-            assert _rabin_irreducible(IRREDUCIBLE_TABLE[m])
+        assert all(_rabin_irreducible(f) for f in IRREDUCIBLE_TABLE.values())
+        assert all(_exhaustive_irreducible(IRREDUCIBLE_TABLE[m]) for m in range(1, 25))
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ValidationError):
@@ -70,7 +87,7 @@ class TestField:
 
     def test_search_beyond_table(self):
         f = irreducible_modulus(80)
-        assert f.bit_length() - 1 == 80
+        assert f.bit_length() - 1 == 80 and 80 not in IRREDUCIBLE_TABLE
         assert _rabin_irreducible(f)
 
     def test_mul_t_consistent_with_mul(self):
@@ -78,6 +95,39 @@ class TestField:
         for a in (0, 1, 5, 0b101101011):
             assert gf.mul_t(a) == gf.mul(a, 0b10)
 
+
+class TestModuli:
+    def test_rabin_matches_divisor_scan(self):
+        # every polynomial of degree <= 10; at degree 1 Rabin's test must
+        # compare with x mod f, which is 1 for x + 1
+        polys = range(2, 1 << 11)
+        assert [_rabin_irreducible(f) for f in polys] == [_exhaustive_irreducible(f) for f in polys]
+        assert _rabin_irreducible(0b11) and GF2mField(1).modulus == 0b11
+
+    def test_search_rederives_table(self):
+        for m in IRREDUCIBLE_TABLE:
+            if 2 <= m <= 700:
+                assert _search_modulus(m) == IRREDUCIBLE_TABLE[m], m
+
+    def test_search_matches_unfiltered_reference(self):
+        # every degree class mod 8 up to 200; the reference alone takes ~7 s
+        for m in range(65, 201):
+            assert _search_modulus(m) == _unfiltered_search(m), m
+
+    def test_swan_skips_only_reducible_trinomials(self):
+        # the search would reject every skipped trinomial anyway: each has a
+        # small factor (sound by the next test) or fails Rabin's test
+        skipped = ((1 << m) | (1 << a) | 1 for m in range(2, 301) for a in range(1, m) if _swan_reducible(m, a))
+        assert not any(not _has_small_factor(f) and _rabin_irreducible(f) for f in skipped)
+        # every degree 0 mod 8 has no trinomial left to test
+        assert all(_swan_reducible(m, a) for m in (8, 64, 2000) for a in range(1, m))
+
+    def test_small_factor_precheck_only_rejects_reducible(self):
+        rejected = [f for f in range(2, 1 << 11) if _has_small_factor(f)]
+        assert rejected and not any(_exhaustive_irreducible(f) for f in rejected)
+        # a factor of degree 3 is found; one of degree 13 is beyond the check
+        assert _has_small_factor(prg._clmul(0b1011, IRREDUCIBLE_TABLE[64]))
+        assert not _has_small_factor(prg._clmul(IRREDUCIBLE_TABLE[13], IRREDUCIBLE_TABLE[64]))
 
 class TestSeedLengths:
     def test_kwise_pinned_values(self):
@@ -269,7 +319,7 @@ class TestTapeCapacity:
         # float32 matrix (119 MB here) and no working-set limit applies
         plan = plan_kwise_design(0.05, 1e-10, 24)
         assert (plan.field_degree, plan.n_bits) == (5460, 2763852)
-        GF2mField(plan.field_degree)  # the modulus search is not measured
+        GF2mField(plan.field_degree)  # a table entry: its first-use Rabin check is not measured
         tracemalloc.start()
         try:
             tape = generate_tape(plan.k_bits, plan.n_bits, None, BitSource(9).take_bits(plan.r),

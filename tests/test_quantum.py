@@ -61,6 +61,11 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             KrausChannel(())
 
+    def test_channels_compare_and_hash_by_identity(self):
+        a, b = noise_preset("identity", (), 2), noise_preset("identity", (), 2)
+        assert a == a and a != b
+        assert {a: "a", b: "b"}[a] == "a" and len({a, b, a}) == 2
+
 
 class TestApplyChannel:
     def test_identity_channel_fixes_state(self, apply_kraus):
