@@ -16,7 +16,6 @@ from .ensembles import (
     design_epsilon_from_lambda,
     haar_twirl_projector,
     load_ensemble,
-    moment_superoperator,
     save_ensemble,
     tensor_product,
     tpe_lambda,
@@ -47,7 +46,6 @@ from .prg import (
     RandomnessLedger,
     generate_tape,
     kwise_seed_length,
-    sample_indices,
     sampling_seed_length,
     tape_seed_length,
 )

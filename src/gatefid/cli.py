@@ -141,10 +141,7 @@ def cmd_check_design(args) -> int:
         t_list = [int(t) for t in args.t.split(",")]
     except ValueError as exc:
         raise ParameterError(f"--t must be comma-separated integers, got {args.t!r}") from exc
-    rows = []
-    for t in t_list:
-        chk = tpe_lambda(ensemble, t, dense_cap=args.dense_cap)
-        rows.append(chk)
+    rows = [tpe_lambda(ensemble, t) for t in t_list]
     header = f"ensemble={ensemble.label} d={ensemble.dim} s={ensemble.size}"
     lines = [header]
     for chk in rows:
@@ -183,13 +180,7 @@ def cmd_validate(args) -> int:
     from . import harness
 
     seed = _parse_seed(args.seed)
-    params = SuiteParams(
-        variance_samples=args.samples,
-        moment_samples=args.samples,
-        tail_repeats=args.repeats,
-        prop1_repeats=args.repeats,
-        seed=seed,
-    )
+    params = SuiteParams(samples=args.samples, repeats=args.repeats, seed=seed)
     report = SuiteReport()
     if args.suite == "prg":
         if args.n is None or args.k is None or args.theta is None:
@@ -278,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--ensemble", required=True)
     chk.add_argument("--d", type=int, default=2)
     chk.add_argument("--t", default="1,2", help="comma-separated tensor powers")
-    chk.add_argument("--dense-cap", type=int, default=4096)
     chk.add_argument("--output")
     chk.set_defaults(func=cmd_check_design)
 
@@ -311,6 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_dests(parser) -> set:
+    """The dest of every subcommand option except --help: the config keys."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest
+        for p in sub.choices.values()
+        for a in p._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+
+
 def _apply_config(parser, argv):
     if "--config" not in argv:
         return argv
@@ -325,11 +326,7 @@ def _apply_config(parser, argv):
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("config file must hold a JSON object")
-    known = {"algorithm", "channel", "d", "epsilon", "delta", "ensemble", "claimed_lambda",
-             "seed", "waive_preconditions", "emit_trials", "emit_timing", "output", "suite",
-             "t", "dense_cap", "n", "k", "theta", "samples", "repeats", "format",
-             "claimed_lambda4"}
-    unknown = set(doc) - known
+    unknown = set(doc) - _option_dests(parser)
     if unknown:
         raise FormatError(f"unknown config keys: {sorted(unknown)}")
     if "seed" in doc and not isinstance(doc["seed"], str):
@@ -350,8 +347,8 @@ def _apply_config(parser, argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(build_parser(), argv)
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(_apply_config(parser, argv))
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

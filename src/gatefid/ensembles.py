@@ -31,10 +31,11 @@ DENSE_CAP = 4096
 TWIRL_T_CAP = 4
 # Unitarity tolerance when loading ensembles from files.
 LOAD_UNITARITY_TOL = 1e-8
-# Cache stacked U^{tensor t} for matrix-free application up to this entry count.
-_STACK_CACHE_ENTRIES = 1 << 23
 
 _POWER_ITER_SEED = 0x7E57ED
+# Power iteration stops once ||A^dag A v - sigma^2 v|| <= tol, or fails after max steps.
+_POWER_ITER_TOL = 1e-8
+_POWER_ITER_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -251,22 +252,15 @@ def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
 class MomentOperator:
     """The t-copy averaging superoperator M -> (1/s) sum_i U_i^{t} M (U_i^dag)^{t}.
 
-    Carries a dense d^{2t} x d^{2t} matrix when within DENSE_CAP, and always a
-    matrix-free applier. Tensor-product ensembles get a factored fast path.
+    Matrix-free: a tensor product of two plain ensembles applies its factors'
+    dense superoperators, and every other ensemble loops over its unitaries.
     """
 
-    def __init__(self, ensemble: UnitaryEnsemble, t: int, dense: np.ndarray | None):
+    def __init__(self, ensemble: UnitaryEnsemble, t: int):
         self.ensemble = ensemble
         self.tensor_power = t
         self.dim = ensemble.dim
-        self.dense = dense
-        self._stack = None
         self._factor_superops = self._build_factor_superops()
-        if self._factor_superops is None:
-            s = ensemble.size
-            big_dim = ensemble.dim**t
-            if s * big_dim * big_dim <= _STACK_CACHE_ENTRIES:
-                self._stack = np.array([_kron_pow(u, t) for u in ensemble.unitaries])
 
     def _build_factor_superops(self):
         factors = self.ensemble.tensor_factors
@@ -289,11 +283,6 @@ class MomentOperator:
     def _apply(self, m: np.ndarray, adjoint: bool) -> np.ndarray:
         if self._factor_superops is not None:
             return self._apply_factored(m, adjoint)
-        if self._stack is not None:
-            w = self._stack
-            if adjoint:
-                return np.einsum("sba,bc,scd->ad", w.conj(), m, w) / w.shape[0]
-            return np.einsum("sab,bc,sdc->ad", w, m, w.conj()) / w.shape[0]
         out = np.zeros_like(m, dtype=np.complex128)
         for u in self.ensemble.unitaries:
             w = _kron_pow(u, self.tensor_power)
@@ -336,17 +325,6 @@ def _dense_superop(e: UnitaryEnsemble, t: int) -> np.ndarray:
     return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(big * big, big * big) / e.size
 
 
-def moment_superoperator(
-    e: UnitaryEnsemble, t: int, *, dense_cap: int = DENSE_CAP, form: str = "auto"
-) -> MomentOperator:
-    """Build the t-copy moment superoperator; dense when d^{2t} fits the cap."""
-    rows = e.dim ** (2 * t)
-    if form == "dense" and rows > dense_cap:
-        raise CapacityError(f"dense superoperator needs {rows} rows > cap {dense_cap}")
-    dense = _dense_superop(e, t) if (form != "matrix-free" and rows <= dense_cap) else None
-    return MomentOperator(e, t, dense)
-
-
 @dataclass(frozen=True)
 class DesignCheck:
     """One spectral report row: second singular value at tensor power t."""
@@ -362,34 +340,26 @@ class DesignCheck:
 
 def design_epsilon_from_lambda(lambda2: float, d: int) -> float:
     """Certified approximate-2-design epsilon from a 2-copy lambda: lambda * d^4."""
-    if not lambda2 >= 0:  # also refuses NaN
-        raise ParameterError(f"lambda must be nonnegative, got {lambda2}")
+    if not 0 <= lambda2 < math.inf:  # also refuses NaN
+        raise ParameterError(f"lambda must be a finite number >= 0, got {lambda2}")
     return float(lambda2) * d**4
 
 
-def tpe_lambda(
-    e: UnitaryEnsemble,
-    t: int,
-    *,
-    dense_cap: int = DENSE_CAP,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> DesignCheck:
-    """Largest singular value of (G - HaarTwirl) at tensor power t."""
+def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
+    """Largest singular value of (G - HaarTwirl) at tensor power t.
+
+    Dense SVD up to DENSE_CAP rows, power iteration on a MomentOperator above.
+    """
     proj = haar_twirl_projector(e.dim, t)
-    rows = e.dim ** (2 * t)
     eps = lambda lam: design_epsilon_from_lambda(lam, e.dim)
-    if rows <= dense_cap:
-        g = moment_superoperator(e, t, dense_cap=dense_cap)
-        diff = g.dense - proj.dense()
-        lam = schatten_norm(diff, np.inf)
+    if e.dim ** (2 * t) <= DENSE_CAP:
+        lam = schatten_norm(_dense_superop(e, t) - proj.dense(), np.inf)
         return DesignCheck(t, lam, "dense-svd", eps(lam), eps(lam) > 2)
-    g = moment_superoperator(e, t, dense_cap=dense_cap, form="matrix-free")
-    lam, iters, resid = _power_iteration_lambda(g, proj, tol, max_iter)
+    lam, iters, resid = _power_iteration_lambda(MomentOperator(e, t), proj)
     return DesignCheck(t, lam, "power-iteration", eps(lam), eps(lam) > 2, iters, resid)
 
 
-def _power_iteration_lambda(g: MomentOperator, proj: HaarTwirlProjector, tol, max_iter):
+def _power_iteration_lambda(g: MomentOperator, proj: HaarTwirlProjector):
     """sigma_max of A = G - Twirl via power iteration on A^dag A over matrices."""
     big = g.dim**g.tensor_power
     rng = np.random.Generator(np.random.Philox(_POWER_ITER_SEED))
@@ -397,6 +367,7 @@ def _power_iteration_lambda(g: MomentOperator, proj: HaarTwirlProjector, tol, ma
     v /= np.linalg.norm(v)
     apply_a = lambda m: g.apply(m) - proj.apply(m)
     apply_at = lambda m: g.apply_adjoint(m) - proj.apply(m)
+    tol, max_iter = _POWER_ITER_TOL, _POWER_ITER_MAX
     sigma_sq = 0.0
     for it in range(1, max_iter + 1):
         w = apply_a(v)

@@ -137,11 +137,9 @@ class NaivePlan:
         return self.n * self.bits_per_unitary
 
 
-def plan_naive_haar(epsilon: float, delta: float, d: int, n_override: int | None = None) -> NaivePlan:
+def plan_naive_haar(epsilon: float, delta: float, d: int) -> NaivePlan:
     _check_eps_delta(epsilon, delta)
-    if n_override is not None and n_override < 1:
-        raise ParameterError(f"n_override must be >= 1, got {n_override}")
-    n = n_override if n_override is not None else math.ceil(3.0 / epsilon**2 * math.log(2.0 / delta))
+    n = math.ceil(3.0 / epsilon**2 * math.log(2.0 / delta))
     return NaivePlan(n, HAAR_BITS_PER_DIM2 * d * d)
 
 
@@ -373,13 +371,11 @@ class _Run:
         )
 
 
-def estimate_naive_haar(
-    channel, epsilon: float, delta: float, seed: int, *, n_override: int | None = None
-) -> EstimationResult:
+def estimate_naive_haar(channel, epsilon: float, delta: float, seed: int) -> EstimationResult:
     """Fresh Haar unitary per trial, n = ceil(3 eps^-2 ln(2/delta)) trials."""
     run = _Run("naive-haar", channel, epsilon, delta, seed)
     d = run.channel.dim
-    plan = plan_naive_haar(epsilon, delta, d, n_override)
+    plan = plan_naive_haar(epsilon, delta, d)
     gauss = run.take_gaussians("haar_unitaries", plan.n * 2 * d * d, plan.total_bits)
     gauss = gauss.reshape(plan.n, 2 * d * d)
     z = (gauss[:, : d * d] + 1j * gauss[:, d * d :]).reshape(plan.n, d, d) / math.sqrt(2)
@@ -459,11 +455,11 @@ def estimate_single_qtpe(
 
 
 def _claimed(value):
-    """A claimed lambda as a float (None stays None); ParameterError unless >= 0."""
+    """A claimed lambda as a float (None stays None); ParameterError unless finite and >= 0."""
     if value is None:
         return None
-    if not value >= 0.0:  # also refuses NaN
-        raise ParameterError(f"claimed lambda must be >= 0, got {value}")
+    if not 0.0 <= value < math.inf:  # also refuses NaN
+        raise ParameterError(f"claimed lambda must be a finite number >= 0, got {value}")
     return float(value)
 
 

@@ -98,21 +98,25 @@ class SuiteReport:
         return [c.row() for c in self.checks]
 
 
+# The tail check averages TAIL_T Haar fidelities, with deviation TAIL_DELTA.
+TAIL_T = 8
+TAIL_DELTA = 0.2
+# Proposition 1's tail check averages PROP1_T ensemble fidelities, with deviation PROP1_DELTA.
+PROP1_T = 4
+PROP1_DELTA = 0.25
+
+
 @dataclass(frozen=True)
 class SuiteParams:
-    variance_samples: int = 100_000
-    moment_samples: int = 100_000
-    tail_t: int = 8
-    tail_delta: float = 0.2
-    tail_repeats: int = 2000
-    prop1_t: int = 4
-    prop1_delta: float = 0.25
-    prop1_repeats: int = 2000
+    """Monte Carlo sizes of the bound suite: Haar samples for the variance and
+    moment checks, repeated averages for the two tail checks."""
+
+    samples: int = 100_000
+    repeats: int = 2000
     seed: int = 0x0F0F
 
     def __post_init__(self):
-        for name in ("variance_samples", "moment_samples", "tail_t", "tail_repeats",
-                     "prop1_t", "prop1_repeats"):
+        for name in ("samples", "repeats"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -147,11 +151,11 @@ def variance_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     ch = _checked_channel(channel)
     d = ch.dim
     rng = _generator(params.seed, "harness", 1)
-    fids = _haar_fidelities(ch, d, params.variance_samples, rng)
+    fids = _haar_fidelities(ch, d, params.samples, rng)
     var = float(fids.var())
     centered = fids - fids.mean()
     m4 = float(np.mean(centered**4))
-    se = math.sqrt(max(m4 - var**2, 0.0) / params.variance_samples)
+    se = math.sqrt(max(m4 - var**2, 0.0) / params.samples)
     return _one_sided("haar-variance <= 26/d", 26.0 / d, var, 3.0 * se, 0.25)
 
 
@@ -159,7 +163,7 @@ def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     """Tail of the t-fold Haar average against 4 exp(-delta'^2 d t / 256)."""
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
-    t, dlt, reps = params.tail_t, params.tail_delta, params.tail_repeats
+    t, dlt, reps = TAIL_T, TAIL_DELTA, params.repeats
     rng = _generator(params.seed, "harness", 2)
     fids = _haar_fidelities(ch, d, reps * t, rng).reshape(reps, t)
     emp = float(np.mean(np.abs(fids.mean(axis=1) - fbar) > dlt))
@@ -185,7 +189,7 @@ def moment_gap_checks(
     }
     table = _fidelity_table(ch, ensemble)
     rng = _generator(params.seed, "harness", 3)
-    fids = _haar_fidelities(ch, d, params.moment_samples, rng)
+    fids = _haar_fidelities(ch, d, params.samples, rng)
     checks = []
     for l in (1, 2):
         for a in (0.0, fbar):
@@ -213,7 +217,7 @@ def prop1_tail_check(
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
     lam4 = tpe_lambda(ensemble, 4).lambda_value if lambda4 is None else _claimed(lambda4)
-    t, dlt, reps = params.prop1_t, params.prop1_delta, params.prop1_repeats
+    t, dlt, reps = PROP1_T, PROP1_DELTA, params.repeats
     rng = _generator(params.seed, "harness", 4)
     table = _fidelity_table(ch, ensemble)
     idx = rng.integers(0, ensemble.size, size=(reps, t))

@@ -243,10 +243,6 @@ class GF2mField:
             if not _rabin_irreducible(self.modulus):
                 raise ValidationError(f"modulus {self.modulus:#x} is reducible")
 
-    @property
-    def order(self) -> int:
-        return 1 << self.m
-
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
@@ -337,7 +333,6 @@ class BiasedTape:
     x: int
     y: int
     bits: np.ndarray = field(repr=False, default=None)
-    construction: str = "powering"
 
     @property
     def r(self) -> int:
@@ -522,11 +517,6 @@ def indices_from_bits(bits: np.ndarray, set_size: int, n: int) -> IndexDraw:
     return IndexDraw(idx, n * w, w, dev)
 
 
-def sample_indices(tape: BiasedTape, set_size: int, n: int) -> IndexDraw:
-    """Read n indices in [0, set_size) from the start of the tape."""
-    return indices_from_bits(tape.bits, set_size, n)
-
-
 @dataclass
 class RandomnessLedger:
     """Append-only exact account of truly random bits consumed."""
@@ -541,9 +531,6 @@ class RandomnessLedger:
     @property
     def total(self) -> int:
         return sum(b for _, b in self.entries)
-
-    def merge(self, other: "RandomnessLedger") -> None:
-        self.entries.extend(other.entries)
 
     def as_dicts(self) -> list:
         return [{"label": lab, "bits": b} for lab, b in self.entries]

@@ -118,13 +118,21 @@ class TestCheckDesign:
         lam = float(out.splitlines()[1].split("lambda=")[1].split()[0])
         assert lam > 0.1
 
-    def test_small_dense_cap_falls_back_to_power_iteration(self, capsys):
+    def test_large_operator_uses_power_iteration(self, capsys):
+        # d = 4 at t = 4 has 65536 rows, past the dense cap
         code, out, _ = run_cli(
-            capsys, "check-design", "--ensemble", "clifford1q", "--t", "4",
-            "--dense-cap", "16",
+            capsys, "check-design", "--ensemble", "clifford1q(x)clifford1q", "--t", "4"
         )
         assert code == 0
-        assert "power-iteration" in out
+        row = out.splitlines()[1]
+        assert "method=power-iteration" in row
+        assert "iterations=" in row and "residual=" in row
+
+    def test_dense_cap_flag_gone(self, capsys):
+        code, _, err = run_cli_exit(
+            capsys, "check-design", "--ensemble", "clifford1q", "--dense-cap", "16"
+        )
+        assert code == 3 and "--dense-cap" in err
 
     def test_deterministic(self, capsys):
         args = ["check-design", "--ensemble", "pauli1q", "--t", "1,2"]
@@ -349,6 +357,15 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "estimate", "--config", str(cfg))
         assert code == 3
         assert "frobnicate" in err
+
+    @pytest.mark.parametrize("key", ["help", "dense_cap", "config", "command", "func"])
+    def test_keys_that_name_no_option_rejected(self, capsys, tmp_path, key):
+        # the keys are the subcommands' option dests, read from the parser
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, out, err = run_cli(capsys, *ESTIMATE_ARGS[:-2], "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert f"unknown config keys: [{key!r}]" in err
 
 
     @pytest.mark.parametrize("seed", [42, 4.2, True, None, ["2a"]])

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from gatefid import (
+    MomentOperator,
+    UnitaryEnsemble,
     builtin_ensemble,
     design_epsilon_from_lambda,
     haar_twirl_projector,
     load_ensemble,
-    moment_superoperator,
     save_ensemble,
     tensor_product,
     tpe_lambda,
 )
-from gatefid.ensembles import _phase_canonical
+from gatefid import ensembles
+from gatefid.ensembles import _dense_superop, _phase_canonical, _power_iteration_lambda
 from gatefid.errors import (
     CapacityError,
     ConfigError,
@@ -113,33 +115,53 @@ class TestEnsembleIO:
             load_ensemble(path)
 
 
+def dense_apply(superop, m):
+    return (superop @ m.reshape(-1)).reshape(m.shape)
+
+
+@pytest.fixture(scope="module")
+def random_qutrits():
+    """A non-product d = 3 ensemble: MomentOperator takes its per-unitary loop."""
+    rng = np.random.Generator(np.random.Philox(0x3D3))
+    return UnitaryEnsemble(3, haar_unitaries_batch(3, 20, rng), "random-qutrits")
+
+
 class TestMomentOperator:
     def test_identity_only_t1_is_identity_superoperator(self):
-        g = moment_superoperator(builtin_ensemble("identity_only", d=2), 1)
-        assert np.allclose(g.dense, np.eye(4))
+        assert np.allclose(_dense_superop(builtin_ensemble("identity_only", d=2), 1), np.eye(4))
 
     def test_pauli_t1_averages_traceless_to_zero(self, pauli):
-        g = moment_superoperator(pauli, 1)
+        g = MomentOperator(pauli, 1)
         assert np.max(np.abs(g.apply(X))) <= 1e-12
 
     def test_clifford_t2_equals_haar_twirl(self, clifford, rng):
-        g = moment_superoperator(clifford, 2)
+        g = MomentOperator(clifford, 2)
         proj = haar_twirl_projector(2, 2)
         for _ in range(5):
             m = random_matrix(rng, 4)
             assert np.max(np.abs(g.apply(m) - proj.apply(m))) <= 1e-9
 
     def test_dense_and_matrix_free_agree(self, clifford, rng):
-        dense = moment_superoperator(clifford, 2, form="dense")
-        free = moment_superoperator(clifford, 2, form="matrix-free")
+        dense = _dense_superop(clifford, 2)
+        free = MomentOperator(clifford, 2)
         for _ in range(10):
             m = random_matrix(rng, 4)
-            via_dense = (dense.dense @ m.reshape(-1)).reshape(4, 4)
-            assert np.max(np.abs(via_dense - free.apply(m))) <= 1e-9
+            assert np.max(np.abs(dense_apply(dense, m) - free.apply(m))) <= 1e-9
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_loop_matches_dense(self, random_qutrits, rng, t):
+        g = MomentOperator(random_qutrits, t)
+        assert g._factor_superops is None
+        dense = _dense_superop(random_qutrits, t)
+        big = 3**t
+        for _ in range(3):
+            m = random_matrix(rng, big)
+            assert np.max(np.abs(g.apply(m) - dense_apply(dense, m))) <= 1e-9
+            assert np.max(np.abs(g.apply_adjoint(m) - dense_apply(dense.conj().T, m))) <= 1e-9
 
     def test_trace_preserving_and_unital(self, pauli, clifford, rng):
         for e, t in [(pauli, 1), (clifford, 2)]:
-            g = moment_superoperator(e, t)
+            g = MomentOperator(e, t)
             big = e.dim**t
             assert np.allclose(g.apply(np.eye(big, dtype=complex)), np.eye(big), atol=1e-9)
             for _ in range(10):
@@ -150,18 +172,14 @@ class TestMomentOperator:
     def test_fixes_permutation_operators(self, pauli, clifford):
         for e in (pauli, clifford):
             for t in (1, 2):
-                g = moment_superoperator(e, t)
+                g = MomentOperator(e, t)
                 proj = haar_twirl_projector(e.dim, t)
                 for p in proj.permutation_basis:
                     assert np.max(np.abs(g.apply(p) - p)) <= 1e-12
 
-    def test_dense_cap_enforced(self, clifford):
-        with pytest.raises(CapacityError):
-            moment_superoperator(clifford, 4, dense_cap=16, form="dense")
-
     def test_factored_matches_generic(self, clifford, pauli, rng):
         e = tensor_product(pauli, clifford)
-        g = moment_superoperator(e, 1)
+        g = MomentOperator(e, 1)
         assert g._factor_superops is not None
         m = random_matrix(rng, 4)
         brute = sum(u @ m @ u.conj().T for u in e.unitaries) / e.size
@@ -264,9 +282,17 @@ class TestTpeLambda:
 
     def test_power_iteration_matches_dense(self, pauli):
         dense = tpe_lambda(pauli, 2)
-        power = tpe_lambda(pauli, 2, dense_cap=8)
-        assert power.method == "power-iteration"
-        assert abs(power.lambda_value - dense.lambda_value) <= 1e-6
+        assert dense.method == "dense-svd"
+        lam, _, _ = _power_iteration_lambda(MomentOperator(pauli, 2), haar_twirl_projector(2, 2))
+        assert abs(lam - dense.lambda_value) <= 1e-6
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_loop_power_iteration_matches_dense(self, random_qutrits, t):
+        dense = tpe_lambda(random_qutrits, t)
+        assert dense.method == "dense-svd"
+        g = MomentOperator(random_qutrits, t)
+        lam, _, _ = _power_iteration_lambda(g, haar_twirl_projector(3, t))
+        assert abs(lam - dense.lambda_value) <= 1e-6
 
     def test_tensor_clifford_lambda4_saturates(self, clifford):
         # local conjugations fix split permutation operators, so the gap closes
@@ -287,9 +313,10 @@ class TestDesignEpsilon:
 
 
 class TestConvergence:
-    def test_power_iteration_budget_exhaustion(self, pauli):
+    def test_power_iteration_budget_exhaustion(self, pauli, monkeypatch):
         from gatefid.errors import ConvergenceError
 
+        monkeypatch.setattr(ensembles, "_POWER_ITER_MAX", 1)
         with pytest.raises(ConvergenceError) as err:
-            tpe_lambda(pauli, 2, dense_cap=8, max_iter=1)
+            _power_iteration_lambda(MomentOperator(pauli, 2), haar_twirl_projector(2, 2))
         assert err.value.residual is not None

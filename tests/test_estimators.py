@@ -89,17 +89,6 @@ class TestNaiveHaar:
         result = estimate_naive_haar(DEPOL, 0.2, 0.5, seed=3)
         assert result.estimate == float(result.bits.mean())
 
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_non_positive_trial_count_rejected(self, n):
-        with pytest.raises(ParameterError):
-            plan_naive_haar(0.2, 0.5, 2, n_override=n)
-        with pytest.raises(ParameterError):
-            estimate_naive_haar(DEPOL, 0.2, 0.5, seed=3, n_override=n)
-
-    def test_single_trial_override(self):
-        result = estimate_naive_haar(DEPOL, 0.2, 0.5, seed=3, n_override=1)
-        assert result.n_trials == 1 and result.ledger.total == HAAR_BITS_PER_DIM2 * 4
-
 
 class TestDesignIid:
     def test_clifford_group_average_is_exact(self, clifford, preset_channels_d2):
@@ -225,7 +214,7 @@ class TestClaimedLambda:
     def test_nan_or_negative_lambda2_refused(self, clifford):
         from gatefid import design_epsilon_from_lambda
 
-        for lam in (math.nan, -1.0):
+        for lam in (math.nan, -1.0, math.inf):
             with pytest.raises(ParameterError):
                 design_epsilon_from_lambda(lam, 2)
             with pytest.raises(ParameterError):
@@ -234,7 +223,7 @@ class TestClaimedLambda:
                 estimate_kwise_design(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=lam)
 
     def test_nan_or_negative_claim_refused_before_the_gate(self, clifford):
-        for lam in (math.nan, -1.0):
+        for lam in (math.nan, -1.0, math.inf):
             with pytest.raises(ParameterError):
                 estimate_single_qtpe(DEPOL, 0.2, 0.5, clifford, seed=1, claimed_lambda=lam,
                                      waive_preconditions=True)

@@ -33,9 +33,7 @@ from gatefid.quantum import haar_unitaries_batch
 DEPOL = noise_preset("depolarizing", (0.2,), 2)
 IDENT = noise_preset("identity", (), 2)
 
-FAST = SuiteParams(
-    variance_samples=20_000, moment_samples=20_000, tail_repeats=400, prop1_repeats=400
-)
+FAST = SuiteParams(samples=20_000, repeats=400)
 
 
 class TestHarnessConfidence:
@@ -50,8 +48,9 @@ class TestHarnessConfidence:
         assert rep.passed
 
     def test_adversarial_undersampling_fails(self):
-        # n forced to 10 cannot resolve epsilon = 0.001: the harness must FAIL
-        run = lambda s: estimate_naive_haar(DEPOL, 0.001, 0.1, s, n_override=10)
+        # n = 10 trials, planned for (0.5, 0.9), cannot resolve epsilon = 0.001: the harness must FAIL
+        run = lambda s: estimate_naive_haar(DEPOL, 0.5, 0.9, s)
+        assert run(0).n_trials == 10
         rep = harness_confidence(run, 0.9, 0.001, 0.1, repeats=200, master_seed=3)
         assert not rep.passed
 
@@ -67,7 +66,7 @@ class TestHarnessConfidence:
 
 
 class TestBoundChecks:
-    @pytest.mark.parametrize("field", ["variance_samples", "tail_repeats", "prop1_t"])
+    @pytest.mark.parametrize("field", ["samples", "repeats"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ParameterError):
             SuiteParams(**{field: 0})
@@ -110,7 +109,7 @@ class TestBoundChecks:
         report = bound_validation_suite(model, cc, lambda2=lam2, lambda4=lam4, params=FAST)
         assert report.passed
 
-    @pytest.mark.parametrize("lam", [math.nan, -1.0])
+    @pytest.mark.parametrize("lam", [math.nan, -1.0, math.inf])
     def test_bad_claimed_lambda_refused(self, clifford, lam):
         # once reported as bound=nan or a negative bound, i.e. a validation FAIL
         with pytest.raises(ParameterError, match="claimed lambda"):

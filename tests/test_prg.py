@@ -12,7 +12,6 @@ from gatefid import (
     RandomnessLedger,
     generate_tape,
     kwise_seed_length,
-    sample_indices,
     sampling_seed_length,
     tape_seed_length,
 )
@@ -338,7 +337,7 @@ class TestSampleIndices:
     def test_singleton_set_consumes_nothing(self):
         m = tape_field_degree(4, 16, 0.25)
         tape = generate_tape(4, 16, 0.25, BitSource(5).take_bits(2 * m))
-        draw = sample_indices(tape, 1, 10)
+        draw = indices_from_bits(tape.bits, 1, 10)
         assert draw.bits_consumed == 0 and not draw.indices.any()
 
     def test_power_of_two_direct_binary(self):
@@ -403,14 +402,6 @@ class TestLedger:
         led.record("b", 32)
         assert led.total == 42
         assert led.as_dicts() == [{"label": "a", "bits": 10}, {"label": "b", "bits": 32}]
-
-    def test_merge(self):
-        a = RandomnessLedger()
-        a.record("x", 1)
-        b = RandomnessLedger()
-        b.record("y", 2)
-        a.merge(b)
-        assert a.total == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
