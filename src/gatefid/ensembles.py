@@ -29,6 +29,8 @@ from .quantum import MAX_DIM, dagger, matrices_close, schatten_norm
 DENSE_CAP = 4096
 # The twirl projector enumerates t! permutations; keep t small.
 TWIRL_T_CAP = 4
+# Bytes the t! dense d^t x d^t complex permutation operators may take.
+TWIRL_BASIS_CAP = 1 << 26
 # Unitarity tolerance when loading ensembles from files.
 LOAD_UNITARITY_TOL = 1e-8
 
@@ -125,13 +127,12 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
     raise ConfigError(f"unknown builtin ensemble {name!r}")
 
 
-def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble, label: str | None = None) -> UnitaryEnsemble:
+def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
     """All s_a * s_b pairwise Kronecker products; uniform weights stay uniform."""
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
-    lab = label or f"{a.label}(x){b.label}"
-    return UnitaryEnsemble(d1 * d2, stack, lab, tensor_factors=(a, b))
+    return UnitaryEnsemble(d1 * d2, stack, f"{a.label}(x){b.label}", tensor_factors=(a, b))
 
 
 def save_ensemble(e: UnitaryEnsemble, path) -> None:
@@ -232,8 +233,16 @@ def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
         raise ParameterError(f"tensor power t must be >= 1, got {t}")
     if t > TWIRL_T_CAP:
         raise CapacityError(f"t = {t} exceeds the twirl cap t <= {TWIRL_T_CAP}")
+    need = math.factorial(t) * d ** (2 * t) * 16
+    if need > TWIRL_BASIS_CAP:
+        raise CapacityError(
+            f"the t = {t} twirl basis at d = {d} needs {need / 2**20:.0f} MiB of permutation"
+            f" operators, over the {TWIRL_BASIS_CAP >> 20} MiB cap"
+        )
     perms = list(itertools.permutations(range(t)))
-    basis = np.array([_permutation_operator(d, t, p) for p in perms])
+    basis = np.empty((len(perms), d**t, d**t), dtype=np.complex128)
+    for i, p in enumerate(perms):
+        basis[i] = _permutation_operator(d, t, p)
     inv = []
     for p in perms:
         q = [0] * t

@@ -172,10 +172,6 @@ class KwisePlan:
     def total_bits(self) -> int:
         return self.r
 
-    @property
-    def theta(self) -> float:
-        return 2.0**self.theta_log2 if self.theta_log2 > -1000 else 0.0
-
 
 def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
     """Sample-count and tape parameters for the k-wise design estimator.
@@ -195,9 +191,9 @@ def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
         raise ParameterError("set of size 1 leaves nothing to sample")
     n_bits = n * w
     k_bits = k * w
-    m = tape_field_degree(k_bits, n_bits, theta_log2=theta_log2)
+    m = tape_field_degree(k_bits, n_bits, theta_log2)
     r = 2 * m
-    r_sampling = sampling_seed_length(epsilon, n, set_size, theta_log2=theta_log2)
+    r_sampling = sampling_seed_length(epsilon, n, set_size, theta_log2)
     return KwisePlan(n, k, theta_log2, w, n_bits, k_bits, m, r, r_sampling)
 
 
@@ -272,7 +268,7 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
         k = math.ceil(_E_THIRD * epsilon**2 * n / 4.0)
         if k < 2:
             raise ParameterError(f"phase-2 independence parameter k = {k} < 2")
-        r2 = tape_seed_length(k * w2, n * w2, theta_log2=theta_log2)
+        r2 = tape_seed_length(k * w2, n * w2, theta_log2)
         r_formula = math.ceil(epsilon**2 * n * math.log2(pool) - 2.0 * theta_log2)
     else:
         w2, k, r2, r_formula = 0, 0, 0, 0
@@ -328,7 +324,7 @@ class _Run:
                      set_size: int, n: int) -> np.ndarray:
         """n indices in [0, set_size) read from a k-wise tape on r counted seed bits."""
         seed_bits = self.take_bits(label, r)
-        tape = generate_tape(k_bits, n_bits, None, seed_bits, theta_log2=theta_log2)
+        tape = generate_tape(k_bits, n_bits, theta_log2, seed_bits)
         return indices_from_bits(tape.bits, set_size, n).indices
 
     def gate(self, plan, extra: list, waive: bool) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import UnitaryEnsemble, tpe_lambda
 from .errors import CapacityError, ParameterError
 from .estimators import _checked_channel, _claimed, _fidelity_columns, _fidelity_table
-from .prg import GF2mField, tape_field_degree, tape_seed_length
+from .prg import GF2mField, tape_field_degree, theta_log2_of
 # Not called here any more (the bound suite samples first columns without QR);
 # kept importable from this module, where perfbench/spans.py looks it up.
 from .quantum import haar_unitaries_batch  # noqa: F401
@@ -254,19 +254,13 @@ class BiasReport:
     worst_parity_bias: float
     passed: bool
 
-    def rows(self) -> list:
-        return [
-            {
-                "check": f"prg-exhaustive(n={self.n}, k={self.k}, theta={self.theta:g})",
-                "bound": self.theta,
-                "empirical": self.worst_l1,
-                "slack": 0.0,
-                "verdict": "PASS" if self.passed else "FAIL",
-                "vacuous": False,
-                "note": f"r={self.r}, subsets={self.subsets_checked},"
-                f" worst parity bias {self.worst_parity_bias:.3g}",
-            }
-        ]
+    @property
+    def check(self) -> BoundCheck:
+        return BoundCheck(
+            f"prg-exhaustive(n={self.n}, k={self.k}, theta={self.theta:g})",
+            self.theta, self.worst_l1, 0.0, self.passed, False,
+            f"r={self.r}, subsets={self.subsets_checked}, worst parity bias {self.worst_parity_bias:.3g}",
+        )
 
 
 def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
@@ -284,10 +278,10 @@ def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     Refused with CapacityError when r exceeds EXHAUSTIVE_R_CAP or the packed
     columns and character sums would exceed CERT_MEMORY_CAP bytes.
     """
-    r = tape_seed_length(k, n, theta)
+    m = tape_field_degree(k, n, theta_log2_of(theta))
+    r = 2 * m
     if r > EXHAUSTIVE_R_CAP:
         raise CapacityError(f"exhaustive enumeration needs r <= {EXHAUSTIVE_R_CAP}, got {r}")
-    m = tape_field_degree(k, n, theta)
     # n packed columns of 2^m rows of max(1, 2^m / 64) words, one int64 per subset
     need = n * (1 << m) * max(8, (1 << m) // 8) + 8 * sum(math.comb(n, j) for j in range(1, k + 1))
     if need > CERT_MEMORY_CAP:

@@ -12,6 +12,9 @@ joint distribution to be theta-close to uniform in L1 (Parseval over the
 subset's parities).
 The resulting seed length 2m generally exceeds the constant-free textbook
 formula kwise_seed_length(); both are reported and tests bound their ratio.
+Every function here takes theta as theta_log2 = log2(theta), because the theta
+a plan asks for is often far below the smallest float; theta_log2_of converts
+a float theta once, where one enters from outside.
 
 Expansion: with e = i*B + r and B = isqrt(n) + 1, bilinearity of
 (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
@@ -232,19 +235,10 @@ class GF2mField:
     """GF(2^m) with elements as ints (bit i = coefficient of x^i)."""
 
     m: int
-    modulus: int = 0
+    modulus: int = field(init=False)
 
     def __post_init__(self):
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", irreducible_modulus(self.m))
-        else:
-            if self.modulus.bit_length() - 1 != self.m:
-                raise ParameterError(f"modulus degree != {self.m}")
-            if not _rabin_irreducible(self.modulus):
-                raise ValidationError(f"modulus {self.modulus:#x} is reducible")
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
+        object.__setattr__(self, "modulus", irreducible_modulus(self.m))
 
     def mul(self, a: int, b: int) -> int:
         return _polymod(_clmul(a, b), self.modulus)
@@ -267,53 +261,52 @@ class GF2mField:
         return result
 
 
-def _log2_inv_theta(theta, theta_log2) -> float:
-    if (theta is None) == (theta_log2 is None):
-        raise ParameterError("give exactly one of theta, theta_log2")
-    if theta is not None:
-        if not 0 < theta < 1:
-            raise ParameterError(f"theta must be in (0, 1), got {theta}")
-        return -math.log2(theta)
-    if theta_log2 >= 0:
-        raise ParameterError(f"theta_log2 must be negative, got {theta_log2}")
-    return -theta_log2
+def theta_log2_of(theta: float) -> float:
+    """log2(theta) for a float theta in (0, 1), the library's only theta form."""
+    if not 0 < theta < 1:
+        raise ParameterError(f"theta must be in (0, 1), got {theta}")
+    return math.log2(theta)
 
 
-def kwise_seed_length(k: int, n: int, theta: float | None = None, *, theta_log2: float | None = None) -> int:
+def _checked_theta_log2(theta_log2: float) -> float:
+    if not -math.inf < theta_log2 < 0:  # also refuses NaN
+        raise ParameterError(f"theta_log2 must be finite and negative, got {theta_log2}")
+    return theta_log2
+
+
+def kwise_seed_length(k: int, n: int, theta_log2: float) -> int:
     """Textbook seed length ceil(k + 2 log2 log2 k + 2 log2 log2 n + 2 log2(1/theta))."""
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if n < k:
         raise ParameterError(f"need k <= n, got k={k} n={n}")
-    lt = _log2_inv_theta(theta, theta_log2)
+    lt = -_checked_theta_log2(theta_log2)
     return math.ceil(k + 2 * math.log2(math.log2(k)) + 2 * math.log2(math.log2(n)) + 2 * lt)
 
 
-def sampling_seed_length(
-    epsilon: float, n: int, set_size: int, theta: float | None = None, *, theta_log2: float | None = None
-) -> int:
+def sampling_seed_length(epsilon: float, n: int, set_size: int, theta_log2: float) -> int:
     """Seed length ceil(4 eps^2 n log2 |Y| + 2 log2(1/theta)) for n index samples."""
     if not 0 < epsilon < 1:
         raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
     if set_size < 1:
         raise ParameterError(f"set size must be >= 1, got {set_size}")
-    lt = _log2_inv_theta(theta, theta_log2)
+    lt = -_checked_theta_log2(theta_log2)
     return math.ceil(4 * epsilon**2 * n * math.log2(set_size) + 2 * lt)
 
 
-def tape_field_degree(k: int, n: int, theta: float | None = None, *, theta_log2: float | None = None) -> int:
+def tape_field_degree(k: int, n: int, theta_log2: float) -> int:
     """Field degree m of the powering construction for a (k, n, theta) tape."""
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if n < k:
         raise ParameterError(f"need k <= n, got k={k} n={n}")
-    lt = _log2_inv_theta(theta, theta_log2)
+    lt = -_checked_theta_log2(theta_log2)
     return max(1, math.ceil(math.log2(n) + k / 2 + lt + 1))
 
 
-def tape_seed_length(k: int, n: int, theta: float | None = None, *, theta_log2: float | None = None) -> int:
+def tape_seed_length(k: int, n: int, theta_log2: float) -> int:
     """Implemented seed length: 2m truly random bits for the (x, y) field pair."""
-    return 2 * tape_field_degree(k, n, theta, theta_log2=theta_log2)
+    return 2 * tape_field_degree(k, n, theta_log2)
 
 
 @dataclass(frozen=True)
@@ -326,7 +319,6 @@ class BiasedTape:
 
     n: int
     k: int
-    theta: float | None
     theta_log2: float
     seed_bits: tuple
     gf: GF2mField
@@ -346,25 +338,16 @@ class BiasedTape:
         return (xi & self.y).bit_count() & 1
 
 
-def generate_tape(
-    k: int,
-    n: int,
-    theta: float | None,
-    seed_bits,
-    *,
-    theta_log2: float | None = None,
-) -> BiasedTape:
+def generate_tape(k: int, n: int, theta_log2: float, seed_bits) -> BiasedTape:
     """Expand a 2m-bit true-random seed into an n-bit approximately k-wise tape."""
-    m = tape_field_degree(k, n, theta, theta_log2=theta_log2)
+    m = tape_field_degree(k, n, theta_log2)
     seed = tuple(int(b) & 1 for b in seed_bits)
     if len(seed) != 2 * m:
         raise ParameterError(f"seed must have exactly {2 * m} bits, got {len(seed)}")
     gf = GF2mField(m)
     x = sum(b << j for j, b in enumerate(seed[:m]))
     y = sum(b << j for j, b in enumerate(seed[m:]))
-    bits = _tape_bits(gf, x, y, n)
-    lt = _log2_inv_theta(theta, theta_log2)
-    return BiasedTape(n, k, theta, -lt, seed, gf, x, y, bits)
+    return BiasedTape(n, k, theta_log2, seed, gf, x, y, _tape_bits(gf, x, y, n))
 
 
 class _FixedMultiplier:

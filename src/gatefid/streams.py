@@ -27,9 +27,9 @@ def _generator(master_seed: int, stream: str, unit: int = 0) -> np.random.Genera
     return np.random.Generator(np.random.Philox(seq))
 
 
-def measurement_rng(master_seed: int, unit: int = 0) -> np.random.Generator:
+def measurement_rng(master_seed: int) -> np.random.Generator:
     """The uncounted stream used only for simulated measurement outcomes."""
-    return _generator(master_seed, "measurement", unit)
+    return _generator(master_seed, "measurement")
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -46,8 +46,8 @@ def fresh_seed() -> int:
 class BitSource:
     """Buffered bit stream over a Philox generator, counting bits handed out."""
 
-    def __init__(self, master_seed: int, stream: str = "classical", unit: int = 0):
-        self._gen = _generator(master_seed, stream, unit)
+    def __init__(self, master_seed: int):
+        self._gen = _generator(master_seed, "classical")
         self._buffer = np.zeros(0, dtype=np.uint8)
         self.total_bits = 0
 

@@ -217,7 +217,7 @@ def test_criterion_10_cli_determinism(tmp_path, report):
     }
     from gatefid.prg import tape_seed_length
 
-    r = tape_seed_length(4, 64, 0.25)
+    r = tape_seed_length(4, 64, -2.0)
     commands["gen-bits"][-1] = "1" * ((r + 3) // 4)
     ok = True
     details = []

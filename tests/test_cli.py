@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gatefid.cli import hex_stream, main
-from gatefid.prg import tape_seed_length
+from gatefid.prg import tape_seed_length, theta_log2_of
 
 
 def run_cli(capsys, *argv):
@@ -190,10 +190,7 @@ class TestGenBits:
 
     def test_deterministic(self, capsys):
         args = ["gen-bits", "--k", "4", "--n", "64", "--theta", "0.25", "--seed"]
-        r = 2 * 13  # m = ceil(6 + 2 + 2 + 1) = 11? computed below from the header
-        from gatefid.prg import tape_seed_length
-
-        r = tape_seed_length(4, 64, 0.25)
+        r = tape_seed_length(4, 64, -2.0)
         seed = format(0x5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
         _, out1, _ = run_cli(capsys, *args, seed)
         _, out2, _ = run_cli(capsys, *args, seed)
@@ -236,7 +233,7 @@ class TestGenBitsGolden:
         assert out == "5 2 0.5 12 0b5\n18\n"
 
     def test_n4099_output(self, capsys):
-        r = tape_seed_length(6, 4099, 0.01)
+        r = tape_seed_length(6, 4099, theta_log2_of(0.01))
         seed = format(0x5A5A5A5A5A5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
         code, out, _ = run_cli(
             capsys, "gen-bits", "--k", "6", "--n", "4099", "--theta", "0.01", "--seed", seed
@@ -265,6 +262,8 @@ class TestBadArgvExitCode:
              "--samples", "0"],
             # the right length (r = 12 bits, 3 digits) but not hex
             ["gen-bits", "--k", "2", "--n", "4", "--theta", "0.5", "--seed", "zzz"],
+            ["gen-bits", "--k", "2", "--n", "4", "--theta", "1.5", "--seed", "000"],
+            ["gen-bits", "--k", "2", "--n", "4", "--theta", "nan", "--seed", "000"],
         ],
     )
     def test_exit_3(self, capsys, argv):
@@ -420,6 +419,30 @@ class TestDimensionCap:
             tracemalloc.stop()
         assert code == 4 and out == ""
         assert err.startswith("capacity: dimension ") and "exceeds the dense cap 64" in err
+        assert peak < 4 << 20
+
+
+class TestTwirlBasisCap:
+    """A twirl basis of t! dense d^t x d^t operators above the cap exits 4 before any is built."""
+
+    @pytest.mark.parametrize(
+        "d,need",
+        [
+            (16, "1572864 MiB"),  # 24 operators of 65536 x 65536, 64 GiB each
+            (8, "6144 MiB"),  # 24 operators of 4096 x 4096, 256 MiB each
+        ],
+    )
+    def test_exit_4_without_allocating(self, capsys, d, need):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "check-design", "--ensemble", "identity_only",
+                                     "--d", str(d), "--t", "4")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and out == ""
+        assert err.startswith(f"capacity: the t = 4 twirl basis at d = {d} needs {need}")
+        assert "over the 64 MiB cap" in err
         assert peak < 4 << 20
 
 

@@ -182,6 +182,19 @@ class TestExhaustiveBias:
         rep = exhaustive_bias_check(8, 2, 0.5)
         assert rep.worst_parity_bias <= rep.worst_l1 + 1e-12
 
+    def test_report_as_bound_check(self):
+        rep = exhaustive_bias_check(16, 4, 0.25)
+        check = rep.check
+        assert (check.name, check.bound, check.empirical, check.slack) == (
+            "prg-exhaustive(n=16, k=4, theta=0.25)", 0.25, rep.worst_l1, 0.0)
+        assert check.passed and not check.vacuous
+        assert check.note == "r=18, subsets=2516, worst parity bias 0.0215"
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.nan])
+    def test_theta_outside_unit_interval(self, theta):
+        with pytest.raises(ParameterError, match=r"theta must be in \(0, 1\)"):
+            exhaustive_bias_check(8, 2, theta)
+
     def test_oversized_r_rejected(self):
         with pytest.raises(CapacityError):
             exhaustive_bias_check(10_000, 40, 1e-9)
@@ -198,7 +211,7 @@ class TestCertificateAgainstEnumeration:
     @pytest.mark.parametrize("n,k,theta", [(8, 2, 0.5), (8, 3, 0.5), (16, 3, 0.25), (16, 4, 0.25)])
     def test_planned_cases_agree_exactly(self, n, k, theta):
         rep = exhaustive_bias_check(n, k, theta)
-        bits = _powering_matrix(GF2mField(tape_field_degree(k, n, theta)), n)
+        bits = _powering_matrix(GF2mField(tape_field_degree(k, n, math.log2(theta))), n)
         assert len(bits) == 1 << rep.r
         got = (rep.subsets_checked, rep.worst_l1, rep.worst_parity_bias)
         assert got == _enumerated_laws(bits, k)

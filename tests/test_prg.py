@@ -28,6 +28,7 @@ from gatefid.prg import (
     indices_from_bits,
     irreducible_modulus,
     tape_field_degree,
+    theta_log2_of,
 )
 from gatefid.streams import BitSource, split_seed
 
@@ -50,13 +51,15 @@ def _unfiltered_search(m: int) -> int:
 
 class TestField:
     def test_characteristic_two(self):
+        # addition is XOR, so squaring is additive: (a + b)^2 = a^2 + b^2
         gf = GF2mField(3)
-        for a in range(8):
-            assert gf.add(a, a) == 0
+        for a, b in itertools.product(range(8), repeat=2):
+            assert gf.mul(a ^ b, a ^ b) == gf.mul(a, a) ^ gf.mul(b, b)
 
     def test_gf8_product_by_hand(self):
         # x * x^2 = x^3 = x + 1 under x^3 + x + 1
-        gf = GF2mField(3, 0b1011)
+        gf = GF2mField(3)
+        assert gf.modulus == 0b1011
         assert gf.mul(0b010, 0b100) == 0b011
 
     def test_multiplicative_group_order(self):
@@ -72,7 +75,7 @@ class TestField:
             a, b, c = int(a), int(b), int(c)
             assert gf.mul(a, b) == gf.mul(b, a)
             assert gf.mul(a, gf.mul(b, c)) == gf.mul(gf.mul(a, b), c)
-            assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+            assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
             if a:
                 assert gf.mul(a, gf.pow(a, (1 << 11) - 2)) == 1
 
@@ -80,9 +83,16 @@ class TestField:
         assert all(_rabin_irreducible(f) for f in IRREDUCIBLE_TABLE.values())
         assert all(_exhaustive_irreducible(IRREDUCIBLE_TABLE[m]) for m in range(1, 25))
 
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ValidationError):
-            GF2mField(4, 0b10001)  # x^4 + 1 = (x + 1)^4 over GF(2)
+    def test_reducible_modulus_rejected(self, monkeypatch):
+        assert not _rabin_irreducible(0b10001)  # x^4 + 1 = (x + 1)^4 over GF(2)
+        # a table entry is checked on first use, so a bad one refuses the field
+        monkeypatch.setitem(IRREDUCIBLE_TABLE, 4, 0b10001)
+        irreducible_modulus.cache_clear()
+        try:
+            with pytest.raises(ValidationError):
+                GF2mField(4)
+        finally:
+            irreducible_modulus.cache_clear()
 
     def test_search_beyond_table(self):
         f = irreducible_modulus(80)
@@ -128,23 +138,57 @@ class TestModuli:
         assert _has_small_factor(prg._clmul(0b1011, IRREDUCIBLE_TABLE[64]))
         assert not _has_small_factor(prg._clmul(IRREDUCIBLE_TABLE[13], IRREDUCIBLE_TABLE[64]))
 
+
+# Each function that takes theta_log2, called at a valid (k, n) point.
+THETA_LOG2_TAKERS = {
+    "generate_tape": lambda t: generate_tape(2, 4, t, [0] * 8),
+    "tape_field_degree": lambda t: tape_field_degree(2, 4, t),
+    "tape_seed_length": lambda t: tape_seed_length(2, 4, t),
+    "sampling_seed_length": lambda t: sampling_seed_length(0.1, 100, 2, t),
+    "kwise_seed_length": lambda t: kwise_seed_length(2, 4, t),
+}
+
+
+class TestThetaLog2:
+    @pytest.mark.parametrize("theta_log2", [math.nan, math.inf, -math.inf, 0.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(THETA_LOG2_TAKERS))
+    def test_refused(self, name, theta_log2):
+        with pytest.raises(ParameterError, match="theta_log2 must be finite and negative"):
+            THETA_LOG2_TAKERS[name](theta_log2)
+
+    def test_float_theta_converts_at_the_boundary(self):
+        assert theta_log2_of(0.25) == -2.0
+        assert theta_log2_of(0.01) == math.log2(0.01)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_float_theta_outside_unit_interval(self, theta):
+        with pytest.raises(ParameterError, match=r"theta must be in \(0, 1\), got"):
+            theta_log2_of(theta)
+
+    def test_plan_below_float_range(self):
+        # the theta this plan asks for underflows to 0.0; its log2 sizes the field
+        plan = plan_kwise_design(0.05, 1e-12, 24)
+        assert 2.0**plan.theta_log2 == 0.0
+        assert tape_field_degree(plan.k_bits, plan.n_bits, plan.theta_log2) == plan.field_degree == 6594
+
+
 class TestSeedLengths:
     def test_kwise_pinned_values(self):
-        assert kwise_seed_length(16, 2**16, 2.0**-20) == 68
-        assert kwise_seed_length(4, 16, 2.0**-10) == 30
-        assert kwise_seed_length(2, 4, 0.5) == 6
+        assert kwise_seed_length(16, 2**16, -20.0) == 68
+        assert kwise_seed_length(4, 16, -10.0) == 30
+        assert kwise_seed_length(2, 4, -1.0) == 6
 
     def test_kwise_requires_k_at_least_2(self):
         with pytest.raises(ParameterError):
-            kwise_seed_length(1, 4, 0.5)
+            kwise_seed_length(1, 4, -1.0)
 
     def test_sampling_pinned_values(self):
         # eps^2 n = 1, two-element set, theta = 1/4
-        assert sampling_seed_length(0.1, 100, 2, 0.25) == 8
-        assert sampling_seed_length(0.05, 6400, 24, 2.0**-16) == 326
+        assert sampling_seed_length(0.1, 100, 2, -2.0) == 8
+        assert sampling_seed_length(0.05, 6400, 24, -16.0) == 326
 
     def test_sampling_singleton_set(self):
-        assert sampling_seed_length(0.1, 100, 1, 0.25) == 4  # only 2 log2(1/theta)
+        assert sampling_seed_length(0.1, 100, 1, -2.0) == 4  # only 2 log2(1/theta)
 
     def test_implemented_vs_textbook_ratio(self):
         # the design allows implemented r <= 4 * textbook r + 64
@@ -153,61 +197,61 @@ class TestSeedLengths:
             (507, 276393, -252.84),
             (12, 5200, -40.0),
         ]:
-            r_impl = tape_seed_length(k, n, theta_log2=theta_log2)
-            r_text = kwise_seed_length(k, n, theta_log2=theta_log2)
+            r_impl = tape_seed_length(k, n, theta_log2)
+            r_text = kwise_seed_length(k, n, theta_log2)
             assert r_impl <= 4 * r_text + 64
 
 
 class TestGenerateTape:
     def test_zero_x_gives_zero_tape(self):
-        m = tape_field_degree(4, 16, 0.25)
+        m = tape_field_degree(4, 16, -2.0)
         seed = [0] * m + [1] * m
-        tape = generate_tape(4, 16, 0.25, seed)
+        tape = generate_tape(4, 16, -2.0, seed)
         assert not tape.bits.any()
 
     def test_zero_y_gives_zero_tape(self):
-        m = tape_field_degree(4, 16, 0.25)
+        m = tape_field_degree(4, 16, -2.0)
         seed = [1] * m + [0] * m
-        tape = generate_tape(4, 16, 0.25, seed)
+        tape = generate_tape(4, 16, -2.0, seed)
         assert not tape.bits.any()
 
     def test_wrong_seed_length(self):
         with pytest.raises(ParameterError):
-            generate_tape(4, 16, 0.25, [0, 1, 0])
+            generate_tape(4, 16, -2.0, [0, 1, 0])
 
     def test_local_decodability_small(self):
-        m = tape_field_degree(4, 16, 0.25)
-        tape = generate_tape(4, 16, 0.25, BitSource(5).take_bits(2 * m))
+        m = tape_field_degree(4, 16, -2.0)
+        tape = generate_tape(4, 16, -2.0, BitSource(5).take_bits(2 * m))
         for i in range(16):
             assert tape.bit(i) == tape.bits[i]
 
     def test_local_decodability_long(self):
-        m = tape_field_degree(10, 40_000, 0.01)
-        tape = generate_tape(10, 40_000, 0.01, BitSource(9).take_bits(2 * m))
+        m = tape_field_degree(10, 40_000, math.log2(0.01))
+        tape = generate_tape(10, 40_000, math.log2(0.01), BitSource(9).take_bits(2 * m))
         rng = np.random.default_rng(0)
         for i in rng.integers(0, 40_000, size=60):
             assert tape.bit(int(i)) == tape.bits[int(i)]
 
     def test_deterministic(self):
-        m = tape_field_degree(6, 200, 0.1)
+        m = tape_field_degree(6, 200, math.log2(0.1))
         seed = BitSource(3).take_bits(2 * m)
-        a = generate_tape(6, 200, 0.1, seed)
-        b = generate_tape(6, 200, 0.1, list(seed))
+        a = generate_tape(6, 200, math.log2(0.1), seed)
+        b = generate_tape(6, 200, math.log2(0.1), list(seed))
         assert np.array_equal(a.bits, b.bits)
         assert a.seed_bits == b.seed_bits and a.r == 2 * m
 
     def test_seed_bits_recorded_exactly(self):
-        m = tape_field_degree(4, 32, 0.25)
+        m = tape_field_degree(4, 32, -2.0)
         seed = BitSource(11).take_bits(2 * m)
-        tape = generate_tape(4, 32, 0.25, seed)
+        tape = generate_tape(4, 32, -2.0, seed)
         assert len(tape.seed_bits) == tape.r == 2 * m
 
 
 def tape_of_degree(m, n, seed_bits, k=2):
     """A generated tape over GF(2^m): theta chosen so the planned degree is m."""
     theta_log2 = -(m - 1 - k / 2 - math.log2(n)) + 0.5
-    assert tape_field_degree(k, n, theta_log2=theta_log2) == m
-    return generate_tape(k, n, None, seed_bits, theta_log2=theta_log2)
+    assert tape_field_degree(k, n, theta_log2) == m
+    return generate_tape(k, n, theta_log2, seed_bits)
 
 
 def x_one_seed(m, y=0b1011):
@@ -271,8 +315,7 @@ class TestTapeAgainstLocalDecoder:
     def test_kwise_contract_plan_sampled(self):
         plan = plan_kwise_design(0.05, 0.1, 24)
         assert (plan.field_degree, plan.n_bits) == (526, 276393)
-        tape = generate_tape(plan.k_bits, plan.n_bits, None, BitSource(7).take_bits(plan.r),
-                             theta_log2=plan.theta_log2)
+        tape = generate_tape(plan.k_bits, plan.n_bits, plan.theta_log2, BitSource(7).take_bits(plan.r))
         rng = np.random.default_rng(3)
         sampled = rng.integers(0, plan.n_bits, size=24).tolist()
         assert_matches_local_decoder(tape, sampled + boundary_positions(plan.n_bits)[::4])
@@ -288,7 +331,7 @@ class TestPinnedTapes:
     def test_kwise_acceptance_first_op(self):
         plan = plan_kwise_design(0.05, 0.1, 24)
         seed_bits = BitSource(split_seed(0xACC6, 0)).take_bits(plan.r)
-        tape = generate_tape(plan.k_bits, plan.n_bits, None, seed_bits, theta_log2=plan.theta_log2)
+        tape = generate_tape(plan.k_bits, plan.n_bits, plan.theta_log2, seed_bits)
         assert tape_digest(tape) == (
             "3e009ebd312160967030ac1092ca6dc8d927a876e6600ba49111d2f5012284e7"
         )
@@ -298,8 +341,7 @@ class TestPinnedTapes:
         source = BitSource(0x2A)
         source.take_bits(plan.r_phase1)
         w2 = plan.width_phase2
-        tape = generate_tape(plan.k * w2, plan.n * w2, None, source.take_bits(plan.r_phase2),
-                             theta_log2=plan.theta_log2)
+        tape = generate_tape(plan.k * w2, plan.n * w2, plan.theta_log2, source.take_bits(plan.r_phase2))
         assert (tape.gf.m, tape.n) == (212, 38870)
         assert tape_digest(tape) == (
             "8ece48c31394481b396b0fcdafe12423c1e486a8bd2a4d17481db016e6ca2134"
@@ -321,8 +363,7 @@ class TestTapeCapacity:
         GF2mField(plan.field_degree)  # a table entry: its first-use Rabin check is not measured
         tracemalloc.start()
         try:
-            tape = generate_tape(plan.k_bits, plan.n_bits, None, BitSource(9).take_bits(plan.r),
-                                 theta_log2=plan.theta_log2)
+            tape = generate_tape(plan.k_bits, plan.n_bits, plan.theta_log2, BitSource(9).take_bits(plan.r))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,8 +376,8 @@ class TestTapeCapacity:
 
 class TestSampleIndices:
     def test_singleton_set_consumes_nothing(self):
-        m = tape_field_degree(4, 16, 0.25)
-        tape = generate_tape(4, 16, 0.25, BitSource(5).take_bits(2 * m))
+        m = tape_field_degree(4, 16, -2.0)
+        tape = generate_tape(4, 16, -2.0, BitSource(5).take_bits(2 * m))
         draw = indices_from_bits(tape.bits, 1, 10)
         assert draw.bits_consumed == 0 and not draw.indices.any()
 
@@ -379,12 +420,12 @@ class TestChernoffSanity:
         # generated tape at k = ceil(e^(-1/3) eps^2 n): limited-independence bound
         n, eps, theta = 512, 0.25, 0.125
         k = math.ceil(math.exp(-1 / 3) * eps**2 * n)
-        m = tape_field_degree(max(k, 2), n, theta)
+        m = tape_field_degree(max(k, 2), n, math.log2(theta))
         reps = 400
         src = BitSource(2024)
         devs = []
         for _ in range(reps):
-            tape = generate_tape(max(k, 2), n, theta, src.take_bits(2 * m))
+            tape = generate_tape(max(k, 2), n, math.log2(theta), src.take_bits(2 * m))
             devs.append(abs(float(tape.bits.mean()) - 0.5) > eps)
         emp = float(np.mean(devs))
         bound = math.exp(-k / 2) + theta * (n / eps) ** k

@@ -25,8 +25,10 @@ class TestBitSource:
         assert src.total_bits == 128
 
     def test_streams_are_distinct(self):
-        a = BitSource(7, "classical").take_bits(256)
-        b = BitSource(7, "measurement").take_bits(256)
+        # the same seed's measurement words, unpacked as BitSource unpacks its own
+        a = BitSource(7).take_bits(256)
+        words = measurement_rng(7).integers(0, 2**64, size=4, dtype=np.uint64)
+        b = np.unpackbits(words.astype(">u8").view(np.uint8))
         assert not np.array_equal(a, b)
 
     def test_bits_look_unbiased(self):
