@@ -2,7 +2,14 @@
 
 The Haar twirl is realized as the Hilbert-Schmidt orthogonal projector onto
 the span of permutation operators, with the Gram matrix d^{#cycles} inverted
-by pseudo-inverse so that d < t rank deficiency is handled gracefully.
+by pseudo-inverse so that d < t rank deficiency is handled gracefully. Each
+permutation operator is stored as the row of its single 1 in every column, so
+the twirl is a gather, a t! x t! product and a scatter-add; only the dense
+form builds the d^{2t} x t! matrix of vectorized operators.
+
+The dense moment superoperator sum_i U_i^{(x)t} (x) conj(U_i^{(x)t}) / s is one
+GEMM per block of unitaries, with each block's Kronecker powers built together
+and kept under a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -23,14 +30,16 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .quantum import MAX_DIM, dagger, matrices_close, schatten_norm
+from .quantum import MAX_DIM, dagger, schatten_norm
 
 # Dense superoperators are built only up to this many rows (d^{2t} <= cap).
 DENSE_CAP = 4096
 # The twirl projector enumerates t! permutations; keep t small.
 TWIRL_T_CAP = 4
-# Bytes the t! dense d^t x d^t complex permutation operators may take.
-TWIRL_BASIS_CAP = 1 << 26
+# Bytes of one d^t x d^t complex operand, the size of each matrix power iteration holds.
+TWIRL_OPERAND_CAP = 1 << 26
+# Bytes one block of stacked Kronecker powers (or unitarity products) may take.
+_BLOCK_BYTES = 1 << 24
 # Unitarity tolerance when loading ensembles from files.
 LOAD_UNITARITY_TOL = 1e-8
 
@@ -58,9 +67,12 @@ class UnitaryEnsemble:
         if stack.shape[1] != self.dim:
             raise ValidationError(f"declared dim {self.dim} != matrix dim {stack.shape[1]}")
         eye = np.eye(self.dim)
-        for i, u in enumerate(stack):
-            if not matrices_close(u @ dagger(u), eye, LOAD_UNITARITY_TOL):
-                raise ValidationError(f"unitaries[{i}] is not unitary within tolerance")
+        for lo, block in _blocks(stack, self.dim**2 * 16):
+            gap = block @ block.conj().transpose(0, 2, 1)
+            gap -= eye
+            bad = np.flatnonzero(~(np.abs(gap).max(axis=(1, 2)) <= LOAD_UNITARITY_TOL))
+            if bad.size:
+                raise ValidationError(f"unitaries[{lo + bad[0]}] is not unitary within tolerance")
         stack.flags.writeable = False
         object.__setattr__(self, "unitaries", stack)
 
@@ -174,11 +186,22 @@ def load_ensemble(path) -> UnitaryEnsemble:
     return UnitaryEnsemble(d, np.array(mats), label)
 
 
-def _kron_pow(u: np.ndarray, t: int) -> np.ndarray:
-    out = u
-    for _ in range(t - 1):
-        out = np.kron(out, u)
-    return out
+def _blocks(stack: np.ndarray, item_bytes: int):
+    """(start, view) over consecutive slices of `stack` of at most _BLOCK_BYTES each."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    for lo in range(0, len(stack), step):
+        yield lo, stack[lo : lo + step]
+
+
+def _kron_powers(stack: np.ndarray, t: int):
+    """U^{(x)t} for every U in `stack`, a block at a time, entry for entry as np.kron."""
+    d = stack.shape[1]
+    for _, u in _blocks(stack, d ** (2 * t) * 16):
+        out = u
+        for _ in range(t - 1):
+            b, n, _ = out.shape
+            out = (out[:, :, None, :, None] * u[:, None, :, None, :]).reshape(b, n * d, n * d)
+        yield out
 
 
 def _cycle_count(perm: tuple) -> int:
@@ -194,37 +217,32 @@ def _cycle_count(perm: tuple) -> int:
     return cycles
 
 
-def _permutation_operator(d: int, t: int, perm: tuple) -> np.ndarray:
-    """Operator permuting the t tensor factors of (C^d)^{tensor t}."""
-    dim = d**t
-    idx = np.arange(dim)
-    digits = np.array(np.unravel_index(idx, (d,) * t))  # (t, dim)
-    inv = [0] * t
-    for i, p in enumerate(perm):
-        inv[p] = i
-    permuted = np.ravel_multi_index(tuple(digits[inv[j]] for j in range(t)), (d,) * t)
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    op[permuted, idx] = 1.0
-    return op
-
-
 @dataclass(frozen=True)
 class HaarTwirlProjector:
-    """HS-orthogonal projector onto span{P_pi}; equals the Haar t-copy twirl."""
+    """HS-orthogonal projector onto span{P_pi}; equals the Haar t-copy twirl.
+
+    Column c of P_pi holds its single 1 in row permutation_rows[pi, c].
+    """
 
     dim: int
     tensor_power: int
-    permutation_basis: np.ndarray  # (t!, d^t, d^t)
+    permutation_rows: np.ndarray  # (t!, d^t) int64
     gram_inverse: np.ndarray  # (t!, t!)
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        overlaps = np.array([np.vdot(p, m) for p in self.permutation_basis])
+        cols = np.arange(m.shape[1])
+        overlaps = m[self.permutation_rows, cols].sum(axis=1)  # <P_pi, m>
         coeffs = self.gram_inverse @ overlaps
-        return np.tensordot(coeffs, self.permutation_basis, axes=1)
+        out = np.zeros(m.shape, dtype=np.complex128)
+        for rows, c in zip(self.permutation_rows, coeffs):
+            out[rows, cols] += c
+        return out
 
     def dense(self) -> np.ndarray:
-        dim2 = self.permutation_basis.shape[1] ** 2
-        pmat = self.permutation_basis.reshape(-1, dim2).T  # columns vec(P_pi)
+        count, big = self.permutation_rows.shape
+        flat = np.zeros((count, big * big), dtype=np.complex128)  # rows vec(P_pi)
+        flat[np.arange(count)[:, None], self.permutation_rows * big + np.arange(big)] = 1.0
+        pmat = flat.T
         return pmat @ self.gram_inverse @ pmat.conj().T
 
 
@@ -233,29 +251,32 @@ def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
         raise ParameterError(f"tensor power t must be >= 1, got {t}")
     if t > TWIRL_T_CAP:
         raise CapacityError(f"t = {t} exceeds the twirl cap t <= {TWIRL_T_CAP}")
-    need = math.factorial(t) * d ** (2 * t) * 16
-    if need > TWIRL_BASIS_CAP:
+    big = d**t
+    need = big * big * 16
+    if need > TWIRL_OPERAND_CAP:
         raise CapacityError(
-            f"the t = {t} twirl basis at d = {d} needs {need / 2**20:.0f} MiB of permutation"
-            f" operators, over the {TWIRL_BASIS_CAP >> 20} MiB cap"
+            f"the t = {t} twirl at d = {d} works on {big} x {big} operands of"
+            f" {need / 2**20:.0f} MiB each, over the {TWIRL_OPERAND_CAP >> 20} MiB cap"
         )
     perms = list(itertools.permutations(range(t)))
-    basis = np.empty((len(perms), d**t, d**t), dtype=np.complex128)
-    for i, p in enumerate(perms):
-        basis[i] = _permutation_operator(d, t, p)
     inv = []
     for p in perms:
         q = [0] * t
         for i, v in enumerate(p):
             q[v] = i
         inv.append(tuple(q))
+    # P_pi maps the basis state with digits (i_1..i_t) to digits (i_inv[1]..i_inv[t])
+    digits = np.array(np.unravel_index(np.arange(big), (d,) * t))  # (t, d^t)
+    rows = np.empty((len(perms), big), dtype=np.int64)
+    for i, q in enumerate(inv):
+        rows[i] = np.ravel_multi_index(tuple(digits[list(q)]), (d,) * t)
     gram = np.empty((len(perms), len(perms)))
     for i, pi_inv in enumerate(inv):
         for j, sg in enumerate(perms):
             comp = tuple(pi_inv[sg[x]] for x in range(t))
             gram[i, j] = float(d) ** _cycle_count(comp)
     gram_inv = np.linalg.pinv(gram, rcond=1e-10)
-    return HaarTwirlProjector(d, t, basis, gram_inv)
+    return HaarTwirlProjector(d, t, rows, gram_inv)
 
 
 class MomentOperator:
@@ -293,12 +314,12 @@ class MomentOperator:
         if self._factor_superops is not None:
             return self._apply_factored(m, adjoint)
         out = np.zeros_like(m, dtype=np.complex128)
-        for u in self.ensemble.unitaries:
-            w = _kron_pow(u, self.tensor_power)
-            if adjoint:
-                out += dagger(w) @ m @ w
-            else:
-                out += w @ m @ dagger(w)
+        for block in _kron_powers(self.ensemble.unitaries, self.tensor_power):
+            for w in block:
+                if adjoint:
+                    out += dagger(w) @ m @ w
+                else:
+                    out += w @ m @ dagger(w)
         return out / self.ensemble.size
 
     def _apply_factored(self, m: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -329,9 +350,19 @@ class MomentOperator:
 
 
 def _dense_superop(e: UnitaryEnsemble, t: int) -> np.ndarray:
-    stack = np.array([_kron_pow(u, t) for u in e.unitaries])
-    big = stack.shape[1]
-    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(big * big, big * big) / e.size
+    """The d^{2t} x d^{2t} matrix of G acting on row-major vec(M)."""
+    big = e.dim**t
+    acc = None
+    for w in _kron_powers(e.unitaries, t):
+        flat = w.reshape(len(w), big * big)
+        # rows (a, b) and columns (c, d) of sum_i W_i[a, b] conj(W_i[c, d])
+        part = flat.T @ flat.conj()
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    acc /= e.size
+    return acc.reshape(big, big, big, big).transpose(0, 2, 1, 3).reshape(big * big, big * big)
 
 
 @dataclass(frozen=True)

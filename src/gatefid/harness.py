@@ -30,6 +30,8 @@ CERT_MEMORY_CAP = 1 << 27
 _XOR_BLOCK_WORDS = 1 << 19
 # Subsets per Walsh-Hadamard batch in the certificate.
 _WHT_BLOCK_ROWS = 1 << 14
+# Ginibre matrices per Gaussian buffer when the bound suite draws Haar columns.
+_HAAR_DRAW_ROWS = 1 << 12
 
 
 @dataclass
@@ -132,14 +134,19 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """First columns of `count` Haar unitaries, shape (count, d), without QR.
 
     The phase-fixed QR of a Ginibre matrix has first column z0 / |z0|, z0 its
-    first column. The same (count, d, d) draws as haar_unitaries_batch keep the
-    rng stream and each sample's Gaussians.
+    first column. The normals are those of haar_unitaries_batch's two
+    (count, d, d) draws, in the same order, so the rng stream and each sample's
+    Gaussians are kept; they pass through one small buffer at a time.
     """
-    # copies, so that each full draw is freed before the next one
-    re = rng.standard_normal((count, d, d))[:, :, 0].copy()
-    im = rng.standard_normal((count, d, d))[:, :, 0].copy()
-    z0 = re + 1j * im
-    return z0 / np.linalg.norm(z0, axis=1, keepdims=True)
+    cols = np.empty((count, d), dtype=np.complex128)
+    buf = np.empty((max(1, min(count, _HAAR_DRAW_ROWS)), d, d))
+    for part in (cols.real, cols.imag):
+        for lo in range(0, count, len(buf)):
+            n = min(len(buf), count - lo)
+            rng.standard_normal(out=buf[:n])
+            part[lo : lo + n] = buf[:n, :, 0]
+    cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    return cols
 
 
 def _haar_fidelities(ch, d, count, rng) -> np.ndarray:

@@ -423,13 +423,13 @@ class TestDimensionCap:
 
 
 class TestTwirlBasisCap:
-    """A twirl basis of t! dense d^t x d^t operators above the cap exits 4 before any is built."""
+    """A twirl whose d^t x d^t operands exceed the cap exits 4 before any is built."""
 
     @pytest.mark.parametrize(
         "d,need",
         [
-            (16, "1572864 MiB"),  # 24 operators of 65536 x 65536, 64 GiB each
-            (8, "6144 MiB"),  # 24 operators of 4096 x 4096, 256 MiB each
+            (16, "65536 MiB"),  # 65536 x 65536 operands, 64 GiB each
+            (8, "256 MiB"),  # 4096 x 4096 operands
         ],
     )
     def test_exit_4_without_allocating(self, capsys, d, need):
@@ -441,9 +441,26 @@ class TestTwirlBasisCap:
         finally:
             tracemalloc.stop()
         assert code == 4 and out == ""
-        assert err.startswith(f"capacity: the t = 4 twirl basis at d = {d} needs {need}")
+        big = d**4
+        assert err.startswith(f"capacity: the t = 4 twirl at d = {d} works on {big} x {big}"
+                              f" operands of {need} each")
         assert "over the 64 MiB cap" in err
         assert peak < 4 << 20
+
+
+class TestTwirlBelowCap:
+    def test_d5_t4_runs_in_bounded_memory(self, capsys):
+        # 625 x 625 operands of 6.25 MB; a dense basis of 24 of them took 150 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "check-design", "--ensemble", "identity_only",
+                                     "--d", "5", "--t", "4")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == ""
+        assert "t=4 lambda=1 method=power-iteration" in out
+        assert peak < 64 << 20
 
 
 class TestMiscFlags:

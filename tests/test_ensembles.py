@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -33,6 +34,44 @@ SWAP = np.array(
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+# Slow references: one np.kron chain per unitary, a plain einsum over the
+# stacked powers, and each permutation operator as a dense matrix.
+
+
+def reference_kron_pow(u, t):
+    out = u
+    for _ in range(t - 1):
+        out = np.kron(out, u)
+    return out
+
+
+def reference_dense_superop(e, t):
+    stack = np.array([reference_kron_pow(u, t) for u in e.unitaries])
+    big = stack.shape[1]
+    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(big * big, big * big) / e.size
+
+
+def reference_permutation_operator(d, t, perm):
+    """Operator permuting the t tensor factors of (C^d)^{tensor t}."""
+    dim = d**t
+    idx = np.arange(dim)
+    digits = np.array(np.unravel_index(idx, (d,) * t))  # (t, dim)
+    inv = [0] * t
+    for i, p in enumerate(perm):
+        inv[p] = i
+    permuted = np.ravel_multi_index(tuple(digits[inv[j]] for j in range(t)), (d,) * t)
+    op = np.zeros((dim, dim), dtype=np.complex128)
+    op[permuted, idx] = 1.0
+    return op
+
+
+def permutation_operators(d, t):
+    """The t! dense permutation operators, in haar_twirl_projector's order."""
+    return np.array(
+        [reference_permutation_operator(d, t, p) for p in itertools.permutations(range(t))]
+    )
 
 
 class TestBuiltins:
@@ -173,8 +212,7 @@ class TestMomentOperator:
         for e in (pauli, clifford):
             for t in (1, 2):
                 g = MomentOperator(e, t)
-                proj = haar_twirl_projector(e.dim, t)
-                for p in proj.permutation_basis:
+                for p in permutation_operators(e.dim, t):
                     assert np.max(np.abs(g.apply(p) - p)) <= 1e-12
 
     def test_factored_matches_generic(self, clifford, pauli, rng):
@@ -222,7 +260,7 @@ class TestHaarTwirlProjector:
 
     def test_gram_matches_trace_inner_products(self):
         proj = haar_twirl_projector(2, 3)
-        basis = proj.permutation_basis
+        basis = permutation_operators(2, 3)
         gram = np.array([[np.vdot(p, q).real for q in basis] for p in basis])
         recon = np.linalg.pinv(proj.gram_inverse, rcond=1e-10)
         assert np.max(np.abs(gram - recon)) <= 1e-6
@@ -251,6 +289,95 @@ class TestHaarTwirlProjector:
         var = sq_total / n - np.abs(mean) ** 2
         stderr = np.sqrt(np.clip(var, 0, None) / n)
         assert np.all(np.abs(mean - exact) <= 3 * stderr + 1e-12)
+
+
+SUPEROP_CASES = [
+    *(("clifford1q", t) for t in (1, 2, 3, 4)),
+    *(("pauli1q", t) for t in (1, 2, 3, 4)),
+    *(("identity_only", t) for t in (1, 2, 3, 4)),
+    # t = 3 has 4096 rows, where the einsum reference over 576 powers takes minutes
+    *(("product", t) for t in (1, 2)),
+    # t = 4 is past DENSE_CAP
+    *(("random_qutrits", t) for t in (1, 2, 3)),
+]
+
+
+@pytest.fixture(scope="module")
+def named_ensembles(clifford, pauli, random_qutrits):
+    return {
+        "clifford1q": clifford,
+        "pauli1q": pauli,
+        "identity_only": builtin_ensemble("identity_only", d=2),
+        "product": tensor_product(clifford, clifford),
+        "random_qutrits": random_qutrits,
+    }
+
+
+class TestDenseSuperopReference:
+    @pytest.mark.parametrize("name,t", SUPEROP_CASES)
+    def test_gemm_matches_einsum(self, named_ensembles, name, t):
+        e = named_ensembles[name]
+        assert np.max(np.abs(_dense_superop(e, t) - reference_dense_superop(e, t))) <= 1e-13
+
+    @pytest.mark.parametrize("per_block", [1, 5])
+    @pytest.mark.parametrize("name,t", [("clifford1q", 2), ("product", 1), ("random_qutrits", 3)])
+    def test_split_blocks_match_einsum(self, named_ensembles, monkeypatch, name, t, per_block):
+        e = named_ensembles[name]
+        monkeypatch.setattr(ensembles, "_BLOCK_BYTES", per_block * e.dim ** (2 * t) * 16)
+        assert len(list(ensembles._kron_powers(e.unitaries, t))) == -(-e.size // per_block)
+        assert np.max(np.abs(_dense_superop(e, t) - reference_dense_superop(e, t))) <= 1e-13
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_kron_powers_equal_np_kron(self, random_qutrits, monkeypatch, t):
+        monkeypatch.setattr(ensembles, "_BLOCK_BYTES", 3 * 3 ** (2 * t) * 16)
+        got = np.concatenate(list(ensembles._kron_powers(random_qutrits.unitaries, t)))
+        ref = np.array([reference_kron_pow(u, t) for u in random_qutrits.unitaries])
+        assert np.array_equal(got, ref)
+
+
+class TestTwirlIndexForm:
+    @pytest.mark.parametrize("d,t", [(1, 3), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+    def test_dense_equals_dense_basis_projector(self, d, t):
+        proj = haar_twirl_projector(d, t)
+        pmat = permutation_operators(d, t).reshape(-1, d ** (2 * t)).T
+        assert np.array_equal(proj.dense(), pmat @ proj.gram_inverse @ pmat.conj().T)
+
+    @pytest.mark.parametrize("d,t", [(2, 2), (2, 4), (3, 3), (3, 4), (4, 2)])
+    def test_apply_matches_dense_basis(self, rng, d, t):
+        proj = haar_twirl_projector(d, t)
+        basis = permutation_operators(d, t)
+        for _ in range(3):
+            m = random_matrix(rng, d**t)
+            overlaps = np.array([np.vdot(p, m) for p in basis])
+            ref = np.tensordot(proj.gram_inverse @ overlaps, basis, axes=1)
+            assert np.max(np.abs(proj.apply(m) - ref)) <= 1e-12
+
+    def test_operand_cap(self):
+        with pytest.raises(CapacityError, match="4096 x 4096 operands of 256 MiB each"):
+            haar_twirl_projector(8, 4)
+        assert haar_twirl_projector(5, 4).permutation_rows.shape == (24, 625)
+
+
+class TestUnitarityCheck:
+    def test_first_failing_index_named_across_blocks(self, clifford, monkeypatch):
+        stack = clifford.unitaries.copy()
+        stack[7] *= 1.01
+        stack[19] = 0.0
+        monkeypatch.setattr(ensembles, "_BLOCK_BYTES", 5 * 2 * 2 * 16)  # 5 unitaries a block
+        with pytest.raises(ValidationError) as err:
+            UnitaryEnsemble(2, stack, "bad")
+        assert str(err.value) == "unitaries[7] is not unitary within tolerance"
+
+    def test_nan_entry_rejected(self, clifford):
+        stack = clifford.unitaries.copy()
+        stack[3, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"unitaries\[3\]"):
+            UnitaryEnsemble(2, stack, "nan")
+
+    def test_tolerance(self, clifford):
+        assert UnitaryEnsemble(2, clifford.unitaries * (1 + 1e-10), "near").size == 24
+        with pytest.raises(ValidationError, match=r"unitaries\[0\]"):
+            UnitaryEnsemble(2, clifford.unitaries * (1 + 1e-7), "far")
 
 
 class TestTpeLambda:

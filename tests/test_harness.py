@@ -263,6 +263,19 @@ class TestHaarColumns:
         haar_unitaries_batch(3, 100, b)
         assert a.standard_normal() == b.standard_normal()
 
+    @pytest.mark.parametrize("rows", [7, 1 << 12])
+    def test_bytes_match_full_draws(self, monkeypatch, rows):
+        # column 0 of two whole (count, d, d) draws, through buffers that split
+        monkeypatch.setattr(harness, "_HAAR_DRAW_ROWS", rows)
+        for d, count in [(1, 5), (2, 4097), (4, 1000)]:
+            a, b = np.random.default_rng(d), np.random.default_rng(d)
+            re = a.standard_normal((count, d, d))[:, :, 0]
+            im = a.standard_normal((count, d, d))[:, :, 0]
+            z0 = re + 1j * im
+            ref = z0 / np.linalg.norm(z0, axis=1, keepdims=True)
+            assert _haar_columns(d, count, b).tobytes() == ref.tobytes()
+            assert a.standard_normal() == b.standard_normal()
+
     @pytest.mark.parametrize("d", [2, 4])
     def test_suite_matches_qr_path(self, clifford, monkeypatch, d):
         model = noise_preset("dephasing", (0.25,), d)
