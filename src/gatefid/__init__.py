@@ -16,7 +16,6 @@ from .ensembles import (
     design_epsilon_from_lambda,
     haar_twirl_projector,
     load_ensemble,
-    save_ensemble,
     tensor_product,
     tpe_lambda,
 )
@@ -49,7 +48,7 @@ from .prg import (
     sampling_seed_length,
     tape_seed_length,
 )
-from .quantum import KrausChannel, exact_average_fidelity, gate_fidelities, schatten_norm
+from .quantum import KrausChannel, exact_average_fidelity, gate_fidelities, haar_second_moment
 from .streams import BitSource, fresh_seed, measurement_rng, split_seed
 
 __version__ = "0.1.0"

@@ -180,7 +180,7 @@ def cmd_validate(args) -> int:
     from . import harness
 
     seed = _parse_seed(args.seed)
-    params = SuiteParams(samples=args.samples, repeats=args.repeats, seed=seed)
+    params = SuiteParams(repeats=args.repeats, seed=seed)
     report = SuiteReport()
     if args.suite == "prg":
         if args.n is None or args.k is None or args.theta is None:
@@ -191,7 +191,7 @@ def cmd_validate(args) -> int:
             raise ParameterError(f"the {args.suite} suite needs --channel")
         model = parse_channel_spec(args.channel, args.d)
         if args.suite == "variance":
-            report.checks.append(harness.variance_check(model, params))
+            report.checks.append(harness.variance_check(model))
         elif args.suite == "tail":
             report.checks.append(harness.tail_check(model, params))
         elif args.suite in ("moment", "prop1"):
@@ -201,9 +201,7 @@ def cmd_validate(args) -> int:
             lam2 = args.claimed_lambda
             lam4 = args.claimed_lambda4
             if args.suite == "moment":
-                report.checks.extend(
-                    harness.moment_gap_checks(model, ensemble, lam2, lam4, params)
-                )
+                report.checks.extend(harness.moment_gap_checks(model, ensemble, lam2, lam4))
             else:
                 report.checks.append(harness.prop1_tail_check(model, ensemble, lam4, params))
         else:
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--n", type=int)
     val.add_argument("--k", type=int)
     val.add_argument("--theta", type=float)
-    val.add_argument("--samples", type=int, default=100_000)
     val.add_argument("--repeats", type=int, default=2000)
     val.add_argument("--seed", default="0f0f")
     val.add_argument("--format", choices=["text", "csv"], default="text")

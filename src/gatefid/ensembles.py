@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .quantum import MAX_DIM, dagger, schatten_norm
+from .quantum import MAX_DIM, dagger
 
 # Dense superoperators are built only up to this many rows (d^{2t} <= cap).
 DENSE_CAP = 4096
@@ -145,16 +145,6 @@ def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
     sb, d2, _ = b.unitaries.shape
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     return UnitaryEnsemble(d1 * d2, stack, f"{a.label}(x){b.label}", tensor_factors=(a, b))
-
-
-def save_ensemble(e: UnitaryEnsemble, path) -> None:
-    """JSON format: {"d": int, "label": str, "unitaries": [[[ [re,im] x d ] x d ] x s]}."""
-    unitaries = [
-        [[[float(x.real), float(x.imag)] for x in row] for row in u]
-        for u in e.unitaries
-    ]
-    doc = {"d": e.dim, "label": e.label, "unitaries": unitaries}
-    Path(path).write_text(json.dumps(doc))
 
 
 def load_ensemble(path) -> UnitaryEnsemble:
@@ -393,7 +383,7 @@ def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
     proj = haar_twirl_projector(e.dim, t)
     eps = lambda lam: design_epsilon_from_lambda(lam, e.dim)
     if e.dim ** (2 * t) <= DENSE_CAP:
-        lam = schatten_norm(_dense_superop(e, t) - proj.dense(), np.inf)
+        lam = float(np.linalg.norm(_dense_superop(e, t) - proj.dense(), 2))
         return DesignCheck(t, lam, "dense-svd", eps(lam), eps(lam) > 2)
     lam, iters, resid = _power_iteration_lambda(MomentOperator(e, t), proj)
     return DesignCheck(t, lam, "power-iteration", eps(lam), eps(lam) > 2, iters, resid)

@@ -1,8 +1,9 @@
 """Statistical harnesses: confidence contracts, bound checks, PRG enumeration.
 
-All bound checks are one-sided (empirical <= bound + Monte Carlo slack) and
-never treated as tightness claims; at desk scale most printed bounds exceed
-the trivial range of the quantity and are flagged vacuous.
+All bound checks are one-sided (empirical <= bound + slack), never tightness
+claims; at desk scale most printed bounds exceed the trivial range of the
+quantity and are flagged vacuous. The variance and moment checks are exact, with
+a rounding-only slack; the tail checks are Monte Carlo, with a 3 sigma slack.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .ensembles import UnitaryEnsemble, tpe_lambda
 from .errors import CapacityError, ParameterError
 from .estimators import _checked_channel, _claimed, _fidelity_columns, _fidelity_table
 from .prg import GF2mField, tape_field_degree, theta_log2_of
+from .quantum import haar_second_moment
 # Not called here any more (the bound suite samples first columns without QR);
 # kept importable from this module, where perfbench/spans.py looks it up.
 from .quantum import haar_unitaries_batch  # noqa: F401
@@ -30,8 +32,8 @@ CERT_MEMORY_CAP = 1 << 27
 _XOR_BLOCK_WORDS = 1 << 19
 # Subsets per Walsh-Hadamard batch in the certificate.
 _WHT_BLOCK_ROWS = 1 << 14
-# Ginibre matrices per Gaussian buffer when the bound suite draws Haar columns.
-_HAAR_DRAW_ROWS = 1 << 12
+# Slack of the checks whose both sides are exact: rounding only.
+EXACT_SLACK = 1e-9
 
 
 @dataclass
@@ -110,17 +112,15 @@ PROP1_DELTA = 0.25
 
 @dataclass(frozen=True)
 class SuiteParams:
-    """Monte Carlo sizes of the bound suite: Haar samples for the variance and
-    moment checks, repeated averages for the two tail checks."""
+    """Monte Carlo of the two tail checks: repeated averages and their seed.
+    The variance and moment checks are exact and take neither."""
 
-    samples: int = 100_000
     repeats: int = 2000
     seed: int = 0x0F0F
 
     def __post_init__(self):
-        for name in ("samples", "repeats"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.repeats < 1:
+            raise ParameterError(f"repeats must be >= 1, got {self.repeats}")
 
 
 def _one_sided(name, bound, empirical, slack, vacuous_above, note="") -> BoundCheck:
@@ -134,36 +134,25 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """First columns of `count` Haar unitaries, shape (count, d), without QR.
 
     The phase-fixed QR of a Ginibre matrix has first column z0 / |z0|, z0 its
-    first column. The normals are those of haar_unitaries_batch's two
-    (count, d, d) draws, in the same order, so the rng stream and each sample's
-    Gaussians are kept; they pass through one small buffer at a time.
+    first column, so only z0 is drawn: a (count, d) block of real parts, then
+    one of imaginary parts.
     """
-    cols = np.empty((count, d), dtype=np.complex128)
-    buf = np.empty((max(1, min(count, _HAAR_DRAW_ROWS)), d, d))
-    for part in (cols.real, cols.imag):
-        for lo in range(0, count, len(buf)):
-            n = min(len(buf), count - lo)
-            rng.standard_normal(out=buf[:n])
-            part[lo : lo + n] = buf[:n, :, 0]
+    cols = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
     cols /= np.linalg.norm(cols, axis=1, keepdims=True)
     return cols
 
 
-def _haar_fidelities(ch, d, count, rng) -> np.ndarray:
-    return _fidelity_columns(ch, _haar_columns(d, count, rng))
+def _lambda(ensemble: UnitaryEnsemble, t: int, claimed) -> float:
+    """A claimed lambda_t (checked), else the one tpe_lambda computes."""
+    lam = _claimed(claimed)
+    return tpe_lambda(ensemble, t).lambda_value if lam is None else lam
 
 
-def variance_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
-    """Empirical Haar variance of the gate fidelity against the 26/d bound."""
+def variance_check(channel) -> BoundCheck:
+    """Exact Haar variance of the gate fidelity, E[p^2] - F^2, against 26/d."""
     ch = _checked_channel(channel)
-    d = ch.dim
-    rng = _generator(params.seed, "harness", 1)
-    fids = _haar_fidelities(ch, d, params.samples, rng)
-    var = float(fids.var())
-    centered = fids - fids.mean()
-    m4 = float(np.mean(centered**4))
-    se = math.sqrt(max(m4 - var**2, 0.0) / params.samples)
-    return _one_sided("haar-variance <= 26/d", 26.0 / d, var, 3.0 * se, 0.25)
+    var = haar_second_moment(ch) - ch.exact_fidelity**2
+    return _one_sided("haar-variance <= 26/d", 26.0 / ch.dim, var, EXACT_SLACK, 0.25)
 
 
 def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
@@ -172,47 +161,36 @@ def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     d, fbar = ch.dim, ch.exact_fidelity
     t, dlt, reps = TAIL_T, TAIL_DELTA, params.repeats
     rng = _generator(params.seed, "harness", 2)
-    fids = _haar_fidelities(ch, d, reps * t, rng).reshape(reps, t)
+    fids = _fidelity_columns(ch, _haar_columns(d, reps * t, rng)).reshape(reps, t)
     emp = float(np.mean(np.abs(fids.mean(axis=1) - fbar) > dlt))
     bound = 4.0 * math.exp(-(dlt**2) * d * t / 256.0)
     slack = 3.0 * math.sqrt(emp * (1.0 - emp) / reps) + 3.0 / reps
     return _one_sided(f"haar-tail(t={t}, delta'={dlt})", bound, emp, slack, 1.0)
 
 
-def moment_gap_checks(
-    channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=None, params: SuiteParams = SuiteParams()
-) -> list:
+def moment_gap_checks(channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=None) -> list:
     """Ensemble-vs-Haar centered moment gaps at l = 1, 2 with shifts a in {0, F}.
 
-    The printed bound is lambda_{2l} ((1+|a|) d)^l; the l = 1 Haar side is the
-    exact oracle value, the l = 2 side is Monte Carlo with its own 3 sigma.
+    The printed bound is lambda_{2l} ((1+|a|) d)^l. Both sides are exact: the
+    ensemble side averages its fidelity table, and the Haar side of
+    E[(p - a)^l] is F - a at l = 1 and E[p^2] - 2aF + a^2 at l = 2.
     """
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
-    lam2, lam4 = _claimed(lambda2), _claimed(lambda4)
-    lam = {
-        1: tpe_lambda(ensemble, 2).lambda_value if lam2 is None else lam2,
-        2: tpe_lambda(ensemble, 4).lambda_value if lam4 is None else lam4,
-    }
+    lam = {1: _lambda(ensemble, 2, lambda2), 2: _lambda(ensemble, 4, lambda4)}
+    haar_m2 = haar_second_moment(ch)
     table = _fidelity_table(ch, ensemble)
-    rng = _generator(params.seed, "harness", 3)
-    fids = _haar_fidelities(ch, d, params.samples, rng)
     checks = []
     for l in (1, 2):
         for a in (0.0, fbar):
             ens_side = float(np.mean((table - a) ** l))
-            if l == 1:
-                haar_side, se = fbar - a, 0.0
-                slack = 1e-9  # both sides exact; tolerance only
-            else:
-                vals = (fids - a) ** l
-                haar_side = float(vals.mean())
-                se = float(vals.std() / math.sqrt(len(vals)))
-                slack = 3.0 * se
+            haar_side = fbar - a if l == 1 else haar_m2 - 2.0 * a * fbar + a * a
             gap = abs(ens_side - haar_side)
             bound = lam[l] * ((1.0 + abs(a)) * d) ** l
             checks.append(
-                _one_sided(f"moment-gap(l={l}, a={a:.4g})", bound, gap, slack, (1.0 + abs(a)) ** l)
+                _one_sided(
+                    f"moment-gap(l={l}, a={a:.4g})", bound, gap, EXACT_SLACK, (1.0 + abs(a)) ** l
+                )
             )
     return checks
 
@@ -223,7 +201,7 @@ def prop1_tail_check(
     """Tail of the t-average under iid ensemble draws vs the l = 1 moment bound."""
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
-    lam4 = tpe_lambda(ensemble, 4).lambda_value if lambda4 is None else _claimed(lambda4)
+    lam4 = _lambda(ensemble, 4, lambda4)
     t, dlt, reps = PROP1_T, PROP1_DELTA, params.repeats
     rng = _generator(params.seed, "harness", 4)
     table = _fidelity_table(ch, ensemble)
@@ -238,11 +216,15 @@ def prop1_tail_check(
 def bound_validation_suite(
     channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=None, params: SuiteParams = SuiteParams()
 ) -> SuiteReport:
+    """Every bound check on one channel and ensemble. An unclaimed lambda_2 or
+    lambda_4 is computed once here and shared by the checks that read it."""
+    ch = _checked_channel(channel)
+    lam2, lam4 = _lambda(ensemble, 2, lambda2), _lambda(ensemble, 4, lambda4)
     report = SuiteReport()
-    report.checks.append(variance_check(channel, params))
-    report.checks.append(tail_check(channel, params))
-    report.checks.extend(moment_gap_checks(channel, ensemble, lambda2, lambda4, params))
-    report.checks.append(prop1_tail_check(channel, ensemble, lambda4, params))
+    report.checks.append(variance_check(ch))
+    report.checks.append(tail_check(ch, params))
+    report.checks.extend(moment_gap_checks(ch, ensemble, lam2, lam4))
+    report.checks.append(prop1_tail_check(ch, ensemble, lam4, params))
     return report
 
 
@@ -370,6 +352,7 @@ def _packed_laws(cols: np.ndarray, seeds: int, k: int) -> tuple:
                 extend(j + 1, c + 1, rank + binom[c, j], acc ^ cols[c])
 
     extend(1, 0, 0, np.uint64(0))
+    del extend  # its closure holds itself: break the cycle so the columns free now
     worst_bias = max(int(np.abs(s).max()) for s in sums[1:]) / seeds
     worst_l1 = 0.0
     for j in range(1, k + 1):

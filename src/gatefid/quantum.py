@@ -5,11 +5,15 @@ MAX_DIM by default. KrausChannel, the one channel type, is immutable after
 construction and safe to share between workers.
 
 Every gate fidelity in the package comes from one kernel, gate_fidelities,
-over the real weight matrix each KrausChannel caches at construction.
+over the real weight matrix each KrausChannel caches at construction. Its
+Haar mean and second moment are closed forms: exact_average_fidelity and
+haar_second_moment.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +160,41 @@ def exact_average_fidelity(ch: KrausChannel) -> float:
     return float((s + d) / (d * d + d))
 
 
+def haar_second_moment(ch: KrausChannel) -> float:
+    """Closed-form Haar average of the squared gate fidelity, E[p(psi)^2].
+
+    p(psi) = Tr[X psi^(x)2] with X = sum_k A_k (x) A_k^dag, and the Haar
+    average of psi^(x)4 is the symmetric projector (1/24) sum_pi P_pi over
+    C(d+3, 4), so E[p^2] = sum_pi Tr[(X (x) X) P_pi] / (24 C(d+3, 4)). Each
+    permutation's term is one einsum over X viewed as a 4-index tensor,
+    without `optimize`, so X is the only d^4 array held.
+    """
+    d = ch.dim
+    # m[a, b, c, e] = sum_k A_k[a, b] conj(A_k[c, e]) = X[(a, e), (b, c)]
+    m = _kraus_outer(ch.kraus_ops).reshape(d, d, d, d)
+    total = 0.0
+    for cols in itertools.permutations("abcd"):
+        # rows (a, b, c, d) of X (x) X against columns permuted by pi
+        spec = f"a{cols[0]}{cols[1]}b,c{cols[2]}{cols[3]}d->"
+        total += np.einsum(spec, m, m).real
+    return float(total / (24 * math.comb(d + 3, 4)))
+
+
+def _kraus_outer(ops: tuple) -> np.ndarray:
+    """sum_k vec(A_k) vec(A_k)^dag, shape (d^2, d^2), accumulated a block of
+    Kraus operators and a block of rows at a time, so each temporary stays
+    near _BLOCK_BYTES."""
+    n = ops[0].size
+    step = max(1, _BLOCK_BYTES // (16 * n))
+    out = np.zeros((n, n), dtype=np.complex128)
+    for lo in range(0, len(ops), step):
+        flat = np.reshape(ops[lo : lo + step], (-1, n))
+        conj = flat.conj()
+        for r in range(0, n, step):
+            out[r : r + step] += flat[:, r : r + step].T @ conj
+    return out
+
+
 def haar_unitaries_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of `count` Haar unitaries, shape (count, d, d). Vectorized QR."""
     z = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / np.sqrt(2)
@@ -172,16 +211,3 @@ def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases.conj()[..., None, :]
-
-
-def schatten_norm(m, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}: l_p norm of the singular values."""
-    a = np.asarray(m, dtype=np.complex128)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if p == 1:
-        return float(sv.sum())
-    if p == 2:
-        return float(np.sqrt((sv * sv).sum()))
-    if p in (np.inf, float("inf"), "inf"):
-        return float(sv.max()) if sv.size else 0.0
-    raise ParameterError(f"p must be 1, 2 or inf, got {p!r}")

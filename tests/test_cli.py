@@ -145,7 +145,7 @@ class TestValidate:
     def test_variance_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate", "--suite", "variance", "--d", "4",
-            "--channel", "depolarizing:0.2", "--samples", "20000",
+            "--channel", "depolarizing:0.2",
         )
         assert code == 0
         assert "bound=6.5" in out and "PASS" in out
@@ -258,18 +258,21 @@ class TestBadArgvExitCode:
             ["check-design", "--ensemble", "clifford1q", "--t", "0"],
             ["check-design", "--ensemble", "clifford1q", "--t", "a"],
             ["check-design", "--ensemble", "identity_only", "--d", "0"],
-            ["validate", "--suite", "variance", "--channel", "depolarizing:0.2",
-             "--samples", "0"],
+            ["validate", "--suite", "tail", "--channel", "depolarizing:0.2",
+             "--repeats", "0"],
             # the right length (r = 12 bits, 3 digits) but not hex
             ["gen-bits", "--k", "2", "--n", "4", "--theta", "0.5", "--seed", "zzz"],
             ["gen-bits", "--k", "2", "--n", "4", "--theta", "1.5", "--seed", "000"],
             ["gen-bits", "--k", "2", "--n", "4", "--theta", "nan", "--seed", "000"],
+            # the Monte Carlo size of the exact checks is gone: a usage error
+            ["validate", "--suite", "variance", "--channel", "depolarizing:0.2",
+             "--samples", "5"],
         ],
     )
     def test_exit_3(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
+        code, _, err = run_cli_exit(capsys, *argv)
         assert code == 3
-        assert err.startswith("error: ")
+        assert err.startswith(("error: ", "gatefid: error: unrecognized arguments: "))
 
     # each is 3 characters, the gen-bits length at r = 12, and int(s, 16)
     # reads it as a number, so distinct strings would name one stream
@@ -357,7 +360,7 @@ class TestConfigFile:
         assert code == 3
         assert "frobnicate" in err
 
-    @pytest.mark.parametrize("key", ["help", "dense_cap", "config", "command", "func"])
+    @pytest.mark.parametrize("key", ["help", "dense_cap", "samples", "config", "command", "func"])
     def test_keys_that_name_no_option_rejected(self, capsys, tmp_path, key):
         # the keys are the subcommands' option dests, read from the parser
         cfg = tmp_path / "cfg.json"

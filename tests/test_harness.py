@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -7,9 +8,11 @@ import pytest
 from gatefid import (
     SuiteParams,
     bound_validation_suite,
+    builtin_ensemble,
     estimate_kwise_design,
     estimate_naive_haar,
     exhaustive_bias_check,
+    gate_fidelities,
     harness_confidence,
     noise_preset,
     tensor_product,
@@ -28,12 +31,12 @@ from gatefid.harness import (
     variance_check,
 )
 from gatefid.prg import GF2mField, tape_field_degree
-from gatefid.quantum import haar_unitaries_batch
+from gatefid.quantum import haar_unitaries_batch, phase_fixed_qr
 
 DEPOL = noise_preset("depolarizing", (0.2,), 2)
 IDENT = noise_preset("identity", (), 2)
 
-FAST = SuiteParams(samples=20_000, repeats=400)
+FAST = SuiteParams(repeats=400)
 
 
 class TestHarnessConfidence:
@@ -66,14 +69,18 @@ class TestHarnessConfidence:
 
 
 class TestBoundChecks:
-    @pytest.mark.parametrize("field", ["samples", "repeats"])
+    @pytest.mark.parametrize("field", ["repeats"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ParameterError):
             SuiteParams(**{field: 0})
 
+    def test_samples_field_gone(self):
+        with pytest.raises(TypeError, match="samples"):
+            SuiteParams(samples=100)
+
     def test_variance_check_nontrivial_channel(self):
         rot = noise_preset("amplitude_damping", (0.3,), 2)
-        chk = variance_check(rot, FAST)
+        chk = variance_check(rot)
         assert chk.passed
         assert chk.empirical > 0  # fidelity genuinely varies under Haar
         assert chk.vacuous  # 26/d dwarfs any [0,1] variance at desk scale
@@ -83,7 +90,7 @@ class TestBoundChecks:
         assert chk.empirical == 0.0 and chk.passed
 
     def test_moment_gap_exact_design_is_tight(self, clifford):
-        checks = moment_gap_checks(DEPOL, clifford, lambda2=0.0, lambda4=1.0, params=FAST)
+        checks = moment_gap_checks(DEPOL, clifford, lambda2=0.0, lambda4=1.0)
         l1 = [c for c in checks if "l=1" in c.name]
         assert all(c.empirical <= 1e-9 for c in l1)
         assert all(c.passed for c in checks)
@@ -113,16 +120,16 @@ class TestBoundChecks:
     def test_bad_claimed_lambda_refused(self, clifford, lam):
         # once reported as bound=nan or a negative bound, i.e. a validation FAIL
         with pytest.raises(ParameterError, match="claimed lambda"):
-            moment_gap_checks(DEPOL, clifford, lambda2=lam, lambda4=1.0, params=FAST)
+            moment_gap_checks(DEPOL, clifford, lambda2=lam, lambda4=1.0)
         with pytest.raises(ParameterError, match="claimed lambda"):
-            moment_gap_checks(DEPOL, clifford, lambda2=0.0, lambda4=lam, params=FAST)
+            moment_gap_checks(DEPOL, clifford, lambda2=0.0, lambda4=lam)
         with pytest.raises(ParameterError, match="claimed lambda"):
             prop1_tail_check(DEPOL, clifford, lambda4=lam, params=FAST)
 
     def test_unclaimed_lambda_is_computed(self, clifford):
         lam2, lam4 = tpe_lambda(clifford, 2).lambda_value, tpe_lambda(clifford, 4).lambda_value
-        computed = moment_gap_checks(DEPOL, clifford, params=FAST)
-        assert computed == moment_gap_checks(DEPOL, clifford, lam2, lam4, params=FAST)
+        computed = moment_gap_checks(DEPOL, clifford)
+        assert computed == moment_gap_checks(DEPOL, clifford, lam2, lam4)
         assert prop1_tail_check(DEPOL, clifford, params=FAST) == prop1_tail_check(
             DEPOL, clifford, lambda4=lam4, params=FAST
         )
@@ -130,13 +137,94 @@ class TestBoundChecks:
     def test_wrong_channel_type_refused(self, clifford):
         for wrong in ("depolarizing:0.2", DEPOL.kraus_ops):
             for check in (
-                lambda: variance_check(wrong, FAST),
+                lambda: variance_check(wrong),
                 lambda: tail_check(wrong, FAST),
-                lambda: moment_gap_checks(wrong, clifford, 0.0, 1.0, FAST),
+                lambda: moment_gap_checks(wrong, clifford, 0.0, 1.0),
                 lambda: prop1_tail_check(wrong, clifford, 1.0, FAST),
+                lambda: bound_validation_suite(wrong, clifford, 0.0, 1.0, FAST),
             ):
                 with pytest.raises(ParameterError, match="expected a KrausChannel"):
                     check()
+
+    def test_suite_computes_each_unclaimed_lambda_once(self, clifford, monkeypatch):
+        calls = []
+
+        def counting(ensemble, t):
+            calls.append(t)
+            return tpe_lambda(ensemble, t)
+
+        monkeypatch.setattr(harness, "tpe_lambda", counting)
+        assert bound_validation_suite(DEPOL, clifford, params=FAST).passed
+        assert sorted(calls) == [2, 4]
+        calls.clear()
+        bound_validation_suite(DEPOL, clifford, 0.0, params=FAST)
+        assert calls == [4]
+        calls.clear()
+        bound_validation_suite(DEPOL, clifford, 0.0, 1.0, params=FAST)
+        assert calls == []
+
+
+def monte_carlo_haar_moments(ch, n, rng):
+    """The Monte Carlo reference for the exact Haar sides: the variance of p
+    and E[(p - a)^2] at a in {0, F} over n Haar columns, each with its
+    standard error (the variance's from the fourth central moment)."""
+    p = gate_fidelities(ch, haar_unitaries_batch(ch.dim, n, rng)[:, :, 0])
+    var = float(p.var())
+    m4 = float(np.mean((p - p.mean()) ** 4))
+    out = {"variance": (var, math.sqrt(max(m4 - var**2, 0.0) / n))}
+    for a in (0.0, ch.exact_fidelity):
+        vals = (p - a) ** 2
+        out[a] = (float(vals.mean()), float(vals.std() / math.sqrt(n)))
+    return out
+
+
+SUITE_POINTS = [
+    (kind, params, d)
+    for d in (2, 4)
+    for kind, params in (("depolarizing", (0.25,)), ("dephasing", (0.25,)),
+                         ("over_rotation", ("z", 0.35)))
+]
+
+
+class TestExactHaarSides:
+    """The variance and moment checks take their Haar sides in closed form."""
+
+    @pytest.mark.parametrize("kind,params,d", SUITE_POINTS + [("amplitude_damping", (0.3,), 2)])
+    def test_haar_sides_match_monte_carlo(self, kind, params, d, rng, monkeypatch):
+        model = noise_preset(kind, params, d)
+        ref = monte_carlo_haar_moments(model, 100_000, rng)
+        var, se = ref["variance"]
+        assert abs(variance_check(model).empirical - var) <= 5 * se + 1e-12
+        # an ensemble side of (2 - a)^2 lies above every E[(p - a)^2] with p, a
+        # in [0, 1], so each l = 2 gap is (2 - a)^2 minus the Haar side
+        monkeypatch.setattr(harness, "_fidelity_table", lambda ch, ens: np.full(1, 2.0))
+        ident = builtin_ensemble("identity_only", d)
+        checks = moment_gap_checks(model, ident, 1.0, 1.0)
+        assert [c.name[:14] for c in checks[2:]] == ["moment-gap(l=2"] * 2
+        for chk, a in zip(checks[2:], (0.0, model.exact_fidelity)):
+            haar, se = ref[a]
+            assert abs((2.0 - a) ** 2 - chk.empirical - haar) <= 5 * se + 1e-12
+
+    def test_exact_checks_draw_nothing(self, clifford, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("an exact check drew random numbers")
+
+        monkeypatch.setattr(harness, "_generator", no_draws)
+        assert variance_check(DEPOL).passed
+        assert all(c.passed for c in moment_gap_checks(DEPOL, clifford, 0.0, 1.0))
+
+    def test_exact_rows_do_not_depend_on_the_seed(self, clifford):
+        model = noise_preset("over_rotation", ("z", 0.35), 2)
+        a, b = (
+            bound_validation_suite(model, clifford, 0.0, 1.0, SuiteParams(repeats=400, seed=s))
+            for s in (0x0F0F, 0xBEEF)
+        )
+        exact = [
+            i for i, c in enumerate(a.checks) if c.name.startswith(("haar-variance", "moment"))
+        ]
+        assert len(exact) == 5
+        assert [a.checks[i] for i in exact] == [b.checks[i] for i in exact]
+        assert all(a.checks[i].slack == harness.EXACT_SLACK for i in exact)
 
 
 def _powering_matrix(gf, n):
@@ -199,6 +287,17 @@ class TestExhaustiveBias:
         with pytest.raises(CapacityError):
             exhaustive_bias_check(10_000, 40, 1e-9)
 
+    def test_certificate_leaves_no_reference_cycles(self):
+        # a cycle kept each certificate's packed columns until the next
+        # cyclic collection, so repeated certificates grew the heap
+        gc.collect()
+        gc.disable()
+        try:
+            exhaustive_bias_check(8, 3, 0.5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_memory_cap_rejects_before_allocating(self, monkeypatch):
         monkeypatch.setattr(harness, "CERT_MEMORY_CAP", 1 << 16)
         with pytest.raises(CapacityError, match="cap"):
@@ -249,32 +348,27 @@ class TestCertificateAgainstEnumeration:
         assert got == _enumerated_laws(bits, 2) == (3, 1.5, 1.0)
 
 
+def ginibre_first_columns(d, count, rng):
+    """The reference for _haar_columns: column 0 of the phase-fixed QR of
+    Ginibre matrices whose first column takes the normals _haar_columns
+    draws (real parts, then imaginary parts); the other columns come from a
+    fixed separate stream."""
+    z = np.empty((count, d, d), dtype=np.complex128)
+    z[:, :, 0] = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    rest = np.random.default_rng(99)
+    shape = (count, d, d - 1)
+    z[:, :, 1:] = rest.standard_normal(shape) + 1j * rest.standard_normal(shape)
+    return phase_fixed_qr(z)[:, :, 0]
+
+
 class TestHaarColumns:
     @pytest.mark.parametrize("d", [1, 2, 4, 8])
     def test_columns_match_qr(self, d):
-        cols = _haar_columns(d, 4000, np.random.default_rng(d))
-        qr = haar_unitaries_batch(d, 4000, np.random.default_rng(d))[:, :, 0]
-        assert np.abs(cols - qr).max() <= 1e-12
+        a, b = np.random.default_rng(d), np.random.default_rng(d)
+        cols = _haar_columns(d, 4000, a)
         assert np.abs(np.linalg.norm(cols, axis=1) - 1.0).max() <= 1e-12
-
-    def test_rng_stream_unchanged(self):
-        a, b = np.random.default_rng(5), np.random.default_rng(5)
-        _haar_columns(3, 100, a)
-        haar_unitaries_batch(3, 100, b)
+        assert np.abs(cols - ginibre_first_columns(d, 4000, b)).max() <= 1e-12
         assert a.standard_normal() == b.standard_normal()
-
-    @pytest.mark.parametrize("rows", [7, 1 << 12])
-    def test_bytes_match_full_draws(self, monkeypatch, rows):
-        # column 0 of two whole (count, d, d) draws, through buffers that split
-        monkeypatch.setattr(harness, "_HAAR_DRAW_ROWS", rows)
-        for d, count in [(1, 5), (2, 4097), (4, 1000)]:
-            a, b = np.random.default_rng(d), np.random.default_rng(d)
-            re = a.standard_normal((count, d, d))[:, :, 0]
-            im = a.standard_normal((count, d, d))[:, :, 0]
-            z0 = re + 1j * im
-            ref = z0 / np.linalg.norm(z0, axis=1, keepdims=True)
-            assert _haar_columns(d, count, b).tobytes() == ref.tobytes()
-            assert a.standard_normal() == b.standard_normal()
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_suite_matches_qr_path(self, clifford, monkeypatch, d):
@@ -282,10 +376,7 @@ class TestHaarColumns:
         ens = clifford if d == 2 else tensor_product(clifford, clifford)
         lam2, lam4 = tpe_lambda(ens, 2).lambda_value, tpe_lambda(ens, 4).lambda_value
         fast = bound_validation_suite(model, ens, lam2, lam4, FAST)
-        def qr_columns(d, count, rng):
-            return haar_unitaries_batch(d, count, rng)[:, :, 0]
-
-        monkeypatch.setattr(harness, "_haar_columns", qr_columns)
+        monkeypatch.setattr(harness, "_haar_columns", ginibre_first_columns)
         slow = bound_validation_suite(model, ens, lam2, lam4, FAST)
         for a, b in zip(fast.checks, slow.checks):
             assert (a.name, a.passed, a.vacuous, a.bound) == (b.name, b.passed, b.vacuous, b.bound)

@@ -6,17 +6,22 @@ import pytest
 from gatefid import (
     KrausChannel,
     builtin_ensemble,
+    compose_channels,
     exact_average_fidelity,
     gate_fidelities,
     noise_preset,
     parse_channel_spec,
-    schatten_norm,
     tensor_product,
 )
 from gatefid import quantum
 from gatefid.errors import DimensionError, NumericalError, ParameterError
 from gatefid.estimators import _fidelity_columns, _fidelity_table
-from gatefid.quantum import gate_fidelity_vector, haar_unitaries_batch, matrices_close
+from gatefid.quantum import (
+    gate_fidelity_vector,
+    haar_second_moment,
+    haar_unitaries_batch,
+    matrices_close,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -233,23 +238,57 @@ class TestExactAverageFidelity:
             assert abs(f - expect) <= 1e-12
 
 
-class TestSchattenNorm:
-    def test_identity_norms(self):
-        assert schatten_norm(np.eye(2), 1) == pytest.approx(2.0)
-        assert schatten_norm(np.eye(2), np.inf) == pytest.approx(1.0)
+def monte_carlo_second_moment(ch, n, rng):
+    """The Monte Carlo reference for haar_second_moment: the mean of p^2 over
+    n Haar columns and its standard error."""
+    p2 = gate_fidelities(ch, haar_unitaries_batch(ch.dim, n, rng)[:, :, 0]) ** 2
+    return float(p2.mean()), float(p2.std() / math.sqrt(n))
 
-    def test_diag_3_4(self):
-        assert schatten_norm(np.diag([3.0, 4.0]), 2) == pytest.approx(5.0)
 
-    def test_two_norm_matches_frobenius(self, rng):
-        for _ in range(10):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            frob = math.sqrt(np.sum(np.abs(a) ** 2))
-            assert abs(schatten_norm(a, 2) - frob) <= 1e-9
+def second_moment_channels(d, rng):
+    # dephasing's d + 1 Kraus operators exceed d^2 at d = 1
+    dephasing = "+dephasing:0.2" if d > 1 else ""
+    models = [
+        noise_preset("over_rotation", ("z", 0.35), d),
+        parse_channel_spec(f"depolarizing:0.1{dephasing}+over_rotation:z,0.3", d),
+        # d^3 products of two random sets, reduced through the Choi matrix to <= d^2
+        compose_channels([random_kraus(d, d * d, rng), random_kraus(d, d, rng)]),
+    ]
+    if d > 1:
+        models.append(noise_preset("dephasing", (0.3,), d))
+    if d == 2:
+        models.append(noise_preset("amplitude_damping", (0.3,), 2))
+    return models
 
-    def test_rejects_other_p(self):
-        with pytest.raises(ParameterError):
-            schatten_norm(np.eye(2), 3)
+
+class TestHaarSecondMoment:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matches_monte_carlo_within_five_sigma(self, d, rng):
+        for model in second_moment_channels(d, rng):
+            mean, se = monte_carlo_second_moment(model, 40_000, rng)
+            assert abs(haar_second_moment(model) - mean) <= 5 * se + 1e-12, model.spec
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 1.0])
+    def test_depolarizing_fidelity_is_constant(self, d, p):
+        model = noise_preset("depolarizing", (p,), d)
+        assert abs(haar_second_moment(model) - model.exact_fidelity**2) <= 1e-12
+
+    def test_one_at_d1(self, rng):
+        for model in (noise_preset("depolarizing", (0.3,), 1), random_kraus(1, 1, rng)):
+            assert abs(haar_second_moment(model) - 1.0) <= 1e-12
+
+    def test_variance_is_nonnegative_up_to_rounding(self, rng):
+        for d in (2, 3, 4):
+            for model in second_moment_channels(d, rng):
+                assert haar_second_moment(model) - model.exact_fidelity**2 >= -1e-12
+
+    def test_blocked_accumulation_matches_one_block(self, rng, monkeypatch):
+        model = random_kraus(4, 16, rng)
+        whole = haar_second_moment(model)
+        # one Kraus operator and one row per block
+        monkeypatch.setattr(quantum, "_BLOCK_BYTES", 16 * 16)
+        assert abs(haar_second_moment(model) - whole) <= 1e-13
 
 
 class TestHaarSampling:
