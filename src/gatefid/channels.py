@@ -65,6 +65,9 @@ def _depolarizing_kraus(p: float, d: int) -> tuple:
 
 
 def _dephasing_kraus(p: float, d: int) -> tuple:
+    if d == 1:
+        # the only projector is the identity, so the channel is the identity
+        return (np.eye(1, dtype=np.complex128),)
     kraus = [math.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)]
     if p > 0:
         for j in range(d):

@@ -19,10 +19,16 @@ a float theta once, where one enters from outside.
 Expansion: with e = i*B + r and B = isqrt(n) + 1, bilinearity of
 (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
 the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row r of V
-those of x^r, and H is the m x m Hankel matrix H[j, l] = <t^(j+l), y>. The
-products run on float32 BLAS in blocks of bounded size; every entry is a
-count <= m, exact for m < 2^24 (checked by CapacityError), so the tape is
-bit-exact whatever the BLAS build, thread count or summation order.
+those of x^r, and H is the m x m Hankel matrix H[j, l] = <t^(j+l), y>.
+Matrices are kept as rows of little-endian 64-bit words, and every product
+is an XOR of table rows (the method of four Russians): each 8-row chunk of
+the right factor gets a 256-entry XOR table, and the left factor's bytes
+pick one entry per chunk. U and V come from square-and-multiply doubling,
+since squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix,
+and x^(2q+1) that times the matrix of multiplication by x. Tables and
+gathers are built in blocks of bounded size. Every entry is an XOR of bits,
+so the tape is bit-exact on any host; fields of degree 2^24 or more, whose
+m x m matrices alone would take 32 TiB, are refused with CapacityError.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 """
 
@@ -350,63 +356,141 @@ def generate_tape(k: int, n: int, theta_log2: float, seed_bits) -> BiasedTape:
     return BiasedTape(n, k, theta_log2, seed, gf, x, y, _tape_bits(gf, x, y, n))
 
 
-class _FixedMultiplier:
-    """Byte-comb multiplication by one fixed field element."""
-
-    def __init__(self, gf: GF2mField, c: int):
-        self.m = gf.m
-        self.nbytes = (gf.m + 7) // 8
-        self.taps = _low_taps(gf.modulus)
-        table = [0] * 256
-        for v in range(1, 256):
-            lsb = v & -v
-            table[v] = table[v ^ lsb] ^ (c << (lsb.bit_length() - 1))
-        self.table = table
-
-    def mul(self, z: int) -> int:
-        # Horner over the bytes of z, most significant first
-        r = 0
-        table = self.table
-        for b in z.to_bytes(self.nbytes, "big"):
-            r = (r << 8) ^ table[b]
-        return _fold(r, self.m, self.taps)
-
-
-# Rows per chunk of the products.
-_STRIDE = 64
-# Every product entry is a count <= m, an exact float32 integer while m < 2^24.
-_FLOAT32_EXACT = 1 << 24
-# Largest float32 column block of V and of H V^T, so memory stays O(m) in n.
+# Packed GF(2) rows: bit l of a row is bit l % 64 of its word l // 64, and
+# words are little-endian, so a byte view reads the same on every host.
+_WORD = np.dtype("<u8")
+# Field degrees from here on are refused: an m x m bit matrix alone would
+# take m^2 / 8 bytes, 32 TiB at m = 2^24.
+_MAX_DEGREE = 1 << 24
+# Largest block of XOR tables, of gathered table rows and of unpacked bits,
+# so the working set stays O(m^2 / 8) bytes whatever n.
 _BLOCK_BYTES = 1 << 22
 
 
-def _powers(gf: GF2mField, base: int, count: int) -> list:
-    """base^0 .. base^count, each from the last by the byte-comb multiplier."""
-    by_base = _FixedMultiplier(gf, base)
-    out = [1]
+def _packed(elems, words: int) -> np.ndarray:
+    """Packed rows holding the field elements elems."""
+    buf = b"".join([e.to_bytes(8 * words, "little") for e in elems])
+    return np.frombuffer(buf, dtype=_WORD).reshape(len(elems), words)
+
+
+def _times_t(gf: GF2mField, c: int, count: int) -> list:
+    """c * t^j for j = 0 .. count - 1, each from the last by mul_t."""
+    out = []
     for _ in range(count):
-        out.append(by_base.mul(out[-1]))
+        out.append(c)
+        c = gf.mul_t(c)
     return out
 
 
-def _packed_rows(elems, m: int) -> np.ndarray:
-    """uint8 matrix whose row i holds the little-endian bytes of elems[i]."""
-    nbytes = (m + 7) // 8
-    buf = b"".join(e.to_bytes(nbytes, "little") for e in elems)
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(elems), nbytes)
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """Entry 256 c + v is the XOR of rows 8c + b over the set bits b of v."""
+    chunks = -(-len(rows) // 8)
+    width = rows.shape[1]
+    padded = np.zeros((chunks, 2, 4, width), _WORD)
+    padded.reshape(8 * chunks, width)[: len(rows)] = rows
+    # 16-entry tables of the low and the high four rows of each chunk ...
+    halves = np.zeros((chunks, 2, 16, width), _WORD)
+    for b in range(4):
+        np.bitwise_xor(halves[:, :, : 1 << b], padded[:, :, b, None], out=halves[:, :, 1 << b : 2 << b])
+    # ... and entry 16 h + l is high[h] ^ low[l]
+    table = np.repeat(halves[:, 1], 16, axis=1)
+    pairs = table.reshape(chunks, 16, 16 * width)
+    pairs ^= halves[:, 0].reshape(chunks, 1, 16 * width)
+    return table.reshape(256 * chunks, width)
 
 
-def _bit_rows(packed: np.ndarray, m: int) -> np.ndarray:
-    """float32 0/1 matrix of the m coefficient bits of each packed row."""
-    return np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(np.float32)
+class _XorTables:
+    """The XOR tables of a packed GF(2) matrix M, for products A M.
+
+    Tables cover at most _BLOCK_BYTES each: a span of 8-row chunks of M
+    times a span of its words. The first block is built once and kept, so
+    a matrix whose tables fit one block (an m x m matrix up to m = 1024)
+    never rebuilds them; further blocks are rebuilt on each use.
+    """
+
+    def __init__(self, mat: np.ndarray):
+        self.mat = mat
+        self.words = mat.shape[1]
+        self.width = min(self.words, max(1, _BLOCK_BYTES // (256 * 8)))
+        self.chunks = max(1, _BLOCK_BYTES // (256 * 8 * self.width))
+        self.spans = [
+            (c0, w0)
+            for w0 in range(0, self.words, self.width)
+            for c0 in range(0, -(-len(mat) // 8), self.chunks)
+        ]
+        self.first = None
+
+    def _table(self, c0: int, w0: int) -> np.ndarray:
+        return _xor_table(self.mat[8 * c0 : 8 * (c0 + self.chunks), w0 : w0 + self.width])
+
+    def blocks(self):
+        """(first chunk, first word, table) for every block."""
+        if self.first is None:
+            self.first = self._table(*self.spans[0])
+        yield (*self.spans[0], self.first)
+        for c0, w0 in self.spans[1:]:
+            yield c0, w0, self._table(c0, w0)
 
 
-def _gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod 2 for 0/1 float32 matrices, as int32."""
-    # entries are exact small counts; OpenBLAS can raise a stray invalid flag
-    with np.errstate(invalid="ignore"):
-        counts = a @ b
-    return counts.astype(np.int32) & 1
+def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
+    """A M over GF(2) for packed rows A, M given by its XOR tables.
+
+    Byte c of a row of A selects table entry 256 c + byte, and the row of
+    the product is the XOR of the selected entries over all chunks c. Rows
+    of A go 256 at a time, so a gather is no larger than its table block.
+    """
+    out = np.zeros((len(a), tables.words), _WORD)
+    a_bytes = a.view(np.uint8)
+    for c0, w0, table in tables.blocks():
+        chunks, width = len(table) // 256, table.shape[1]
+        offsets = np.arange(0, 256 * chunks, 256, dtype=np.intp)[:, None]
+        for r0 in range(0, len(a), 256):
+            index = a_bytes[r0 : r0 + 256, c0 : c0 + chunks].T + offsets
+            # one expression, so each (chunks, rows, width) gather is freed before the next
+            out[r0 : r0 + 256, w0 : w0 + width] ^= np.bitwise_xor.reduce(table.take(index, axis=0), axis=0)
+    return out
+
+
+def _bits_packed(bits: np.ndarray, words: int) -> np.ndarray:
+    """Packed rows of a 0/1 uint8 matrix with at most 64 * words columns."""
+    out = np.zeros((len(bits), 8 * words), np.uint8)
+    out[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(_WORD)
+
+
+def _transposed(rows: np.ndarray, nbits: int) -> np.ndarray:
+    """Packed nbits x len(rows) transpose of the nbits-bit rows `rows`."""
+    out = np.zeros((nbits, 8 * -(-len(rows) // 64)), np.uint8)
+    step = max(8, _BLOCK_BYTES // nbits // 8 * 8)
+    for r0 in range(0, len(rows), step):
+        bits = np.unpackbits(rows[r0 : r0 + step].view(np.uint8), axis=1, count=nbits, bitorder="little")
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        out[:, r0 // 8 : r0 // 8 + len(packed)] = packed.T
+    return out.view(_WORD)
+
+
+def _power_chain(gf: GF2mField, base: int, count: int, square: _XorTables) -> np.ndarray:
+    """Packed rows base^0 .. base^count by square-and-multiply doubling.
+
+    Rows [k, 2k) come from rows [k/2, k): the even rows base^(2q) are one
+    product with the squaring matrix, the odd rows base^(2q+1) those times
+    the matrix of multiplication by base. About log2(count) rounds, each
+    with the same two sets of tables.
+    """
+    words = square.words
+    times_base = _XorTables(_packed(_times_t(gf, base, gf.m), words))
+    out = np.zeros((count + 1, words), _WORD)
+    out[0, 0] = 1
+    if count:
+        out[1] = _packed([base], words)[0]
+    k = 2
+    while k <= count:
+        hi = min(2 * k, count + 1)
+        even = _gf2_product(out[k // 2 : (hi + 1) // 2], square)
+        out[k:hi:2] = even
+        out[k + 1 : hi : 2] = _gf2_product(even[: (hi - k) // 2], times_base)
+        k *= 2
+    return out
 
 
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
@@ -416,45 +500,41 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     n // B + 1. Since (u, v) -> <u*v, y> is GF(2)-bilinear, bit e is
     u H v^T with u, v the coefficient bits of x^(iB), x^r and H the m x m
     Hankel matrix H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B matrix
-    is therefore U H V^T mod 2, where row i of U holds x^(iB) and row r of V
-    holds x^r; both come from the byte-comb multiplier and are kept packed.
-    V is taken in column blocks of about _BLOCK_BYTES of float32; for each
-    block, H V^T is formed from _STRIDE-row chunks of H and U streams through
-    in _STRIDE-row chunks, so the float32 working set is one block plus a few
-    m x _STRIDE chunks whatever m and n. All products run on float32 BLAS;
-    every entry is a count <= m, so the result is exact while m < 2^24 and
-    independent of the BLAS build, thread count and summation order.
+    is therefore U (H V^T), where row i of U holds x^(iB) and row r of V
+    holds x^r. U and V are power chains; both products are XOR-table
+    products on packed words, and the tape is unpacked once at the end.
+    Tables, gathers and unpacked bits stay within _BLOCK_BYTES, so apart
+    from the output the working set is a few packed m x m and m x B
+    matrices whatever n.
     """
     m = gf.m
-    if m >= _FLOAT32_EXACT:
-        raise CapacityError(f"field degree m = {m} exceeds the float32 exactness bound 2^24")
+    if m >= _MAX_DEGREE:
+        raise CapacityError(
+            f"field degree m = {m} is at least 2^24: an m x m bit matrix would need m^2/8 bytes"
+        )
     if x == 0 or y == 0 or n == 0:
         out = np.zeros(n, dtype=np.uint8)
         out.flags.writeable = False
         return out
     block = math.isqrt(n) + 1
     rows = n // block + 1
-    v_pow = _powers(gf, x, block)  # x^0 .. x^B
-    u_packed = _packed_rows(_powers(gf, v_pow.pop(), rows - 1), m)
-    v_packed = _packed_rows(v_pow, m)
-    seq = np.zeros(2 * m - 1, dtype=np.float32)
-    z = 1
-    for a in range(2 * m - 1):
-        seq[a] = (z & y).bit_count() & 1
-        z = gf.mul_t(z)
+    words = -(-m // 64)
+    t_powers = _times_t(gf, 1, 2 * m - 1)  # t^0 .. t^(2m-2)
+    seq = np.array([(z & y).bit_count() & 1 for z in t_powers], dtype=np.uint8)
+    square = _XorTables(_packed(t_powers[::2], words))  # row j is t^(2j)
+    del t_powers  # 2m - 1 field elements the chains do not need
+    v = _power_chain(gf, x, block, square)  # x^0 .. x^B
+    u = _power_chain(gf, int.from_bytes(v[block].tobytes(), "little"), rows - 1, square)
+    del square  # the products below build their own tables
     hankel = np.lib.stride_tricks.sliding_window_view(seq, m)  # H[j, l] = seq[j + l]
-    tape = np.empty((rows, block), dtype=np.uint8)
-    width = max(_STRIDE, _BLOCK_BYTES // (4 * m))
-    for c0 in range(0, block, width):
-        v_rows = _bit_rows(v_packed[c0 : c0 + width], m)
-        hv = np.empty((m, len(v_rows)), dtype=np.float32)
-        for lo in range(0, m, _STRIDE):
-            h_rows = np.ascontiguousarray(hankel[lo : lo + _STRIDE])
-            hv[lo : lo + _STRIDE] = _gf2_matmul(h_rows, v_rows.T)
-        for lo in range(0, rows, _STRIDE):
-            u_rows = _bit_rows(u_packed[lo : lo + _STRIDE], m)
-            tape[lo : lo + _STRIDE, c0 : c0 + width] = _gf2_matmul(u_rows, hv)
-    out = tape.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape
+    h_rows = np.empty((m, words), _WORD)
+    step = max(1, _BLOCK_BYTES // m)
+    for lo in range(0, m, step):
+        h_rows[lo : lo + step] = _bits_packed(hankel[lo : lo + step], words)
+    hv = _gf2_product(h_rows, _XorTables(_transposed(v[:block], m)))
+    tape = _gf2_product(u, _XorTables(hv))
+    bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")
+    out = bits.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape
     out.flags.writeable = False
     return out
 

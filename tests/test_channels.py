@@ -31,6 +31,13 @@ class TestPresets:
             model = noise_preset("dephasing", (p,), 2)
             assert model.exact_fidelity == pytest.approx(1 - p / 3, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_dephasing_at_d1_is_the_identity(self, p):
+        # the one projector at d = 1 is the identity: one Kraus operator, not d + 1
+        model = noise_preset("dephasing", (p,), 1)
+        assert len(model.kraus_ops) == 1 and np.array_equal(model.kraus_ops[0], np.eye(1))
+        assert model.spec == f"dephasing:{p:g}" and model.exact_fidelity == 1.0
+
     def test_over_rotation_pi_about_z(self):
         model = noise_preset("over_rotation", ("z", math.pi), 2)
         assert model.exact_fidelity == pytest.approx(1 / 3, abs=1e-9)

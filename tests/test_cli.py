@@ -163,6 +163,18 @@ class TestValidate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # dephasing at d = 1 is the identity channel, with one Kraus operator
+            ["--suite", "variance", "--d", "1", "--channel", "dephasing:0.3"],
+            ["--suite", "variance", "--d", "1", "--channel", "depolarizing:0.1+dephasing:0.3"],
+        ],
+    )
+    def test_exit_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert code == 0 and err == "" and "PASS" in out
+
     def test_moment_needs_ensemble(self, capsys):
         code, _, err = run_cli(
             capsys, "validate", "--suite", "moment", "--channel", "depolarizing:0.2"

@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import math
+import textwrap
 import tracemalloc
 from types import SimpleNamespace
 
@@ -302,10 +305,19 @@ class TestTapeAgainstLocalDecoder:
         assert_matches_local_decoder(tape)
 
     def test_column_blocks(self, monkeypatch):
-        # shrink the block so B = 90 columns split into 64 + 26
-        monkeypatch.setattr(prg, "_BLOCK_BYTES", 4 * 24 * 64)
-        tape = tape_of_degree(24, 8000, BitSource(8001).take_bits(48))
-        assert_matches_local_decoder(tape)
+        # a 256-byte block splits every table into one-chunk, one-word blocks:
+        # B = 265 columns are five words and each m-row table several blocks;
+        # Q = 264 rows take two 256-row gathers
+        monkeypatch.setattr(prg, "_BLOCK_BYTES", 256)
+        n = 70_000
+        block = math.isqrt(n) + 1
+        near_gather_steps = [i * block + r - 1 for i in (255, 256, 257) for r in (-1, 0, 1, block - 1)]
+        for m in (24, 65):
+            tables = prg._XorTables(np.zeros((m, 5), prg._WORD))
+            assert len({c0 for c0, _ in tables.spans}) > 1 and len({w0 for _, w0 in tables.spans}) == 5
+            tape = tape_of_degree(m, n, BitSource(n + m).take_bits(2 * m))
+            sampled = np.random.default_rng(m).integers(0, n, size=2000).tolist()
+            assert_matches_local_decoder(tape, boundary_positions(n) + near_gather_steps + sampled)
 
     @pytest.mark.parametrize("m", [65, 129])
     def test_multiword_field_straddling_strides(self, m):
@@ -319,6 +331,106 @@ class TestTapeAgainstLocalDecoder:
         rng = np.random.default_rng(3)
         sampled = rng.integers(0, plan.n_bits, size=24).tolist()
         assert_matches_local_decoder(tape, sampled + boundary_positions(plan.n_bits)[::4])
+
+
+def packed_bits(bits):
+    """Packed word rows of a 0/1 matrix."""
+    return prg._bits_packed(bits.astype(np.uint8), -(-bits.shape[1] // 64))
+
+
+def unpacked_bits(words, cols):
+    return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little")
+
+
+PRODUCT_SIZES = [1, 7, 8, 9, 63, 64, 65, 130]
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("block_bytes", [None, 256])
+    @pytest.mark.parametrize("inner", PRODUCT_SIZES)
+    def test_matches_integer_product(self, monkeypatch, rng, inner, block_bytes):
+        # at 256 bytes every table block is one chunk by one word, so both the
+        # chunks and the columns of a table split; gathers split past 256 rows
+        if block_bytes is not None:
+            monkeypatch.setattr(prg, "_BLOCK_BYTES", block_bytes)
+        for rows, cols in itertools.product(PRODUCT_SIZES, repeat=2):
+            a = rng.integers(0, 2, size=(rows, inner))
+            b = rng.integers(0, 2, size=(inner, cols))
+            tables = prg._XorTables(packed_bits(b))
+            want = (a.astype(int) @ b) % 2
+            # twice through the same tables: the kept first block and the rebuilt rest
+            for _ in range(2):
+                got = prg._gf2_product(packed_bits(a), tables)
+                assert np.array_equal(unpacked_bits(got, cols), want), (rows, inner, cols)
+
+    @pytest.mark.parametrize("rows", [255, 256, 257, 513])
+    def test_gathers_split_past_256_rows(self, rng, rows):
+        a = rng.integers(0, 2, size=(rows, 65))
+        b = rng.integers(0, 2, size=(65, 9))
+        got = prg._gf2_product(packed_bits(a), prg._XorTables(packed_bits(b)))
+        assert np.array_equal(unpacked_bits(got, 9), (a.astype(int) @ b) % 2)
+
+    def test_all_ones_and_host_byte_order(self):
+        # 130 ones XOR to 0, 129 to 1; words are little-endian on every host
+        assert prg._WORD.str == "<u8"
+        a = np.ones((3, 130), dtype=np.uint8)
+        a[1, 0] = 0
+        b = np.ones((130, 70), dtype=np.uint8)
+        got = unpacked_bits(prg._gf2_product(packed_bits(a), prg._XorTables(packed_bits(b))), 70)
+        assert got.tolist() == [[0] * 70, [1] * 70, [0] * 70]
+
+    def test_no_blas_products(self):
+        # the tape is XORs of table rows: no matmul operator, dot or einsum on its path
+        path = (prg.generate_tape, prg._tape_bits, prg._power_chain, prg._gf2_product,
+                prg._XorTables, prg._xor_table, prg._transposed, prg._bits_packed,
+                prg._packed, prg._times_t)
+        for func in path:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+            assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), func
+            names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not names & {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}, func
+
+
+def byte_comb_powers(gf, base, count):
+    """Reference chain: base^0 .. base^count, each from the last by one
+    byte-comb multiplication (Horner over the bytes of the multiplicand)."""
+    table = [0] * 256
+    for v in range(1, 256):
+        lsb = v & -v
+        table[v] = table[v ^ lsb] ^ (base << (lsb.bit_length() - 1))
+    taps = prg._low_taps(gf.modulus)
+    out = [1]
+    for _ in range(count):
+        r = 0
+        for byte in out[-1].to_bytes((gf.m + 7) // 8, "big"):
+            r = (r << 8) ^ table[byte]
+        out.append(prg._fold(r, gf.m, taps))
+    return out
+
+
+def squaring_tables(gf):
+    """XOR tables of the squaring matrix, rows t^(2j) by repeated field products."""
+    rows = [1]
+    for _ in range(gf.m - 1):
+        rows.append(gf.mul(rows[-1], 0b100))
+    return prg._XorTables(prg._packed(rows, -(-gf.m // 64)))
+
+
+class TestPowerChain:
+    @pytest.mark.parametrize("m", [1, 2, 8, 64, 65, 526])
+    def test_matches_byte_comb_and_pow(self, m, rng):
+        gf = GF2mField(m)
+        square = squaring_tables(gf)
+        top = 1 << (m - 1)
+        bases = {1, top, top | 1, int(rng.integers(1, 1 << min(m, 62))) << max(0, m - 62)}
+        for base in sorted(bases):
+            reference = byte_comb_powers(gf, base, 65)
+            for count in (0, 1, 2, 3, 4, 7, 8, 33, 65):
+                chain = prg._power_chain(gf, base, count, square)
+                got = [int.from_bytes(row.tobytes(), "little") for row in chain]
+                assert got == reference[: count + 1], (m, base, count)
+            for e in (0, 1, 2, 33, 64, 65):
+                assert reference[e] == gf.pow(base, e)
 
 
 def tape_digest(tape):

@@ -246,16 +246,13 @@ def monte_carlo_second_moment(ch, n, rng):
 
 
 def second_moment_channels(d, rng):
-    # dephasing's d + 1 Kraus operators exceed d^2 at d = 1
-    dephasing = "+dephasing:0.2" if d > 1 else ""
     models = [
         noise_preset("over_rotation", ("z", 0.35), d),
-        parse_channel_spec(f"depolarizing:0.1{dephasing}+over_rotation:z,0.3", d),
+        parse_channel_spec("depolarizing:0.1+dephasing:0.2+over_rotation:z,0.3", d),
         # d^3 products of two random sets, reduced through the Choi matrix to <= d^2
         compose_channels([random_kraus(d, d * d, rng), random_kraus(d, d, rng)]),
+        noise_preset("dephasing", (0.3,), d),
     ]
-    if d > 1:
-        models.append(noise_preset("dephasing", (0.3,), d))
     if d == 2:
         models.append(noise_preset("amplitude_damping", (0.3,), 2))
     return models
