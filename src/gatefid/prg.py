@@ -451,13 +451,6 @@ def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
     return out
 
 
-def _bits_packed(bits: np.ndarray, words: int) -> np.ndarray:
-    """Packed rows of a 0/1 uint8 matrix with at most 64 * words columns."""
-    out = np.zeros((len(bits), 8 * words), np.uint8)
-    out[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return out.view(_WORD)
-
-
 def _transposed(rows: np.ndarray, nbits: int) -> np.ndarray:
     """Packed nbits x len(rows) transpose of the nbits-bit rows `rows`."""
     out = np.zeros((nbits, 8 * -(-len(rows) // 64)), np.uint8)
@@ -520,17 +513,14 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     rows = n // block + 1
     words = -(-m // 64)
     t_powers = _times_t(gf, 1, 2 * m - 1)  # t^0 .. t^(2m-2)
-    seq = np.array([(z & y).bit_count() & 1 for z in t_powers], dtype=np.uint8)
+    # bit a of seq is <t^a, y>, so row j of H is bits j .. j+m-1 of seq
+    seq = sum(((z & y).bit_count() & 1) << a for a, z in enumerate(t_powers))
     square = _XorTables(_packed(t_powers[::2], words))  # row j is t^(2j)
     del t_powers  # 2m - 1 field elements the chains do not need
     v = _power_chain(gf, x, block, square)  # x^0 .. x^B
     u = _power_chain(gf, int.from_bytes(v[block].tobytes(), "little"), rows - 1, square)
     del square  # the products below build their own tables
-    hankel = np.lib.stride_tricks.sliding_window_view(seq, m)  # H[j, l] = seq[j + l]
-    h_rows = np.empty((m, words), _WORD)
-    step = max(1, _BLOCK_BYTES // m)
-    for lo in range(0, m, step):
-        h_rows[lo : lo + step] = _bits_packed(hankel[lo : lo + step], words)
+    h_rows = _packed([(seq >> j) & ((1 << m) - 1) for j in range(m)], words)
     hv = _gf2_product(h_rows, _XorTables(_transposed(v[:block], m)))
     tape = _gf2_product(u, _XorTables(hv))
     bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")

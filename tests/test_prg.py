@@ -307,7 +307,8 @@ class TestTapeAgainstLocalDecoder:
     def test_column_blocks(self, monkeypatch):
         # a 256-byte block splits every table into one-chunk, one-word blocks:
         # B = 265 columns are five words and each m-row table several blocks;
-        # Q = 264 rows take two 256-row gathers
+        # Q = 265 rows take two 256-row gathers. Every bit is checked against
+        # the tape's definition, <x^e, y> for e = 1..n, along a byte-comb chain
         monkeypatch.setattr(prg, "_BLOCK_BYTES", 256)
         n = 70_000
         block = math.isqrt(n) + 1
@@ -316,8 +317,12 @@ class TestTapeAgainstLocalDecoder:
             tables = prg._XorTables(np.zeros((m, 5), prg._WORD))
             assert len({c0 for c0, _ in tables.spans}) > 1 and len({w0 for _, w0 in tables.spans}) == 5
             tape = tape_of_degree(m, n, BitSource(n + m).take_bits(2 * m))
-            sampled = np.random.default_rng(m).integers(0, n, size=2000).tolist()
+            want = [(xe & tape.y).bit_count() & 1 for xe in byte_comb_powers(tape.gf, tape.x, n)[1:]]
+            assert tape.bits.tolist() == want, m
+            sampled = np.random.default_rng(m).integers(0, n, size=200).tolist()
             assert_matches_local_decoder(tape, boundary_positions(n) + near_gather_steps + sampled)
+        # the smaller split tape, every position through the local decoder
+        assert_matches_local_decoder(tape_of_degree(24, 8000, BitSource(8001).take_bits(48)))
 
     @pytest.mark.parametrize("m", [65, 129])
     def test_multiword_field_straddling_strides(self, m):
@@ -335,7 +340,9 @@ class TestTapeAgainstLocalDecoder:
 
 def packed_bits(bits):
     """Packed word rows of a 0/1 matrix."""
-    return prg._bits_packed(bits.astype(np.uint8), -(-bits.shape[1] // 64))
+    out = np.zeros((len(bits), 8 * -(-bits.shape[1] // 64)), np.uint8)
+    out[:, : -(-bits.shape[1] // 8)] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return out.view(prg._WORD)
 
 
 def unpacked_bits(words, cols):
@@ -382,8 +389,7 @@ class TestPackedProduct:
     def test_no_blas_products(self):
         # the tape is XORs of table rows: no matmul operator, dot or einsum on its path
         path = (prg.generate_tape, prg._tape_bits, prg._power_chain, prg._gf2_product,
-                prg._XorTables, prg._xor_table, prg._transposed, prg._bits_packed,
-                prg._packed, prg._times_t)
+                prg._XorTables, prg._xor_table, prg._transposed, prg._packed, prg._times_t)
         for func in path:
             tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
             assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), func
