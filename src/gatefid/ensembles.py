@@ -10,6 +10,11 @@ form builds the d^{2t} x t! matrix of vectorized operators.
 The dense moment superoperator sum_i U_i^{(x)t} (x) conj(U_i^{(x)t}) / s is one
 GEMM per block of unitaries, with each block's Kronecker powers built together
 and kept under a fixed byte budget.
+
+An ensemble built as a group modulo phase (the builtins and their tensor
+products) needs neither: its moment superoperator is the orthogonal projector
+onto the commutant of its t-copy action, so lambda_t is 0 or 1 and the frame
+potential decides which.
 """
 
 from __future__ import annotations
@@ -47,16 +52,24 @@ _POWER_ITER_SEED = 0x7E57ED
 # Power iteration stops once ||A^dag A v - sigma^2 v|| <= tol, or fails after max steps.
 _POWER_ITER_TOL = 1e-8
 _POWER_ITER_MAX = 10_000
+# A group's frame-potential gap is taken as an integer only within this distance of one.
+_GROUP_GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
-    """A uniform-weight finite set of d x d unitaries."""
+    """A uniform-weight finite set of d x d unitaries.
+
+    `group` records how the set was built, never a run-time check: True only
+    for a group modulo phase holding each element once, which the builtins are
+    and tensor products of groups stay.
+    """
 
     dim: int
     unitaries: np.ndarray  # shape (s, d, d), complex128, read-only
     label: str
     tensor_factors: tuple | None = None  # (UnitaryEnsemble, UnitaryEnsemble) when built as a product
+    group: bool = False
 
     def __post_init__(self):
         stack = np.ascontiguousarray(np.asarray(self.unitaries, dtype=np.complex128))
@@ -125,26 +138,31 @@ def _clifford1q_stack() -> np.ndarray:
 def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
     """Named built-in ensembles: clifford1q, pauli1q, identity_only."""
     if name == "clifford1q":
-        return UnitaryEnsemble(2, _clifford1q_stack(), "clifford1q")
+        return UnitaryEnsemble(2, _clifford1q_stack(), "clifford1q", group=True)
     if name == "pauli1q":
         stack = np.array([_PAULI[k] for k in "IXYZ"])
-        return UnitaryEnsemble(2, stack, "pauli1q")
+        return UnitaryEnsemble(2, stack, "pauli1q", group=True)
     if name == "identity_only":
         dd = 2 if d is None else int(d)
         if dd < 1:
             raise ParameterError(f"dimension must be >= 1, got d={dd}")
         if dd > MAX_DIM:
             raise CapacityError(f"dimension {dd} exceeds the dense cap {MAX_DIM}")
-        return UnitaryEnsemble(dd, np.eye(dd, dtype=np.complex128)[None, :, :], "identity_only")
+        eye = np.eye(dd, dtype=np.complex128)[None, :, :]
+        return UnitaryEnsemble(dd, eye, "identity_only", group=True)
     raise ConfigError(f"unknown builtin ensemble {name!r}")
 
 
 def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
-    """All s_a * s_b pairwise Kronecker products; uniform weights stay uniform."""
+    """All s_a * s_b pairwise Kronecker products; uniform weights stay uniform.
+
+    The product of two groups is a group, so `group` carries over when both are.
+    """
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
-    return UnitaryEnsemble(d1 * d2, stack, f"{a.label}(x){b.label}", tensor_factors=(a, b))
+    label = f"{a.label}(x){b.label}"
+    return UnitaryEnsemble(d1 * d2, stack, label, tensor_factors=(a, b), group=a.group and b.group)
 
 
 def load_ensemble(path) -> UnitaryEnsemble:
@@ -236,7 +254,8 @@ class HaarTwirlProjector:
         return pmat @ self.gram_inverse @ pmat.conj().T
 
 
-def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
+def _check_twirl_size(d: int, t: int) -> None:
+    """Refuse a t-copy twirl past TWIRL_T_CAP or TWIRL_OPERAND_CAP; builds nothing."""
     if t < 1:
         raise ParameterError(f"tensor power t must be >= 1, got {t}")
     if t > TWIRL_T_CAP:
@@ -248,6 +267,11 @@ def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
             f"the t = {t} twirl at d = {d} works on {big} x {big} operands of"
             f" {need / 2**20:.0f} MiB each, over the {TWIRL_OPERAND_CAP >> 20} MiB cap"
         )
+
+
+def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
+    _check_twirl_size(d, t)
+    big = d**t
     perms = list(itertools.permutations(range(t)))
     inv = []
     for p in perms:
@@ -375,13 +399,50 @@ def design_epsilon_from_lambda(lambda2: float, d: int) -> float:
     return float(lambda2) * d**4
 
 
+def _haar_frame_potential(d: int, t: int) -> int:
+    """dim span{P_pi}: the permutations of t with no increasing subsequence
+    longer than d (Rains 1998); t! once d >= t."""
+    count = 0
+    for p in itertools.permutations(range(t)):
+        longest = []  # longest[i]: longest increasing subsequence ending at p[i]
+        for i, v in enumerate(p):
+            longest.append(1 + max((longest[j] for j in range(i) if p[j] < v), default=0))
+        count += max(longest) <= d
+    return count
+
+
+def _group_lambda(e: UnitaryEnsemble, t: int) -> float | None:
+    """lambda_t of a group: 1.0 if FP_t exceeds the Haar frame potential, else 0.0.
+
+    FP_t = s^-1 sum_g |Tr g|^{2t} = Tr G. Under the twirl caps d^t <= 2048, so
+    every term is at most 4.2e6 and the float gap is off by ~1e-8; an integer
+    is taken only within _GROUP_GAP_TOL = 1e-6, far inside 1/2, and None
+    (use the numeric path) is returned otherwise.
+    """
+    traces = np.trace(e.unitaries, axis1=1, axis2=2)
+    gap = float(np.mean((traces.real**2 + traces.imag**2) ** t)) - _haar_frame_potential(e.dim, t)
+    whole = round(gap)
+    if whole < 0 or abs(gap - whole) > _GROUP_GAP_TOL:
+        return None
+    return float(whole > 0)
+
+
 def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
     """Largest singular value of (G - HaarTwirl) at tensor power t.
 
-    Dense SVD up to DENSE_CAP rows, power iteration on a MomentOperator above.
+    A group's G is the orthogonal projector onto the commutant of its t-copy
+    action, which holds the twirl's range, so G - HaarTwirl is a projector and
+    lambda is 0 or 1, read off the frame potentials (method "group"). Any
+    other ensemble takes a dense SVD up to DENSE_CAP rows and power iteration
+    on a MomentOperator above. Both paths refuse the same sizes first.
     """
-    proj = haar_twirl_projector(e.dim, t)
+    _check_twirl_size(e.dim, t)
     eps = lambda lam: design_epsilon_from_lambda(lam, e.dim)
+    if e.group:
+        lam = _group_lambda(e, t)
+        if lam is not None:
+            return DesignCheck(t, lam, "group", eps(lam), eps(lam) > 2)
+    proj = haar_twirl_projector(e.dim, t)
     if e.dim ** (2 * t) <= DENSE_CAP:
         lam = float(np.linalg.norm(_dense_superop(e, t) - proj.dense(), 2))
         return DesignCheck(t, lam, "dense-svd", eps(lam), eps(lam) > 2)

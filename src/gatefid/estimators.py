@@ -24,7 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import DENSE_CAP, UnitaryEnsemble, design_epsilon_from_lambda, tpe_lambda
+from .ensembles import (
+    DENSE_CAP,
+    TWIRL_OPERAND_CAP,
+    UnitaryEnsemble,
+    design_epsilon_from_lambda,
+    tpe_lambda,
+)
 from .errors import (
     CapacityError,
     NumericalError,
@@ -462,9 +468,13 @@ def _claimed(value):
 def _lambda4_or_none(ensemble: UnitaryEnsemble, claimed):
     if claimed is not None:
         return _claimed(claimed)
-    if ensemble.dim**8 <= DENSE_CAP:
-        return tpe_lambda(ensemble, 4).lambda_value
-    return None
+    if ensemble.group:
+        # exact and cheap wherever the t = 4 twirl's d^4 x d^4 operands fit the cap
+        fits = ensemble.dim**8 * 16 <= TWIRL_OPERAND_CAP
+    else:
+        # within the dense SVD only: a loaded file never starts a t = 4 power iteration
+        fits = ensemble.dim**8 <= DENSE_CAP
+    return tpe_lambda(ensemble, 4).lambda_value if fits else None
 
 
 def estimate_two_phase(

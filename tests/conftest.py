@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,15 @@ def apply_kraus():
 @pytest.fixture(scope="session")
 def random_state():
     return _random_state
+
+
+def _write_ensemble(path, unitaries, label):
+    """Write `unitaries` as an ensemble file; loading it never marks a group."""
+    grid = [[[[x.real, x.imag] for x in row] for row in u] for u in unitaries]
+    path.write_text(json.dumps({"d": len(grid[0]), "label": label, "unitaries": grid}))
+    return path
+
+
+@pytest.fixture(scope="session")
+def write_ensemble():
+    return _write_ensemble

@@ -118,15 +118,30 @@ class TestCheckDesign:
         lam = float(out.splitlines()[1].split("lambda=")[1].split()[0])
         assert lam > 0.1
 
-    def test_large_operator_uses_power_iteration(self, capsys):
-        # d = 4 at t = 4 has 65536 rows, past the dense cap
+    def test_large_operator_uses_power_iteration(self, capsys, clifford, write_ensemble, tmp_path):
+        # d = 4 at t = 4 has 65536 rows, past the dense cap; a loaded file is no group
+        path = write_ensemble(tmp_path / "c.json", clifford.unitaries, "c")
         code, out, _ = run_cli(
-            capsys, "check-design", "--ensemble", "clifford1q(x)clifford1q", "--t", "4"
+            capsys, "check-design", "--ensemble", f"{path}(x)clifford1q", "--t", "4"
         )
         assert code == 0
         row = out.splitlines()[1]
         assert "method=power-iteration" in row
         assert "iterations=" in row and "residual=" in row
+        code, out, _ = run_cli(
+            capsys, "check-design", "--ensemble", "clifford1q(x)clifford1q", "--t", "4"
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("t=4 lambda=1 method=group eps2=")
+
+    def test_nested_product_is_a_group(self, capsys):
+        code, out, _ = run_cli(capsys, "check-design", "--ensemble",
+                               "clifford1q(x)clifford1q(x)clifford1q", "--t", "2,3")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [r.split(" eps2=")[0] for r in rows] == [
+            "t=2 lambda=1 method=group", "t=3 lambda=1 method=group"
+        ]
 
     def test_dense_cap_flag_gone(self, capsys):
         code, _, err = run_cli_exit(
@@ -464,11 +479,12 @@ class TestTwirlBasisCap:
 
 
 class TestTwirlBelowCap:
-    def test_d5_t4_runs_in_bounded_memory(self, capsys):
+    def test_d5_t4_runs_in_bounded_memory(self, capsys, write_ensemble, tmp_path):
         # 625 x 625 operands of 6.25 MB; a dense basis of 24 of them took 150 MB
+        path = write_ensemble(tmp_path / "i5.json", np.eye(5)[None], "identity-file")
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, "check-design", "--ensemble", "identity_only",
+            code, out, err = run_cli(capsys, "check-design", "--ensemble", str(path),
                                      "--d", "5", "--t", "4")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -476,6 +492,10 @@ class TestTwirlBelowCap:
         assert code == 0 and err == ""
         assert "t=4 lambda=1 method=power-iteration" in out
         assert peak < 64 << 20
+        code, out, _ = run_cli(capsys, "check-design", "--ensemble", "identity_only",
+                               "--d", "5", "--t", "4")
+        assert code == 0
+        assert "t=4 lambda=1 method=group" in out
 
 
 class TestMiscFlags:

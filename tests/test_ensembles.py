@@ -408,9 +408,11 @@ class TestTpeLambda:
                 assert 0.0 <= tpe_lambda(e, t).lambda_value <= 1.0 + 1e-9
 
     def test_power_iteration_matches_dense(self, pauli):
-        dense = tpe_lambda(pauli, 2)
+        plain = UnitaryEnsemble(2, pauli.unitaries, pauli.label)  # not flagged a group
+        dense = tpe_lambda(plain, 2)
         assert dense.method == "dense-svd"
-        lam, _, _ = _power_iteration_lambda(MomentOperator(pauli, 2), haar_twirl_projector(2, 2))
+        assert tpe_lambda(pauli, 2).method == "group"
+        lam, _, _ = _power_iteration_lambda(MomentOperator(plain, 2), haar_twirl_projector(2, 2))
         assert abs(lam - dense.lambda_value) <= 1e-6
 
     @pytest.mark.parametrize("t", [2, 3])
@@ -423,9 +425,101 @@ class TestTpeLambda:
 
     def test_tensor_clifford_lambda4_saturates(self, clifford):
         # local conjugations fix split permutation operators, so the gap closes
-        chk = tpe_lambda(tensor_product(clifford, clifford), 4)
+        plain = UnitaryEnsemble(2, clifford.unitaries, clifford.label)
+        chk = tpe_lambda(tensor_product(plain, clifford), 4)
         assert chk.method == "power-iteration"
         assert chk.lambda_value == pytest.approx(1.0, abs=1e-6)
+        group = tpe_lambda(tensor_product(clifford, clifford), 4)
+        assert group.method == "group" and group.lambda_value == 1.0
+
+
+def plain_copy(e):
+    """The same unitaries without the group flag, so tpe_lambda takes a numeric path."""
+    if e.tensor_factors is None:
+        return UnitaryEnsemble(e.dim, e.unitaries, e.label)
+    a, b = e.tensor_factors
+    return tensor_product(plain_copy(a), b)
+
+
+class TestGroupLambda:
+    """lambda_t of a group from its frame potential against the numeric paths."""
+
+    CASES = [
+        *((name, None, t) for name in ("clifford1q", "pauli1q") for t in (1, 2, 3, 4)),
+        *(("identity_only", d, t) for d in (1, 2, 3) for t in (1, 2, 3, 4)),
+        *(("product", None, t) for t in (1, 2, 4)),
+    ]
+
+    @pytest.mark.parametrize("name,d,t", CASES)
+    def test_matches_numeric_path(self, clifford, name, d, t):
+        e = (tensor_product(clifford, clifford) if name == "product"
+             else builtin_ensemble(name, d))
+        group = tpe_lambda(e, t)
+        assert group.method == "group"
+        assert group.lambda_value in (0.0, 1.0)
+        assert group.iterations is None and group.residual is None
+        numeric = tpe_lambda(plain_copy(e), t)
+        assert numeric.method != "group"
+        if name == "product":
+            assert numeric.method == ("power-iteration" if t == 4 else "dense-svd")
+        assert abs(group.lambda_value - numeric.lambda_value) <= 1e-9
+        assert group.epsilon2_bound == design_epsilon_from_lambda(group.lambda_value, e.dim)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_haar_frame_potential_is_twirl_rank(self, d, t):
+        rows = haar_twirl_projector(d, t).permutation_rows
+        gram = (rows[:, None, :] == rows[None, :, :]).sum(axis=2)  # Tr(P_pi^T P_sigma)
+        assert ensembles._haar_frame_potential(d, t) == np.linalg.matrix_rank(gram)
+
+    def test_builds_no_twirl_or_superoperator(self, clifford, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the group path built a dense operand")
+
+        monkeypatch.setattr(ensembles, "haar_twirl_projector", refuse)
+        monkeypatch.setattr(ensembles, "_dense_superop", refuse)
+        assert tpe_lambda(tensor_product(clifford, clifford), 4).lambda_value == 1.0
+
+    def test_same_refusals_before_dispatch(self, clifford):
+        # the operand cap on a group is checked through the CLI in TestTwirlBasisCap
+        with pytest.raises(ParameterError):
+            tpe_lambda(clifford, 0)
+        with pytest.raises(CapacityError, match="twirl cap"):
+            tpe_lambda(clifford, 5)
+
+    def test_off_integer_gap_falls_back(self):
+        # random unitaries wrongly flagged a group: their frame potential is no integer
+        rng = np.random.Generator(np.random.Philox(0x6A9))
+        fake = UnitaryEnsemble(2, haar_unitaries_batch(2, 5, rng), "fake", group=True)
+        chk = tpe_lambda(fake, 2)
+        assert chk.method == "dense-svd"
+        assert chk.lambda_value == tpe_lambda(plain_copy(fake), 2).lambda_value
+
+
+class TestGroupProvenance:
+    @pytest.mark.parametrize("name,d", [("clifford1q", None), ("pauli1q", None),
+                                        ("identity_only", 1), ("identity_only", 3)])
+    def test_builtins_are_groups_modulo_phase(self, name, d):
+        e = builtin_ensemble(name, d)
+        assert e.group
+        keys = {_phase_canonical(u) for u in e.unitaries}
+        assert len(keys) == e.size  # each element once
+        for u in e.unitaries:
+            for v in e.unitaries:
+                assert _phase_canonical(u @ v) in keys
+
+    def test_plain_construction_is_not_a_group(self, clifford):
+        assert not UnitaryEnsemble(2, clifford.unitaries, "c").group
+
+    def test_loaded_files_are_never_groups(self, clifford, write_ensemble, tmp_path):
+        loaded = load_ensemble(write_ensemble(tmp_path / "c.json", clifford.unitaries, "c"))
+        assert not loaded.group
+        assert not tensor_product(clifford, loaded).group
+        assert not tensor_product(loaded, clifford).group
+
+    def test_products_of_groups_are_groups(self, clifford, pauli):
+        assert tensor_product(clifford, pauli).group
+        assert tensor_product(tensor_product(clifford, pauli), clifford).group
 
 
 class TestDesignEpsilon:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gatefid import (
+    UnitaryEnsemble,
     builtin_ensemble,
     estimate_design_iid,
     estimate_kwise_design,
@@ -176,6 +177,18 @@ class TestSingleQtpe:
     def test_claimed_lambda_checked(self, clifford):
         with pytest.raises(PreconditionError, match="1/\\(4 d\\^3\\)"):
             estimate_single_qtpe(DEPOL, 0.1, 0.2, clifford, seed=5, claimed_lambda=0.5)
+
+    def test_group_product_lambda4_is_computed(self, clifford):
+        # a group's lambda_4 is exact past the dense cap; a plain copy stays unverified
+        model = noise_preset("depolarizing", (0.2,), 4)
+        group = estimate_single_qtpe(model, 0.05, 0.1, tensor_product(clifford, clifford), seed=5,
+                                     waive_preconditions=True)
+        assert "lambda <= 1/(4 d^3) violated: 1 > 0.00390625" in group.flags
+        assert not any("unverifiable" in f for f in group.flags)
+        plain = tensor_product(UnitaryEnsemble(2, clifford.unitaries, "c"), clifford)
+        other = estimate_single_qtpe(model, 0.05, 0.1, plain, seed=5, waive_preconditions=True)
+        assert any("4-copy lambda unverifiable" in f for f in other.flags)
+        assert (other.estimate, other.ledger.total) == (group.estimate, group.ledger.total)
 
 
 class TestTwoPhase:

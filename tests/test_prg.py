@@ -467,8 +467,8 @@ class TestPinnedTapes:
 
 
 class TestTapeCapacity:
-    def test_float32_exactness_bound(self):
-        # product entries are counts <= m, exact in float32 only below 2^24
+    def test_degree_cap_at_2_pow_24(self):
+        # from m = 2^24 on, one m x m bit matrix alone would take m^2 / 8 bytes (32 TiB)
         with pytest.raises(CapacityError):
             _tape_bits(SimpleNamespace(m=1 << 24), 3, 5, 4)
 
