@@ -1,9 +1,12 @@
-"""Statistical harnesses: confidence contracts, bound checks, PRG enumeration.
+"""Statistical harnesses: confidence contracts, bound checks, PRG certificate.
 
 All bound checks are one-sided (empirical <= bound + slack), never tightness
 claims; at desk scale most printed bounds exceed the trivial range of the
 quantity and are flagged vacuous. The variance and moment checks are exact, with
 a rounding-only slack; the tail checks are Monte Carlo, with a 3 sigma slack.
+The PRG certificate is exact too: it counts, for each small set of tape
+outputs, the field elements x whose powers over the set sum to zero, and turns
+those root counts into every subset's joint law over all 2^r seeds.
 """
 
 from __future__ import annotations
@@ -24,14 +27,12 @@ from .quantum import haar_second_moment
 from .quantum import haar_unitaries_batch  # noqa: F401
 from .streams import _generator, split_seed
 
-# Exhaustive PRG enumeration is only attempted up to this seed length.
+# The exact PRG certificate is only attempted up to this seed length (m <= 12).
 EXHAUSTIVE_R_CAP = 24
-# Bytes the certificate may hold in packed output columns and character sums.
+# Bytes the certificate may hold in powers, character sums and working blocks.
 CERT_MEMORY_CAP = 1 << 27
-# uint64 words XORed and popcounted per numpy call in the certificate.
-_XOR_BLOCK_WORDS = 1 << 19
-# Subsets per Walsh-Hadamard batch in the certificate.
-_WHT_BLOCK_ROWS = 1 << 14
+# Entries per numpy block in the certificate: powers XORed, or transform points.
+_BLOCK_ENTRIES = 1 << 18
 # Slack of the checks whose both sides are exact: rounding only.
 EXACT_SLACK = 1e-9
 
@@ -229,7 +230,7 @@ def bound_validation_suite(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive PRG validation
+# exact PRG certificate
 
 
 @dataclass
@@ -252,42 +253,41 @@ class BiasReport:
         )
 
 
+
+
 def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     """Certify every <= k-subset of the powering tape within theta in L1, exactly.
 
-    Every output column is packed over all 2^r seeds into uint64 words. The
-    character sum of a nonempty set T of at most k columns, the sum over
-    seeds of (-1)^(XOR of T's bits), is seeds - 2 * popcount(XOR of T's
-    words). Each subset's joint law is then an integer Walsh-Hadamard
-    transform of the character sums of its sub-subsets (the Vazirani XOR
-    lemma), and its parity bias is its own character sum over the seeds.
-    Every count is an exact integer and 2^r is a power of two, so the L1
-    distances and biases are the exact rationals an enumeration gives.
+    Output bit i of seed (x, y) is <x^(i+1), y>, so the XOR of a set T of
+    outputs is <a, y> with a = sum over i in T of x^(i+1). Summed over y,
+    (-1)^<a, y> is 2^m when a = 0 and 0 otherwise, so T's character sum over
+    all 2^r seeds is 2^m times the number of roots x in GF(2^m) of that sum:
+    a count over the 2^m values of x, not the 2^(2m) seeds (the argument
+    behind the construction's bias bound, Alon-Goldreich-Hastad-Peralta 1992).
+    Each subset's joint law is then an integer Walsh-Hadamard transform of the
+    character sums of its sub-subsets (the Vazirani XOR lemma), and its parity
+    bias is its own character sum over the seeds. Every count is an exact
+    integer and 2^r is a power of two, so the L1 distances and biases are the
+    exact rationals an enumeration gives.
 
-    Refused with CapacityError when r exceeds EXHAUSTIVE_R_CAP or the packed
-    columns and character sums would exceed CERT_MEMORY_CAP bytes.
+    Refused with CapacityError when r exceeds EXHAUSTIVE_R_CAP or the power
+    table, character sums and working block would exceed CERT_MEMORY_CAP bytes.
     """
     m = tape_field_degree(k, n, theta_log2_of(theta))
     r = 2 * m
     if r > EXHAUSTIVE_R_CAP:
         raise CapacityError(f"exhaustive enumeration needs r <= {EXHAUSTIVE_R_CAP}, got {r}")
-    # n packed columns of 2^m rows of max(1, 2^m / 64) words, one int64 per subset
-    need = n * (1 << m) * max(8, (1 << m) // 8) + 8 * sum(math.comb(n, j) for j in range(1, k + 1))
+    # n uint16 powers per x, one int64 per subset, and the largest working
+    # block: a transform's int64 spectrum with its butterfly temporaries
+    need = 2 * (n << m) + 8 * sum(math.comb(n, j) for j in range(1, k + 1)) + 32 * _BLOCK_ENTRIES
     if need > CERT_MEMORY_CAP:
         raise CapacityError(
-            f"the certificate for n={n}, k={k}, r={r} needs {need / 2**20:.0f} MiB of packed"
-            f" columns and character sums, over the {CERT_MEMORY_CAP >> 20} MiB cap"
+            f"the certificate for n={n}, k={k}, r={r} needs {need / 2**20:.0f} MiB of powers,"
+            f" character sums and working blocks, over the {CERT_MEMORY_CAP >> 20} MiB cap"
         )
-    subsets, worst_l1, worst_bias = _packed_laws(_powering_columns(GF2mField(m), n), 1 << r, k)
+    sums = _root_count_sums(_power_table(GF2mField(m), n), k)
+    subsets, worst_l1, worst_bias = _walsh_hadamard_laws(sums, 1 << r)
     return BiasReport(n, k, theta, r, subsets, worst_l1, worst_bias, worst_l1 <= theta)
-
-
-def _pack_columns(bits: np.ndarray) -> np.ndarray:
-    """A seeds x n 0/1 matrix as n rows of uint64 words: seed s is bit s % 64 of
-    word s // 64 of its column; the last word is zero-padded."""
-    packed = np.packbits(np.asarray(bits, dtype=bool), axis=0, bitorder="little")
-    packed = np.pad(packed, ((0, -len(packed) % 8), (0, 0)))
-    return np.ascontiguousarray(packed.T).view(np.uint64)
 
 
 def _field_mul(a: np.ndarray, b: np.ndarray, gf: GF2mField) -> np.ndarray:
@@ -300,78 +300,78 @@ def _field_mul(a: np.ndarray, b: np.ndarray, gf: GF2mField) -> np.ndarray:
     return acc
 
 
-def _powering_columns(gf: GF2mField, n: int) -> np.ndarray:
-    """Output bit i of every seed (x, y), packed; seed x * 2^m + y of column i
-    is bit y % 64 of word x * W + y // 64, with W = max(1, 2^m / 64) (the
-    words of one x are zero-padded when m < 6).
-
-    Bit i is <x^(i+1), y>, linear in y: the packed words of y -> <a, y> are the
-    XOR of the packed words of y -> bit b of y over the set bits b of a,
-    looked up one byte of a at a time.
-    """
-    m = gf.m
-    ys = np.arange(1 << m)
-    bit_rows = _pack_columns((ys[:, None] >> np.arange(m)) & 1)
-    tables = []
-    for lo in range(0, m, 8):
-        table = np.zeros((1, bit_rows.shape[1]), dtype=np.uint64)
-        for row in bit_rows[lo : lo + 8]:
-            table = np.concatenate([table, table ^ row])
-        tables.append(table)
-    cols = np.empty((n, (1 << m) * bit_rows.shape[1]), dtype=np.uint64)
-    power = ys.astype(np.int64)
+def _power_table(gf: GF2mField, n: int) -> np.ndarray:
+    """powers[i, x] = x^(i+1) for every x in GF(2^m), as uint16 (m <= 16;
+    EXHAUSTIVE_R_CAP keeps m <= 12)."""
+    xs = np.arange(1 << gf.m, dtype=np.int64)
+    powers = np.empty((n, len(xs)), dtype=np.uint16)
+    power = xs
     for i in range(n):
-        words = tables[0][power & 0xFF]
-        for g, table in enumerate(tables[1:], start=1):
-            words ^= table[(power >> (8 * g)) & 0xFF]
-        cols[i] = words.reshape(-1)
-        power = _field_mul(power, ys, gf)
-    return cols
+        powers[i] = power
+        power = _field_mul(power, xs, gf)
+    return powers
 
 
-def _packed_laws(cols: np.ndarray, seeds: int, k: int) -> tuple:
+def _subset_blocks(n: int, j: int, rows: int):
+    """Every j-subset of range(n) in lexicographic order, as int64 blocks of
+    at most `rows` rows, one sorted subset a row."""
+    combos = itertools.combinations(range(n), j)
+    while block := list(itertools.islice(combos, rows)):
+        yield np.array(block, dtype=np.int64)
+
+
+def _colex_ranks(binom: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Colex rank sum_p C(t_p, p) of each sorted row t_1 < ... < t_j, with
+    binom[c, j] = C(c, j)."""
+    return binom[subsets, np.arange(1, subsets.shape[1] + 1)].sum(axis=1)
+
+
+def _binomials(n: int, k: int) -> np.ndarray:
+    return np.array([[math.comb(c, j) for j in range(k + 1)] for c in range(n)], dtype=np.int64)
+
+
+def _root_count_sums(powers: np.ndarray, k: int) -> list:
+    """sums[j][colex rank of T] = the character sum over every seed (x, y) of
+    each j-set T of output bits, j = 1..k: 2^m times the number of x whose
+    powers over T XOR to zero. `powers` is _power_table's (n, 2^m) table."""
+    n, size = powers.shape
+    m = size.bit_length() - 1
+    binom = _binomials(n, k)
+    sums = [None]
+    for j in range(1, k + 1):
+        sums.append(np.empty(math.comb(n, j), dtype=np.int64))
+        for block in _subset_blocks(n, j, max(1, _BLOCK_ENTRIES // size)):
+            acc = powers[block[:, 0]]
+            for p in range(1, j):
+                acc ^= powers[block[:, p]]
+            roots = np.count_nonzero(acc == 0, axis=1).astype(np.int64)
+            sums[j][_colex_ranks(binom, block)] = roots << m
+    return sums
+
+
+def _walsh_hadamard_laws(sums: list, seeds: int) -> tuple:
     """(subsets, worst L1 from uniform, worst parity bias) over every nonempty
-    subset of at most k of the packed columns `cols` (n x words, zero padding).
+    subset of at most k outputs, from their character sums over `seeds` seeds
+    (sums[j] indexed by colex rank, as _root_count_sums gives them).
 
     The results are exact when `seeds` is a power of two below 2^50.
     """
-    n, words = cols.shape
-    # binom[c, j] = C(c, j); the colex rank of t_1 < ... < t_j is sum_p C(t_p, p)
-    binom = np.array([[math.comb(c, j) for j in range(k + 1)] for c in range(n)], dtype=np.int64)
-    sums = [None] + [np.empty(math.comb(n, j), dtype=np.int64) for j in range(1, k + 1)]
-    chunk = max(1, _XOR_BLOCK_WORDS // words)
-
-    def extend(j, start, rank, acc):
-        # character sums of every j-set whose first j - 1 columns XOR to acc
-        for lo in range(start, n, chunk):
-            block = cols[lo : lo + chunk] ^ acc
-            ones = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-            sums[j][rank + binom[lo : lo + chunk, j]] = seeds - 2 * ones
-        if j < k:
-            for c in range(start, n):
-                extend(j + 1, c + 1, rank + binom[c, j], acc ^ cols[c])
-
-    extend(1, 0, 0, np.uint64(0))
-    del extend  # its closure holds itself: break the cycle so the columns free now
+    n, k = len(sums[1]), len(sums) - 1
+    binom = _binomials(n, k)
     worst_bias = max(int(np.abs(s).max()) for s in sums[1:]) / seeds
     worst_l1 = 0.0
     for j in range(1, k + 1):
         # picks[u]: the positions within a j-set of its sub-subset u (bit p selects position p)
         picks = [[p for p in range(j) if u >> p & 1] for u in range(1 << j)]
-        combos = itertools.combinations(range(n), j)
-        while rows := list(itertools.islice(combos, _WHT_BLOCK_ROWS)):
-            block = np.array(rows, dtype=np.int64)
+        for block in _subset_blocks(n, j, max(1, _BLOCK_ENTRIES >> j)):
             spectrum = np.zeros((len(block), 1 << j), dtype=np.int64)
             for u in range(1, 1 << j):
-                sub = block[:, picks[u]]
-                ranks = binom[sub, np.arange(1, len(picks[u]) + 1)].sum(axis=1)
-                spectrum[:, u] = sums[len(picks[u])][ranks]
+                spectrum[:, u] = sums[len(picks[u])][_colex_ranks(binom, block[:, picks[u]])]
             # Walsh-Hadamard butterflies: entry v becomes 2^j * count(v) - seeds
             for h in (1 << p for p in range(j)):
                 pairs = spectrum.reshape(len(block), -1, 2, h)
-                even, odd = pairs[:, :, 0].copy(), pairs[:, :, 1].copy()
-                pairs[:, :, 0] = even + odd
-                pairs[:, :, 1] = even - odd
-            worst = int(np.abs(spectrum).sum(axis=1).max())
+                spectrum = np.stack((pairs[:, :, 0] + pairs[:, :, 1],
+                                     pairs[:, :, 0] - pairs[:, :, 1]), axis=2)
+            worst = int(np.abs(spectrum).reshape(len(block), -1).sum(axis=1).max())
             worst_l1 = max(worst_l1, worst / (seeds << j))
-    return sum(math.comb(n, j) for j in range(1, k + 1)), worst_l1, worst_bias
+    return sum(len(s) for s in sums[1:]), worst_l1, worst_bias

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gatefid.cli import hex_stream, main
+from gatefid.harness import CERT_MEMORY_CAP
 from gatefid.prg import tape_seed_length, theta_log2_of
 
 
@@ -408,20 +409,33 @@ class TestConfigFile:
 
 
 class TestCertificateCapacity:
+    PRG_R24 = ["validate", "--suite", "prg", "--n", "500", "--theta", "0.9"]
+
     def test_packed_columns_capped_before_allocation(self, capsys):
-        # r = 24 over n = 500 columns: 1 GB packed, and the old enumeration's
-        # (4096, 4096, 500) uint32 temporary was 33.5 GB
+        # r = 24 over n = 500 columns at k = 3: 159 MiB of character sums, one
+        # int64 per subset (the old packed columns alone were 1 GB)
         tracemalloc.start()
         try:
-            code, _, err = run_cli(
-                capsys, "validate", "--suite", "prg", "--n", "500", "--k", "2", "--theta", "0.9"
-            )
+            code, _, err = run_cli(capsys, *self.PRG_R24, "--k", "3")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 4
         assert err.startswith("capacity: ") and "r=24" in err
         assert peak < 4 << 20
+
+    def test_pairs_at_r24_certify(self, capsys):
+        # k = 2: 4 MiB of powers and 1 MiB of character sums; the worst pair
+        # has 1 + gcd(455, 4095) = 456 roots of x^a = x^b in GF(2^12)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *self.PRG_R24, "--k", "2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert " PASS" in out and "empirical=0.111328" in out
+        assert peak < CERT_MEMORY_CAP // 4
 
 
 class TestDimensionCap:

@@ -1,6 +1,8 @@
+import functools
 import gc
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -22,9 +24,9 @@ from gatefid import harness
 from gatefid.errors import CapacityError, ParameterError
 from gatefid.harness import (
     _haar_columns,
-    _pack_columns,
-    _packed_laws,
-    _powering_columns,
+    _power_table,
+    _root_count_sums,
+    _walsh_hadamard_laws,
     moment_gap_checks,
     prop1_tail_check,
     tail_check,
@@ -304,10 +306,26 @@ class TestExhaustiveBias:
             exhaustive_bias_check(16, 4, 0.25)
 
 
-class TestCertificateAgainstEnumeration:
-    """The Fourier certificate against a bincount over every seed."""
+def _character_sums(bits, k):
+    """Reference: sums[j][colex rank of T] = sum over rows of (-1)^(XOR of T's
+    bits), for every j-set T of columns, j = 1..k."""
+    total, n = bits.shape
+    sums = [None]
+    for j in range(1, k + 1):
+        sums.append(np.empty(math.comb(n, j), dtype=np.int64))
+        for subset in itertools.combinations(range(n), j):
+            ones = int(np.bitwise_xor.reduce(bits[:, list(subset)], axis=1).sum())
+            sums[j][sum(math.comb(c, p + 1) for p, c in enumerate(subset))] = total - 2 * ones
+    return sums
 
-    @pytest.mark.parametrize("n,k,theta", [(8, 2, 0.5), (8, 3, 0.5), (16, 3, 0.25), (16, 4, 0.25)])
+
+class TestCertificateAgainstEnumeration:
+    """The root-count certificate against a bincount over every seed."""
+
+    @pytest.mark.parametrize(
+        "n,k,theta",
+        [(8, 2, 0.5), (8, 3, 0.5), (16, 3, 0.25), (16, 4, 0.25), (12, 3, 0.3), (10, 5, 0.4)],
+    )
     def test_planned_cases_agree_exactly(self, n, k, theta):
         rep = exhaustive_bias_check(n, k, theta)
         bits = _powering_matrix(GF2mField(tape_field_degree(k, n, math.log2(theta))), n)
@@ -320,17 +338,23 @@ class TestCertificateAgainstEnumeration:
         assert (rep.worst_l1, rep.worst_parity_bias, rep.subsets_checked) == (
             0.03076171875, 0.021484375, 2516)
 
-    @pytest.mark.parametrize("m,n", [(6, 5), (9, 16)])
-    def test_packed_columns_match_enumeration(self, m, n):
+    @pytest.mark.parametrize("m,n", [(4, 5), (6, 5), (9, 16)])
+    def test_root_counts_match_character_sums(self, m, n):
         gf = GF2mField(m)
-        assert np.array_equal(_powering_columns(gf, n), _pack_columns(_powering_matrix(gf, n)))
-
-    def test_padded_small_field(self):
-        # below m = 6 each x's 2^m seeds are zero-padded to a whole word
-        gf = GF2mField(4)
-        cols = _powering_columns(gf, 5)
-        assert cols.shape == (5, 16)
-        assert _packed_laws(cols, 256, 3) == _enumerated_laws(_powering_matrix(gf, 5), 3)
+        expected = _character_sums(_powering_matrix(gf, n), 3)
+        table = _power_table(gf, n)
+        got = _root_count_sums(table, 3)
+        # x^(i+1) for i < n, by repeated field multiplication
+        powers = [list(itertools.accumulate([x] * n, gf.mul)) for x in range(1 << m)]
+        # the sums over T of x^(i+1) and of x^(i+2) differ by a factor x, so their
+        # root counts agree: check the table itself
+        assert table.T.tolist() == powers
+        for j in (1, 2, 3):
+            for subset in itertools.combinations(range(n), j):
+                rank = sum(math.comb(c, p + 1) for p, c in enumerate(subset))
+                roots = sum(1 for row in powers if functools.reduce(
+                    operator.xor, (row[i] for i in subset)) == 0)
+                assert got[j][rank] == expected[j][rank] == roots << m
 
     @pytest.mark.parametrize("seeds", [32, 1024])
     def test_biased_matrices_agree(self, seeds):
@@ -338,14 +362,31 @@ class TestCertificateAgainstEnumeration:
         bits = rng.integers(0, 2, size=(seeds, 6), dtype=np.uint8)
         bits[:, 2] = 1  # a constant column
         bits[:, 4] = bits[:, 1]  # a duplicated column
-        got = _packed_laws(_pack_columns(bits), seeds, 3)
+        got = _walsh_hadamard_laws(_character_sums(bits, 3), seeds)
         assert got == _enumerated_laws(bits, 3)
         assert got[1] > 0.5 and got[2] == 1.0
 
     def test_constant_matrix_is_fully_biased(self):
         bits = np.zeros((64, 2), dtype=np.uint8)
-        got = _packed_laws(_pack_columns(bits), 64, 2)
+        got = _walsh_hadamard_laws(_character_sums(bits, 2), 64)
         assert got == _enumerated_laws(bits, 2) == (3, 1.5, 1.0)
+
+
+class TestPairsClosedForm:
+    """For k = 2 the worst set is a pair (a, b): x^(a+1) = x^(b+1) has x = 0
+    and the gcd(b - a, 2^m - 1) roots of x^(b-a) = 1 in the cyclic group
+    GF(2^m)*, so the worst parity bias and L1 are (1 + max gcd) / 2^m."""
+
+    @pytest.mark.parametrize(
+        "n,theta,r,value",
+        # n = 500 is out of reach of the enumeration: 2^24 seeds, 125250 subsets
+        [(8, 0.5, 12, 0.125), (20, 0.1, 20, 0.01171875), (500, 0.9, 24, 0.111328125)],
+    )
+    def test_worst_pair(self, n, theta, r, value):
+        rep = exhaustive_bias_check(n, 2, theta)
+        worst = (1 + max(math.gcd(delta, (1 << r // 2) - 1) for delta in range(1, n))) / (1 << r // 2)
+        assert rep.r == r and worst == value
+        assert rep.worst_parity_bias == rep.worst_l1 == worst
 
 
 def ginibre_first_columns(d, count, rng):
