@@ -10,6 +10,7 @@ passed explicitly, in which case the drawn seed is logged to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from .channels import parse_channel_spec
-from .ensembles import builtin_ensemble, load_ensemble, tpe_lambda
+from .ensembles import builtin_ensemble, load_ensemble, tensor_product, tpe_lambda
 from .errors import (
     CapacityError,
     ConfigError,
@@ -83,17 +84,12 @@ def _lambda_arg(text: str) -> float:
 
 
 def _resolve_ensemble(name: str, d: int):
-    if "(x)" in name:
-        parts = name.split("(x)")
-        e = _resolve_ensemble(parts[0], d)
-        for p in parts[1:]:
-            from .ensembles import tensor_product
-
-            e = tensor_product(e, _resolve_ensemble(p, d))
-        return e
-    if name in _BUILTIN_ENSEMBLES:
-        return builtin_ensemble(name, d)
-    return load_ensemble(name)
+    """A builtin name or a JSON file path, or '(x)'-joined parts folded left by tensor_product."""
+    parts = name.split("(x)")
+    return functools.reduce(
+        tensor_product,
+        (builtin_ensemble(p, d) if p in _BUILTIN_ENSEMBLES else load_ensemble(p) for p in parts),
+    )
 
 
 def _emit(text: str, output: str | None) -> None:

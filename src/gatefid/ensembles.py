@@ -68,7 +68,7 @@ class UnitaryEnsemble:
     dim: int
     unitaries: np.ndarray  # shape (s, d, d), complex128, read-only
     label: str
-    tensor_factors: tuple | None = None  # (UnitaryEnsemble, UnitaryEnsemble) when built as a product
+    tensor_factors: tuple = ()  # the plain factors (f1, ..., fk) of a product, flattened
     group: bool = False
 
     def __post_init__(self):
@@ -156,13 +156,16 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
 def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
     """All s_a * s_b pairwise Kronecker products; uniform weights stay uniform.
 
-    The product of two groups is a group, so `group` carries over when both are.
+    `tensor_factors` lists the plain factors of both sides, so a nested product
+    records all of them. The product of two groups is a group, so `group`
+    carries over when both are.
     """
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     label = f"{a.label}(x){b.label}"
-    return UnitaryEnsemble(d1 * d2, stack, label, tensor_factors=(a, b), group=a.group and b.group)
+    factors = (a.tensor_factors or (a,)) + (b.tensor_factors or (b,))
+    return UnitaryEnsemble(d1 * d2, stack, label, tensor_factors=factors, group=a.group and b.group)
 
 
 def load_ensemble(path) -> UnitaryEnsemble:
@@ -189,7 +192,7 @@ def load_ensemble(path) -> UnitaryEnsemble:
             if m.shape[0] != d or m.shape[1] != d:
                 raise ValidationError(f"unitaries[{i}] has dimension {m.shape[0]}, expected {d}")
             mats.append(m[:, :, 0] + 1j * m[:, :, 1])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed ensemble file: {exc}") from exc
     return UnitaryEnsemble(d, np.array(mats), label)
 
@@ -296,27 +299,21 @@ def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
 class MomentOperator:
     """The t-copy averaging superoperator M -> (1/s) sum_i U_i^{t} M (U_i^dag)^{t}.
 
-    Matrix-free: a tensor product of two plain ensembles applies its factors'
-    dense superoperators, and every other ensemble loops over its unitaries.
+    Matrix-free, one plain factor at a time: the average over a tensor product
+    is the composition of its factors' averages, each acting along that
+    factor's digit of every ket and bra copy. A factor applies its dense
+    superoperator when f.dim^{2t} <= DENSE_CAP and loops over its own unitaries
+    otherwise; a plain ensemble is the one-factor case.
     """
 
     def __init__(self, ensemble: UnitaryEnsemble, t: int):
         self.ensemble = ensemble
         self.tensor_power = t
         self.dim = ensemble.dim
-        self._factor_superops = self._build_factor_superops()
-
-    def _build_factor_superops(self):
-        factors = self.ensemble.tensor_factors
-        if factors is None:
-            return None
-        t = self.tensor_power
-        supers = []
-        for f in factors:
-            if f.dim ** (2 * t) > DENSE_CAP or f.tensor_factors is not None:
-                return None
-            supers.append(_dense_superop(f, t))
-        return tuple(supers)
+        self._factors = ensemble.tensor_factors or (ensemble,)
+        self._superops = tuple(
+            _dense_superop(f, t) if f.dim ** (2 * t) <= DENSE_CAP else None for f in self._factors
+        )
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         return self._apply(m, adjoint=False)
@@ -325,42 +322,26 @@ class MomentOperator:
         return self._apply(m, adjoint=True)
 
     def _apply(self, m: np.ndarray, adjoint: bool) -> np.ndarray:
-        if self._factor_superops is not None:
-            return self._apply_factored(m, adjoint)
-        out = np.zeros_like(m, dtype=np.complex128)
-        for block in _kron_powers(self.ensemble.unitaries, self.tensor_power):
-            for w in block:
-                if adjoint:
-                    out += dagger(w) @ m @ w
-                else:
-                    out += w @ m @ dagger(w)
-        return out / self.ensemble.size
-
-    def _apply_factored(self, m: np.ndarray, adjoint: bool) -> np.ndarray:
-        t = self.tensor_power
-        f1, f2 = self.ensemble.tensor_factors
-        d1, d2 = f1.dim, f2.dim
-        s1, s2 = self._factor_superops
-        if adjoint:
-            s1 = dagger(s1)
-            s2 = dagger(s2)
-        da, db = d1**t, d2**t
-        # regroup copy-major digits (a1,b1,...,at,bt) into factor-major (a..., b...)
-        x = m.reshape([d1, d2] * t + [d1, d2] * t)
-        order = (
-            list(range(0, 2 * t, 2))
-            + list(range(1, 2 * t, 2))
-            + list(range(2 * t, 4 * t, 2))
-            + list(range(2 * t + 1, 4 * t, 2))
-        )
-        x = x.transpose(order).reshape(da, db, da, db)
-        # rows become vec of the first factor's (ket, bra), columns the second's
-        x = x.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-        y = s1 @ x @ s2.T
-        y = y.reshape(da, da, db, db).transpose(0, 2, 1, 3)
-        y = y.reshape([d1] * t + [d2] * t + [d1] * t + [d2] * t)
-        inv_order = np.argsort(order)
-        return y.transpose(inv_order).reshape(m.shape)
+        t, k = self.tensor_power, len(self._factors)
+        # one digit per factor in each of the t ket copies, then each bra copy
+        x = m.reshape([f.dim for f in self._factors] * (2 * t))
+        last = list(range(-2 * t, 0))
+        for i, (f, superop) in enumerate(zip(self._factors, self._superops)):
+            axes = list(range(i, 2 * t * k, k))
+            x = np.moveaxis(x, axes, last)
+            shape, big = x.shape, f.dim**t
+            if superop is not None:
+                # rows are the row-major vec of this factor's (ket, bra) block
+                y = x.reshape(-1, big * big) @ (superop.conj() if adjoint else superop.T)
+            else:
+                mats = x.reshape(-1, big, big)
+                y = np.zeros(mats.shape, dtype=np.complex128)
+                for block in _kron_powers(f.unitaries, t):
+                    for w in block:
+                        y += dagger(w) @ mats @ w if adjoint else w @ mats @ dagger(w)
+                y /= f.size
+            x = np.moveaxis(y.reshape(shape), last, axes)
+        return x.reshape(m.shape)
 
 
 def _dense_superop(e: UnitaryEnsemble, t: int) -> np.ndarray:

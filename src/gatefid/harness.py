@@ -35,6 +35,8 @@ CERT_MEMORY_CAP = 1 << 27
 _BLOCK_ENTRIES = 1 << 18
 # Slack of the checks whose both sides are exact: rounding only.
 EXACT_SLACK = 1e-9
+# Bytes the tail checks' Monte Carlo draws may take; more repeats are refused.
+MC_MEMORY_CAP = 1 << 28
 
 
 @dataclass
@@ -143,6 +145,16 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return cols
 
 
+def _check_draws(name: str, reps: int, t: int, draw_bytes: int) -> None:
+    """Refuse reps x t Monte Carlo draws of draw_bytes each past MC_MEMORY_CAP."""
+    need = reps * t * draw_bytes
+    if need > MC_MEMORY_CAP:
+        raise CapacityError(
+            f"{reps} repeats of the {name} check need {need / 2**20:.0f} MiB of"
+            f" Monte Carlo draws, over the {MC_MEMORY_CAP >> 20} MiB cap"
+        )
+
+
 def _lambda(ensemble: UnitaryEnsemble, t: int, claimed) -> float:
     """A claimed lambda_t (checked), else the one tpe_lambda computes."""
     lam = _claimed(claimed)
@@ -161,6 +173,8 @@ def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
     t, dlt, reps = TAIL_T, TAIL_DELTA, params.repeats
+    # real and imaginary Gaussians and their complex sum, then a fidelity and its clip
+    _check_draws("haar-tail", reps, t, 32 * d + 16)
     rng = _generator(params.seed, "harness", 2)
     fids = _fidelity_columns(ch, _haar_columns(d, reps * t, rng)).reshape(reps, t)
     emp = float(np.mean(np.abs(fids.mean(axis=1) - fbar) > dlt))
@@ -202,8 +216,10 @@ def prop1_tail_check(
     """Tail of the t-average under iid ensemble draws vs the l = 1 moment bound."""
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
-    lam4 = _lambda(ensemble, 4, lambda4)
     t, dlt, reps = PROP1_T, PROP1_DELTA, params.repeats
+    # an int64 index and the fidelity it gathers, and a share of the repeat's mean (~18 bytes)
+    _check_draws("qtpe-tail", reps, t, 24)
+    lam4 = _lambda(ensemble, 4, lambda4)
     rng = _generator(params.seed, "harness", 4)
     table = _fidelity_table(ch, ensemble)
     idx = rng.integers(0, ensemble.size, size=(reps, t))
@@ -251,8 +267,6 @@ class BiasReport:
             self.theta, self.worst_l1, 0.0, self.passed, False,
             f"r={self.r}, subsets={self.subsets_checked}, worst parity bias {self.worst_parity_bias:.3g}",
         )
-
-
 
 
 def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gatefid.cli import hex_stream, main
-from gatefid.harness import CERT_MEMORY_CAP
+from gatefid.harness import CERT_MEMORY_CAP, MC_MEMORY_CAP
 from gatefid.prg import tape_seed_length, theta_log2_of
 
 
@@ -134,6 +134,16 @@ class TestCheckDesign:
         )
         assert code == 0
         assert out.splitlines()[1].startswith("t=4 lambda=1 method=group eps2=")
+
+    def test_nested_product_with_a_file_factors(self, capsys, clifford, write_ensemble, tmp_path):
+        # 8^6 rows at t = 3: power iteration over three 64-row factor superoperators,
+        # not a loop over the 2304 Kronecker cubes of the whole product
+        path = write_ensemble(tmp_path / "c.json", clifford.unitaries, "c")
+        code, out, _ = run_cli(
+            capsys, "check-design", "--ensemble", f"{path}(x)clifford1q(x)pauli1q", "--t", "3"
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("t=3 lambda=1 method=power-iteration eps2=4096 ")
 
     def test_nested_product_is_a_group(self, capsys):
         code, out, _ = run_cli(capsys, "check-design", "--ensemble",
@@ -302,6 +312,22 @@ class TestBadArgvExitCode:
         assert code == 3
         assert err.startswith(("error: ", "gatefid: error: unrecognized arguments: "))
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("d-not-a-number", '{"d": "abc", "label": "x", "unitaries": []}'),
+            ("d-overflows", '{"d": 1e400, "label": "x", "unitaries": []}'),
+            ("ragged-grid", '{"d": 2, "label": "x", "unitaries": [[[[1, 0], [0, 0]], [[0, 0]]]]}'),
+            ("string-entry", '{"d": 2, "label": "x", "unitaries": [[[["a", "b"], [0, 0]], [[0, 0], [1, 0]]]]}'),
+        ],
+    )
+    def test_malformed_ensemble_file(self, capsys, tmp_path, name, text):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check-design", "--ensemble", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: malformed ensemble file: ")
+
     # each is 3 characters, the gen-bits length at r = 12, and int(s, 16)
     # reads it as a number, so distinct strings would name one stream
     @pytest.mark.parametrize("seed", ["0x1", "1_2", " 12", "12 ", "+12", "\u0661\u0662\u0663"])
@@ -436,6 +462,44 @@ class TestCertificateCapacity:
         assert code == 0
         assert " PASS" in out and "empirical=0.111328" in out
         assert peak < CERT_MEMORY_CAP // 4
+
+
+class TestMonteCarloCapacity:
+    """The tail checks refuse repeats whose Monte Carlo draws pass MC_MEMORY_CAP."""
+
+    @pytest.mark.parametrize(
+        "argv,need",
+        [
+            # 8e8 Haar columns at d = 2: 80 bytes each, 61035 MiB
+            (["--suite", "tail", "--channel", "identity"], "61035 MiB"),
+            # 4e8 ensemble indices: 24 bytes each, 9155 MiB
+            (["--suite", "prop1", "--channel", "depolarizing:0.1", "--ensemble", "clifford1q"],
+             "9155 MiB"),
+        ],
+    )
+    def test_exit_4_without_allocating(self, capsys, argv, need):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "validate", *argv, "--repeats", "100000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and out == ""
+        assert err.startswith("capacity: 100000000 repeats of the ")
+        assert f"need {need} of Monte Carlo draws, over the 256 MiB cap" in err
+        assert peak < 4 << 20
+
+    def test_default_repeats_accepted_at_d64(self, capsys):
+        # 16,000 columns of d = 64: 2064 bytes each, 31.5 MiB
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "validate", "--suite", "tail", "--channel", "identity",
+                                   "--d", "64")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "PASS" in out
+        assert peak < MC_MEMORY_CAP // 4
 
 
 class TestDimensionCap:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -105,6 +106,15 @@ class TestBuiltins:
         expect = np.kron(pauli.unitaries[1], pauli.unitaries[2])
         assert any(np.allclose(u, expect) for u in e.unitaries)
 
+    def test_tensor_factors_are_flattened(self, clifford, pauli):
+        assert clifford.tensor_factors == ()
+        left = tensor_product(tensor_product(pauli, clifford), pauli)
+        right = tensor_product(pauli, tensor_product(clifford, pauli))
+        for e in (left, right):
+            assert len(e.tensor_factors) == 3
+            assert all(f is g for f, g in zip(e.tensor_factors, (pauli, clifford, pauli)))
+        assert np.array_equal(left.unitaries, right.unitaries)
+
 
 class TestEnsembleIO:
     def test_round_trip(self, clifford, tmp_path):
@@ -160,7 +170,9 @@ def dense_apply(superop, m):
 
 @pytest.fixture(scope="module")
 def random_qutrits():
-    """A non-product d = 3 ensemble: MomentOperator takes its per-unitary loop."""
+    """A non-product d = 3 ensemble. MomentOperator applies its dense superoperator
+    while 3^{2t} <= DENSE_CAP (t <= 3) and loops over its unitaries past that,
+    so a test that needs the loop at small t lowers the cap."""
     rng = np.random.Generator(np.random.Philox(0x3D3))
     return UnitaryEnsemble(3, haar_unitaries_batch(3, 20, rng), "random-qutrits")
 
@@ -188,9 +200,10 @@ class TestMomentOperator:
             assert np.max(np.abs(dense_apply(dense, m) - free.apply(m))) <= 1e-9
 
     @pytest.mark.parametrize("t", [2, 3])
-    def test_loop_matches_dense(self, random_qutrits, rng, t):
+    def test_loop_matches_dense(self, random_qutrits, rng, monkeypatch, t):
+        monkeypatch.setattr(ensembles, "DENSE_CAP", 1)
         g = MomentOperator(random_qutrits, t)
-        assert g._factor_superops is None
+        assert g._superops == (None,)
         dense = _dense_superop(random_qutrits, t)
         big = 3**t
         for _ in range(3):
@@ -218,13 +231,45 @@ class TestMomentOperator:
     def test_factored_matches_generic(self, clifford, pauli, rng):
         e = tensor_product(pauli, clifford)
         g = MomentOperator(e, 1)
-        assert g._factor_superops is not None
+        assert len(g._superops) == 2 and all(s is not None for s in g._superops)
         m = random_matrix(rng, 4)
         brute = sum(u @ m @ u.conj().T for u in e.unitaries) / e.size
         assert np.max(np.abs(g.apply(m) - brute)) <= 1e-9
         # adjoint pairing <G(a), b> == <a, G^dag(b)>
         b = random_matrix(rng, 4)
         assert abs(np.vdot(g.apply(m), b) - np.vdot(m, g.apply_adjoint(b))) <= 1e-9
+
+    @pytest.mark.parametrize("case,t", [("builtins", 1), ("random", 1), ("random", 2)])
+    def test_nested_product_matches_reference(self, clifford, pauli, rng, case, t):
+        if case == "builtins":
+            e = tensor_product(tensor_product(pauli, clifford), pauli)
+        else:
+            # two-element Haar qubit sets nested on the right: 16 unitaries keep the
+            # einsum reference at 4096 rows to seconds (the 384 builtin products take ~35 s)
+            a, b = (UnitaryEnsemble(2, haar_unitaries_batch(2, 2, rng), "haar2") for _ in range(2))
+            e = tensor_product(pauli, tensor_product(a, b))
+        g = MomentOperator(e, t)
+        assert len(g._superops) == 3 and all(s is not None for s in g._superops)
+        dense = reference_dense_superop(e, t)
+        for _ in range(3):
+            m = random_matrix(rng, 8**t)
+            assert np.max(np.abs(g.apply(m) - dense_apply(dense, m))) <= 1e-12
+            assert np.max(np.abs(g.apply_adjoint(m) - dense_apply(dense.conj().T, m))) <= 1e-12
+
+    @pytest.mark.parametrize("t,cap", [(1, 8), (2, 16)])
+    def test_mixed_loop_and_dense_factors(self, random_qutrits, pauli, rng, monkeypatch, t, cap):
+        # the qutrit factor (3^{2t} rows) is past the lowered cap, the Pauli one (2^{2t}) is not
+        e = tensor_product(random_qutrits, pauli)
+        monkeypatch.setattr(ensembles, "DENSE_CAP", cap)
+        g = MomentOperator(e, t)
+        assert g._superops[0] is None and g._superops[1] is not None
+        dense = reference_dense_superop(e, t)
+        big = 6**t
+        for _ in range(3):
+            m, b = random_matrix(rng, big), random_matrix(rng, big)
+            assert np.max(np.abs(g.apply(m) - dense_apply(dense, m))) <= 1e-12
+            assert np.max(np.abs(g.apply_adjoint(m) - dense_apply(dense.conj().T, m))) <= 1e-12
+            assert abs(np.vdot(g.apply(m), b) - np.vdot(m, g.apply_adjoint(b))) <= 1e-9
 
 
 class TestHaarTwirlProjector:
@@ -416,10 +461,12 @@ class TestTpeLambda:
         assert abs(lam - dense.lambda_value) <= 1e-6
 
     @pytest.mark.parametrize("t", [2, 3])
-    def test_loop_power_iteration_matches_dense(self, random_qutrits, t):
+    def test_loop_power_iteration_matches_dense(self, random_qutrits, monkeypatch, t):
         dense = tpe_lambda(random_qutrits, t)
         assert dense.method == "dense-svd"
+        monkeypatch.setattr(ensembles, "DENSE_CAP", 1)  # the operator loops over the unitaries
         g = MomentOperator(random_qutrits, t)
+        assert g._superops == (None,)
         lam, _, _ = _power_iteration_lambda(g, haar_twirl_projector(3, t))
         assert abs(lam - dense.lambda_value) <= 1e-6
 
@@ -434,11 +481,12 @@ class TestTpeLambda:
 
 
 def plain_copy(e):
-    """The same unitaries without the group flag, so tpe_lambda takes a numeric path."""
-    if e.tensor_factors is None:
-        return UnitaryEnsemble(e.dim, e.unitaries, e.label)
-    a, b = e.tensor_factors
-    return tensor_product(plain_copy(a), b)
+    """The same unitaries without the group flag, so tpe_lambda takes a numeric
+    path: a product is rebuilt from its plain factors, the first one unflagged."""
+    first, *rest = e.tensor_factors or (e,)
+    return functools.reduce(
+        tensor_product, rest, UnitaryEnsemble(first.dim, first.unitaries, first.label)
+    )
 
 
 class TestGroupLambda:
@@ -448,20 +496,30 @@ class TestGroupLambda:
         *((name, None, t) for name in ("clifford1q", "pauli1q") for t in (1, 2, 3, 4)),
         *(("identity_only", d, t) for d in (1, 2, 3) for t in (1, 2, 3, 4)),
         *(("product", None, t) for t in (1, 2, 4)),
+        ("nested", None, 3),
     ]
 
     @pytest.mark.parametrize("name,d,t", CASES)
-    def test_matches_numeric_path(self, clifford, name, d, t):
-        e = (tensor_product(clifford, clifford) if name == "product"
-             else builtin_ensemble(name, d))
+    def test_matches_numeric_path(self, clifford, pauli, name, d, t):
+        if name == "product":
+            e = tensor_product(clifford, clifford)
+        elif name == "nested":
+            e = tensor_product(tensor_product(clifford, pauli), clifford)
+        else:
+            e = builtin_ensemble(name, d)
         group = tpe_lambda(e, t)
         assert group.method == "group"
         assert group.lambda_value in (0.0, 1.0)
         assert group.iterations is None and group.residual is None
-        numeric = tpe_lambda(plain_copy(e), t)
+        copy = plain_copy(e)
+        assert np.array_equal(copy.unitaries, e.unitaries) and not copy.group
+        numeric = tpe_lambda(copy, t)
         assert numeric.method != "group"
         if name == "product":
             assert numeric.method == ("power-iteration" if t == 4 else "dense-svd")
+        if name == "nested":
+            # 8^6 rows, past the dense cap: three factor superoperators of 64 rows each
+            assert numeric.method == "power-iteration"
         assert abs(group.lambda_value - numeric.lambda_value) <= 1e-9
         assert group.epsilon2_bound == design_epsilon_from_lambda(group.lambda_value, e.dim)
 
