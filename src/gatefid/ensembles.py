@@ -181,7 +181,9 @@ def load_ensemble(path) -> UnitaryEnsemble:
     if extra:
         raise FormatError(f"unknown keys in ensemble file: {sorted(extra)}")
     try:
-        d = int(doc["d"])
+        d = doc["d"]
+        if type(d) is not int:  # a JSON integer: no float, string or boolean
+            raise TypeError(f"d must be an integer, got {d!r}")
         label = str(doc["label"])
         raw = doc["unitaries"]
         mats = []

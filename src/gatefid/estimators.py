@@ -326,12 +326,20 @@ class _Run:
         """n indices in [0, set_size) decoded from `bits` counted bits."""
         return indices_from_bits(self.take_bits(label, bits), set_size, n).indices
 
-    def tape_indices(self, label: str, r: int, k_bits: int, n_bits: int, theta_log2: float,
-                     set_size: int, n: int) -> np.ndarray:
-        """n indices in [0, set_size) read from a k-wise tape on r counted seed bits."""
+    def tape_draw(self, label: str, r: int, k_bits: int, n_bits: int, theta_log2: float,
+                  table: np.ndarray, n: int) -> tuple:
+        """n indices into `table` read from a k-wise tape on r counted seed bits, and their entries.
+
+        The entries are gathered while the tape is alive, so its bits, the
+        draw's largest array, are freed after the arrays the trials keep.
+        Freed before them, their space was split by the entries and left a
+        gap that no later array filled, about 0.1 MB per run repeated in one
+        process at the k-wise contract's point.
+        """
         seed_bits = self.take_bits(label, r)
         tape = generate_tape(k_bits, n_bits, theta_log2, seed_bits)
-        return indices_from_bits(tape.bits, set_size, n).indices
+        ids = indices_from_bits(tape.bits, len(table), n).indices
+        return ids, table[ids]
 
     def gate(self, plan, extra: list, waive: bool) -> None:
         """Refuse unless waived: the plan's failures, epsilon < F/2, then `extra`.
@@ -425,10 +433,11 @@ def estimate_kwise_design(
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
     if epsilon >= run.channel.exact_fidelity:
         run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
-    ids = run.tape_indices(
-        "tape_seed", plan.r, plan.k_bits, plan.n_bits, plan.theta_log2, ensemble.size, plan.n
+    ids, probs = run.tape_draw(
+        "tape_seed", plan.r, plan.k_bits, plan.n_bits, plan.theta_log2,
+        _fidelity_table(run.channel, ensemble), plan.n,
     )
-    return run.finish(plan, ids, _fidelity_table(run.channel, ensemble)[ids])
+    return run.finish(plan, ids, probs)
 
 
 def estimate_single_qtpe(
@@ -504,11 +513,12 @@ def estimate_two_phase(
     sub_table = _fidelity_table(run.channel, ensemble)[pool]
     if plan.pool_size == 1:
         positions = np.zeros(plan.n, dtype=np.int64)
+        probs = sub_table[positions]
         run.ledger.record("phase2_tape_seed", 0)
     else:
         w = plan.width_phase2
-        positions = run.tape_indices(
+        positions, probs = run.tape_draw(
             "phase2_tape_seed", plan.r_phase2, plan.k * w, plan.n * w, plan.theta_log2,
-            plan.pool_size, plan.n,
+            sub_table, plan.n,
         )
-    return run.finish(plan, pool[positions], sub_table[positions])
+    return run.finish(plan, pool[positions], probs)

@@ -25,8 +25,13 @@ is an XOR of table rows (the method of four Russians): each 8-row chunk of
 the right factor gets a 256-entry XOR table, and the left factor's bytes
 pick one entry per chunk. U and V come from square-and-multiply doubling,
 since squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix,
-and x^(2q+1) that times the matrix of multiplication by x. Tables and
-gathers are built in blocks of bounded size. Every entry is an XOR of bits,
+and x^(2q+1) that times the matrix of multiplication by x. Row j of the
+squaring matrix is the single bit 2j while 2j < m, so its low rows are a
+byte-table spread and only the rest get XOR tables. Tables and gathers are
+built in blocks of bounded size, in buffers kept per field degree with the
+squaring tables, so a second tape of the same shape allocates no table.
+Indices decode exactly from the packed bits through 8-byte windows, so an
+index field is at most 57 bits wide. Every entry is an XOR of bits,
 so the tape is bit-exact on any host; fields of degree 2^24 or more, whose
 m x m matrices alone would take 32 TiB, are refused with CapacityError.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
@@ -37,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -365,6 +371,8 @@ _MAX_DEGREE = 1 << 24
 # Largest block of XOR tables, of gathered table rows and of unpacked bits,
 # so the working set stays O(m^2 / 8) bytes whatever n.
 _BLOCK_BYTES = 1 << 22
+# Rows of the left factor per gather: a gather is a quarter of its table block.
+_GATHER_ROWS = 64
 
 
 def _packed(elems, words: int) -> np.ndarray:
@@ -382,21 +390,42 @@ def _times_t(gf: GF2mField, c: int, count: int) -> list:
     return out
 
 
-def _xor_table(rows: np.ndarray) -> np.ndarray:
-    """Entry 256 c + v is the XOR of rows 8c + b over the set bits b of v."""
+class _Buffers:
+    """Reusable flat arrays by name, each grown to the largest size asked of it."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+# Entry 16 h + l of a chunk's table takes its high half from entry h.
+_HIGH_ENTRY = np.repeat(np.arange(16, dtype=np.intp), 16)
+
+
+def _xor_table(rows: np.ndarray, out: np.ndarray, buffers: _Buffers) -> np.ndarray:
+    """Fill out so that entry 256 c + v is the XOR of rows 8c + b over the set bits b of v."""
     chunks = -(-len(rows) // 8)
     width = rows.shape[1]
-    padded = np.zeros((chunks, 2, 4, width), _WORD)
-    padded.reshape(8 * chunks, width)[: len(rows)] = rows
-    # 16-entry tables of the low and the high four rows of each chunk ...
-    halves = np.zeros((chunks, 2, 16, width), _WORD)
+    # entry v of quad q is the XOR of rows 4q + b over the set bits b of v < 16
+    quads = buffers.get("halves", (2 * chunks, 16, width), _WORD)
+    quads[:, 0] = 0
     for b in range(4):
-        np.bitwise_xor(halves[:, :, : 1 << b], padded[:, :, b, None], out=halves[:, :, 1 << b : 2 << b])
-    # ... and entry 16 h + l is high[h] ^ low[l]
-    table = np.repeat(halves[:, 1], 16, axis=1)
-    pairs = table.reshape(chunks, 16, 16 * width)
-    pairs ^= halves[:, 0].reshape(chunks, 1, 16 * width)
-    return table.reshape(256 * chunks, width)
+        picked = rows[b::4]
+        quads[: len(picked), 1 << b] = picked
+        quads[len(picked) :, 1 << b] = 0
+        np.bitwise_xor(quads[:, 1 : 1 << b], quads[:, 1 << b, None], out=quads[:, (1 << b) + 1 : 2 << b])
+    # entry 16 h + l of chunk c is high[h] ^ low[l], with quads 2c (low) and 2c + 1 (high)
+    halves = quads.reshape(chunks, 2, 16, width)
+    table = out.reshape(chunks, 256, width)
+    np.take(halves[:, 1], _HIGH_ENTRY, axis=1, out=table, mode="clip")
+    table.reshape(chunks, 16, 16 * width)[...] ^= halves[:, 0].reshape(chunks, 1, 16 * width)
+    return out
 
 
 class _XorTables:
@@ -405,11 +434,17 @@ class _XorTables:
     Tables cover at most _BLOCK_BYTES each: a span of 8-row chunks of M
     times a span of its words. The first block is built once and kept, so
     a matrix whose tables fit one block (an m x m matrix up to m = 1024)
-    never rebuilds them; further blocks are rebuilt on each use.
+    never rebuilds them; further blocks are rebuilt on each use. Every
+    temporary lives in `buffers`, which products with these tables reuse
+    too. Given shared `buffers`, the first block is built in their table
+    buffer and is valid until the next set is built there; otherwise it
+    gets an array of its own.
     """
 
-    def __init__(self, mat: np.ndarray):
+    def __init__(self, mat: np.ndarray, buffers: _Buffers | None = None):
+        shared = buffers is not None
         self.mat = mat
+        self.buffers = buffers if shared else _Buffers()
         self.words = mat.shape[1]
         self.width = min(self.words, max(1, _BLOCK_BYTES // (256 * 8)))
         self.chunks = max(1, _BLOCK_BYTES // (256 * 8 * self.width))
@@ -418,18 +453,21 @@ class _XorTables:
             for w0 in range(0, self.words, self.width)
             for c0 in range(0, -(-len(mat) // 8), self.chunks)
         ]
-        self.first = None
+        rows = self._rows(*self.spans[0])
+        shape = (256 * -(-len(rows) // 8), rows.shape[1])
+        out = self.buffers.get("table", shape, _WORD) if shared else np.empty(shape, _WORD)
+        self.first = _xor_table(rows, out, self.buffers)
 
-    def _table(self, c0: int, w0: int) -> np.ndarray:
-        return _xor_table(self.mat[8 * c0 : 8 * (c0 + self.chunks), w0 : w0 + self.width])
+    def _rows(self, c0: int, w0: int) -> np.ndarray:
+        return self.mat[8 * c0 : 8 * (c0 + self.chunks), w0 : w0 + self.width]
 
     def blocks(self):
         """(first chunk, first word, table) for every block."""
-        if self.first is None:
-            self.first = self._table(*self.spans[0])
         yield (*self.spans[0], self.first)
         for c0, w0 in self.spans[1:]:
-            yield c0, w0, self._table(c0, w0)
+            rows = self._rows(c0, w0)
+            out = self.buffers.get("block", (256 * -(-len(rows) // 8), rows.shape[1]), _WORD)
+            yield c0, w0, _xor_table(rows, out, self.buffers)
 
 
 def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
@@ -437,17 +475,22 @@ def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
 
     Byte c of a row of A selects table entry 256 c + byte, and the row of
     the product is the XOR of the selected entries over all chunks c. Rows
-    of A go 256 at a time, so a gather is no larger than its table block.
+    of A go _GATHER_ROWS at a time, so a gather is a quarter of its table
+    block; the gather and its index reuse the tables' buffers.
     """
     out = np.zeros((len(a), tables.words), _WORD)
     a_bytes = a.view(np.uint8)
     for c0, w0, table in tables.blocks():
         chunks, width = len(table) // 256, table.shape[1]
         offsets = np.arange(0, 256 * chunks, 256, dtype=np.intp)[:, None]
-        for r0 in range(0, len(a), 256):
-            index = a_bytes[r0 : r0 + 256, c0 : c0 + chunks].T + offsets
-            # one expression, so each (chunks, rows, width) gather is freed before the next
-            out[r0 : r0 + 256, w0 : w0 + width] ^= np.bitwise_xor.reduce(table.take(index, axis=0), axis=0)
+        for r0 in range(0, len(a), _GATHER_ROWS):
+            rows = min(_GATHER_ROWS, len(a) - r0)
+            index = tables.buffers.get("index", (chunks, rows), np.intp)
+            np.add(a_bytes[r0 : r0 + rows, c0 : c0 + chunks].T, offsets, out=index)
+            # mode="clip" writes the gather in place; the default mode buffers it
+            gather = tables.buffers.get("gather", (chunks, rows, width), _WORD)
+            np.take(table, index, axis=0, out=gather, mode="clip")
+            out[r0 : r0 + rows, w0 : w0 + width] ^= np.bitwise_xor.reduce(gather, axis=0)
     return out
 
 
@@ -462,16 +505,43 @@ def _transposed(rows: np.ndarray, nbits: int) -> np.ndarray:
     return out.view(_WORD)
 
 
-def _power_chain(gf: GF2mField, base: int, count: int, square: _XorTables) -> np.ndarray:
+# Bits 0..7 of a byte spread to bits 0, 2, .., 14: squaring over GF(2) before reduction.
+_SPREAD = np.array([_gf2_square(v) for v in range(256)], dtype="<u2")
+
+
+class _Squaring:
+    """Products A S with the squaring matrix S of GF(2^m), row j = t^(2j).
+
+    Row j is the single bit 2j while 2j < m, so the low `plain` bits of a
+    row of A (a multiple of 64, at most ceil(m/2)) are spread apart through
+    a byte table, and XOR tables cover only the rows of S from `plain` on.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.words = rows.shape[1]
+        self.plain = (len(rows) + 1) // 2 // 64 * 64
+        self.tables = _XorTables(rows[self.plain :])
+        self.buffers = self.tables.buffers
+
+    def product(self, a: np.ndarray) -> np.ndarray:
+        out = _gf2_product(a[:, self.plain // 64 :], self.tables)
+        if self.plain:
+            spread = _SPREAD[a.view(np.uint8)[:, : self.plain // 8]]
+            out.view(np.uint8)[:, : self.plain // 4] ^= spread.view(np.uint8)
+        return out
+
+
+def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.ndarray:
     """Packed rows base^0 .. base^count by square-and-multiply doubling.
 
     Rows [k, 2k) come from rows [k/2, k): the even rows base^(2q) are one
     product with the squaring matrix, the odd rows base^(2q+1) those times
     the matrix of multiplication by base. About log2(count) rounds, each
-    with the same two sets of tables.
+    with the same two sets of tables; the second is built in the squaring
+    tables' buffers.
     """
     words = square.words
-    times_base = _XorTables(_packed(_times_t(gf, base, gf.m), words))
+    times_base = _XorTables(_packed(_times_t(gf, base, gf.m), words), square.buffers)
     out = np.zeros((count + 1, words), _WORD)
     out[0, 0] = 1
     if count:
@@ -479,11 +549,27 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _XorTables) -> np
     k = 2
     while k <= count:
         hi = min(2 * k, count + 1)
-        even = _gf2_product(out[k // 2 : (hi + 1) // 2], square)
+        even = square.product(out[k // 2 : (hi + 1) // 2])
         out[k:hi:2] = even
         out[k + 1 : hi : 2] = _gf2_product(even[: (hi - k) // 2], times_base)
         k *= 2
     return out
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(m: int, thread: int) -> tuple:
+    """What the tapes of field degree m share: t^0 .. t^(2m-2) and the squaring tables.
+
+    The squaring tables' buffers are the tapes' reusable workspace: the
+    chains' multiply-by-base tables, then the V^T tables, then the HV
+    tables are built in turn in one table buffer there, and every product
+    gathers into the same gather and index buffers. So a second tape of
+    the same shape allocates no table. Each thread gets its own, so tapes
+    on concurrent threads never share a buffer.
+    """
+    gf = GF2mField(m)
+    t_powers = _times_t(gf, 1, 2 * m - 1)
+    return t_powers, _Squaring(_packed(t_powers[::2], -(-m // 64)))  # row j is t^(2j)
 
 
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
@@ -496,9 +582,10 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     is therefore U (H V^T), where row i of U holds x^(iB) and row r of V
     holds x^r. U and V are power chains; both products are XOR-table
     products on packed words, and the tape is unpacked once at the end.
-    Tables, gathers and unpacked bits stay within _BLOCK_BYTES, so apart
-    from the output the working set is a few packed m x m and m x B
-    matrices whatever n.
+    Tables, gathers and unpacked bits stay within _BLOCK_BYTES, and the
+    tables and gathers reuse the degree's workspace, so apart from the
+    output the working set is a few packed m x m and m x B matrices
+    whatever n.
     """
     m = gf.m
     if m >= _MAX_DEGREE:
@@ -512,17 +599,14 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     block = math.isqrt(n) + 1
     rows = n // block + 1
     words = -(-m // 64)
-    t_powers = _times_t(gf, 1, 2 * m - 1)  # t^0 .. t^(2m-2)
+    t_powers, square = _workspace(m, threading.get_ident())
     # bit a of seq is <t^a, y>, so row j of H is bits j .. j+m-1 of seq
     seq = sum(((z & y).bit_count() & 1) << a for a, z in enumerate(t_powers))
-    square = _XorTables(_packed(t_powers[::2], words))  # row j is t^(2j)
-    del t_powers  # 2m - 1 field elements the chains do not need
     v = _power_chain(gf, x, block, square)  # x^0 .. x^B
     u = _power_chain(gf, int.from_bytes(v[block].tobytes(), "little"), rows - 1, square)
-    del square  # the products below build their own tables
     h_rows = _packed([(seq >> j) & ((1 << m) - 1) for j in range(m)], words)
-    hv = _gf2_product(h_rows, _XorTables(_transposed(v[:block], m)))
-    tape = _gf2_product(u, _XorTables(hv))
+    hv = _gf2_product(h_rows, _XorTables(_transposed(v[:block], m), square.buffers))
+    tape = _gf2_product(u, _XorTables(hv, square.buffers))
     bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")
     out = bits.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape
     out.flags.writeable = False
@@ -551,23 +635,59 @@ def index_width(set_size: int) -> int:
     return (set_size - 1).bit_length() + 8
 
 
+# Widest index field the byte-window decode reads: a field starts at one of
+# the 8 bits of its first byte and must end inside an 8-byte window.
+MAX_INDEX_WIDTH = 57
+
+
+def _scaled(values: np.ndarray, set_size: int, w: int) -> np.ndarray:
+    """floor(values * set_size / 2^w), exactly, for values < 2^w, w <= 57, set_size < 2^(w-8).
+
+    The product fits 64 bits up to w = 36 and is then formed in place.
+    """
+    if set_size.bit_length() + w <= 64:
+        values *= np.uint64(set_size)
+        values >>= np.uint64(w)
+        return values
+    # with 32-bit limbs the product is hi 2^64 + mid 2^32 + (lo mod 2^32),
+    # where mid < 2^58; w > 36 here and the quotient is below set_size, so
+    # it is hi 2^(64-w) + (mid >> (w-32)) with nothing overflowing
+    low, high = values & np.uint64(0xFFFFFFFF), values >> np.uint64(32)
+    s_low, s_high = np.uint64(set_size & 0xFFFFFFFF), np.uint64(set_size >> 32)
+    mid = low * s_high + high * s_low + ((low * s_low) >> np.uint64(32))
+    return ((high * s_high) << np.uint64(64 - w)) + (mid >> np.uint64(w - 32))
+
+
 def indices_from_bits(bits: np.ndarray, set_size: int, n: int) -> IndexDraw:
-    """Decode n indices in [0, set_size) from a 0/1 bit array (MSB-first groups)."""
+    """Decode n indices in [0, set_size) from a 0/1 bit array (MSB-first groups).
+
+    The bits are packed once. Index i is bits iw .. iw+w-1, read from the
+    big-endian 8-byte window at byte iw // 8; indices i and i + 8 start w
+    bytes apart at the same bit of their byte, so each residue of i mod 8 is
+    one strided view of the packed bytes. A set that is not a power of two
+    scales the w-bit value v to floor(v * set_size / 2^w), exactly.
+    """
     w = index_width(set_size)
+    if w > MAX_INDEX_WIDTH:
+        raise CapacityError(
+            f"set size {set_size} needs {w}-bit indices; at most {MAX_INDEX_WIDTH} bits are supported"
+        )
     if n * w > len(bits):
         raise CapacityError(f"need {n * w} bits for {n} indices, tape has {len(bits)}")
     if w == 0:
         return IndexDraw(np.zeros(n, dtype=np.int64), 0, 0, 0.0)
-    groups = np.asarray(bits[: n * w], dtype=np.int64).reshape(n, w)
-    weights = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
-    values = groups @ weights
+    nbytes = -(-n * w // 8)
+    packed = np.zeros(nbytes + 8, np.uint8)  # 8 bytes of padding for the last windows
+    packed[:nbytes] = np.packbits(bits[: n * w])
+    values = np.empty(n, np.uint64)
+    mask = np.uint64((1 << w) - 1)
+    for j in range(min(8, n)):
+        start = j * w
+        windows = np.ndarray((len(range(j, n, 8)),), ">u8", packed, start // 8, (w,))
+        values[j::8] = (windows >> np.uint64(64 - w - start % 8)) & mask
     if 1 << w == set_size:
-        idx = values
-        dev = 0.0
-    else:
-        idx = (values * set_size) >> w
-        dev = set_size / (1 << w)
-    return IndexDraw(idx, n * w, w, dev)
+        return IndexDraw(values.view(np.int64), n * w, w, 0.0)
+    return IndexDraw(_scaled(values, set_size, w).view(np.int64), n * w, w, set_size / (1 << w))
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Counter-based random streams with exact bit accounting.
 
 Estimators draw all sampling randomness through a BitSource, whose total is
-what the randomness ledger must match. Measurement outcomes come from a
-separate stream and are never counted: they model physical quantum
-randomness, not classical coin flips.
+what the randomness ledger must match. It keeps its bits as the generator's
+64-bit words and unpacks only the spans it hands out as bits, so bits cost
+a byte each only once drawn. Measurement outcomes come from a separate
+stream and are never counted: they model physical quantum randomness, not
+classical coin flips.
 """
 
 from __future__ import annotations
@@ -44,32 +46,62 @@ def fresh_seed() -> int:
 
 
 class BitSource:
-    """Buffered bit stream over a Philox generator, counting bits handed out."""
+    """Buffered bit stream over a Philox generator, counting bits handed out.
+
+    The buffer holds the generator's 64-bit words as drawn and a bit offset
+    into the first of them. Stream bit j is bit 63 - j % 64 of word j // 64,
+    so a bit draw unpacks its span most significant bit first and a
+    gaussian draw reads each 64-bit uniform straight from the words (at an
+    unaligned offset, two adjacent words joined by shifts). A refill draws
+    max(64, count // 64 + 1) words for a draw of count bits. Both draws take
+    their span from _span, which also counts it in total_bits.
+    """
 
     def __init__(self, master_seed: int):
         self._gen = _generator(master_seed, "classical")
-        self._buffer = np.zeros(0, dtype=np.uint8)
+        self._words = np.zeros(0, dtype=np.uint64)
+        self._offset = 0  # bits of _words[0] already handed out
         self.total_bits = 0
 
-    def take_bits(self, count: int) -> np.ndarray:
+    def _span(self, count: int) -> tuple:
+        """The words that hold the next `count` bits, and the first bit's offset in them."""
         if count < 0:
             raise ParameterError("cannot take a negative number of bits")
-        while len(self._buffer) < count:
-            words = self._gen.integers(0, 2**64, size=max(64, count // 64 + 1), dtype=np.uint64)
-            new = np.unpackbits(words.astype(">u8").view(np.uint8))
-            self._buffer = np.concatenate([self._buffer, new])
-        out, self._buffer = self._buffer[:count], self._buffer[count:]
+        while 64 * len(self._words) - self._offset < count:
+            fresh = self._gen.integers(0, 2**64, size=max(64, count // 64 + 1), dtype=np.uint64)
+            self._words = np.concatenate([self._words, fresh]) if len(self._words) else fresh
+        offset, end = self._offset, self._offset + count
+        span = self._words[: -(-end // 64)]
+        rest = self._words[end // 64 :]
+        # a short rest is copied, so the span's refill can be freed with it
+        self._words = rest.copy() if 2 * len(rest) < len(self._words) else rest
+        self._offset = end % 64
         self.total_bits += count
-        return out
+        return span, offset
+
+    def take_bits(self, count: int) -> np.ndarray:
+        """The next `count` bits as a 0/1 uint8 array."""
+        words, offset = self._span(count)
+        return np.unpackbits(words.astype(">u8").view(np.uint8))[offset : offset + count]
 
     def take_gaussians(self, count: int) -> np.ndarray:
         """Standard normals via Box-Muller; exactly 64 bits per uniform, count even."""
         if count % 2:
             raise ParameterError("gaussian draws come in pairs; count must be even")
-        bits = self.take_bits(64 * count)
-        packed = np.packbits(bits).view(">u8").astype(np.uint64)
-        u = (packed.astype(np.float64) + 0.5) * 2.0**-64
-        u1, u2 = u[0::2], u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        words, offset = self._span(64 * count)
+        if offset:
+            words = (words[:-1] << np.uint64(offset)) | (words[1:] >> np.uint64(64 - offset))
+        u = words.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-64
+        radius = np.log(u[0::2])
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = u[1::2] * (2.0 * math.pi)
+        out = np.empty(count)
+        cos, sin = out[: count // 2], out[count // 2 :]
+        np.cos(angle, out=cos)
+        cos *= radius
+        np.sin(angle, out=sin)
+        sin *= radius
+        return out

@@ -317,6 +317,9 @@ class TestBadArgvExitCode:
         [
             ("d-not-a-number", '{"d": "abc", "label": "x", "unitaries": []}'),
             ("d-overflows", '{"d": 1e400, "label": "x", "unitaries": []}'),
+            # neither is truncated to an integer dimension any more
+            ("d-not-an-integer", '{"d": 2.7, "label": "x", "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}'),
+            ("d-boolean", '{"d": true, "label": "x", "unitaries": [[[[1, 0]]]]}'),
             ("ragged-grid", '{"d": 2, "label": "x", "unitaries": [[[[1, 0], [0, 0]], [[0, 0]]]]}'),
             ("string-entry", '{"d": 2, "label": "x", "unitaries": [[[["a", "b"], [0, 0]], [[0, 0], [1, 0]]]]}'),
         ],

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,17 +304,17 @@ class TestEntropyInstrumentation:
         from gatefid import streams
 
         drawn = []
-        original = streams.BitSource.take_bits
+        original = streams.BitSource._span
 
         def counting(self, count):
             drawn.append(count)
             return original(self, count)
 
-        monkeypatch.setattr(streams.BitSource, "take_bits", counting)
+        monkeypatch.setattr(streams.BitSource, "_span", counting)
         for run in _RUNS.values():
             drawn.clear()
             result = run(clifford)
-            # gaussian draws route through take_bits, so the sum is complete
+            # bit and gaussian draws both take their span from _span, so the sum is complete
             assert sum(drawn) == result.ledger.total
 
     @pytest.mark.parametrize("algorithm", sorted(_RUNS))
@@ -335,6 +336,35 @@ class TestEntropyInstrumentation:
 
         with pytest.raises(CapacityError):
             plan_two_phase(0.01, 0.5, 2, 24)
+
+
+def warm_traced_peak(run) -> int:
+    """Traced peak bytes of a second call of `run`, after a warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Bits stay 64-bit words until the span a draw returns, and indices are
+    read from packed bytes: no byte per bit and no int64 per bit."""
+
+    def test_two_phase_mix_point(self, clifford):
+        # 153,600 phase-1 indices of 13 bits; an int64 per bit took 19.5 MiB
+        peak = warm_traced_peak(
+            lambda: estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=0x2A, waive_preconditions=True)
+        )
+        assert peak < 10 * 2**20
+
+    def test_naive_haar_d4_mix_point(self):
+        # 115,040 Box-Muller uniforms; a byte per bit took 15.0 MiB
+        channel = noise_preset("depolarizing", (0.25,), 4)
+        peak = warm_traced_peak(lambda: estimate_naive_haar(channel, 0.05, 0.1, seed=0x2A))
+        assert peak < 8 * 2**20
 
 
 class TestChannelType:

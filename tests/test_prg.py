@@ -1,14 +1,19 @@
 import ast
+import concurrent.futures
+import functools
 import hashlib
 import inspect
 import itertools
 import math
 import textwrap
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatefid import (
     GF2mField,
@@ -23,11 +28,13 @@ from gatefid import prg
 from gatefid.estimators import plan_kwise_design, plan_two_phase
 from gatefid.prg import (
     IRREDUCIBLE_TABLE,
+    MAX_INDEX_WIDTH,
     _has_small_factor,
     _rabin_irreducible,
     _search_modulus,
     _swan_reducible,
     _tape_bits,
+    index_width,
     indices_from_bits,
     irreducible_modulus,
     tape_field_degree,
@@ -307,9 +314,12 @@ class TestTapeAgainstLocalDecoder:
     def test_column_blocks(self, monkeypatch):
         # a 256-byte block splits every table into one-chunk, one-word blocks:
         # B = 265 columns are five words and each m-row table several blocks;
-        # Q = 265 rows take two 256-row gathers. Every bit is checked against
-        # the tape's definition, <x^e, y> for e = 1..n, along a byte-comb chain
+        # Q = 265 rows take five 64-row gathers. Every bit is checked against
+        # the tape's definition, <x^e, y> for e = 1..n, along a byte-comb chain.
+        # A fresh workspace cache, so the squaring tables split too and no
+        # split tables outlive the test
         monkeypatch.setattr(prg, "_BLOCK_BYTES", 256)
+        monkeypatch.setattr(prg, "_workspace", functools.lru_cache(maxsize=4)(prg._workspace.__wrapped__))
         n = 70_000
         block = math.isqrt(n) + 1
         near_gather_steps = [i * block + r - 1 for i in (255, 256, 257) for r in (-1, 0, 1, block - 1)]
@@ -357,7 +367,7 @@ class TestPackedProduct:
     @pytest.mark.parametrize("inner", PRODUCT_SIZES)
     def test_matches_integer_product(self, monkeypatch, rng, inner, block_bytes):
         # at 256 bytes every table block is one chunk by one word, so both the
-        # chunks and the columns of a table split; gathers split past 256 rows
+        # chunks and the columns of a table split; gathers split every 64 rows
         if block_bytes is not None:
             monkeypatch.setattr(prg, "_BLOCK_BYTES", block_bytes)
         for rows, cols in itertools.product(PRODUCT_SIZES, repeat=2):
@@ -370,8 +380,9 @@ class TestPackedProduct:
                 got = prg._gf2_product(packed_bits(a), tables)
                 assert np.array_equal(unpacked_bits(got, cols), want), (rows, inner, cols)
 
-    @pytest.mark.parametrize("rows", [255, 256, 257, 513])
+    @pytest.mark.parametrize("rows", [63, 64, 65, 255, 256, 257, 513])
     def test_gathers_split_past_256_rows(self, rng, rows):
+        # gathers take _GATHER_ROWS = 64 rows at a time; these straddle 64- and 256-row steps
         a = rng.integers(0, 2, size=(rows, 65))
         b = rng.integers(0, 2, size=(65, 9))
         got = prg._gf2_product(packed_bits(a), prg._XorTables(packed_bits(b)))
@@ -415,11 +426,11 @@ def byte_comb_powers(gf, base, count):
 
 
 def squaring_tables(gf):
-    """XOR tables of the squaring matrix, rows t^(2j) by repeated field products."""
+    """The squaring matrix's products, rows t^(2j) by repeated field products."""
     rows = [1]
     for _ in range(gf.m - 1):
         rows.append(gf.mul(rows[-1], 0b100))
-    return prg._XorTables(prg._packed(rows, -(-gf.m // 64)))
+    return prg._Squaring(prg._packed(rows, -(-gf.m // 64)))
 
 
 class TestPowerChain:
@@ -464,6 +475,46 @@ class TestPinnedTapes:
         assert tape_digest(tape) == (
             "8ece48c31394481b396b0fcdafe12423c1e486a8bd2a4d17481db016e6ca2134"
         )
+
+
+class TestTapeWorkspace:
+    def test_second_tape_allocates_no_xor_table(self):
+        # the kwise contract's shape: one XOR table of the m x m matrices is
+        # 66 chunks x 256 entries x 9 words; after one tape of the degree,
+        # the squaring tables are kept and every other table, gather and
+        # 16-entry half reuses the workspace
+        n = 276_393
+        table_bytes = 66 * 256 * 9 * 8
+        tape_of_degree(526, n, BitSource(1).take_bits(1052))
+        seed_bits = BitSource(2).take_bits(1052)
+        tracemalloc.start()
+        try:
+            tape = tape_of_degree(526, n, seed_bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
+        assert_matches_local_decoder(tape, boundary_positions(n)[::4])
+
+    def test_workspace_kept_per_degree_and_thread(self):
+        here = threading.get_ident()
+        t_powers, square = prg._workspace(526, here)
+        assert prg._workspace(526, here)[1] is square
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            assert pool.submit(lambda: prg._workspace(526, threading.get_ident())[1]).result() is not square
+        # rows t^(2j), j < 256, are single bits: tables cover rows 256..525 only
+        assert len(t_powers) == 2 * 526 - 1 and square.plain == 256
+        assert square.tables.first.shape == (34 * 256, 9)
+
+
+    def test_concurrent_tapes_match_sequential(self):
+        # numpy releases the GIL inside the gathers: threads must not share buffers
+        seeds = [BitSource(s).take_bits(2 * 129) for s in range(8)]
+        want = [tape_of_degree(129, 20_000, b).bits for b in seeds]
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            for _ in range(4):  # one shared workspace failed about one tape in five here
+                got = list(pool.map(lambda b: tape_of_degree(129, 20_000, b).bits, seeds))
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestTapeCapacity:
@@ -521,6 +572,89 @@ class TestSampleIndices:
         counts = np.bincount(draw.indices, minlength=24)
         sigma = math.sqrt(n * (1 / 24) * (1 - 1 / 24))
         assert np.max(np.abs(counts - n / 24)) <= 5 * sigma + n * draw.nonuniformity
+
+
+def reference_indices(bits, set_size, n):
+    """The int64-matmul reference decode: every bit widened to an int64 and
+    each MSB-first group weighted by one matrix-vector product. Exact while
+    set_size * 2^w stays below 2^63."""
+    w = index_width(set_size)
+    if w == 0:
+        return np.zeros(n, dtype=np.int64)
+    groups = np.asarray(bits[: n * w], dtype=np.int64).reshape(n, w)
+    values = groups @ (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
+    return values if 1 << w == set_size else (values * set_size) >> w
+
+
+def python_int_indices(bits, set_size, n):
+    """Exact reference at any width: each group read as a Python int."""
+    w = index_width(set_size)
+    out = []
+    for i in range(n):
+        v = int("".join(str(int(b)) for b in bits[i * w : (i + 1) * w]) or "0", 2)
+        out.append(v if 1 << w == set_size else v * set_size >> w)
+    return out
+
+
+# Sizes at the decode's edges: the widest direct product (3 * 2^26, w = 36,
+# and 2^28 - 1), the first split products (2^28 + 1, w = 37) and the widest
+# fields (2^49 - 1 pads to w = 57, 2^57 is 57 bits exactly).
+EDGE_SIZES = [3 * 2**26, 2**28 - 1, 2**28 + 1, 2**32 + 5, 2**36 - 1, 2**49 - 1, 2**49, 2**57]
+
+
+class TestIndexDecodeAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        set_size=st.one_of(st.integers(1, 2**20), st.sampled_from([2**j for j in range(21)])),
+        n=st.integers(0, 70),
+        extra=st.integers(0, 17),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_int64_reference(self, set_size, n, extra, seed):
+        w = index_width(set_size)
+        bits = np.random.default_rng(seed).integers(0, 2, size=n * w + extra, dtype=np.uint8)
+        draw = indices_from_bits(bits, set_size, n)
+        want = reference_indices(bits, set_size, n)
+        assert draw.indices.dtype == np.int64 and np.array_equal(draw.indices, want)
+        assert (draw.bits_consumed, draw.width) == (n * w, w)
+        assert draw.nonuniformity == (0.0 if set_size & (set_size - 1) == 0 else set_size / 2**w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # every size whose index is at most 57 bits wide
+        set_size=st.one_of(st.integers(2, 2**49), st.sampled_from([2**j for j in range(50, 58)])),
+        n=st.integers(1, 19),
+        seed=st.integers(0, 2**32),
+    )
+    def test_wide_fields_match_python_ints(self, set_size, n, seed):
+        w = index_width(set_size)
+        bits = np.random.default_rng(seed).integers(0, 2, size=n * w, dtype=np.uint8)
+        assert indices_from_bits(bits, set_size, n).indices.tolist() == python_int_indices(bits, set_size, n)
+
+    @pytest.mark.parametrize("set_size", EDGE_SIZES)
+    @pytest.mark.parametrize("fill", ["ones", "zeros", "random"])
+    def test_edge_sizes_exact(self, set_size, fill):
+        n = 17  # every residue of i mod 8, twice
+        w = index_width(set_size)
+        bits = {
+            "ones": np.ones(n * w, np.uint8),
+            "zeros": np.zeros(n * w, np.uint8),
+            "random": np.random.default_rng(set_size).integers(0, 2, size=n * w, dtype=np.uint8),
+        }[fill]
+        got = indices_from_bits(bits, set_size, n).indices.tolist()
+        assert got == python_int_indices(bits, set_size, n)
+        assert all(0 <= i < set_size for i in got)
+
+    def test_all_ones_at_3_pow_2_26_is_the_last_index(self):
+        # the int64 product overflowed here: all-ones decoded to -67108865
+        draw = indices_from_bits(np.ones(36, np.uint8), 3 * 2**26, 1)
+        assert draw.width == 36 and draw.indices.tolist() == [3 * 2**26 - 1]
+
+    @pytest.mark.parametrize("set_size", [2**49 + 1, 2**58, 3 * 2**60])
+    def test_past_the_widest_field_refused(self, set_size):
+        assert index_width(set_size) > MAX_INDEX_WIDTH
+        with pytest.raises(CapacityError, match="bit indices"):
+            indices_from_bits(np.zeros(64 * 4, np.uint8), set_size, 2)
 
 
 class TestChernoffSanity:

@@ -1,8 +1,81 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatefid.errors import ParameterError
-from gatefid.streams import BitSource, fresh_seed, measurement_rng, split_seed
+from gatefid.streams import BitSource, _generator, fresh_seed, measurement_rng, split_seed
+
+
+class ReferenceBitSource:
+    """The per-bit reference: one uint8 per bit, grown by concatenation, with
+    each gaussian's 64-bit uniform packed back from its bits."""
+
+    def __init__(self, master_seed: int):
+        self._gen = _generator(master_seed, "classical")
+        self._buffer = np.zeros(0, dtype=np.uint8)
+        self.total_bits = 0
+
+    def take_bits(self, count: int) -> np.ndarray:
+        while len(self._buffer) < count:
+            words = self._gen.integers(0, 2**64, size=max(64, count // 64 + 1), dtype=np.uint64)
+            new = np.unpackbits(words.astype(">u8").view(np.uint8))
+            self._buffer = np.concatenate([self._buffer, new])
+        out, self._buffer = self._buffer[:count], self._buffer[count:]
+        self.total_bits += count
+        return out
+
+    def take_gaussians(self, count: int) -> np.ndarray:
+        bits = self.take_bits(64 * count)
+        packed = np.packbits(bits).view(">u8").astype(np.uint64)
+        u = (packed.astype(np.float64) + 0.5) * 2.0**-64
+        u1, u2 = u[0::2], u[1::2]
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * math.pi * u2
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+
+
+def assert_same_draws(seed, draws):
+    """Word-level and reference sources agree exactly on a sequence of draws."""
+    fast, slow = BitSource(seed), ReferenceBitSource(seed)
+    for kind, c in draws:
+        if kind == "bits":
+            got, want = fast.take_bits(c), slow.take_bits(c)
+        else:
+            got, want = fast.take_gaussians(2 * c), slow.take_gaussians(2 * c)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (kind, c)
+        assert fast.total_bits == slow.total_bits
+
+
+DRAWS = st.lists(
+    st.tuples(
+        st.sampled_from(["bits", "gaussians"]),
+        # mostly small, sometimes past a whole 4096-bit refill (or several)
+        st.one_of(st.integers(0, 70), st.integers(0, 40_000)),
+    ),
+    max_size=12,
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**64), draws=DRAWS)
+    def test_interleaved_draws(self, seed, draws):
+        assert_same_draws(seed, draws)
+
+    @pytest.mark.parametrize("offset", [0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097])
+    @pytest.mark.parametrize("pairs", [0, 1, 32, 33, 3000])
+    def test_gaussians_at_every_kind_of_offset(self, offset, pairs):
+        # aligned and unaligned offsets, at and across a refill's end
+        assert_same_draws(offset, [("bits", offset), ("gaussians", pairs), ("bits", 130), ("gaussians", 1)])
+
+    def test_draws_that_cross_refills(self):
+        # every refill is max(64, count // 64 + 1) words, so these leave
+        # partial words behind and then need a fresh refill mid-draw
+        assert_same_draws(3, [("bits", 4095), ("bits", 2), ("gaussians", 40), ("bits", 9000),
+                              ("gaussians", 0), ("bits", 0), ("gaussians", 2000), ("bits", 1)])
 
 
 class TestBitSource:
