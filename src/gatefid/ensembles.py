@@ -4,17 +4,16 @@ The Haar twirl is realized as the Hilbert-Schmidt orthogonal projector onto
 the span of permutation operators, with the Gram matrix d^{#cycles} inverted
 by pseudo-inverse so that d < t rank deficiency is handled gracefully. Each
 permutation operator is stored as the row of its single 1 in every column, so
-the twirl is a gather, a t! x t! product and a scatter-add; only the dense
-form builds the d^{2t} x t! matrix of vectorized operators.
+the twirl is a gather, a t! x t! product and a scatter-add.
 
-The dense moment superoperator sum_i U_i^{(x)t} (x) conj(U_i^{(x)t}) / s is one
-GEMM per block of unitaries, with each block's Kronecker powers built together
-and kept under a fixed byte budget.
+The moment superoperator is applied matrix-free, one tensor factor at a time;
+a small factor's dense superoperator sum_i U_i^{(x)t} (x) conj(U_i^{(x)t}) / s
+is one GEMM per block of unitaries, with each block's Kronecker powers built
+together and kept under a fixed byte budget.
 
 An ensemble built as a group modulo phase (the builtins and their tensor
-products) needs neither: its moment superoperator is the orthogonal projector
-onto the commutant of its t-copy action, so lambda_t is 0 or 1 and the frame
-potential decides which.
+products) has lambda_t 0 or 1, read off its frame potential; every other
+ensemble takes Lanczos on the matrix-free operator.
 """
 
 from __future__ import annotations
@@ -37,21 +36,21 @@ from .errors import (
 )
 from .quantum import MAX_DIM, dagger
 
-# Dense superoperators are built only up to this many rows (d^{2t} <= cap).
+# A factor's dense superoperator is built only up to this many rows (f.dim^{2t} <= cap).
 DENSE_CAP = 4096
 # The twirl projector enumerates t! permutations; keep t small.
 TWIRL_T_CAP = 4
-# Bytes of one d^t x d^t complex operand, the size of each matrix power iteration holds.
+# Bytes of one d^t x d^t complex operand, the size of each matrix Lanczos holds.
 TWIRL_OPERAND_CAP = 1 << 26
 # Bytes one block of stacked Kronecker powers (or unitarity products) may take.
 _BLOCK_BYTES = 1 << 24
 # Unitarity tolerance when loading ensembles from files.
 LOAD_UNITARITY_TOL = 1e-8
 
-_POWER_ITER_SEED = 0x7E57ED
-# Power iteration stops once ||A^dag A v - sigma^2 v|| <= tol, or fails after max steps.
-_POWER_ITER_TOL = 1e-8
-_POWER_ITER_MAX = 10_000
+_LANCZOS_SEED = 0x7E57ED
+# Lanczos stops once its top Ritz pair's residual is <= tol, or fails after max steps.
+_LANCZOS_TOL = 1e-8
+_LANCZOS_MAX = 500
 # A group's frame-potential gap is taken as an integer only within this distance of one.
 _GROUP_GAP_TOL = 1e-6
 
@@ -162,6 +161,8 @@ def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
     """
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
+    if d1 * d2 > MAX_DIM:
+        raise CapacityError(f"dimension {d1 * d2} exceeds the dense cap {MAX_DIM}")
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     label = f"{a.label}(x){b.label}"
     factors = (a.tensor_factors or (a,)) + (b.tensor_factors or (b,))
@@ -250,13 +251,6 @@ class HaarTwirlProjector:
         for rows, c in zip(self.permutation_rows, coeffs):
             out[rows, cols] += c
         return out
-
-    def dense(self) -> np.ndarray:
-        count, big = self.permutation_rows.shape
-        flat = np.zeros((count, big * big), dtype=np.complex128)  # rows vec(P_pi)
-        flat[np.arange(count)[:, None], self.permutation_rows * big + np.arange(big)] = 1.0
-        pmat = flat.T
-        return pmat @ self.gram_inverse @ pmat.conj().T
 
 
 def _check_twirl_size(d: int, t: int) -> None:
@@ -415,9 +409,10 @@ def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
 
     A group's G is the orthogonal projector onto the commutant of its t-copy
     action, which holds the twirl's range, so G - HaarTwirl is a projector and
-    lambda is 0 or 1, read off the frame potentials (method "group"). Any
-    other ensemble takes a dense SVD up to DENSE_CAP rows and power iteration
-    on a MomentOperator above. Both paths refuse the same sizes first.
+    lambda is 0 or 1, read off the frame potentials (method "group", exact).
+    Any other ensemble takes Lanczos on a MomentOperator (method "lanczos"),
+    whose Ritz value bounds lambda from below up to rounding. Both paths
+    refuse the same sizes first.
     """
     _check_twirl_size(e.dim, t)
     eps = lambda lam: design_epsilon_from_lambda(lam, e.dim)
@@ -425,36 +420,37 @@ def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
         lam = _group_lambda(e, t)
         if lam is not None:
             return DesignCheck(t, lam, "group", eps(lam), eps(lam) > 2)
-    proj = haar_twirl_projector(e.dim, t)
-    if e.dim ** (2 * t) <= DENSE_CAP:
-        lam = float(np.linalg.norm(_dense_superop(e, t) - proj.dense(), 2))
-        return DesignCheck(t, lam, "dense-svd", eps(lam), eps(lam) > 2)
-    lam, iters, resid = _power_iteration_lambda(MomentOperator(e, t), proj)
-    return DesignCheck(t, lam, "power-iteration", eps(lam), eps(lam) > 2, iters, resid)
+    lam, steps, resid = _lanczos_lambda(MomentOperator(e, t), haar_twirl_projector(e.dim, t))
+    return DesignCheck(t, lam, "lanczos", eps(lam), eps(lam) > 2, steps, resid)
 
 
-def _power_iteration_lambda(g: MomentOperator, proj: HaarTwirlProjector):
-    """sigma_max of A = G - Twirl via power iteration on A^dag A over matrices."""
+def _lanczos_lambda(g: MomentOperator, proj: HaarTwirlProjector):
+    """(sigma_max of A = G - Twirl, steps, residual): Lanczos on A^dag A by the
+    plain three-term recurrence over three d^t x d^t operands, whose top Ritz
+    value converges without reorthogonalisation (Paige 1976). It stops once
+    that pair's residual beta_k |s_k| <= tol, as beta_k ~ 0 (A = 0 gives 0) does."""
     big = g.dim**g.tensor_power
-    rng = np.random.Generator(np.random.Philox(_POWER_ITER_SEED))
-    v = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
-    v /= np.linalg.norm(v)
-    apply_a = lambda m: g.apply(m) - proj.apply(m)
-    apply_at = lambda m: g.apply_adjoint(m) - proj.apply(m)
-    tol, max_iter = _POWER_ITER_TOL, _POWER_ITER_MAX
-    sigma_sq = 0.0
-    for it in range(1, max_iter + 1):
-        w = apply_a(v)
-        z = apply_at(w)
-        sigma_sq = float(np.linalg.norm(w)) ** 2
-        resid = float(np.linalg.norm(z - sigma_sq * v))
-        nz = np.linalg.norm(z)
-        if nz < 1e-30:
-            return 0.0, it, resid
-        v = z / nz
+    rng = np.random.Generator(np.random.Philox(_LANCZOS_SEED))
+    q = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros_like(q)
+    tol, max_steps = _LANCZOS_TOL, _LANCZOS_MAX
+    tri = np.zeros((max_steps + 1, max_steps + 1))  # T_k is its leading k x k block
+    beta = 0.0
+    for k in range(1, max_steps + 1):
+        w = g.apply(q) - proj.apply(q)
+        w = g.apply_adjoint(w) - proj.apply(w)
+        alpha = float(np.vdot(q, w).real)
+        w -= alpha * q
+        w -= beta * q_prev
+        beta = float(np.linalg.norm(w))
+        tri[k - 1, k - 1] = alpha
+        ritz, vecs = np.linalg.eigh(tri[:k, :k])
+        resid = beta * float(abs(vecs[-1, -1]))
         if resid <= tol:
-            return math.sqrt(sigma_sq), it, resid
+            return math.sqrt(max(ritz[-1], 0.0)), k, resid
+        tri[k, k - 1] = tri[k - 1, k] = beta
+        q_prev, q = q, w / beta
     raise ConvergenceError(
-        f"power iteration did not reach tolerance {tol} in {max_iter} iterations",
-        residual=resid,
+        f"Lanczos did not reach tolerance {tol} in {max_steps} steps", residual=resid
     )

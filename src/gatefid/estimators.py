@@ -481,7 +481,7 @@ def _lambda4_or_none(ensemble: UnitaryEnsemble, claimed):
         # exact and cheap wherever the t = 4 twirl's d^4 x d^4 operands fit the cap
         fits = ensemble.dim**8 * 16 <= TWIRL_OPERAND_CAP
     else:
-        # within the dense SVD only: a loaded file never starts a t = 4 power iteration
+        # d <= 2 only: Lanczos cost grows with s times steps, and wider files were not timed
         fits = ensemble.dim**8 <= DENSE_CAP
     return tpe_lambda(ensemble, 4).lambda_value if fits else None
 

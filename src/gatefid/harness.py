@@ -61,9 +61,9 @@ def harness_confidence(
     runs within epsilon of the oracle is at least 1 - delta - 3 sigma."""
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
-    results = [run(split_seed(master_seed, i)) for i in range(repeats)]
-    estimates = np.array([r.estimate for r in results])
-    ledgers = np.array([r.ledger.total for r in results])
+    runs = (run(split_seed(master_seed, i)) for i in range(repeats))
+    # keep two numbers of each run, not its draws
+    estimates, ledgers = map(np.array, zip(*[(r.estimate, r.ledger.total) for r in runs]))
     frac = float(np.mean(np.abs(estimates - oracle) <= epsilon))
     threshold = 1.0 - delta - 3.0 * math.sqrt(delta * (1.0 - delta) / repeats)
     return HarnessReport(

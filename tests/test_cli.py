@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gatefid import ensembles
 from gatefid.cli import hex_stream, main
 from gatefid.harness import CERT_MEMORY_CAP, MC_MEMORY_CAP
 from gatefid.prg import tape_seed_length, theta_log2_of
+from gatefid.quantum import haar_unitaries_batch
 
 
 def run_cli(capsys, *argv):
@@ -119,16 +121,16 @@ class TestCheckDesign:
         lam = float(out.splitlines()[1].split("lambda=")[1].split()[0])
         assert lam > 0.1
 
-    def test_large_operator_uses_power_iteration(self, capsys, clifford, write_ensemble, tmp_path):
-        # d = 4 at t = 4 has 65536 rows, past the dense cap; a loaded file is no group
+    def test_loaded_file_uses_lanczos(self, capsys, clifford, write_ensemble, tmp_path):
+        # a loaded file is no group; d = 4 at t = 3 is the 4096-row case a dense SVD took 90 s on
         path = write_ensemble(tmp_path / "c.json", clifford.unitaries, "c")
         code, out, _ = run_cli(
-            capsys, "check-design", "--ensemble", f"{path}(x)clifford1q", "--t", "4"
+            capsys, "check-design", "--ensemble", f"{path}(x)clifford1q", "--t", "3,4"
         )
         assert code == 0
-        row = out.splitlines()[1]
-        assert "method=power-iteration" in row
-        assert "iterations=" in row and "residual=" in row
+        for t, row in zip((3, 4), out.splitlines()[1:]):
+            assert row.startswith(f"t={t} lambda=1 method=lanczos eps2=256 [vacuous-eps2] ")
+            assert "iterations=" in row and "residual=" in row
         code, out, _ = run_cli(
             capsys, "check-design", "--ensemble", "clifford1q(x)clifford1q", "--t", "4"
         )
@@ -136,14 +138,30 @@ class TestCheckDesign:
         assert out.splitlines()[1].startswith("t=4 lambda=1 method=group eps2=")
 
     def test_nested_product_with_a_file_factors(self, capsys, clifford, write_ensemble, tmp_path):
-        # 8^6 rows at t = 3: power iteration over three 64-row factor superoperators,
+        # 8^6 rows at t = 3: Lanczos over three 64-row factor superoperators,
         # not a loop over the 2304 Kronecker cubes of the whole product
         path = write_ensemble(tmp_path / "c.json", clifford.unitaries, "c")
         code, out, _ = run_cli(
             capsys, "check-design", "--ensemble", f"{path}(x)clifford1q(x)pauli1q", "--t", "3"
         )
         assert code == 0
-        assert out.splitlines()[1].startswith("t=3 lambda=1 method=power-iteration eps2=4096 ")
+        assert out.splitlines()[1].startswith("t=3 lambda=1 method=lanczos eps2=4096 ")
+
+    def test_lanczos_rows_rerun_byte_identical(self, capsys, write_ensemble, tmp_path):
+        rng = np.random.Generator(np.random.Philox(0x3D3))
+        path = write_ensemble(tmp_path / "q.json", haar_unitaries_batch(3, 20, rng), "q")
+        argv = ("check-design", "--ensemble", str(path), "--t", "2,3")
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0 and first.count("method=lanczos") == 2
+        assert run_cli(capsys, *argv)[1] == first
+
+    def test_step_cap_exits_4(self, capsys, monkeypatch, write_ensemble, tmp_path):
+        monkeypatch.setattr(ensembles, "_LANCZOS_MAX", 1)
+        rng = np.random.Generator(np.random.Philox(0x3D3))
+        path = write_ensemble(tmp_path / "q.json", haar_unitaries_batch(3, 20, rng), "q")
+        code, out, err = run_cli(capsys, "check-design", "--ensemble", str(path), "--t", "2")
+        assert code == 4 and out == ""
+        assert "Lanczos did not reach tolerance 1e-08 in 1 steps" in err
 
     def test_nested_product_is_a_group(self, capsys):
         code, out, _ = run_cli(capsys, "check-design", "--ensemble",
@@ -519,6 +537,9 @@ class TestDimensionCap:
             # one 30000 x 30000 complex identity, 13.4 GiB
             NAIVE + ["--channel", "identity", "--d", "30000"],
             ["check-design", "--ensemble", "identity_only", "--d", "30000", "--t", "1"],
+            # a 4096-dimensional product: 1 TiB of stacked Kronecker products
+            ["check-design", "--ensemble", "identity_only(x)identity_only(x)identity_only",
+             "--d", "64", "--t", "1"],
         ],
     )
     def test_exit_4_without_allocating(self, capsys, argv):
@@ -571,7 +592,7 @@ class TestTwirlBelowCap:
         finally:
             tracemalloc.stop()
         assert code == 0 and err == ""
-        assert "t=4 lambda=1 method=power-iteration" in out
+        assert "t=4 lambda=1 method=lanczos" in out
         assert peak < 64 << 20
         code, out, _ = run_cli(capsys, "check-design", "--ensemble", "identity_only",
                                "--d", "5", "--t", "4")

@@ -16,10 +16,11 @@ from gatefid import (
     tpe_lambda,
 )
 from gatefid import ensembles
-from gatefid.ensembles import _dense_superop, _phase_canonical, _power_iteration_lambda
+from gatefid.ensembles import _dense_superop, _lanczos_lambda, _phase_canonical
 from gatefid.errors import (
     CapacityError,
     ConfigError,
+    ConvergenceError,
     FormatError,
     ParameterError,
     ValidationError,
@@ -37,7 +38,8 @@ def random_matrix(rng, n):
 
 
 # Slow references: one np.kron chain per unitary, a plain einsum over the
-# stacked powers, and each permutation operator as a dense matrix.
+# stacked powers, each permutation operator as a dense matrix, the twirl as a
+# dense d^{2t} x d^{2t} matrix and lambda as the spectral norm of a dense SVD.
 
 
 def reference_kron_pow(u, t):
@@ -74,6 +76,21 @@ def permutation_operators(d, t):
     )
 
 
+def dense_twirl(proj):
+    """The twirl as a dense matrix on row-major vec(M), built from its index form."""
+    count, big = proj.permutation_rows.shape
+    flat = np.zeros((count, big * big), dtype=np.complex128)  # rows vec(P_pi)
+    flat[np.arange(count)[:, None], proj.permutation_rows * big + np.arange(big)] = 1.0
+    pmat = flat.T
+    return pmat @ proj.gram_inverse @ pmat.conj().T
+
+
+def dense_svd_lambda(e, t):
+    """lambda_t as the largest singular value of the dense G - HaarTwirl."""
+    proj = haar_twirl_projector(e.dim, t)
+    return float(np.linalg.norm(_dense_superop(e, t) - dense_twirl(proj), 2))
+
+
 class TestBuiltins:
     def test_sizes(self, clifford, pauli):
         assert clifford.size == 24 and clifford.dim == 2
@@ -105,6 +122,15 @@ class TestBuiltins:
         assert e.dim == 4 and e.size == 16
         expect = np.kron(pauli.unitaries[1], pauli.unitaries[2])
         assert any(np.allclose(u, expect) for u in e.unitaries)
+
+    def test_tensor_product_dimension_cap(self, pauli):
+        # refused before the stack is formed, with builtin_ensemble's message
+        half = builtin_ensemble("identity_only", d=MAX_DIM // 2)
+        assert tensor_product(half, pauli).dim == MAX_DIM
+        wide = builtin_ensemble("identity_only", d=MAX_DIM)
+        message = f"dimension {2 * MAX_DIM} exceeds the dense cap {MAX_DIM}"
+        with pytest.raises(CapacityError, match=message):
+            tensor_product(wide, pauli)
 
     def test_tensor_factors_are_flattened(self, clifford, pauli):
         assert clifford.tensor_factors == ()
@@ -385,7 +411,7 @@ class TestTwirlIndexForm:
     def test_dense_equals_dense_basis_projector(self, d, t):
         proj = haar_twirl_projector(d, t)
         pmat = permutation_operators(d, t).reshape(-1, d ** (2 * t)).T
-        assert np.array_equal(proj.dense(), pmat @ proj.gram_inverse @ pmat.conj().T)
+        assert np.array_equal(dense_twirl(proj), pmat @ proj.gram_inverse @ pmat.conj().T)
 
     @pytest.mark.parametrize("d,t", [(2, 2), (2, 4), (3, 3), (3, 4), (4, 2)])
     def test_apply_matches_dense_basis(self, rng, d, t):
@@ -425,6 +451,31 @@ class TestUnitarityCheck:
             UnitaryEnsemble(2, clifford.unitaries * (1 + 1e-7), "far")
 
 
+# Every non-group case with d^{2t} <= DENSE_CAP that the dense SVD reference
+# takes in seconds; the 4096-row product at t = 3 (a 90 s SVD) is left out.
+LANCZOS_CASES = [
+    *((name, t) for name in ("clifford1q", "pauli1q", "identity_only", "haar_qubits")
+      for t in (1, 2, 3, 4)),
+    *(("identity_only_d3", t) for t in (1, 2, 3)),
+    *(("random_qutrits", t) for t in (1, 2, 3)),
+    *(("product", t) for t in (1, 2)),
+]
+
+
+@pytest.fixture(scope="module")
+def lanczos_ensembles(clifford, pauli, random_qutrits):
+    rng = np.random.Generator(np.random.Philox(0x2B17))
+    return {
+        "clifford1q": UnitaryEnsemble(2, clifford.unitaries, "c"),
+        "pauli1q": UnitaryEnsemble(2, pauli.unitaries, "p"),
+        "identity_only": UnitaryEnsemble(2, np.eye(2)[None], "i2"),
+        "identity_only_d3": UnitaryEnsemble(3, np.eye(3)[None], "i3"),
+        "haar_qubits": UnitaryEnsemble(2, haar_unitaries_batch(2, 6, rng), "haar-qubits"),
+        "random_qutrits": random_qutrits,
+        "product": tensor_product(UnitaryEnsemble(2, clifford.unitaries, "c"), pauli),
+    }
+
+
 class TestTpeLambda:
     def test_clifford_is_exact_3_design(self, clifford):
         for t in (1, 2, 3):
@@ -452,30 +503,30 @@ class TestTpeLambda:
             for t in (1, 2, 3, 4):
                 assert 0.0 <= tpe_lambda(e, t).lambda_value <= 1.0 + 1e-9
 
-    def test_power_iteration_matches_dense(self, pauli):
-        plain = UnitaryEnsemble(2, pauli.unitaries, pauli.label)  # not flagged a group
-        dense = tpe_lambda(plain, 2)
-        assert dense.method == "dense-svd"
-        assert tpe_lambda(pauli, 2).method == "group"
-        lam, _, _ = _power_iteration_lambda(MomentOperator(plain, 2), haar_twirl_projector(2, 2))
-        assert abs(lam - dense.lambda_value) <= 1e-6
+    @pytest.mark.parametrize("name,t", LANCZOS_CASES)
+    def test_lanczos_matches_dense_svd(self, lanczos_ensembles, name, t):
+        e = lanczos_ensembles[name]
+        assert not e.group and e.dim ** (2 * t) <= ensembles.DENSE_CAP
+        chk = tpe_lambda(e, t)
+        assert chk.method == "lanczos"
+        assert abs(chk.lambda_value - dense_svd_lambda(e, t)) <= 1e-12
+        assert chk.residual <= ensembles._LANCZOS_TOL and 1 <= chk.iterations
 
     @pytest.mark.parametrize("t", [2, 3])
-    def test_loop_power_iteration_matches_dense(self, random_qutrits, monkeypatch, t):
-        dense = tpe_lambda(random_qutrits, t)
-        assert dense.method == "dense-svd"
+    def test_loop_factor_lanczos_matches_dense_svd(self, random_qutrits, monkeypatch, t):
+        reference = dense_svd_lambda(random_qutrits, t)
         monkeypatch.setattr(ensembles, "DENSE_CAP", 1)  # the operator loops over the unitaries
-        g = MomentOperator(random_qutrits, t)
-        assert g._superops == (None,)
-        lam, _, _ = _power_iteration_lambda(g, haar_twirl_projector(3, t))
-        assert abs(lam - dense.lambda_value) <= 1e-6
+        assert MomentOperator(random_qutrits, t)._superops == (None,)
+        chk = tpe_lambda(random_qutrits, t)
+        assert chk.method == "lanczos"
+        assert abs(chk.lambda_value - reference) <= 1e-12
 
     def test_tensor_clifford_lambda4_saturates(self, clifford):
         # local conjugations fix split permutation operators, so the gap closes
         plain = UnitaryEnsemble(2, clifford.unitaries, clifford.label)
         chk = tpe_lambda(tensor_product(plain, clifford), 4)
-        assert chk.method == "power-iteration"
-        assert chk.lambda_value == pytest.approx(1.0, abs=1e-6)
+        assert chk.method == "lanczos"
+        assert chk.lambda_value == pytest.approx(1.0, abs=1e-12)
         group = tpe_lambda(tensor_product(clifford, clifford), 4)
         assert group.method == "group" and group.lambda_value == 1.0
 
@@ -514,13 +565,8 @@ class TestGroupLambda:
         copy = plain_copy(e)
         assert np.array_equal(copy.unitaries, e.unitaries) and not copy.group
         numeric = tpe_lambda(copy, t)
-        assert numeric.method != "group"
-        if name == "product":
-            assert numeric.method == ("power-iteration" if t == 4 else "dense-svd")
-        if name == "nested":
-            # 8^6 rows, past the dense cap: three factor superoperators of 64 rows each
-            assert numeric.method == "power-iteration"
-        assert abs(group.lambda_value - numeric.lambda_value) <= 1e-9
+        assert numeric.method == "lanczos"
+        assert abs(group.lambda_value - numeric.lambda_value) <= 1e-12
         assert group.epsilon2_bound == design_epsilon_from_lambda(group.lambda_value, e.dim)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -550,7 +596,7 @@ class TestGroupLambda:
         rng = np.random.Generator(np.random.Philox(0x6A9))
         fake = UnitaryEnsemble(2, haar_unitaries_batch(2, 5, rng), "fake", group=True)
         chk = tpe_lambda(fake, 2)
-        assert chk.method == "dense-svd"
+        assert chk.method == "lanczos"
         assert chk.lambda_value == tpe_lambda(plain_copy(fake), 2).lambda_value
 
 
@@ -592,10 +638,14 @@ class TestDesignEpsilon:
 
 
 class TestConvergence:
-    def test_power_iteration_budget_exhaustion(self, pauli, monkeypatch):
-        from gatefid.errors import ConvergenceError
+    def test_lanczos_step_cap(self, random_qutrits, monkeypatch):
+        monkeypatch.setattr(ensembles, "_LANCZOS_MAX", 1)
+        with pytest.raises(ConvergenceError, match="in 1 steps") as err:
+            _lanczos_lambda(MomentOperator(random_qutrits, 2), haar_twirl_projector(3, 2))
+        assert err.value.residual > ensembles._LANCZOS_TOL
 
-        monkeypatch.setattr(ensembles, "_POWER_ITER_MAX", 1)
-        with pytest.raises(ConvergenceError) as err:
-            _power_iteration_lambda(MomentOperator(pauli, 2), haar_twirl_projector(2, 2))
-        assert err.value.residual is not None
+    def test_zero_operator_stops_at_once(self, clifford):
+        # an exact 2-design: A = G - HaarTwirl vanishes, so beta_1 ~ 0 ends the recurrence
+        g = MomentOperator(UnitaryEnsemble(2, clifford.unitaries, "c"), 2)
+        lam, steps, resid = _lanczos_lambda(g, haar_twirl_projector(2, 2))
+        assert steps == 1 and lam <= 1e-15 and resid <= 1e-30

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import operator
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from gatefid.harness import (
 )
 from gatefid.prg import GF2mField, tape_field_degree
 from gatefid.quantum import haar_unitaries_batch, phase_fixed_qr
+from gatefid.streams import split_seed
 
 DEPOL = noise_preset("depolarizing", (0.2,), 2)
 IDENT = noise_preset("identity", (), 2)
@@ -64,6 +66,32 @@ class TestHarnessConfidence:
         a = harness_confidence(run, 0.9, 0.1, 0.2, repeats=10, master_seed=5)
         b = harness_confidence(run, 0.9, 0.1, 0.2, repeats=10, master_seed=5)
         assert np.array_equal(a.estimates, b.estimates)
+
+    def test_report_equals_one_built_from_every_result(self, clifford):
+        run = lambda s: estimate_kwise_design(DEPOL, 0.1, 0.2, clifford, s, lambda2=0.0)
+        rep = harness_confidence(run, 0.9, 0.1, 0.2, repeats=12, master_seed=7)
+        results = [run(split_seed(7, i)) for i in range(12)]
+        estimates = np.array([r.estimate for r in results])
+        ledgers = np.array([r.ledger.total for r in results])
+        frac = float(np.mean(np.abs(estimates - 0.9) <= 0.1))
+        threshold = 1.0 - 0.2 - 3.0 * math.sqrt(0.2 * 0.8 / 12)
+        for got, want in ((rep.estimates, estimates), (rep.ledger_totals, ledgers)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (rep.repeats, rep.epsilon, rep.delta, rep.oracle) == (12, 0.1, 0.2, 0.9)
+        assert (rep.fraction_within, rep.threshold) == (frac, threshold)
+        assert rep.passed == (frac >= threshold)
+
+    def test_drops_each_result_before_the_next_run(self, clifford):
+        refs = []
+
+        def run(seed):
+            # only the previous repeat's result may still be bound
+            assert sum(r() is not None for r in refs) <= 1
+            result = estimate_kwise_design(DEPOL, 0.1, 0.2, clifford, seed, lambda2=0.0)
+            refs.append(weakref.ref(result))
+            return result
+
+        assert harness_confidence(run, 0.9, 0.1, 0.2, repeats=5, master_seed=8).repeats == 5
 
     def test_repeats_validated(self):
         with pytest.raises(ParameterError):
