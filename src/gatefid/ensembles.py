@@ -48,8 +48,10 @@ _BLOCK_BYTES = 1 << 24
 LOAD_UNITARITY_TOL = 1e-8
 
 _LANCZOS_SEED = 0x7E57ED
-# Lanczos stops once its top Ritz pair's residual is <= tol, or fails after max steps.
+# Lanczos stops once its top Ritz pair's residual is <= max(tol * lambda, floor) * lambda,
+# lambda^2 being the Ritz value (the floor is far above rounding), or fails after max steps.
 _LANCZOS_TOL = 1e-8
+_LANCZOS_FLOOR = 1e-12
 _LANCZOS_MAX = 500
 # A group's frame-potential gap is taken as an integer only within this distance of one.
 _GROUP_GAP_TOL = 1e-6
@@ -428,13 +430,14 @@ def _lanczos_lambda(g: MomentOperator, proj: HaarTwirlProjector):
     """(sigma_max of A = G - Twirl, steps, residual): Lanczos on A^dag A by the
     plain three-term recurrence over three d^t x d^t operands, whose top Ritz
     value converges without reorthogonalisation (Paige 1976). It stops once
-    that pair's residual beta_k |s_k| <= tol, as beta_k ~ 0 (A = 0 gives 0) does."""
+    that pair's residual beta_k |s_k| fixes lambda to tol/2 relative or floor/2
+    absolute; an exact design (A at rounding level) stops in a step or two."""
     big = g.dim**g.tensor_power
     rng = np.random.Generator(np.random.Philox(_LANCZOS_SEED))
     q = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
     q /= np.linalg.norm(q)
     q_prev = np.zeros_like(q)
-    tol, max_steps = _LANCZOS_TOL, _LANCZOS_MAX
+    max_steps = _LANCZOS_MAX
     tri = np.zeros((max_steps + 1, max_steps + 1))  # T_k is its leading k x k block
     beta = 0.0
     for k in range(1, max_steps + 1):
@@ -447,10 +450,11 @@ def _lanczos_lambda(g: MomentOperator, proj: HaarTwirlProjector):
         tri[k - 1, k - 1] = alpha
         ritz, vecs = np.linalg.eigh(tri[:k, :k])
         resid = beta * float(abs(vecs[-1, -1]))
-        if resid <= tol:
-            return math.sqrt(max(ritz[-1], 0.0)), k, resid
+        lam = math.sqrt(max(ritz[-1], 0.0))
+        if resid <= max(_LANCZOS_TOL * lam, _LANCZOS_FLOOR) * lam:
+            return lam, k, resid
         tri[k, k - 1] = tri[k - 1, k] = beta
         q_prev, q = q, w / beta
     raise ConvergenceError(
-        f"Lanczos did not reach tolerance {tol} in {max_steps} steps", residual=resid
+        f"Lanczos did not reach tolerance {_LANCZOS_TOL} in {max_steps} steps", residual=resid
     )

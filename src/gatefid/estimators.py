@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .ensembles import (
-    DENSE_CAP,
     TWIRL_OPERAND_CAP,
     UnitaryEnsemble,
     design_epsilon_from_lambda,
@@ -481,8 +480,8 @@ def _lambda4_or_none(ensemble: UnitaryEnsemble, claimed):
         # exact and cheap wherever the t = 4 twirl's d^4 x d^4 operands fit the cap
         fits = ensemble.dim**8 * 16 <= TWIRL_OPERAND_CAP
     else:
-        # d <= 2 only: Lanczos cost grows with s times steps, and wider files were not timed
-        fits = ensemble.dim**8 <= DENSE_CAP
+        # Lanczos cost grows with s times steps, and files with d > 2 were not timed
+        fits = ensemble.dim <= 2
     return tpe_lambda(ensemble, 4).lambda_value if fits else None
 
 

@@ -459,12 +459,18 @@ LANCZOS_CASES = [
     *(("identity_only_d3", t) for t in (1, 2, 3)),
     *(("random_qutrits", t) for t in (1, 2, 3)),
     *(("product", t) for t in (1, 2)),
+    # lambda ~ 1e-6 and ~ 1e-9: one step's Rayleigh quotient would under-report it by about half
+    *(("near_clifford", t) for t in (1, 2, 3)),
+    *(("faint_clifford", t) for t in (2, 3)),
 ]
 
 
 @pytest.fixture(scope="module")
 def lanczos_ensembles(clifford, pauli, random_qutrits):
     rng = np.random.Generator(np.random.Philox(0x2B17))
+    near, faint = clifford.unitaries.copy(), clifford.unitaries.copy()
+    near[3] = np.diag(np.exp([1e-5j, -1e-5j])) @ near[3]  # one element times exp(1e-5 i Z)
+    faint[3] = np.diag(np.exp([1e-8j, -1e-8j])) @ faint[3]
     return {
         "clifford1q": UnitaryEnsemble(2, clifford.unitaries, "c"),
         "pauli1q": UnitaryEnsemble(2, pauli.unitaries, "p"),
@@ -473,6 +479,8 @@ def lanczos_ensembles(clifford, pauli, random_qutrits):
         "haar_qubits": UnitaryEnsemble(2, haar_unitaries_batch(2, 6, rng), "haar-qubits"),
         "random_qutrits": random_qutrits,
         "product": tensor_product(UnitaryEnsemble(2, clifford.unitaries, "c"), pauli),
+        "near_clifford": UnitaryEnsemble(2, near, "near-c"),
+        "faint_clifford": UnitaryEnsemble(2, faint, "faint-c"),
     }
 
 
@@ -510,7 +518,9 @@ class TestTpeLambda:
         chk = tpe_lambda(e, t)
         assert chk.method == "lanczos"
         assert abs(chk.lambda_value - dense_svd_lambda(e, t)) <= 1e-12
-        assert chk.residual <= ensembles._LANCZOS_TOL and 1 <= chk.iterations
+        lam = chk.lambda_value
+        stop = max(ensembles._LANCZOS_TOL * lam, ensembles._LANCZOS_FLOOR) * lam
+        assert chk.residual <= stop * (1 + 1e-9) and 1 <= chk.iterations
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_loop_factor_lanczos_matches_dense_svd(self, random_qutrits, monkeypatch, t):
