@@ -13,14 +13,13 @@ import math
 import numpy as np
 
 from .errors import (
-    CapacityError,
     ConfigError,
     DimensionError,
     FormatError,
     NumericalError,
     ParameterError,
 )
-from .quantum import MAX_DIM, KrausChannel
+from .quantum import KrausChannel, check_dense_dim
 
 _CLOSED_FORM_TOL = 1e-9
 
@@ -129,8 +128,7 @@ def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
         spec, build = f"amplitude_damping:{float(g):g}", lambda: (a0, a1) if g > 0 else (a0,)
     else:
         raise ConfigError(f"unknown channel kind {kind!r}")
-    if d > MAX_DIM:
-        raise CapacityError(f"dimension {d} exceeds the dense cap {MAX_DIM}")
+    check_dense_dim(d)
     ch = KrausChannel(build(), spec)
     closed = _closed_form(kind, params, d)
     if closed is not None and abs(closed - ch.exact_fidelity) > _CLOSED_FORM_TOL:

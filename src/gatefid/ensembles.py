@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .quantum import MAX_DIM, dagger
+from .quantum import check_dense_dim, dagger
 
 # A factor's dense superoperator is built only up to this many rows (f.dim^{2t} <= cap).
 DENSE_CAP = 4096
@@ -147,8 +147,7 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
         dd = 2 if d is None else int(d)
         if dd < 1:
             raise ParameterError(f"dimension must be >= 1, got d={dd}")
-        if dd > MAX_DIM:
-            raise CapacityError(f"dimension {dd} exceeds the dense cap {MAX_DIM}")
+        check_dense_dim(dd)
         eye = np.eye(dd, dtype=np.complex128)[None, :, :]
         return UnitaryEnsemble(dd, eye, "identity_only", group=True)
     raise ConfigError(f"unknown builtin ensemble {name!r}")
@@ -163,8 +162,7 @@ def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
     """
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
-    if d1 * d2 > MAX_DIM:
-        raise CapacityError(f"dimension {d1 * d2} exceeds the dense cap {MAX_DIM}")
+    check_dense_dim(d1 * d2)
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     label = f"{a.label}(x){b.label}"
     factors = (a.tensor_factors or (a,)) + (b.tensor_factors or (b,))

@@ -6,13 +6,14 @@ Each estimator checks its design certificate or preconditions, calls a pure
 planner (every sample count and pseudorandomness parameter from epsilon,
 delta, dimension and ensemble size), draws its indices and finishes. The
 private ``_Run`` owns the shared steps: the timer, the channel type and
-dimension checks; every counted draw, one call that takes bits from a
-BitSource and ledgers them under a label; the k-wise tape draw; the
-precondition gate (epsilon < F/2, PreconditionError unless waived, a waived
-run diagnostic with its failures in ``flags``); and the finish, which checks
-that the ledger equals the bits drawn and decides each outcome bit by one
-Bernoulli draw on the exactly simulated success probability, from a separate
-uncounted stream (measurement models quantum, not classical, randomness).
+dimension checks; the plan-time size check against RUN_MEMORY_CAP; every
+counted draw, one call that takes bits from a BitSource and ledgers them
+under a label; the k-wise tape draw; the precondition gate (epsilon < F/2,
+PreconditionError unless waived, a waived run diagnostic with its failures
+in ``flags``); and the finish, which checks that the ledger equals the bits
+drawn and decides each outcome bit by one Bernoulli draw on the exactly
+simulated success probability, from a separate uncounted stream
+(measurement models quantum, not classical, randomness).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .prg import (
     tape_field_degree,
     tape_seed_length,
 )
-from .quantum import KrausChannel, gate_fidelities, phase_fixed_qr
+from .quantum import KrausChannel, gate_fidelities
 # Not called here any more (tables come from one batched kernel call); kept
 # importable from this module, where perfbench/spans.py looks it up.
 from .quantum import gate_fidelity_vector  # noqa: F401
@@ -57,9 +58,18 @@ ALGORITHMS = ("naive-haar", "design-iid", "kwise-design", "single-qtpe", "two-ph
 # An ensemble with second singular value below this is treated as an exact 2-design.
 EXACT_DESIGN_LAMBDA = 1e-10
 # Bits drawn per Haar unitary: 2 d^2 Box-Muller gaussians at 64 bits per uniform.
+# naive-haar reads only the 2d of a trial's state but draws and ledgers them all,
+# since a physical run needs the whole unitary to implement U and U^dag.
 HAAR_BITS_PER_DIM2 = 128
 # Phase-1 sample cap for the two-phase algorithm.
 T_CAP = 1 << 20
+# Bytes one run's trials and draws may hold; _Run.reserve refuses larger plans
+# before any bit is drawn. The model: a trial holds its unitary id, probability,
+# outcome and the outcome's uniform (32 bytes, rounded up); while drawn, each
+# stream or tape bit it reads holds 2 bytes (its unpacked byte and its packed
+# copies, 1.4 bytes), and each Box-Muller gaussian 32 bytes (its word, uniform
+# and value, and half of its pair's radius and angle).
+RUN_MEMORY_CAP = 1 << 30
 
 _E_THIRD = math.exp(-1.0 / 3.0)
 
@@ -309,6 +319,16 @@ class _Run:
     def source(self) -> BitSource:
         return BitSource(self.seed)
 
+    def reserve(self, trials: int, bits: int = 0, gaussians: int = 0) -> None:
+        """Refuse a plan of `trials` trials reading `bits` stream or tape bits and
+        `gaussians` gaussians once it would hold more than RUN_MEMORY_CAP bytes."""
+        need = 32 * trials + 2 * bits + 32 * gaussians
+        if need > RUN_MEMORY_CAP:
+            raise CapacityError(
+                f"{trials} trials of {self.algorithm} need {need / 2**20:.0f} MiB of draws"
+                f" and outcomes, over the {RUN_MEMORY_CAP >> 20} MiB cap"
+            )
+
     def take_bits(self, label: str, count: int) -> np.ndarray:
         """Draw `count` counted bits and ledger them under `label`."""
         bits = self.source.take_bits(count)
@@ -381,15 +401,16 @@ class _Run:
 
 
 def estimate_naive_haar(channel, epsilon: float, delta: float, seed: int) -> EstimationResult:
-    """Fresh Haar unitary per trial, n = ceil(3 eps^-2 ln(2/delta)) trials."""
+    """Fresh Haar unitary per trial, n = ceil(3 eps^-2 ln(2/delta)) trials, ledgered whole; a trial
+    forms only its state U|0>, z0 / |z0| for z0 column 0 of U's Ginibre matrix (Mezzadri 2007)."""
     run = _Run("naive-haar", channel, epsilon, delta, seed)
     d = run.channel.dim
     plan = plan_naive_haar(epsilon, delta, d)
+    run.reserve(plan.n, gaussians=plan.n * 2 * d * d)
     gauss = run.take_gaussians("haar_unitaries", plan.n * 2 * d * d, plan.total_bits)
-    gauss = gauss.reshape(plan.n, 2 * d * d)
-    z = (gauss[:, : d * d] + 1j * gauss[:, d * d :]).reshape(plan.n, d, d) / math.sqrt(2)
-    probs = _fidelity_columns(run.channel, phase_fixed_qr(z)[:, :, 0])
-    return run.finish(plan, np.arange(plan.n), probs)
+    z0 = gauss.reshape(plan.n, 2, d, d)[..., 0]  # real, then imaginary parts of column 0
+    states = (z0[:, 0] + 1j * z0[:, 1]) / np.linalg.norm(z0, axis=(1, 2))[:, None]
+    return run.finish(plan, np.arange(plan.n), _fidelity_columns(run.channel, states))
 
 
 def _fidelity_columns(ch: KrausChannel, columns: np.ndarray) -> np.ndarray:
@@ -419,6 +440,7 @@ def estimate_design_iid(
     _check_eps_delta(epsilon, delta)
     n = math.ceil(3.0 / budget**2 * math.log(2.0 / delta))
     plan = IidPlan(n, index_width(ensemble.size), budget, lam, eps2)
+    run.reserve(n, plan.total_bits)
     ids = run.indices("indices", n * plan.width, ensemble.size, n)
     return run.finish(plan, ids, _fidelity_table(run.channel, ensemble)[ids])
 
@@ -430,6 +452,7 @@ def estimate_kwise_design(
     run = _Run("kwise-design", channel, epsilon, delta, seed, ensemble)
     _certify_design(ensemble, epsilon, lambda2)
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
+    run.reserve(plan.n, plan.n_bits)
     if epsilon >= run.channel.exact_fidelity:
         run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
     ids, probs = run.tape_draw(
@@ -452,6 +475,7 @@ def estimate_single_qtpe(
     """One uniform ensemble draw, repeated n times with the same unitary."""
     run = _Run("single-qtpe", channel, epsilon, delta, seed, ensemble)
     plan = plan_single_qtpe(epsilon, delta, run.channel.dim, ensemble.size)
+    run.reserve(plan.n)
     failures = []
     lam4 = _lambda4_or_none(ensemble, claimed_lambda)
     if lam4 is None:
@@ -498,6 +522,8 @@ def estimate_two_phase(
     """Phase 1 draws t unitaries uniformly; phase 2 samples among them k-wise."""
     run = _Run("two-phase", channel, epsilon, delta, seed, ensemble)
     plan = plan_two_phase(epsilon, delta, run.channel.dim, ensemble.size)
+    # the phase-1 pool holds an id and a probability each, as a trial does
+    run.reserve(plan.n + plan.pool_size, plan.r_phase1 + plan.n * plan.width_phase2)
     failures = []
     lam = _claimed(claimed_lambda)
     if lam is None:

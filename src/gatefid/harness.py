@@ -278,9 +278,9 @@ def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     all 2^r seeds is 2^m times the number of roots x in GF(2^m) of that sum:
     a count over the 2^m values of x, not the 2^(2m) seeds (the argument
     behind the construction's bias bound, Alon-Goldreich-Hastad-Peralta 1992).
-    Each subset's joint law is then an integer Walsh-Hadamard transform of the
-    character sums of its sub-subsets (the Vazirani XOR lemma), and its parity
-    bias is its own character sum over the seeds. Every count is an exact
+    Each k-set's joint law is then an integer Walsh-Hadamard transform of the
+    character sums of its sub-subsets (the Vazirani XOR lemma), and every
+    subset's parity bias is its own character sum over the seeds. Every count is an exact
     integer and 2^r is a power of two, so the L1 distances and biases are the
     exact rationals an enumeration gives.
 
@@ -368,24 +368,27 @@ def _walsh_hadamard_laws(sums: list, seeds: int) -> tuple:
     subset of at most k outputs, from their character sums over `seeds` seeds
     (sums[j] indexed by colex rank, as _root_count_sums gives them).
 
+    Only the k-sets are transformed. A smaller set lies inside some k-set, as
+    k <= n, and its law is a marginal of that k-set's law; marginalising does
+    not increase the L1 distance from uniform, so the worst L1 is at size k.
+    The parity biases and the subset count still cover every size.
+
     The results are exact when `seeds` is a power of two below 2^50.
     """
     n, k = len(sums[1]), len(sums) - 1
     binom = _binomials(n, k)
     worst_bias = max(int(np.abs(s).max()) for s in sums[1:]) / seeds
-    worst_l1 = 0.0
-    for j in range(1, k + 1):
-        # picks[u]: the positions within a j-set of its sub-subset u (bit p selects position p)
-        picks = [[p for p in range(j) if u >> p & 1] for u in range(1 << j)]
-        for block in _subset_blocks(n, j, max(1, _BLOCK_ENTRIES >> j)):
-            spectrum = np.zeros((len(block), 1 << j), dtype=np.int64)
-            for u in range(1, 1 << j):
-                spectrum[:, u] = sums[len(picks[u])][_colex_ranks(binom, block[:, picks[u]])]
-            # Walsh-Hadamard butterflies: entry v becomes 2^j * count(v) - seeds
-            for h in (1 << p for p in range(j)):
-                pairs = spectrum.reshape(len(block), -1, 2, h)
-                spectrum = np.stack((pairs[:, :, 0] + pairs[:, :, 1],
-                                     pairs[:, :, 0] - pairs[:, :, 1]), axis=2)
-            worst = int(np.abs(spectrum).reshape(len(block), -1).sum(axis=1).max())
-            worst_l1 = max(worst_l1, worst / (seeds << j))
-    return sum(len(s) for s in sums[1:]), worst_l1, worst_bias
+    # picks[u]: the positions within a k-set of its sub-subset u (bit p selects position p)
+    picks = [[p for p in range(k) if u >> p & 1] for u in range(1 << k)]
+    worst = 0
+    for block in _subset_blocks(n, k, max(1, _BLOCK_ENTRIES >> k)):
+        spectrum = np.zeros((len(block), 1 << k), dtype=np.int64)
+        for u in range(1, 1 << k):
+            spectrum[:, u] = sums[len(picks[u])][_colex_ranks(binom, block[:, picks[u]])]
+        # Walsh-Hadamard butterflies: entry v becomes 2^k * count(v) - seeds
+        for h in (1 << p for p in range(k)):
+            pairs = spectrum.reshape(len(block), -1, 2, h)
+            spectrum = np.stack((pairs[:, :, 0] + pairs[:, :, 1],
+                                 pairs[:, :, 0] - pairs[:, :, 1]), axis=2)
+        worst = max(worst, int(np.abs(spectrum).reshape(len(block), -1).sum(axis=1).max()))
+    return sum(len(s) for s in sums[1:]), worst / (seeds << k), worst_bias

@@ -30,6 +30,12 @@ MAX_DIM = 64
 _BLOCK_BYTES = 1 << 22
 
 
+def check_dense_dim(d: int) -> None:
+    """CapacityError when dimension d exceeds the dense cap MAX_DIM."""
+    if d > MAX_DIM:
+        raise CapacityError(f"dimension {d} exceeds the dense cap {MAX_DIM}")
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex128 array (read-only)."""
     a = np.asarray(m, dtype=np.complex128)
@@ -78,8 +84,7 @@ class KrausChannel:
         for a in ops:
             if a.shape != (d, d):
                 raise DimensionError("all Kraus operators must be d x d of equal d")
-        if d > MAX_DIM:
-            raise CapacityError(f"dimension {d} exceeds the dense cap {MAX_DIM}")
+        check_dense_dim(d)
         if len(ops) > d * d:
             raise ParameterError(
                 f"{len(ops)} Kraus operators exceed d^2 = {d * d}; reduce first"

@@ -367,6 +367,37 @@ class TestMemory:
         assert peak < 8 * 2**20
 
 
+class TestRunMemoryCap:
+    """RUN_MEMORY_CAP's model bounds what a run holds, and a plan past the cap
+    is refused before any bit is drawn."""
+
+    POINTS = {
+        "naive-haar-d2": lambda c: estimate_naive_haar(DEPOL, 0.02, 0.1, seed=1),
+        "naive-haar-d4": lambda c: estimate_naive_haar(
+            noise_preset("depolarizing", (0.25,), 4), 0.05, 0.1, seed=1),
+        "design-iid": lambda c: estimate_design_iid(DEPOL, 0.01, 0.1, c, seed=1),
+        "kwise-design": lambda c: estimate_kwise_design(DEPOL, 0.01, 0.1, c, seed=1),
+        "single-qtpe": lambda c: estimate_single_qtpe(
+            DEPOL, 0.01, 0.1, c, seed=1, waive_preconditions=True),
+        "two-phase": lambda c: estimate_two_phase(
+            DEPOL, 0.2, 0.3, c, seed=1, waive_preconditions=True),
+    }
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_model_bounds_the_traced_peak(self, clifford, monkeypatch, point):
+        # a cap one byte below the traced peak refuses the plan, drawing nothing
+        from gatefid import estimators, streams
+        from gatefid.errors import CapacityError
+
+        peak = warm_traced_peak(lambda: self.POINTS[point](clifford))
+        drawn = []
+        monkeypatch.setattr(streams.BitSource, "_span", lambda self, count: drawn.append(count))
+        monkeypatch.setattr(estimators, "RUN_MEMORY_CAP", peak - 1)
+        with pytest.raises(CapacityError, match=r"trials of [a-z-]+ need \d+ MiB"):
+            self.POINTS[point](clifford)
+        assert drawn == []
+
+
 class TestChannelType:
     def test_raw_kraus_set_runs_with_its_oracle(self, clifford):
         ch = KrausChannel((X,))

@@ -21,7 +21,7 @@ from gatefid import (
     tensor_product,
     tpe_lambda,
 )
-from gatefid import harness
+from gatefid import estimators, harness
 from gatefid.errors import CapacityError, ParameterError
 from gatefid.harness import (
     _haar_columns,
@@ -35,7 +35,7 @@ from gatefid.harness import (
 )
 from gatefid.prg import GF2mField, tape_field_degree
 from gatefid.quantum import haar_unitaries_batch, phase_fixed_qr
-from gatefid.streams import split_seed
+from gatefid.streams import BitSource, split_seed
 
 DEPOL = noise_preset("depolarizing", (0.2,), 2)
 IDENT = noise_preset("identity", (), 2)
@@ -450,6 +450,26 @@ class TestHaarColumns:
         for a, b in zip(fast.checks, slow.checks):
             assert (a.name, a.passed, a.vacuous, a.bound) == (b.name, b.passed, b.vacuous, b.bound)
             assert abs(a.empirical - b.empirical) <= 1e-12 and abs(a.slack - b.slack) <= 1e-12
+
+
+class TestNaiveHaarStates:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_states_match_qr(self, monkeypatch, d):
+        # naive-haar's trial states against column 0 of the phase-fixed QR of
+        # each trial's whole Ginibre matrix, built from the same gaussians
+        seen = []
+
+        def recording(ch, columns):
+            seen.append(columns)
+            return gate_fidelities(ch, columns)
+
+        monkeypatch.setattr(estimators, "_fidelity_columns", recording)
+        n = estimate_naive_haar(noise_preset("identity", (), d), 0.1, 0.5, seed=d).n_trials
+        gauss = BitSource(d).take_gaussians(n * 2 * d * d).reshape(n, 2 * d * d)
+        z = (gauss[:, : d * d] + 1j * gauss[:, d * d :]).reshape(n, d, d)
+        (states,) = seen
+        assert states.shape == (n, d)
+        assert np.abs(states - phase_fixed_qr(z)[:, :, 0]).max() <= 1e-12
 
 
 class TestNaiveHaarContract:
