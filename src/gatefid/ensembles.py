@@ -218,19 +218,6 @@ def _kron_powers(stack: np.ndarray, t: int):
         yield out
 
 
-def _cycle_count(perm: tuple) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return cycles
-
-
 @dataclass(frozen=True)
 class HaarTwirlProjector:
     """HS-orthogonal projector onto span{P_pi}; equals the Haar t-copy twirl.
@@ -272,22 +259,14 @@ def haar_twirl_projector(d: int, t: int) -> HaarTwirlProjector:
     _check_twirl_size(d, t)
     big = d**t
     perms = list(itertools.permutations(range(t)))
-    inv = []
-    for p in perms:
-        q = [0] * t
-        for i, v in enumerate(p):
-            q[v] = i
-        inv.append(tuple(q))
-    # P_pi maps the basis state with digits (i_1..i_t) to digits (i_inv[1]..i_inv[t])
+    # P_pi maps the basis state with digits (i_1..i_t) to digits (i_inv[1]..i_inv[t]),
+    # inv = argsort(pi) the inverse permutation
     digits = np.array(np.unravel_index(np.arange(big), (d,) * t))  # (t, d^t)
     rows = np.empty((len(perms), big), dtype=np.int64)
-    for i, q in enumerate(inv):
-        rows[i] = np.ravel_multi_index(tuple(digits[list(q)]), (d,) * t)
-    gram = np.empty((len(perms), len(perms)))
-    for i, pi_inv in enumerate(inv):
-        for j, sg in enumerate(perms):
-            comp = tuple(pi_inv[sg[x]] for x in range(t))
-            gram[i, j] = float(d) ** _cycle_count(comp)
+    for i, p in enumerate(perms):
+        rows[i] = np.ravel_multi_index(tuple(digits[np.argsort(p)]), (d,) * t)
+    # Tr(P_pi^T P_sigma) counts the columns where the two agree: d^{#cycles(pi^-1 sigma)}
+    gram = (rows[:, None, :] == rows[None, :, :]).sum(axis=2)
     gram_inv = np.linalg.pinv(gram, rcond=1e-10)
     return HaarTwirlProjector(d, t, rows, gram_inv)
 
@@ -343,15 +322,11 @@ class MomentOperator:
 def _dense_superop(e: UnitaryEnsemble, t: int) -> np.ndarray:
     """The d^{2t} x d^{2t} matrix of G acting on row-major vec(M)."""
     big = e.dim**t
-    acc = None
+    acc = np.zeros((big * big, big * big), dtype=np.complex128)
     for w in _kron_powers(e.unitaries, t):
         flat = w.reshape(len(w), big * big)
         # rows (a, b) and columns (c, d) of sum_i W_i[a, b] conj(W_i[c, d])
-        part = flat.T @ flat.conj()
-        if acc is None:
-            acc = part
-        else:
-            acc += part
+        acc += flat.T @ flat.conj()
     acc /= e.size
     return acc.reshape(big, big, big, big).transpose(0, 2, 1, 3).reshape(big * big, big * big)
 

@@ -536,14 +536,10 @@ def estimate_two_phase(
     run.gate(plan, failures, waive_preconditions)
     pool = run.indices("phase1_indices", plan.r_phase1, ensemble.size, plan.pool_size)
     sub_table = _fidelity_table(run.channel, ensemble)[pool]
-    if plan.pool_size == 1:
-        positions = np.zeros(plan.n, dtype=np.int64)
-        probs = sub_table[positions]
-        run.ledger.record("phase2_tape_seed", 0)
-    else:
-        w = plan.width_phase2
-        positions, probs = run.tape_draw(
-            "phase2_tape_seed", plan.r_phase2, plan.k * w, plan.n * w, plan.theta_log2,
-            sub_table, plan.n,
-        )
+    # with eps < 1, L >= 5 and d <= MAX_DIM = 64 the pool holds over 2^11 * 5 / 64 = 160 ids
+    w = plan.width_phase2
+    positions, probs = run.tape_draw(
+        "phase2_tape_seed", plan.r_phase2, plan.k * w, plan.n * w, plan.theta_log2,
+        sub_table, plan.n,
+    )
     return run.finish(plan, pool[positions], probs)

@@ -592,10 +592,6 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
         raise CapacityError(
             f"field degree m = {m} is at least 2^24: an m x m bit matrix would need m^2/8 bytes"
         )
-    if x == 0 or y == 0 or n == 0:
-        out = np.zeros(n, dtype=np.uint8)
-        out.flags.writeable = False
-        return out
     block = math.isqrt(n) + 1
     rows = n // block + 1
     words = -(-m // 64)
@@ -619,8 +615,6 @@ class IndexDraw:
 
     indices: np.ndarray
     bits_consumed: int
-    width: int
-    nonuniformity: float  # per-index probability deviation bound, 0 for powers of two
 
 
 def index_width(set_size: int) -> int:
@@ -675,7 +669,7 @@ def indices_from_bits(bits: np.ndarray, set_size: int, n: int) -> IndexDraw:
     if n * w > len(bits):
         raise CapacityError(f"need {n * w} bits for {n} indices, tape has {len(bits)}")
     if w == 0:
-        return IndexDraw(np.zeros(n, dtype=np.int64), 0, 0, 0.0)
+        return IndexDraw(np.zeros(n, dtype=np.int64), 0)
     nbytes = -(-n * w // 8)
     packed = np.zeros(nbytes + 8, np.uint8)  # 8 bytes of padding for the last windows
     packed[:nbytes] = np.packbits(bits[: n * w])
@@ -686,8 +680,8 @@ def indices_from_bits(bits: np.ndarray, set_size: int, n: int) -> IndexDraw:
         windows = np.ndarray((len(range(j, n, 8)),), ">u8", packed, start // 8, (w,))
         values[j::8] = (windows >> np.uint64(64 - w - start % 8)) & mask
     if 1 << w == set_size:
-        return IndexDraw(values.view(np.int64), n * w, w, 0.0)
-    return IndexDraw(_scaled(values, set_size, w).view(np.int64), n * w, w, set_size / (1 << w))
+        return IndexDraw(values.view(np.int64), n * w)
+    return IndexDraw(_scaled(values, set_size, w).view(np.int64), n * w)
 
 
 @dataclass

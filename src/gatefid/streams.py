@@ -52,9 +52,11 @@ class BitSource:
     into the first of them. Stream bit j is bit 63 - j % 64 of word j // 64,
     so a bit draw unpacks its span most significant bit first and a
     gaussian draw reads each 64-bit uniform straight from the words (at an
-    unaligned offset, two adjacent words joined by shifts). A refill draws
-    max(64, count // 64 + 1) words for a draw of count bits. Both draws take
-    their span from _span, which also counts it in total_bits.
+    unaligned offset, two adjacent words joined by shifts). Both draws take
+    their span from _span, which draws exactly the words it is short of,
+    keeps at most the one partly read word and counts the span in
+    total_bits. Philox is counter-based: how many words are drawn at a time
+    does not change the stream.
     """
 
     def __init__(self, master_seed: int):
@@ -67,14 +69,11 @@ class BitSource:
         """The words that hold the next `count` bits, and the first bit's offset in them."""
         if count < 0:
             raise ParameterError("cannot take a negative number of bits")
-        while 64 * len(self._words) - self._offset < count:
-            fresh = self._gen.integers(0, 2**64, size=max(64, count // 64 + 1), dtype=np.uint64)
-            self._words = np.concatenate([self._words, fresh]) if len(self._words) else fresh
         offset, end = self._offset, self._offset + count
-        span = self._words[: -(-end // 64)]
-        rest = self._words[end // 64 :]
-        # a short rest is copied, so the span's refill can be freed with it
-        self._words = rest.copy() if 2 * len(rest) < len(self._words) else rest
+        short = -(-end // 64) - len(self._words)  # >= 0: at most one word is held
+        fresh = self._gen.integers(0, 2**64, size=short, dtype=np.uint64)
+        span = np.concatenate([self._words, fresh]) if len(self._words) else fresh
+        self._words = span[end // 64 :].copy()  # the partly read word, if any
         self._offset = end % 64
         self.total_bits += count
         return span, offset

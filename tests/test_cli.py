@@ -260,6 +260,60 @@ class TestGenBits:
         assert "hex digits" in err
 
 
+def gen_bits_argv(k, n, theta):
+    r = tape_seed_length(k, n, theta_log2_of(theta))
+    seed = format(0x5A5A5A5A5A5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
+    return ["gen-bits", "--k", str(k), "--n", str(n), "--theta", str(theta), "--seed", seed]
+
+
+def warm_cli_peak(capsys, argv) -> int:
+    """Traced peak bytes of a second run of argv, after a warm-up run."""
+    assert run_cli(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, *argv)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGenBitsCapacity:
+    """gen-bits refuses a tape whose bits and hex text pass RUN_MEMORY_CAP."""
+
+    HUGE = ["gen-bits", "--k", "4", "--n", "100000000000", "--theta", "0.1",
+            "--seed", "0123456789abcdef012345"]
+
+    def test_huge_tape_exit_4_before_allocating(self, capsys):
+        # the tape once asked for an 11.6 GiB block of unpacked bits: a traceback
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *self.HUGE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and out == ""
+        assert err.startswith("capacity: a 100000000000-bit tape needs ") and "1024 MiB cap" in err
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("k,n,theta", [(4, 64, 0.25), (4, 20000, 1e-20), (64, 200, 1e-30)])
+    def test_model_bounds_the_traced_peak(self, capsys, monkeypatch, k, n, theta):
+        # a cap one byte below the traced peak refuses the run before its tape
+        from gatefid import cli
+
+        argv = gen_bits_argv(k, n, theta)
+        peak = warm_cli_peak(capsys, argv)
+        tapes = []
+        monkeypatch.setattr(cli, "generate_tape", lambda *a: tapes.append(a))
+        monkeypatch.setattr(cli, "RUN_MEMORY_CAP", peak - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == "" and err.startswith("capacity: ") and tapes == []
+
+    def test_peak_grows_by_under_two_bytes_a_bit(self, capsys):
+        # the model's per-bit term: 2 bytes bound the tape, its bits and its hex text
+        small, large = (warm_cli_peak(capsys, gen_bits_argv(4, n, 0.1)) for n in (100_000, 1_000_000))
+        assert large - small <= 2 * 900_000
+
+
 def nibble_loop_hex(bits):
     """The per-nibble reference encoding of gen-bits."""
     digits = []

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 
@@ -74,6 +75,50 @@ def permutation_operators(d, t):
     return np.array(
         [reference_permutation_operator(d, t, p) for p in itertools.permutations(range(t))]
     )
+
+
+def cycle_count(perm):
+    seen, cycles = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            cycles += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return cycles
+
+
+# Leading 16 hex digits of the SHA-256 of permutation_rows and of
+# gram_inverse, taken when the Gram matrix was built from cycle counts.
+TWIRL_PINS = {
+    (1, 1): ("af5570f5a1810b7a", "6c3c396ed6b5c36d"),
+    (1, 2): ("374708fff7719dd5", "e9e366020fb4fd97"),
+    (1, 3): ("17b0761f87b081d5", "b62c9f5a3627cd60"),
+    (1, 4): ("5d89f056865052bc", "cdf5c3209dc82e0b"),
+    (2, 1): ("9d34149fbd1fe777", "4cfa5b42ca669328"),
+    (2, 2): ("27ff7e6e08a47193", "ee97ef908498548b"),
+    (2, 3): ("3ceb18766388da05", "f998c51709ff30d6"),
+    (2, 4): ("3987bf893688c5af", "4a21b3062010c5db"),
+    (3, 1): ("ab25350e3e65efeb", "9327e29fb26cdc73"),
+    (3, 2): ("5d22a1a450f3bd78", "9045dc4a1ed727ae"),
+    (3, 3): ("0a34ae8ef2798794", "78c16750f4294652"),
+    (3, 4): ("d3b65666459679df", "388a189be8c48eed"),
+    (4, 1): ("a1e03200f1f82ad2", "272f78036db6721f"),
+    (4, 2): ("86fc312669b81186", "ac344d0867f3ee2c"),
+    (4, 3): ("058965632cd6b4e4", "a9bc57c53e4c04b2"),
+    (4, 4): ("3dfab250ea6afce1", "78376c980c3e69a1"),
+    (6, 1): ("f190072c5052f4f4", "81b6e2a4b36d6e37"),
+    (6, 2): ("7be044b67fd4c7cc", "daa293b357bd7877"),
+    (6, 3): ("95b9d9542b3aa92a", "a7c469a3859f67a4"),
+    (6, 4): ("7784282491c1bd45", "92e8eea2fa940012"),
+    (8, 1): ("fece8d601cd4c902", "1cab600f57951016"),
+    (8, 2): ("36caf0fb8b75c383", "aa491d7f2c48fe0a"),
+    (8, 3): ("64b4c20c3d2618a3", "8ec2f408f334de99"),
+    (16, 1): ("f23d672bb9b341f9", "e452a95f61b21a03"),
+    (16, 2): ("22efc8fcfb3a75bb", "3bfcb19884a9a1dc"),
+    (32, 1): ("bcc9bcfc670935c6", "e88967535eb1a4cc"),
+    (32, 2): ("9cae1bf6a1794310", "2d0964392e2169d7"),
+}
 
 
 def dense_twirl(proj):
@@ -422,6 +467,28 @@ class TestTwirlIndexForm:
             overlaps = np.array([np.vdot(p, m) for p in basis])
             ref = np.tensordot(proj.gram_inverse @ overlaps, basis, axes=1)
             assert np.max(np.abs(proj.apply(m) - ref)) <= 1e-12
+
+    def test_gram_is_d_to_the_cycles_at_every_size_within_the_caps(self, monkeypatch):
+        grams, pinv = [], np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a, **kw: grams.append(a) or pinv(a, **kw))
+        for t in range(1, ensembles.TWIRL_T_CAP + 1):
+            perms = list(itertools.permutations(range(t)))
+            d = 1
+            while d ** (2 * t) * 16 <= ensembles.TWIRL_OPERAND_CAP:
+                haar_twirl_projector(d, t)
+                # pi^-1 sigma maps i to p.index(q[i])
+                want = [[d ** cycle_count([p.index(v) for v in q]) for q in perms] for p in perms]
+                assert grams.pop().tolist() == want, (d, t)
+                d += 1
+
+    @pytest.mark.parametrize("d,t", sorted(TWIRL_PINS))
+    def test_pinned_bytes(self, d, t):
+        proj = haar_twirl_projector(d, t)
+        digests = tuple(
+            hashlib.sha256(a.tobytes()).hexdigest()[:16]
+            for a in (proj.permutation_rows, proj.gram_inverse)
+        )
+        assert proj.permutation_rows.dtype == np.int64 and digests == TWIRL_PINS[d, t]
 
     def test_operand_cap(self):
         with pytest.raises(CapacityError, match="4096 x 4096 operands of 256 MiB each"):

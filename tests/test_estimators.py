@@ -51,6 +51,14 @@ class TestPlanners:
         assert plan.pool_size == 1
         assert plan.r_phase2 == 0
 
+    def test_two_phase_pool_of_a_channel_is_never_one(self):
+        # the planner's pool of one needs d past MAX_DIM = 64; at the cap,
+        # eps and delta near 1 give the smallest pool a channel can plan
+        from gatefid.quantum import MAX_DIM
+
+        assert MAX_DIM == 64
+        assert plan_two_phase(0.999, 0.999, 64, 24).pool_size >= 2
+
     def test_naive_chernoff_count(self):
         plan = plan_naive_haar(0.1, 0.05, 2)
         assert plan.n == math.ceil(3 / 0.01 * math.log(2 / 0.05))

@@ -225,6 +225,14 @@ class TestGenerateTape:
         tape = generate_tape(4, 16, -2.0, seed)
         assert not tape.bits.any()
 
+    @pytest.mark.parametrize("m", [1, 2, 9, 64, 65, 130])
+    def test_zero_x_y_or_length_through_the_general_path(self, m):
+        gf, full = GF2mField(m), (0x5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A % (1 << m)) | 1
+        for x, y, n in [(0, full, 300), (full, 0, 300), (full, full, 0)]:
+            bits = _tape_bits(gf, x, y, n)
+            assert bits.dtype == np.uint8 and bits.shape == (n,)
+            assert not bits.any() and not bits.flags.writeable
+
     def test_wrong_seed_length(self):
         with pytest.raises(ParameterError):
             generate_tape(4, 16, -2.0, [0, 1, 0])
@@ -554,12 +562,13 @@ class TestSampleIndices:
         bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
         draw = indices_from_bits(bits, 4, 4)
         assert draw.indices.tolist() == [0, 1, 2, 3]
-        assert draw.width == 2 and draw.nonuniformity == 0.0
+        assert index_width(4) == 2 and draw.bits_consumed == 8
 
     def test_non_power_of_two_padded_width(self):
         draw = indices_from_bits(np.zeros(130, dtype=np.uint8), 24, 10)
-        assert draw.width == 13
-        assert draw.nonuniformity == 24 / 2**13 <= 2**-8
+        assert index_width(24) == 13 and draw.bits_consumed == 130
+        # each index's probability is off by at most set_size / 2^w
+        assert 24 / 2 ** index_width(24) <= 2**-8
 
     def test_exhaustion_raises(self):
         with pytest.raises(CapacityError):
@@ -571,7 +580,7 @@ class TestSampleIndices:
         draw = indices_from_bits(bits, 24, n)
         counts = np.bincount(draw.indices, minlength=24)
         sigma = math.sqrt(n * (1 / 24) * (1 - 1 / 24))
-        assert np.max(np.abs(counts - n / 24)) <= 5 * sigma + n * draw.nonuniformity
+        assert np.max(np.abs(counts - n / 24)) <= 5 * sigma + n * 24 / 2**13
 
 
 def reference_indices(bits, set_size, n):
@@ -616,8 +625,7 @@ class TestIndexDecodeAgainstReference:
         draw = indices_from_bits(bits, set_size, n)
         want = reference_indices(bits, set_size, n)
         assert draw.indices.dtype == np.int64 and np.array_equal(draw.indices, want)
-        assert (draw.bits_consumed, draw.width) == (n * w, w)
-        assert draw.nonuniformity == (0.0 if set_size & (set_size - 1) == 0 else set_size / 2**w)
+        assert draw.bits_consumed == n * w
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -648,7 +656,7 @@ class TestIndexDecodeAgainstReference:
     def test_all_ones_at_3_pow_2_26_is_the_last_index(self):
         # the int64 product overflowed here: all-ones decoded to -67108865
         draw = indices_from_bits(np.ones(36, np.uint8), 3 * 2**26, 1)
-        assert draw.width == 36 and draw.indices.tolist() == [3 * 2**26 - 1]
+        assert index_width(3 * 2**26) == 36 and draw.indices.tolist() == [3 * 2**26 - 1]
 
     @pytest.mark.parametrize("set_size", [2**49 + 1, 2**58, 3 * 2**60])
     def test_past_the_widest_field_refused(self, set_size):

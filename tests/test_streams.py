@@ -28,13 +28,17 @@ class ReferenceBitSource:
         return out
 
     def take_gaussians(self, count: int) -> np.ndarray:
-        bits = self.take_bits(64 * count)
-        packed = np.packbits(bits).view(">u8").astype(np.uint64)
-        u = (packed.astype(np.float64) + 0.5) * 2.0**-64
-        u1, u2 = u[0::2], u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * math.pi * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        return box_muller(self.take_bits(64 * count))
+
+
+def box_muller(bits):
+    """Gaussian pairs from MSB-first 64-bit uniforms, as BitSource forms them."""
+    packed = np.packbits(bits).view(">u8").astype(np.uint64)
+    u = (packed.astype(np.float64) + 0.5) * 2.0**-64
+    u1, u2 = u[0::2], u[1::2]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
 
 
 def assert_same_draws(seed, draws):
@@ -72,10 +76,33 @@ class TestAgainstReference:
         assert_same_draws(offset, [("bits", offset), ("gaussians", pairs), ("bits", 130), ("gaussians", 1)])
 
     def test_draws_that_cross_refills(self):
-        # every refill is max(64, count // 64 + 1) words, so these leave
-        # partial words behind and then need a fresh refill mid-draw
+        # the reference refills max(64, count // 64 + 1) words at a time and
+        # the source draws only the words it is short of; these leave partial
+        # words behind and cross the reference's refills mid-draw
         assert_same_draws(3, [("bits", 4095), ("bits", 2), ("gaussians", 40), ("bits", 9000),
                               ("gaussians", 0), ("bits", 0), ("gaussians", 2000), ("bits", 1)])
+
+
+class TestExactLengthDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64), draws=DRAWS)
+    def test_one_word_held_and_one_stream_read(self, seed, draws):
+        src = BitSource(seed)
+        outs = []
+        for kind, c in draws:
+            outs.append((kind, src.take_bits(c) if kind == "bits" else src.take_gaussians(2 * c)))
+            assert len(src._words) <= 1  # at most the partly read word
+        # the generator gave exactly the words the draws spanned
+        words = -(-src.total_bits // 64)
+        whole = _generator(seed, "classical").integers(0, 2**64, size=words + 1, dtype=np.uint64)
+        assert src._gen.integers(0, 2**64, size=1, dtype=np.uint64)[0] == whole[words]
+        stream = np.unpackbits(whole[:words].astype(">u8").view(np.uint8))
+        pos = 0
+        for kind, out in outs:
+            span = len(out) if kind == "bits" else 64 * len(out)
+            want = stream[pos : pos + span]
+            assert np.array_equal(out, want if kind == "bits" else box_muller(want))
+            pos += span
 
 
 class TestBitSource:
