@@ -315,13 +315,16 @@ def _option_dests(parser) -> set:
 
 
 def _apply_config(parser, argv):
-    if "--config" not in argv:
+    """argv with `--config PATH` or `--config=PATH` replaced by the file's flags."""
+    idx = next((i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):
-        raise FormatError("--config needs a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2 :]
+    if argv[idx] == "--config":
+        if idx + 1 == len(argv):
+            raise FormatError("--config needs a file path")
+        path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2 :]
+    else:
+        path, rest = argv[idx][len("--config=") :], argv[:idx] + argv[idx + 1 :]
     try:
         doc = json.loads(open(path, encoding="utf-8").read())
     except (OSError, json.JSONDecodeError) as exc:
@@ -351,6 +354,9 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_apply_config(parser, argv))
+        if args.config is not None:
+            # an abbreviation such as --conf, or a second --config, that would be ignored
+            raise FormatError("give the config file once, as --config PATH or --config=PATH")
         return args.func(args)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ ensemble takes Lanczos on the matrix-free operator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -136,8 +137,14 @@ def _clifford1q_stack() -> np.ndarray:
     return stack
 
 
+@functools.cache
 def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
-    """Named built-in ensembles: clifford1q, pauli1q, identity_only."""
+    """Named built-in ensembles: clifford1q, pauli1q, identity_only.
+
+    Each (name, d) is built once per process and shared, which is safe
+    because an ensemble is frozen and its stack read-only; a product such
+    as clifford1q(x)clifford1q then closes the group once.
+    """
     if name == "clifford1q":
         return UnitaryEnsemble(2, _clifford1q_stack(), "clifford1q", group=True)
     if name == "pauli1q":

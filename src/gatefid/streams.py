@@ -51,12 +51,13 @@ class BitSource:
     The buffer holds the generator's 64-bit words as drawn and a bit offset
     into the first of them. Stream bit j is bit 63 - j % 64 of word j // 64,
     so a bit draw unpacks its span most significant bit first and a
-    gaussian draw reads each 64-bit uniform straight from the words (at an
-    unaligned offset, two adjacent words joined by shifts). Both draws take
-    their span from _span, which draws exactly the words it is short of,
-    keeps at most the one partly read word and counts the span in
-    total_bits. Philox is counter-based: how many words are drawn at a time
-    does not change the stream.
+    gaussian draw reads the 64-bit uniforms of the pairs it transforms as
+    strided views of the words (at an unaligned offset, two adjacent words
+    joined by shifts); a pair it skips is drawn and counted but never
+    transformed. Both draws take their span from _span, which draws exactly
+    the words it is short of, keeps at most the one partly read word and
+    counts the span in total_bits. Philox is counter-based: how many words
+    are drawn at a time does not change the stream.
     """
 
     def __init__(self, master_seed: int):
@@ -83,22 +84,36 @@ class BitSource:
         words, offset = self._span(count)
         return np.unpackbits(words.astype(">u8").view(np.uint8))[offset : offset + count]
 
-    def take_gaussians(self, count: int) -> np.ndarray:
-        """Standard normals via Box-Muller; exactly 64 bits per uniform, count even."""
+    def take_gaussians(self, count: int, step: int = 1) -> np.ndarray:
+        """take_gaussians(count)[::step], standard normals via Box-Muller from
+        exactly 64 bits per uniform; count is even and step divides count // 2.
+
+        A draw returns the cosine halves of its pairs, then the sine halves,
+        so every step-th normal is the cosine or the sine of every step-th
+        pair: only those pairs' uniforms are read and transformed. All
+        64 * count bits are drawn and counted whatever the step.
+        """
         if count % 2:
             raise ParameterError("gaussian draws come in pairs; count must be even")
+        if step < 1 or (count // 2) % step:
+            raise ParameterError(f"step must be >= 1 and divide the {count // 2} pairs, got {step}")
         words, offset = self._span(64 * count)
+
+        def pairs(w):  # the (radius, angle) words of every step-th pair, a strided view
+            return w[:count].reshape(count // 2, 2)[::step]
+
+        read = pairs(words)
         if offset:
-            words = (words[:-1] << np.uint64(offset)) | (words[1:] >> np.uint64(64 - offset))
-        u = words.astype(np.float64)
+            read = (read << np.uint64(offset)) | (pairs(words[1:]) >> np.uint64(64 - offset))
+        u = read.astype(np.float64)
         u += 0.5
         u *= 2.0**-64
-        radius = np.log(u[0::2])
+        radius = np.log(u[:, 0])
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        angle = u[1::2] * (2.0 * math.pi)
-        out = np.empty(count)
-        cos, sin = out[: count // 2], out[count // 2 :]
+        angle = u[:, 1] * (2.0 * math.pi)
+        out = np.empty(2 * len(angle))
+        cos, sin = out[: len(angle)], out[len(angle) :]
         np.cos(angle, out=cos)
         cos *= radius
         np.sin(angle, out=sin)

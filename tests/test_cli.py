@@ -498,6 +498,30 @@ class TestConfigFile:
         assert code == 3 and out == ""
         assert f"unknown config keys: [{key!r}]" in err
 
+    def test_equals_form_is_read(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.3, "delta": 0.4}))
+        spaced = run_cli(capsys, *ESTIMATE_ARGS[:7], *ESTIMATE_ARGS[11:], "--config", str(cfg))
+        joined = run_cli(capsys, *ESTIMATE_ARGS[:7], *ESTIMATE_ARGS[11:], f"--config={cfg}")
+        assert joined == spaced and joined[0] == 0
+        assert json.loads(joined[1])["epsilon"] == 0.3
+
+    def test_equals_form_with_a_missing_file_exits_3(self, capsys):
+        # once ignored: the run went ahead on the explicit flags and exited 0
+        code, out, err = run_cli(capsys, "--config=/nonexistent.json", *ESTIMATE_ARGS)
+        assert code == 3 and out == ""
+        assert "cannot read config /nonexistent.json" in err
+
+    @pytest.mark.parametrize("form", [["--conf", "{}"], ["--conf={}"], ["--c", "{}"],
+                                      ["--config", "{}", "--config", "{}"]])
+    def test_other_forms_refused(self, capsys, tmp_path, form):
+        # argparse took these as the top-level option, and nothing read them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.3}))
+        argv = [a.format(cfg) for a in form]
+        code, out, err = run_cli_exit(capsys, *argv, *ESTIMATE_ARGS)
+        assert code == 3 and out == ""
+        assert "config" in err
 
     @pytest.mark.parametrize("seed", [42, 4.2, True, None, ["2a"]])
     def test_non_string_seed_rejected(self, capsys, tmp_path, seed):

@@ -155,6 +155,16 @@ class TestBuiltins:
         with pytest.raises(ConfigError):
             builtin_ensemble("nope")
 
+    def test_one_shared_instance_per_name_and_d(self):
+        clifford = builtin_ensemble("clifford1q")
+        assert builtin_ensemble("clifford1q") is clifford
+        assert clifford.unitaries.tobytes() == ensembles._clifford1q_stack().tobytes()
+        assert not clifford.unitaries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            clifford.unitaries[0, 0, 0] = 0
+        assert builtin_ensemble("identity_only", 3) is builtin_ensemble("identity_only", 3)
+        assert builtin_ensemble("identity_only", 3) is not builtin_ensemble("identity_only", 4)
+
     def test_clifford_closed_under_multiplication(self, clifford, rng):
         keys = {_phase_canonical(u) for u in clifford.unitaries}
         idx = rng.integers(0, 24, size=(50, 2))

@@ -105,6 +105,44 @@ class TestExactLengthDraws:
             pos += span
 
 
+class TestStridedGaussians:
+    """take_gaussians(count, step) is take_gaussians(count)[::step] byte for byte,
+    and it draws and counts the same words."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        before=st.sampled_from([0, 5, 64, 70, 128]),
+        step=st.integers(1, 9),
+        blocks=st.integers(0, 60),
+        after=st.integers(0, 200),
+    )
+    def test_equals_every_step_th_of_the_full_draw(self, seed, before, step, blocks, after):
+        count = 2 * step * blocks
+        full, strided = BitSource(seed), BitSource(seed)
+        assert np.array_equal(full.take_bits(before), strided.take_bits(before))
+        want = full.take_gaussians(count)[::step]
+        got = strided.take_gaussians(count, step)
+        assert got.tobytes() == want.tobytes()
+        assert strided.total_bits == full.total_bits == before + 64 * count
+        assert np.array_equal(strided.take_bits(after), full.take_bits(after))
+        assert strided.take_gaussians(4).tobytes() == full.take_gaussians(4).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_naive_haar_column_zero(self, d):
+        # the Ginibre layout naive-haar reads: every d-th normal is column 0
+        n, count = 37, 37 * 2 * d * d
+        whole = BitSource(3).take_gaussians(count).reshape(n, 2, d, d)[..., 0]
+        assert np.array_equal(BitSource(3).take_gaussians(count, d).reshape(n, 2, d), whole)
+
+    @pytest.mark.parametrize("count,step", [(8, 0), (8, -1), (8, 3), (12, 4), (2, 2)])
+    def test_step_must_divide_the_pairs(self, count, step):
+        src = BitSource(5)
+        with pytest.raises(ParameterError, match="step"):
+            src.take_gaussians(count, step)
+        assert src.total_bits == 0
+
+
 class TestBitSource:
     def test_deterministic(self):
         a = BitSource(42).take_bits(1000)
