@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 
 import numpy as np
 
 from .channels import parse_channel_spec
-from .ensembles import builtin_ensemble, load_ensemble, tensor_product, tpe_lambda
+from .ensembles import builtin_ensemble, checked_lambda, load_ensemble, tensor_product, tpe_lambda
 from .errors import (
     CapacityError,
     ConfigError,
@@ -76,12 +75,9 @@ def _parse_seed(text: str) -> int:
 def _lambda_arg(text: str) -> float:
     """A claimed spectral gap lambda: a finite number >= 0 (0 is an exact design)."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+        return checked_lambda(float(text))
+    except (ValueError, ParameterError):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
 
 
 def _resolve_ensemble(name: str, d: int):

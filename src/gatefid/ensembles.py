@@ -43,6 +43,9 @@ DENSE_CAP = 4096
 TWIRL_T_CAP = 4
 # Bytes of one d^t x d^t complex operand, the size of each matrix Lanczos holds.
 TWIRL_OPERAND_CAP = 1 << 26
+# Bytes of the (s_a s_b, d, d) stack tensor_product materialises: the four-fold
+# clifford1q product (d = 16) takes 1.27 GiB, the five-fold one 122 GiB.
+PRODUCT_STACK_CAP = 1 << 31
 # Bytes one block of stacked Kronecker powers (or unitarity products) may take.
 _BLOCK_BYTES = 1 << 24
 # Unitarity tolerance when loading ensembles from files.
@@ -165,13 +168,20 @@ def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
 
     `tensor_factors` lists the plain factors of both sides, so a nested product
     records all of them. The product of two groups is a group, so `group`
-    carries over when both are.
+    carries over when both are. A stack over PRODUCT_STACK_CAP bytes is
+    refused with CapacityError before it is built.
     """
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
     check_dense_dim(d1 * d2)
-    stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     label = f"{a.label}(x){b.label}"
+    need = sa * sb * (d1 * d2) ** 2 * 16
+    if need > PRODUCT_STACK_CAP:
+        raise CapacityError(
+            f"{label} holds {sa * sb} unitaries of d = {d1 * d2}, {need / 2**30:.1f} GiB,"
+            f" over the {PRODUCT_STACK_CAP >> 30} GiB cap"
+        )
+    stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     factors = (a.tensor_factors or (a,)) + (b.tensor_factors or (b,))
     return UnitaryEnsemble(d1 * d2, stack, label, tensor_factors=factors, group=a.group and b.group)
 
@@ -351,11 +361,21 @@ class DesignCheck:
     residual: float | None = None
 
 
+def checked_lambda(value) -> float:
+    """A lambda as a float; ParameterError unless it is a finite number >= 0."""
+    if not 0.0 <= value < math.inf:  # also refuses NaN
+        raise ParameterError(f"claimed lambda must be a finite number >= 0, got {value}")
+    return float(value)
+
+
+def lambda_t(e: UnitaryEnsemble, t: int, claimed=None) -> float:
+    """The claimed lambda_t, checked, or else the one tpe_lambda computes."""
+    return tpe_lambda(e, t).lambda_value if claimed is None else checked_lambda(claimed)
+
+
 def design_epsilon_from_lambda(lambda2: float, d: int) -> float:
     """Certified approximate-2-design epsilon from a 2-copy lambda: lambda * d^4."""
-    if not 0 <= lambda2 < math.inf:  # also refuses NaN
-        raise ParameterError(f"lambda must be a finite number >= 0, got {lambda2}")
-    return float(lambda2) * d**4
+    return checked_lambda(lambda2) * d**4
 
 
 def _haar_frame_potential(d: int, t: int) -> int:

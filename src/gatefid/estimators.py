@@ -25,12 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import (
-    TWIRL_OPERAND_CAP,
-    UnitaryEnsemble,
-    design_epsilon_from_lambda,
-    tpe_lambda,
-)
+from .ensembles import UnitaryEnsemble, checked_lambda, design_epsilon_from_lambda, lambda_t
 from .errors import (
     CapacityError,
     NumericalError,
@@ -48,8 +43,10 @@ from .prg import (
     tape_seed_length,
 )
 from .quantum import KrausChannel, gate_fidelities
-# Not called here any more (tables come from one batched kernel call); kept
-# importable from this module, where perfbench/spans.py looks it up.
+# Not called here any more (tables come from one batched kernel call, lambda
+# from ensembles.lambda_t); kept importable from this module, where
+# perfbench/spans.py looks them up.
+from .ensembles import tpe_lambda  # noqa: F401
 from .quantum import gate_fidelity_vector  # noqa: F401
 from .streams import BitSource, measurement_rng
 
@@ -148,32 +145,25 @@ class EstimationResult:
 
 
 @dataclass(frozen=True)
-class NaivePlan:
-    n: int
-    bits_per_unitary: int
-
-    @property
-    def total_bits(self) -> int:
-        return self.n * self.bits_per_unitary
-
-
-def plan_naive_haar(epsilon: float, delta: float, d: int) -> NaivePlan:
-    _check_eps_delta(epsilon, delta)
-    n = math.ceil(3.0 / epsilon**2 * math.log(2.0 / delta))
-    return NaivePlan(n, HAAR_BITS_PER_DIM2 * d * d)
-
-
-@dataclass(frozen=True)
 class IidPlan:
+    """n independent draws of `width` bits each: Haar unitaries or ensemble indices."""
+
     n: int
     width: int
-    budget: float
-    lambda2: float
-    eps2: float
 
     @property
     def total_bits(self) -> int:
         return self.n * self.width
+
+
+def _iid_plan(budget: float, delta: float, width: int) -> IidPlan:
+    """n = ceil(3 budget^-2 ln(2/delta)) draws: the Chernoff count for a deviation of `budget`."""
+    return IidPlan(math.ceil(3.0 / budget**2 * math.log(2.0 / delta)), width)
+
+
+def plan_naive_haar(epsilon: float, delta: float, d: int) -> IidPlan:
+    _check_eps_delta(epsilon, delta)
+    return _iid_plan(epsilon, delta, HAAR_BITS_PER_DIM2 * d * d)
 
 
 @dataclass(frozen=True)
@@ -424,8 +414,9 @@ def _fidelity_columns(ch: KrausChannel, columns: np.ndarray) -> np.ndarray:
     return gate_fidelities(ch, columns)
 
 
-def _certify_design(ensemble: UnitaryEnsemble, epsilon: float, lambda2) -> tuple:
-    lam = tpe_lambda(ensemble, 2).lambda_value if lambda2 is None else _claimed(lambda2)
+def _certify_design(ensemble: UnitaryEnsemble, epsilon: float, lambda2) -> bool:
+    """Whether the ensemble is an exact 2-design; PlanningError unless epsilon_2 < epsilon/2."""
+    lam = lambda_t(ensemble, 2, lambda2)
     eps2 = design_epsilon_from_lambda(lam, ensemble.dim)
     exact = lam <= EXACT_DESIGN_LAMBDA
     if not exact and eps2 >= epsilon / 2.0:
@@ -433,7 +424,7 @@ def _certify_design(ensemble: UnitaryEnsemble, epsilon: float, lambda2) -> tuple
             f"ensemble {ensemble.label!r} certifies only epsilon_2 = {eps2:g}"
             f" >= epsilon/2 = {epsilon / 2.0:g}; design too coarse for the target"
         )
-    return lam, eps2, exact
+    return exact
 
 
 def estimate_design_iid(
@@ -441,13 +432,11 @@ def estimate_design_iid(
 ) -> EstimationResult:
     """Independent uniform draws from a certified (approximate) 2-design."""
     run = _Run("design-iid", channel, epsilon, delta, seed, ensemble)
-    lam, eps2, exact = _certify_design(ensemble, epsilon, lambda2)
-    budget = epsilon if exact else epsilon / 2.0
+    exact = _certify_design(ensemble, epsilon, lambda2)
     _check_eps_delta(epsilon, delta)
-    n = math.ceil(3.0 / budget**2 * math.log(2.0 / delta))
-    plan = IidPlan(n, index_width(ensemble.size), budget, lam, eps2)
-    run.reserve(n, plan.total_bits)
-    ids = run.indices("indices", n * plan.width, ensemble.size, n)
+    plan = _iid_plan(epsilon if exact else epsilon / 2.0, delta, index_width(ensemble.size))
+    run.reserve(plan.n, plan.total_bits)
+    ids = run.indices("indices", plan.total_bits, ensemble.size, plan.n)
     return run.finish(plan, ids, _fidelity_table(run.channel, ensemble)[ids])
 
 
@@ -494,25 +483,16 @@ def estimate_single_qtpe(
     return run.finish(plan, np.full(plan.n, chosen), np.full(plan.n, p))
 
 
-def _claimed(value):
-    """A claimed lambda as a float (None stays None); ParameterError unless finite and >= 0."""
-    if value is None:
-        return None
-    if not 0.0 <= value < math.inf:  # also refuses NaN
-        raise ParameterError(f"claimed lambda must be a finite number >= 0, got {value}")
-    return float(value)
-
-
 def _lambda4_or_none(ensemble: UnitaryEnsemble, claimed):
-    if claimed is not None:
-        return _claimed(claimed)
-    if ensemble.group:
-        # exact and cheap wherever the t = 4 twirl's d^4 x d^4 operands fit the cap
-        fits = ensemble.dim**8 * 16 <= TWIRL_OPERAND_CAP
-    else:
-        # Lanczos cost grows with s times steps, and files with d > 2 were not timed
-        fits = ensemble.dim <= 2
-    return tpe_lambda(ensemble, 4).lambda_value if fits else None
+    """The claimed or computed 4-copy lambda; None where tpe_lambda refuses the
+    size, or for a non-group past d = 2 (Lanczos cost grows with s times steps,
+    and files with d > 2 were not timed)."""
+    if claimed is None and not ensemble.group and ensemble.dim > 2:
+        return None
+    try:
+        return lambda_t(ensemble, 4, claimed)
+    except CapacityError:
+        return None
 
 
 def estimate_two_phase(
@@ -531,7 +511,7 @@ def estimate_two_phase(
     # the phase-1 pool holds an id and a probability each, as a trial does
     run.reserve(plan.n + plan.pool_size, plan.r_phase1 + plan.n * plan.width_phase2)
     failures = []
-    lam = _claimed(claimed_lambda)
+    lam = None if claimed_lambda is None else checked_lambda(claimed_lambda)
     if lam is None:
         run.flags.append("4l-copy lambda unverifiable; trusting the ensemble claim")
     elif lam > 0.0 and math.log2(lam) > plan.lambda_required_log2:  # lambda = 0 passes

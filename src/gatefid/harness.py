@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import UnitaryEnsemble, tpe_lambda
+from .ensembles import UnitaryEnsemble, lambda_t
 from .errors import CapacityError, ParameterError
-from .estimators import _checked_channel, _claimed, _fidelity_columns, _fidelity_table
+from .estimators import _checked_channel, _fidelity_columns, _fidelity_table
 from .prg import GF2mField, tape_field_degree, theta_log2_of
 from .quantum import haar_second_moment
-# Not called here any more (the bound suite samples first columns without QR);
-# kept importable from this module, where perfbench/spans.py looks it up.
+# Not called here any more (the bound suite samples first columns without QR,
+# and takes lambda from ensembles.lambda_t); kept importable from this module,
+# where perfbench/spans.py looks them up.
+from .ensembles import tpe_lambda  # noqa: F401
 from .quantum import haar_unitaries_batch  # noqa: F401
 from .streams import _generator, split_seed
 
@@ -155,12 +157,6 @@ def _check_draws(name: str, reps: int, t: int, draw_bytes: int) -> None:
         )
 
 
-def _lambda(ensemble: UnitaryEnsemble, t: int, claimed) -> float:
-    """A claimed lambda_t (checked), else the one tpe_lambda computes."""
-    lam = _claimed(claimed)
-    return tpe_lambda(ensemble, t).lambda_value if lam is None else lam
-
-
 def variance_check(channel) -> BoundCheck:
     """Exact Haar variance of the gate fidelity, E[p^2] - F^2, against 26/d."""
     ch = _checked_channel(channel)
@@ -192,7 +188,7 @@ def moment_gap_checks(channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=
     """
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
-    lam = {1: _lambda(ensemble, 2, lambda2), 2: _lambda(ensemble, 4, lambda4)}
+    lam = {1: lambda_t(ensemble, 2, lambda2), 2: lambda_t(ensemble, 4, lambda4)}
     haar_m2 = haar_second_moment(ch)
     table = _fidelity_table(ch, ensemble)
     checks = []
@@ -219,7 +215,7 @@ def prop1_tail_check(
     t, dlt, reps = PROP1_T, PROP1_DELTA, params.repeats
     # an int64 index and the fidelity it gathers, and a share of the repeat's mean (~18 bytes)
     _check_draws("qtpe-tail", reps, t, 24)
-    lam4 = _lambda(ensemble, 4, lambda4)
+    lam4 = lambda_t(ensemble, 4, lambda4)
     rng = _generator(params.seed, "harness", 4)
     table = _fidelity_table(ch, ensemble)
     idx = rng.integers(0, ensemble.size, size=(reps, t))
@@ -236,7 +232,7 @@ def bound_validation_suite(
     """Every bound check on one channel and ensemble. An unclaimed lambda_2 or
     lambda_4 is computed once here and shared by the checks that read it."""
     ch = _checked_channel(channel)
-    lam2, lam4 = _lambda(ensemble, 2, lambda2), _lambda(ensemble, 4, lambda4)
+    lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
     report = SuiteReport()
     report.checks.append(variance_check(ch))
     report.checks.append(tail_check(ch, params))

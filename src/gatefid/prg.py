@@ -11,7 +11,8 @@ drives that bias below theta * 2^(-k/2 - 1), which forces every <= k-subset's
 joint distribution to be theta-close to uniform in L1 (Parseval over the
 subset's parities).
 The resulting seed length 2m generally exceeds the constant-free textbook
-formula kwise_seed_length(); both are reported and tests bound their ratio.
+formula kwise_seed_length(), which no plan or output reports; the tests bound
+the ratio of the two.
 Every function here takes theta as theta_log2 = log2(theta), because the theta
 a plan asks for is often far below the smallest float; theta_log2_of converts
 a float theta once, where one enters from outside.
@@ -286,12 +287,16 @@ def _checked_theta_log2(theta_log2: float) -> float:
     return theta_log2
 
 
-def kwise_seed_length(k: int, n: int, theta_log2: float) -> int:
-    """Textbook seed length ceil(k + 2 log2 log2 k + 2 log2 log2 n + 2 log2(1/theta))."""
+def _check_k_n(k: int, n: int) -> None:
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if n < k:
         raise ParameterError(f"need k <= n, got k={k} n={n}")
+
+
+def kwise_seed_length(k: int, n: int, theta_log2: float) -> int:
+    """Textbook seed length ceil(k + 2 log2 log2 k + 2 log2 log2 n + 2 log2(1/theta))."""
+    _check_k_n(k, n)
     lt = -_checked_theta_log2(theta_log2)
     return math.ceil(k + 2 * math.log2(math.log2(k)) + 2 * math.log2(math.log2(n)) + 2 * lt)
 
@@ -308,10 +313,7 @@ def sampling_seed_length(epsilon: float, n: int, set_size: int, theta_log2: floa
 
 def tape_field_degree(k: int, n: int, theta_log2: float) -> int:
     """Field degree m of the powering construction for a (k, n, theta) tape."""
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
-    if n < k:
-        raise ParameterError(f"need k <= n, got k={k} n={n}")
+    _check_k_n(k, n)
     lt = -_checked_theta_log2(theta_log2)
     return max(1, math.ceil(math.log2(n) + k / 2 + lt + 1))
 

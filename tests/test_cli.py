@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,7 +451,7 @@ class TestClaimedLambda:
 
     @pytest.mark.parametrize("suite", ["moment", "prop1"])
     @pytest.mark.parametrize("flag", ["--claimed-lambda", "--claimed-lambda4"])
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_validate_refuses_bad_claims(self, capsys, suite, flag, value):
         code, out, err = run_cli_exit(
             capsys, "validate", "--suite", suite, "--channel", "depolarizing:0.2",
@@ -457,6 +459,24 @@ class TestClaimedLambda:
         )
         assert code == 3 and out == ""
         assert f"argument {flag}: must be a finite number >= 0" in err
+
+
+def readme_cli_commands() -> list:
+    """The argv of every gatefid command in README's CLI code block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gatefid ")]
+
+
+def test_readme_cli_examples_exit_0(capsys):
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == [
+        "estimate", "check-design", "validate", "validate", "gen-bits"
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out, (argv, err)
 
 
 class TestConfigFile:

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -711,6 +713,31 @@ class TestGroupProvenance:
     def test_products_of_groups_are_groups(self, clifford, pauli):
         assert tensor_product(clifford, pauli).group
         assert tensor_product(tensor_product(clifford, pauli), clifford).group
+
+
+class TestProductStackCap:
+    def test_five_fold_clifford_refused_before_the_einsum(self, clifford):
+        # the four-fold product's shape without its 1.27 GiB: one matrix, broadcast
+        four = SimpleNamespace(
+            unitaries=np.broadcast_to(np.eye(16, dtype=complex), (24**4, 16, 16)), label="c4"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="7962624 unitaries of d = 32, 121.5 GiB"):
+                tensor_product(four, clifford)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the four-fold product itself (d = 16) stays under the cap
+        assert 24**4 * 16**2 * 16 <= ensembles.PRODUCT_STACK_CAP
+
+    def test_cap_admits_a_stack_of_its_own_size(self, clifford, monkeypatch):
+        monkeypatch.setattr(ensembles, "PRODUCT_STACK_CAP", 24 * 24 * 4**2 * 16)
+        assert tensor_product(clifford, clifford).size == 576
+        monkeypatch.setattr(ensembles, "PRODUCT_STACK_CAP", 24 * 24 * 4**2 * 16 - 1)
+        with pytest.raises(CapacityError, match="holds 576 unitaries of d = 4"):
+            tensor_product(clifford, clifford)
 
 
 class TestDesignEpsilon:

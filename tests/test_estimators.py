@@ -233,23 +233,30 @@ class TestTwoPhase:
 
 
 class TestClaimedLambda:
+    """One rule, ensembles.checked_lambda, refuses every bad claim with one message."""
+
+    RULE = "claimed lambda must be a finite number >= 0"
+
     def test_nan_or_negative_lambda2_refused(self, clifford):
         from gatefid import design_epsilon_from_lambda
+        from gatefid.ensembles import lambda_t
 
         for lam in (math.nan, -1.0, math.inf):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=self.RULE):
                 design_epsilon_from_lambda(lam, 2)
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=self.RULE):
+                lambda_t(clifford, 2, lam)
+            with pytest.raises(ParameterError, match=self.RULE):
                 estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=lam)
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=self.RULE):
                 estimate_kwise_design(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=lam)
 
     def test_nan_or_negative_claim_refused_before_the_gate(self, clifford):
         for lam in (math.nan, -1.0, math.inf):
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=self.RULE):
                 estimate_single_qtpe(DEPOL, 0.2, 0.5, clifford, seed=1, claimed_lambda=lam,
                                      waive_preconditions=True)
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError, match=self.RULE):
                 estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=1, claimed_lambda=lam,
                                    waive_preconditions=True)
 

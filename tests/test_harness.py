@@ -21,7 +21,7 @@ from gatefid import (
     tensor_product,
     tpe_lambda,
 )
-from gatefid import estimators, harness
+from gatefid import ensembles, estimators, harness
 from gatefid.errors import CapacityError, ParameterError
 from gatefid.harness import (
     _haar_columns,
@@ -155,6 +155,8 @@ class TestBoundChecks:
             moment_gap_checks(DEPOL, clifford, lambda2=0.0, lambda4=lam)
         with pytest.raises(ParameterError, match="claimed lambda"):
             prop1_tail_check(DEPOL, clifford, lambda4=lam, params=FAST)
+        with pytest.raises(ParameterError, match="claimed lambda"):
+            bound_validation_suite(DEPOL, clifford, lambda2=lam, params=FAST)
 
     def test_unclaimed_lambda_is_computed(self, clifford):
         lam2, lam4 = tpe_lambda(clifford, 2).lambda_value, tpe_lambda(clifford, 4).lambda_value
@@ -183,7 +185,7 @@ class TestBoundChecks:
             calls.append(t)
             return tpe_lambda(ensemble, t)
 
-        monkeypatch.setattr(harness, "tpe_lambda", counting)
+        monkeypatch.setattr(ensembles, "tpe_lambda", counting)  # lambda_t's lookup
         assert bound_validation_suite(DEPOL, clifford, params=FAST).passed
         assert sorted(calls) == [2, 4]
         calls.clear()
