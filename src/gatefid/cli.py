@@ -18,7 +18,14 @@ import sys
 import numpy as np
 
 from .channels import parse_channel_spec
-from .ensembles import builtin_ensemble, checked_lambda, load_ensemble, tensor_product, tpe_lambda
+from .ensembles import (
+    builtin_ensemble,
+    check_product_size,
+    checked_lambda,
+    load_ensemble,
+    tensor_product,
+    tpe_lambda,
+)
 from .errors import (
     CapacityError,
     ConfigError,
@@ -81,20 +88,27 @@ def _lambda_arg(text: str) -> float:
 
 
 def _resolve_ensemble(name: str, d: int):
-    """A builtin name or a JSON file path, or '(x)'-joined parts folded left by tensor_product."""
-    parts = name.split("(x)")
-    return functools.reduce(
-        tensor_product,
-        (builtin_ensemble(p, d) if p in _BUILTIN_ENSEMBLES else load_ensemble(p) for p in parts),
-    )
+    """A builtin name or a JSON file path, or '(x)'-joined parts folded left by tensor_product.
+
+    A product is sized as a whole first, so one that is too large is refused
+    before any of its partial stacks is built.
+    """
+    parts = [builtin_ensemble(p, d) if p in _BUILTIN_ENSEMBLES else load_ensemble(p)
+             for p in name.split("(x)")]
+    if len(parts) > 1:
+        check_product_size([e.unitaries.shape[:2] for e in parts], "(x)".join(e.label for e in parts))
+    return functools.reduce(tensor_product, parts)
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def cmd_estimate(args) -> int:

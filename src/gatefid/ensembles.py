@@ -43,7 +43,7 @@ DENSE_CAP = 4096
 TWIRL_T_CAP = 4
 # Bytes of one d^t x d^t complex operand, the size of each matrix Lanczos holds.
 TWIRL_OPERAND_CAP = 1 << 26
-# Bytes of the (s_a s_b, d, d) stack tensor_product materialises: the four-fold
+# Bytes of the (s, d, d) stack of a tensor product (check_product_size): the four-fold
 # clifford1q product (d = 16) takes 1.27 GiB, the five-fold one 122 GiB.
 PRODUCT_STACK_CAP = 1 << 31
 # Bytes one block of stacked Kronecker powers (or unitarity products) may take.
@@ -163,24 +163,36 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
     raise ConfigError(f"unknown builtin ensemble {name!r}")
 
 
+def check_product_size(shapes, label: str) -> None:
+    """CapacityError unless the tensor product of stacks of these (s, d) shapes fits.
+
+    The product holds prod s_i unitaries of d = prod d_i: d must be within
+    the dense cap, and its (s, d, d) complex stack within PRODUCT_STACK_CAP
+    bytes. Nothing is built, so a product can be sized before its first factor pair.
+    """
+    size = math.prod(s for s, _ in shapes)
+    dim = math.prod(d for _, d in shapes)
+    check_dense_dim(dim)
+    need = size * dim**2 * 16
+    if need > PRODUCT_STACK_CAP:
+        raise CapacityError(
+            f"{label} holds {size} unitaries of d = {dim}, {need / 2**30:.1f} GiB,"
+            f" over the {PRODUCT_STACK_CAP >> 30} GiB cap"
+        )
+
+
 def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
     """All s_a * s_b pairwise Kronecker products; uniform weights stay uniform.
 
     `tensor_factors` lists the plain factors of both sides, so a nested product
     records all of them. The product of two groups is a group, so `group`
-    carries over when both are. A stack over PRODUCT_STACK_CAP bytes is
-    refused with CapacityError before it is built.
+    carries over when both are. A product that check_product_size refuses is
+    refused before its stack is built.
     """
     sa, d1, _ = a.unitaries.shape
     sb, d2, _ = b.unitaries.shape
-    check_dense_dim(d1 * d2)
     label = f"{a.label}(x){b.label}"
-    need = sa * sb * (d1 * d2) ** 2 * 16
-    if need > PRODUCT_STACK_CAP:
-        raise CapacityError(
-            f"{label} holds {sa * sb} unitaries of d = {d1 * d2}, {need / 2**30:.1f} GiB,"
-            f" over the {PRODUCT_STACK_CAP >> 30} GiB cap"
-        )
+    check_product_size([(sa, d1), (sb, d2)], label)
     stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
     factors = (a.tensor_factors or (a,)) + (b.tensor_factors or (b,))
     return UnitaryEnsemble(d1 * d2, stack, label, tensor_factors=factors, group=a.group and b.group)

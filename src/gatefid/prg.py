@@ -31,6 +31,11 @@ squaring matrix is the single bit 2j while 2j < m, so its low rows are a
 byte-table spread and only the rest get XOR tables. Tables and gathers are
 built in blocks of bounded size, in buffers kept per field degree with the
 squaring tables, so a second tape of the same shape allocates no table.
+The rest of the per-seed set-up is word work with no loop over bits: x and
+y are one packbits of the seed; the parities <t^a, y> are one pass over the
+degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
+parities j .. j+m-1, packed in row blocks; V^T is V transposed in 8 x 8
+bit blocks, each a word put through three delta swaps.
 Indices decode exactly from the packed bits through 8-byte windows, so an
 index field is at most 57 bits wide. Every entry is an XOR of bits,
 so the tape is bit-exact on any host; fields of degree 2^24 or more, whose
@@ -355,12 +360,18 @@ class BiasedTape:
 def generate_tape(k: int, n: int, theta_log2: float, seed_bits) -> BiasedTape:
     """Expand a 2m-bit true-random seed into an n-bit approximately k-wise tape."""
     m = tape_field_degree(k, n, theta_log2)
-    seed = tuple(int(b) & 1 for b in seed_bits)
-    if len(seed) != 2 * m:
-        raise ParameterError(f"seed must have exactly {2 * m} bits, got {len(seed)}")
+    bits = np.asarray(seed_bits)
+    if bits.ndim == 1 and bits.dtype.kind in "biu":
+        bits = (bits & 1).astype(np.uint8)
+    else:  # floats, strings, Python ints past 64 bits, iterators: one by one
+        bits = np.array([int(b) & 1 for b in seed_bits], np.uint8)
+    if len(bits) != 2 * m:
+        raise ParameterError(f"seed must have exactly {2 * m} bits, got {len(bits)}")
     gf = GF2mField(m)
-    x = sum(b << j for j, b in enumerate(seed[:m]))
-    y = sum(b << j for j, b in enumerate(seed[m:]))
+    # bit j of x is seed bit j, bit j of y seed bit m + j
+    halves = np.packbits(bits.reshape(2, m), axis=1, bitorder="little")
+    x, y = (int.from_bytes(h.tobytes(), "little") for h in halves)
+    seed = tuple(bits.tolist())
     return BiasedTape(n, k, theta_log2, seed, gf, x, y, _tape_bits(gf, x, y, n))
 
 
@@ -496,15 +507,38 @@ def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
     return out
 
 
+# Delta swaps that transpose the 8 x 8 bit matrix in a word whose byte r is
+# row r: bit 8r + c moves to bit 8c + r (Warren, Hacker's Delight, 7-3).
+_DELTA_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
 def _transposed(rows: np.ndarray, nbits: int) -> np.ndarray:
-    """Packed nbits x len(rows) transpose of the nbits-bit rows `rows`."""
-    out = np.zeros((nbits, 8 * -(-len(rows) // 64)), np.uint8)
-    step = max(8, _BLOCK_BYTES // nbits // 8 * 8)
+    """Packed nbits x len(rows) transpose of the nbits-bit rows `rows`.
+
+    Byte column c of rows 8i .. 8i+7 is an 8 x 8 bit block: its eight bytes
+    are gathered into one word, transposed there by three delta swaps, and
+    the word's bytes are scattered to byte i of rows 8c .. 8c+7. Rows go in
+    blocks whose gathered bytes stay within _BLOCK_BYTES.
+    """
+    cols = -(-nbits // 8)
+    out = np.zeros((8 * cols, 8 * -(-len(rows) // 64)), np.uint8)
+    step = max(8, _BLOCK_BYTES // cols // 8 * 8)
     for r0 in range(0, len(rows), step):
-        bits = np.unpackbits(rows[r0 : r0 + step].view(np.uint8), axis=1, count=nbits, bitorder="little")
-        packed = np.packbits(bits, axis=0, bitorder="little")
-        out[:, r0 // 8 : r0 // 8 + len(packed)] = packed.T
-    return out.view(_WORD)
+        chunk = rows[r0 : r0 + step].view(np.uint8)[:, :cols]
+        blocks = -(-len(chunk) // 8)
+        # word (c, i) holds byte c of rows 8i .. 8i+7, row 8i + r in its byte r
+        gathered = np.zeros((cols, 8 * blocks), np.uint8)
+        gathered[:, : len(chunk)] = chunk.T
+        words = gathered.view(_WORD)
+        for shift, mask in _DELTA_SWAPS:
+            swap = ((words >> shift) ^ words) & mask
+            words ^= swap ^ (swap << shift)
+        scattered = words.view(np.uint8).reshape(cols, blocks, 8).transpose(0, 2, 1)
+        out.reshape(cols, 8, -1)[:, :, r0 // 8 : r0 // 8 + blocks] = scattered
+    return out[:nbits].view(_WORD)
 
 
 # Bits 0..7 of a byte spread to bits 0, 2, .., 14: squaring over GF(2) before reduction.
@@ -560,7 +594,7 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.
 
 @functools.lru_cache(maxsize=4)
 def _workspace(m: int, thread: int) -> tuple:
-    """What the tapes of field degree m share: t^0 .. t^(2m-2) and the squaring tables.
+    """What the tapes of field degree m share: packed rows t^0 .. t^(2m-2) and the squaring tables.
 
     The squaring tables' buffers are the tapes' reusable workspace: the
     chains' multiply-by-base tables, then the V^T tables, then the HV
@@ -569,9 +603,26 @@ def _workspace(m: int, thread: int) -> tuple:
     the same shape allocates no table. Each thread gets its own, so tapes
     on concurrent threads never share a buffer.
     """
-    gf = GF2mField(m)
-    t_powers = _times_t(gf, 1, 2 * m - 1)
-    return t_powers, _Squaring(_packed(t_powers[::2], -(-m // 64)))  # row j is t^(2j)
+    t_powers = _packed(_times_t(GF2mField(m), 1, 2 * m - 1), -(-m // 64))
+    return t_powers, _Squaring(t_powers[::2])  # row j is t^(2j)
+
+
+def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
+    """Packed rows of the m x m Hankel matrix H[j, l] = <t^(j+l), y>.
+
+    Bit a of seq is the parity <t^a, y>, for a = 0 .. 2m-2, so row j of H is
+    the window seq[j : j+m]. The windows are packed in row blocks whose
+    unpacked bytes stay within _BLOCK_BYTES, as all m of them hold m^2.
+    """
+    m, words = (len(t_powers) + 1) // 2, t_powers.shape[1]
+    masked = t_powers & _packed([y], words)
+    seq = np.bitwise_count(np.bitwise_xor.reduce(masked, axis=1)) & 1
+    windows = np.lib.stride_tricks.sliding_window_view(seq, m)
+    out = np.zeros((m, 8 * words), np.uint8)
+    step = max(1, _BLOCK_BYTES // m)
+    for j0 in range(0, m, step):
+        out[j0 : j0 + step, : -(-m // 8)] = np.packbits(windows[j0 : j0 + step], axis=1, bitorder="little")
+    return out.view(_WORD)
 
 
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
@@ -596,14 +647,10 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
         )
     block = math.isqrt(n) + 1
     rows = n // block + 1
-    words = -(-m // 64)
     t_powers, square = _workspace(m, threading.get_ident())
-    # bit a of seq is <t^a, y>, so row j of H is bits j .. j+m-1 of seq
-    seq = sum(((z & y).bit_count() & 1) << a for a, z in enumerate(t_powers))
     v = _power_chain(gf, x, block, square)  # x^0 .. x^B
     u = _power_chain(gf, int.from_bytes(v[block].tobytes(), "little"), rows - 1, square)
-    h_rows = _packed([(seq >> j) & ((1 << m) - 1) for j in range(m)], words)
-    hv = _gf2_product(h_rows, _XorTables(_transposed(v[:block], m), square.buffers))
+    hv = _gf2_product(_hankel_rows(t_powers, y), _XorTables(_transposed(v[:block], m), square.buffers))
     tape = _gf2_product(u, _XorTables(hv, square.buffers))
     bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")
     out = bits.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape

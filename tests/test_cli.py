@@ -652,6 +652,63 @@ class TestDimensionCap:
         assert peak < 4 << 20
 
 
+class TestProductSizedFirst:
+    """A '(x)' product is sized as a whole before any partial stack is built."""
+
+    @staticmethod
+    def product_argv(factors):
+        return ["check-design", "--ensemble", "(x)".join(["clifford1q"] * factors), "--t", "1"]
+
+    def run_traced(self, capsys, argv):
+        # build the cached clifford1q group first, so the traced peak is the product's alone
+        assert run_cli(capsys, *self.product_argv(1))[0] == 0
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return code, out, err, peak
+
+    def test_five_fold_clifford_exits_4_at_once(self, capsys):
+        # folding left would first build the admitted 1.27 GiB four-fold stack
+        code, out, err, peak = self.run_traced(capsys, self.product_argv(5))
+        assert code == 4 and out == ""
+        assert "holds 7962624 unitaries of d = 32, 121.5 GiB" in err
+        assert peak < 1 << 20
+
+    def test_cap_admits_a_product_of_its_own_size(self, capsys, monkeypatch):
+        # at a cap of the three-fold stack's bytes (14 MiB) three factors run;
+        # four exit 4 without building the three-fold stack on the way
+        monkeypatch.setattr(ensembles, "PRODUCT_STACK_CAP", 24**3 * 8**2 * 16)
+        code, out, _ = run_cli(capsys, *self.product_argv(3))
+        assert code == 0 and out.startswith("ensemble=clifford1q(x)clifford1q(x)clifford1q d=8 s=13824")
+        code, out, err, peak = self.run_traced(capsys, self.product_argv(4))
+        assert code == 4 and out == "" and "holds 331776 unitaries of d = 16" in err
+        assert peak < 1 << 20
+
+
+class TestUnwritableOutput:
+    """An --output that cannot be written exits 3 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ESTIMATE_ARGS,
+            ["check-design", "--ensemble", "clifford1q"],
+            ["validate", "--suite", "variance", "--channel", "depolarizing:0.2"],
+            ["gen-bits", "--k", "4", "--n", "64", "--theta", "0.25", "--seed", "111111"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_exit_3(self, capsys, tmp_path, argv, target):
+        path = tmp_path / "absent" / "out.txt" if target == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
 class TestSmallEpsilonCap:
     """A plan whose trials would not fit RUN_MEMORY_CAP exits 4 before any draw."""
 

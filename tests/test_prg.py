@@ -264,6 +264,37 @@ class TestGenerateTape:
         tape = generate_tape(4, 32, -2.0, seed)
         assert len(tape.seed_bits) == tape.r == 2 * m
 
+    @pytest.mark.parametrize(
+        "form",
+        [list, tuple, iter, np.array, lambda b: np.array(b, np.uint8), lambda b: np.array(b, bool),
+         lambda b: [float(v) for v in b], lambda b: [str(v) for v in b]],
+        ids=["list", "tuple", "iterator", "int64", "uint8", "bool", "float", "str"],
+    )
+    def test_seed_forms_read_alike(self, form):
+        # every form reads entry b as int(b) & 1, with bit j of x seed bit j
+        # and bit j of y seed bit m + j, as the per-bit sums did
+        m = tape_field_degree(4, 32, -2.0)
+        seed = BitSource(11).take_bits(2 * m).tolist()
+        want = tuple(seed)
+        x = sum(b << j for j, b in enumerate(want[:m]))
+        y = sum(b << j for j, b in enumerate(want[m:]))
+        tape = generate_tape(4, 32, -2.0, form(seed))
+        assert (tape.x, tape.y, tape.seed_bits) == (x, y, want)
+        assert all(type(b) is int for b in tape.seed_bits)
+
+    @pytest.mark.parametrize(
+        "form",
+        [list, lambda b: np.array(b, np.int64), lambda b: np.array(b, np.uint8), lambda b: [v << 70 | v for v in b]],
+        ids=["list", "int64", "uint8", "past-64-bits"],
+    )
+    def test_seed_entries_above_1_read_their_low_bit(self, form):
+        m = tape_field_degree(4, 32, -2.0)
+        seed = BitSource(12).take_bits(2 * m).tolist()
+        high = [2 * j + b for j, b in enumerate(seed)]  # low bit b, every entry but the first above 1
+        tape = generate_tape(4, 32, -2.0, form(high))
+        assert tape.seed_bits == tuple(seed)
+        assert np.array_equal(tape.bits, generate_tape(4, 32, -2.0, seed).bits)
+
 
 def tape_of_degree(m, n, seed_bits, k=2):
     """A generated tape over GF(2^m): theta chosen so the planned degree is m."""
@@ -365,6 +396,51 @@ def packed_bits(bits):
 
 def unpacked_bits(words, cols):
     return np.unpackbits(words.view(np.uint8), axis=1, count=cols, bitorder="little")
+
+
+def reference_transposed(rows, nbits):
+    """Slow reference for prg._transposed: every bit unpacked to a byte and packed again."""
+    out = np.zeros((nbits, 8 * -(-len(rows) // 64)), np.uint8)
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=nbits, bitorder="little")
+    packed = np.packbits(bits, axis=0, bitorder="little")
+    out[:, : len(packed)] = packed.T
+    return out.view(prg._WORD)
+
+
+class TestTransposeAgainstReference:
+    @pytest.mark.parametrize("block_bytes", [None, 256])
+    @pytest.mark.parametrize("nbits", [1, 63, 64, 65, 526, 1052])
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 63, 64, 65, 527])
+    def test_matches_unpack_and_repack(self, monkeypatch, rng, rows, nbits, block_bytes):
+        # at 256 bytes the rows go in blocks of 8 (one 8 x 8 block per byte
+        # column); the bits past nbits in each row are random and must be ignored
+        if block_bytes is not None:
+            monkeypatch.setattr(prg, "_BLOCK_BYTES", block_bytes)
+        words = rng.integers(0, 2**64, size=(rows, -(-nbits // 64)), dtype=np.uint64).astype(prg._WORD)
+        got = prg._transposed(words, nbits)
+        assert got.dtype == prg._WORD and np.array_equal(got, reference_transposed(words, nbits))
+
+
+def reference_hankel_rows(gf, y):
+    """Row j of H is bits j .. j+m-1 of seq = sum_a <t^a, y> 2^a, from Python ints."""
+    m = gf.m
+    seq = sum(((z & y).bit_count() & 1) << a for a, z in enumerate(prg._times_t(gf, 1, 2 * m - 1)))
+    return prg._packed([(seq >> j) & ((1 << m) - 1) for j in range(m)], -(-m // 64))
+
+
+class TestHankelAgainstReference:
+    @pytest.mark.parametrize("block_bytes", [None, 256])
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 526])
+    def test_matches_python_int_windows(self, monkeypatch, rng, m, block_bytes):
+        # at 256 bytes the windows are packed a few rows (one at m = 526) at a time
+        if block_bytes is not None:
+            monkeypatch.setattr(prg, "_BLOCK_BYTES", block_bytes)
+        gf = GF2mField(m)
+        t_powers = prg._packed(prg._times_t(gf, 1, 2 * m - 1), -(-m // 64))
+        full = (1 << m) - 1
+        for y in sorted({0, 1, full, 1 << (m - 1), int.from_bytes(rng.bytes(-(-m // 8)), "little") & full}):
+            got = prg._hankel_rows(t_powers, y)
+            assert got.dtype == prg._WORD and np.array_equal(got, reference_hankel_rows(gf, y)), (m, y)
 
 
 PRODUCT_SIZES = [1, 7, 8, 9, 63, 64, 65, 130]
