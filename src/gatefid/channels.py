@@ -13,13 +13,14 @@ import math
 import numpy as np
 
 from .errors import (
+    CapacityError,
     ConfigError,
     DimensionError,
     FormatError,
     NumericalError,
     ParameterError,
 )
-from .quantum import KrausChannel, check_dense_dim
+from .quantum import RUN_MEMORY_CAP, KrausChannel, check_dense_dim
 
 _CLOSED_FORM_TOL = 1e-9
 
@@ -153,7 +154,12 @@ def _reduce_kraus(ops, d: int) -> tuple:
 
 
 def compose_channels(models: list) -> KrausChannel:
-    """Composite channel applying the listed channels first-to-last."""
+    """Composite channel applying the listed channels first-to-last.
+
+    Every Kraus product is built before the set is reduced, so a step whose
+    products would pass RUN_MEMORY_CAP bytes is refused with CapacityError
+    before it is built.
+    """
     if not models:
         raise ParameterError("composition needs at least one channel")
     if len({m.dim for m in models}) != 1:
@@ -161,6 +167,12 @@ def compose_channels(models: list) -> KrausChannel:
     d = models[0].dim
     ops = [np.eye(d, dtype=np.complex128)]
     for m in models:
+        need = len(ops) * len(m.kraus_ops) * d * d * 16
+        if need > RUN_MEMORY_CAP:
+            raise CapacityError(
+                f"composing {len(ops)} by {len(m.kraus_ops)} Kraus operators at d = {d} needs"
+                f" {need / 2**20:.0f} MiB of products, over the {RUN_MEMORY_CAP >> 20} MiB cap"
+            )
         ops = [a @ b for a in m.kraus_ops for b in ops]
     if len(ops) > d * d:
         ops = _reduce_kraus(ops, d)

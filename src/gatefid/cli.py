@@ -47,7 +47,7 @@ from .estimators import (
     estimate_two_phase,
 )
 from .harness import SuiteParams, SuiteReport, exhaustive_bias_check
-from .prg import _BLOCK_BYTES, generate_tape, tape_seed_length, theta_log2_of
+from .prg import generate_tape, tape_bytes, tape_seed_length, theta_log2_of
 from .streams import fresh_seed
 
 EXIT_OK = 0
@@ -225,15 +225,7 @@ def hex_stream(bits) -> str:
 def cmd_gen_bits(args) -> int:
     theta_log2 = theta_log2_of(args.theta)
     r = tape_seed_length(args.k, args.n, theta_log2)
-    # Bytes per output bit: the unpacked tape holds 1 and its packed words
-    # 1/8; hex_stream adds at most 1/2 beside the unpacked bits; the hex
-    # digits, their 64-digit lines and the joined text hold under 1.25 once
-    # the bits are freed. So 2 bytes per bit bound every phase. The degree-m
-    # workspace adds under m^2 bytes of packed m x m bit matrices and field
-    # powers as Python ints, and XOR tables and gathers in at most 4 blocks
-    # of _BLOCK_BYTES.
-    m = r // 2
-    need = 2 * args.n + m * m + 4 * _BLOCK_BYTES
+    need = tape_bytes(args.n, r // 2)
     if need > RUN_MEMORY_CAP:
         raise CapacityError(
             f"a {args.n}-bit tape needs {need / 2**20:.0f} MiB as bits and hex text,"

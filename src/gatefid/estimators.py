@@ -39,10 +39,11 @@ from .prg import (
     index_width,
     indices_from_bits,
     sampling_seed_length,
+    tape_bytes,
     tape_field_degree,
     tape_seed_length,
 )
-from .quantum import KrausChannel, gate_fidelities
+from .quantum import RUN_MEMORY_CAP, KrausChannel, gate_fidelities
 # Not called here any more (tables come from one batched kernel call, lambda
 # from ensembles.lambda_t); kept importable from this module, where
 # perfbench/spans.py looks them up.
@@ -61,17 +62,16 @@ EXACT_DESIGN_LAMBDA = 1e-10
 HAAR_BITS_PER_DIM2 = 128
 # Phase-1 sample cap for the two-phase algorithm.
 T_CAP = 1 << 20
-# Bytes one run's trials and draws may hold; _Run.reserve refuses larger plans
-# before any bit is drawn. The model: a trial holds its unitary id, probability,
-# outcome and the outcome's uniform (32 bytes, rounded up); while drawn, each
-# stream or tape bit it reads holds 2 bytes (its unpacked byte and its packed
-# copies, 1.4 bytes), each drawn 64-bit word 8 bytes, and each Box-Muller
-# gaussian read 40 bytes (its uniform and value, half of its pair's radius
-# and angle, then its share of the complex state: 32 bytes, plus 8 of margin).
-# Without the margin naive-haar's model was only 3% above its traced peak at
-# d = 4, epsilon = 0.05 (544 bytes a trial against 529), and 11-75% above it
-# at d = 1, 2 and 8; with it the model is at least 15% above the peak.
-RUN_MEMORY_CAP = 1 << 30
+# _Run.reserve refuses a plan past RUN_MEMORY_CAP before any bit is drawn. The
+# model: a trial holds its unitary id, probability, outcome and the outcome's
+# uniform (32 bytes, rounded up); while drawn, each stream bit it reads holds 2
+# bytes (its unpacked byte and its packed copies, 1.4 bytes), a k-wise tape
+# prg.tape_bytes, each drawn 64-bit word 8 bytes, and each Box-Muller gaussian
+# read 40 bytes (its uniform and value, half of its pair's radius and angle,
+# then its share of the complex state: 32 bytes, plus 8 of margin). Without the
+# margin naive-haar's model was only 3% above its traced peak at d = 4, epsilon
+# = 0.05 (544 bytes a trial against 529), and 11-75% above it at d = 1, 2 and
+# 8; with it the model is at least 15% above the peak.
 
 _E_THIRD = math.exp(-1.0 / 3.0)
 
@@ -314,10 +314,10 @@ class _Run:
     def source(self) -> BitSource:
         return BitSource(self.seed)
 
-    def reserve(self, trials: int, bits: int = 0, words: int = 0, gaussians: int = 0) -> None:
-        """Refuse a plan of `trials` trials reading `bits` stream or tape bits, or `gaussians`
-        gaussians out of `words` drawn words, once it would hold more than RUN_MEMORY_CAP bytes."""
-        need = 32 * trials + 2 * bits + 8 * words + 40 * gaussians
+    def reserve(self, trials: int, bits: int = 0, words: int = 0, gaussians: int = 0, tape: int = 0) -> None:
+        """Refuse a plan of `trials` trials reading `bits` stream bits, a `tape`-byte k-wise tape,
+        or `gaussians` gaussians out of `words` words, once it would hold over RUN_MEMORY_CAP bytes."""
+        need = 32 * trials + 2 * bits + tape + 8 * words + 40 * gaussians
         if need > RUN_MEMORY_CAP:
             raise CapacityError(
                 f"{trials} trials of {self.algorithm} need {need / 2**20:.0f} MiB of draws"
@@ -447,7 +447,7 @@ def estimate_kwise_design(
     run = _Run("kwise-design", channel, epsilon, delta, seed, ensemble)
     _certify_design(ensemble, epsilon, lambda2)
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
-    run.reserve(plan.n, plan.n_bits)
+    run.reserve(plan.n, tape=tape_bytes(plan.n_bits, plan.field_degree))
     if epsilon >= run.channel.exact_fidelity:
         run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
     ids, probs = run.tape_draw(
@@ -509,7 +509,8 @@ def estimate_two_phase(
     run = _Run("two-phase", channel, epsilon, delta, seed, ensemble)
     plan = plan_two_phase(epsilon, delta, run.channel.dim, ensemble.size)
     # the phase-1 pool holds an id and a probability each, as a trial does
-    run.reserve(plan.n + plan.pool_size, plan.r_phase1 + plan.n * plan.width_phase2)
+    run.reserve(plan.n + plan.pool_size, plan.r_phase1,
+                tape=tape_bytes(plan.n * plan.width_phase2, plan.r_phase2 // 2))
     failures = []
     lam = None if claimed_lambda is None else checked_lambda(claimed_lambda)
     if lam is None:

@@ -6,7 +6,8 @@ quantity and are flagged vacuous. The variance and moment checks are exact, with
 a rounding-only slack; the tail checks are Monte Carlo, with a 3 sigma slack.
 The PRG certificate is exact too: it counts, for each small set of tape
 outputs, the field elements x whose powers over the set sum to zero, and turns
-those root counts into every subset's joint law over all 2^r seeds.
+those root counts into every subset's joint law over all 2^r seeds. The powers
+come from GF(2^m)'s log and antilog tables, built with GF2mField.mul.
 """
 
 from __future__ import annotations
@@ -300,25 +301,23 @@ def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     return BiasReport(n, k, theta, r, subsets, worst_l1, worst_bias, worst_l1 <= theta)
 
 
-def _field_mul(a: np.ndarray, b: np.ndarray, gf: GF2mField) -> np.ndarray:
-    """Elementwise GF(2^m) product of int64 arrays (m <= 31)."""
-    acc = np.zeros_like(a)
-    for bit in range(gf.m):
-        acc ^= np.where((b >> bit) & 1, a << bit, 0)
-    for bit in range(2 * gf.m - 2, gf.m - 1, -1):
-        acc ^= np.where((acc >> bit) & 1, gf.modulus << (bit - gf.m), 0)
-    return acc
-
-
 def _power_table(gf: GF2mField, n: int) -> np.ndarray:
     """powers[i, x] = x^(i+1) for every x in GF(2^m), as uint16 (m <= 16;
-    EXHAUSTIVE_R_CAP keeps m <= 12)."""
-    xs = np.arange(1 << gf.m, dtype=np.int64)
-    powers = np.empty((n, len(xs)), dtype=np.uint16)
-    power = xs
+    EXHAUSTIVE_R_CAP keeps m <= 12). With antilog[j] = g^j for g the least
+    generator of the cyclic group GF(2^m)*, row i is one gather, x^(i+1) =
+    antilog[(i+1) log(x) mod (2^m - 1)] for x != 0, and 0 stays 0."""
+    order = (1 << gf.m) - 1
+    for g in itertools.count(1):
+        antilog = [1]
+        while (power := gf.mul(antilog[-1], g)) != 1:
+            antilog.append(power)
+        if len(antilog) == order:
+            break
+    antilog = np.array(antilog, dtype=np.uint16)
+    logs = np.argsort(antilog)  # the inverse permutation: logs[x - 1] = log(x)
+    powers = np.zeros((n, order + 1), dtype=np.uint16)
     for i in range(n):
-        powers[i] = power
-        power = _field_mul(power, xs, gf)
+        powers[i, 1:] = antilog[logs * (i + 1) % order]
     return powers
 
 

@@ -40,6 +40,7 @@ Indices decode exactly from the packed bits through 8-byte windows, so an
 index field is at most 57 bits wide. Every entry is an XOR of bits,
 so the tape is bit-exact on any host; fields of degree 2^24 or more, whose
 m x m matrices alone would take 32 TiB, are refused with CapacityError.
+gen-bits and the tape estimators check tape_bytes, the one tape memory model, first.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 """
 
@@ -386,6 +387,13 @@ _MAX_DEGREE = 1 << 24
 _BLOCK_BYTES = 1 << 22
 # Rows of the left factor per gather: a gather is a quarter of its table block.
 _GATHER_ROWS = 64
+
+
+def tape_bytes(n: int, m: int) -> int:
+    """Bytes an n-bit tape over GF(2^m) holds at most: 2 a bit bound the unpacked tape, its
+    packed words and gen-bits' hex text; the degree-m workspace adds under m^2 of packed m x m
+    matrices and Python-int powers, and 4 blocks of _BLOCK_BYTES of XOR tables and gathers."""
+    return 2 * n + m * m + 4 * _BLOCK_BYTES
 
 
 def _packed(elems, words: int) -> np.ndarray:

@@ -28,6 +28,10 @@ TRACE_TOL = 1e-9
 MAX_DIM = 64
 # Bytes of float64 temporaries the fidelity kernel holds per block of rows, about.
 _BLOCK_BYTES = 1 << 22
+# Bytes one run may hold: an estimator's trials and draws, a gen-bits tape, or
+# a channel composition's Kraus products. Each module that checks it imports
+# it by name and reads its own binding.
+RUN_MEMORY_CAP = 1 << 30
 
 
 def check_dense_dim(d: int) -> None:

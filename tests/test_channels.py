@@ -119,6 +119,23 @@ class TestComposition:
         both = compose_channels([a, b])
         assert both.exact_fidelity == pytest.approx(exact_average_fidelity(both))
 
+    def test_products_past_the_cap_are_refused_before_they_are_built(self, monkeypatch):
+        # 64 x 64 depolarizing Kraus operators at d = 8: 4096 products of 1 KiB
+        from gatefid import channels
+
+        a = noise_preset("depolarizing", (0.1,), 8)
+        monkeypatch.setattr(channels, "RUN_MEMORY_CAP", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="needs 4 MiB of products, over the 1 MiB cap"):
+                compose_channels([a, a])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setattr(channels, "RUN_MEMORY_CAP", 4 << 20)  # exactly what the products need
+        assert len(compose_channels([a, a]).kraus_ops) == 64
+
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             compose_channels([noise_preset("identity", (), 2), noise_preset("identity", (), 3)])

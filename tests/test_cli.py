@@ -737,6 +737,50 @@ class TestSmallEpsilonCap:
         assert peak < 4 << 20
 
 
+class TestTapeAndCompositionCaps:
+    """A k-wise tape past the cap, counted with its m x m workspace, and a
+    composition whose Kraus products pass the cap exit 4: the tapes before any
+    bit is drawn or any modulus searched, the composition before its products."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--algorithm", "kwise-design", "--epsilon", "0.2", "--delta", "1e-300"],
+            ["--algorithm", "two-phase", "--d", "2", "--epsilon", "0.9", "--delta", "1e-240",
+             "--waive-preconditions"],
+        ],
+        ids=["kwise-design", "two-phase"],
+    )
+    def test_oversized_tape_exit_4(self, capsys, monkeypatch, argv):
+        from gatefid import prg, streams
+
+        def no_search(m):
+            raise AssertionError(f"modulus search for m = {m}")
+
+        drawn = []
+        monkeypatch.setattr(prg, "_search_modulus", no_search)
+        monkeypatch.setattr(streams.BitSource, "_span", lambda self, count: drawn.append(count))
+        code, out, err = run_cli(capsys, "estimate", "--channel", "depolarizing:0.2",
+                                 "--ensemble", "clifford1q", "--seed", "1", *argv)
+        assert code == 4 and out == "" and drawn == []
+        assert err.startswith("capacity: ") and f" trials of {argv[1]} need " in err
+
+    def test_composition_exit_4(self, capsys, monkeypatch):
+        # 64 x 64 products of 1 KiB each at d = 8, against a 1 MiB cap; CI runs
+        # the real cap's case, 16 GiB of products at d = 32, under a ulimit
+        from gatefid import channels
+
+        monkeypatch.setattr(channels, "RUN_MEMORY_CAP", 1 << 20)
+        code, out, err = run_cli(
+            capsys, "estimate", "--algorithm", "naive-haar", "--channel",
+            "depolarizing:0.1+depolarizing:0.1", "--d", "8", "--epsilon", "0.3", "--delta", "0.3",
+            "--seed", "1",
+        )
+        assert code == 4 and out == ""
+        assert err == ("capacity: composing 64 by 64 Kraus operators at d = 8 needs"
+                       " 4 MiB of products, over the 1 MiB cap\n")
+
+
 class TestTwirlBasisCap:
     """A twirl whose d^t x d^t operands exceed the cap exits 4 before any is built."""
 

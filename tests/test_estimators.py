@@ -413,6 +413,43 @@ class TestRunMemoryCap:
         assert drawn == []
 
 
+class TestTapeCostModel:
+    """A k-wise tape is sized by prg.tape_bytes, its m x m workspace included,
+    so an oversized tape is refused before its seed is drawn and before its
+    field degree's modulus is searched."""
+
+    # Neither degree is on the modulus table, and the search for either
+    # would run for minutes; the old 2-bytes-a-bit model admitted both.
+    POINTS = {
+        "kwise-design": (
+            lambda c: estimate_kwise_design(DEPOL, 0.2, 1e-300, c, seed=1),
+            lambda: plan_kwise_design(0.2, 1e-300, 24).field_degree, 158_711, 24060,
+        ),
+        "two-phase": (
+            lambda c: estimate_two_phase(DEPOL, 0.9, 1e-240, c, seed=1, waive_preconditions=True),
+            lambda: plan_two_phase(0.9, 1e-240, 2, 24).r_phase2 // 2, 44_162, 1933,
+        ),
+    }
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_refused_before_any_draw_or_search(self, clifford, monkeypatch, point):
+        from gatefid import prg, streams
+        from gatefid.errors import CapacityError
+
+        run, degree, m, mib = self.POINTS[point]
+        assert degree() == m and m not in prg.IRREDUCIBLE_TABLE
+
+        def no_search(field_degree):
+            raise AssertionError(f"modulus search for m = {field_degree}")
+
+        drawn = []
+        monkeypatch.setattr(prg, "_search_modulus", no_search)
+        monkeypatch.setattr(streams.BitSource, "_span", lambda self, count: drawn.append(count))
+        with pytest.raises(CapacityError, match=rf"trials of {point} need {mib} MiB"):
+            run(clifford)
+        assert drawn == []
+
+
 class TestChannelType:
     def test_raw_kraus_set_runs_with_its_oracle(self, clifford):
         ch = KrausChannel((X,))

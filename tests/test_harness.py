@@ -402,6 +402,45 @@ class TestCertificateAgainstEnumeration:
         assert got == _enumerated_laws(bits, 2) == (3, 1.5, 1.0)
 
 
+def _field_mul(a, b, gf):
+    """Reference: elementwise GF(2^m) product of int64 arrays, bit-serial
+    (m <= 31): a shifted copy of a per set bit of b, then the reduction."""
+    acc = np.zeros_like(a)
+    for bit in range(gf.m):
+        acc ^= np.where((b >> bit) & 1, a << bit, 0)
+    for bit in range(2 * gf.m - 2, gf.m - 1, -1):
+        acc ^= np.where((acc >> bit) & 1, gf.modulus << (bit - gf.m), 0)
+    return acc
+
+
+def _multiplied_power_table(gf, n):
+    """Reference for _power_table: row i + 1 is row i times x, by _field_mul."""
+    xs = np.arange(1 << gf.m, dtype=np.int64)
+    powers = np.empty((n, len(xs)), dtype=np.uint16)
+    power = xs
+    for i in range(n):
+        powers[i] = power
+        power = _field_mul(power, xs, gf)
+    return powers
+
+
+class TestPowerTableAgainstMultiplication:
+    """The log/antilog power table against a bit-serial multiplication chain."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_small_field(self, m):
+        gf = GF2mField(m)
+        for n in (1, 2, 17, 40):
+            table = _power_table(gf, n)
+            assert table.dtype == np.uint16
+            assert np.array_equal(table, _multiplied_power_table(gf, n)), n
+
+    def test_largest_certified_field(self):
+        # m = 12 is the largest degree under EXHAUSTIVE_R_CAP; n = 500 is CI's certificate
+        gf = GF2mField(12)
+        assert np.array_equal(_power_table(gf, 500), _multiplied_power_table(gf, 500))
+
+
 class TestPairsClosedForm:
     """For k = 2 the worst set is a pair (a, b): x^(a+1) = x^(b+1) has x = 0
     and the gcd(b - a, 2^m - 1) roots of x^(b-a) = 1 in the cyclic group
