@@ -20,7 +20,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .quantum import RUN_MEMORY_CAP, KrausChannel, check_dense_dim
+from .quantum import RUN_MEMORY_CAP, KrausChannel, check_dense_dim, choi_matrix
 
 _CLOSED_FORM_TOL = 1e-9
 
@@ -37,44 +37,48 @@ def _closed_form(kind, params, d):
     return None
 
 
-def _weyl_operators(d: int) -> list:
-    """Shift/clock unitaries X^a Z^b; traceless except (a, b) = (0, 0)."""
+def _weyl_operators(d: int) -> np.ndarray:
+    """Shift/clock unitaries X^a Z^b stacked at index a d + b, shape (d^2, d, d).
+
+    Z^b comes from b clock products, as rounded by the matrix product. X^a
+    shifts its rows down by a, so X^a Z^b holds Z^b's diagonal entry j at
+    row (j + a) mod d, column j; each is placed there by index. All are
+    traceless except (a, b) = (0, 0).
+    """
     omega = np.exp(2j * np.pi / d)
-    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    ops = []
-    xa = np.eye(d, dtype=np.complex128)
-    for _ in range(d):
-        zb = np.eye(d, dtype=np.complex128)
-        for _ in range(d):
-            ops.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return ops
+    diagonals = np.empty((d, d), dtype=np.complex128)
+    zb = np.eye(d, dtype=np.complex128)
+    for b in range(d):
+        diagonals[b] = np.diagonal(zb)
+        zb = zb @ clock
+    ops = np.zeros((d, d, d, d), dtype=np.complex128)
+    a, j = np.indices((d, d))
+    # ops[a, :, (j + a) % d, j] = diagonals[:, j]; advanced indices first, b last
+    ops[a, :, (j + a) % d, j] = diagonals.T[j]
+    return ops.reshape(d * d, d, d)
 
 
-def _depolarizing_kraus(p: float, d: int) -> tuple:
+def _depolarizing_kraus(p: float, d: int) -> np.ndarray:
     # scaled in place: at d = 64 the d^2 operators take 268 MB
     ops = _weyl_operators(d)
     ops[0] *= math.sqrt(1.0 - p + p / d**2)
     if p == 0:
-        return (ops[0],)
-    for w in ops[1:]:
-        w *= math.sqrt(p) / d
-    return tuple(ops)
+        return ops[:1].copy()
+    ops[1:] *= math.sqrt(p) / d
+    return ops
 
 
-def _dephasing_kraus(p: float, d: int) -> tuple:
+def _dephasing_kraus(p: float, d: int) -> np.ndarray:
     if d == 1:
         # the only projector is the identity, so the channel is the identity
-        return (np.eye(1, dtype=np.complex128),)
-    kraus = [math.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)]
+        return np.eye(1, dtype=np.complex128)[None]
+    kraus = np.zeros((d + 1 if p > 0 else 1, d, d), dtype=np.complex128)
+    kraus[0] = math.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)
     if p > 0:
-        for j in range(d):
-            proj = np.zeros((d, d), dtype=np.complex128)
-            proj[j, j] = math.sqrt(p)
-            kraus.append(proj)
-    return tuple(kraus)
+        j = np.arange(d)
+        kraus[1 + j, j, j] = math.sqrt(p)
+    return kraus
 
 
 _SIGMA = {
@@ -139,33 +143,26 @@ def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
     return ch
 
 
-def _reduce_kraus(ops, d: int) -> tuple:
+def _reduce_kraus(ops: np.ndarray, d: int) -> np.ndarray:
     """Canonical Kraus set (at most d^2 operators) via the Choi eigendecomposition."""
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in ops:
-        v = a.reshape(-1)
-        choi += np.outer(v, v.conj())
-    w, vecs = np.linalg.eigh(choi)
-    kraus = []
-    for lam, vec in zip(w, vecs.T):
-        if lam > 1e-12:
-            kraus.append(math.sqrt(lam) * vec.reshape(d, d))
-    return tuple(kraus)
+    w, vecs = np.linalg.eigh(choi_matrix(ops))
+    keep = w > 1e-12
+    return (vecs.T[keep] * np.sqrt(w[keep])[:, None]).reshape(-1, d, d)
 
 
 def compose_channels(models: list) -> KrausChannel:
     """Composite channel applying the listed channels first-to-last.
 
-    Every Kraus product is built before the set is reduced, so a step whose
-    products would pass RUN_MEMORY_CAP bytes is refused with CapacityError
-    before it is built.
+    Every Kraus product is built, into one (K, d, d) stack, before the set is
+    reduced, so a step whose products would pass RUN_MEMORY_CAP bytes is
+    refused with CapacityError before it is built.
     """
     if not models:
         raise ParameterError("composition needs at least one channel")
     if len({m.dim for m in models}) != 1:
         raise ParameterError("composed channels must share one dimension")
     d = models[0].dim
-    ops = [np.eye(d, dtype=np.complex128)]
+    ops = np.eye(d, dtype=np.complex128)[None]
     for m in models:
         need = len(ops) * len(m.kraus_ops) * d * d * 16
         if need > RUN_MEMORY_CAP:
@@ -173,10 +170,11 @@ def compose_channels(models: list) -> KrausChannel:
                 f"composing {len(ops)} by {len(m.kraus_ops)} Kraus operators at d = {d} needs"
                 f" {need / 2**20:.0f} MiB of products, over the {RUN_MEMORY_CAP >> 20} MiB cap"
             )
-        ops = [a @ b for a in m.kraus_ops for b in ops]
+        # product (k, l) is A_k B_l, at index k len(ops) + l
+        ops = np.matmul(np.array(m.kraus_ops)[:, None], ops[None]).reshape(-1, d, d)
     if len(ops) > d * d:
         ops = _reduce_kraus(ops, d)
-    return KrausChannel(tuple(ops), "+".join(m.spec for m in models))
+    return KrausChannel(ops, "+".join(m.spec for m in models))
 
 
 def parse_channel_spec(text: str, d: int) -> KrausChannel:

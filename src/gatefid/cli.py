@@ -328,7 +328,8 @@ def _apply_config(parser, argv):
     else:
         path, rest = argv[idx][len("--config=") :], argv[:idx] + argv[idx + 1 :]
     try:
-        doc = json.loads(open(path, encoding="utf-8").read())
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -351,10 +352,15 @@ def _apply_config(parser, argv):
     return rest[:1] + extra + rest[1:]
 
 
+# The one parser main parses with, built on first use. Parsing leaves a parser
+# as it was, so repeated in-process calls share it; nothing may mutate it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
+        parser = _parser()
         args = parser.parse_args(_apply_config(parser, argv))
         if args.config is not None:
             # an abbreviation such as --conf, or a second --config, that would be ignored

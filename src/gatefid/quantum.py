@@ -40,14 +40,28 @@ def check_dense_dim(d: int) -> None:
         raise CapacityError(f"dimension {d} exceeds the dense cap {MAX_DIM}")
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex128 array (read-only)."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of ndim {a.ndim}")
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+def _kraus_stack(kraus_ops) -> np.ndarray:
+    """Kraus operators as one read-only (K, d, d) complex128 array.
+
+    A contiguous complex128 (K, d, d) array is taken without a copy; a
+    sequence of matrices is stacked into one once its shapes are checked.
+    """
+    if isinstance(kraus_ops, np.ndarray):
+        shape = kraus_ops.shape
+    else:
+        kraus_ops = [np.asarray(a) for a in kraus_ops]
+        shapes = {a.shape for a in kraus_ops}
+        if len(shapes) > 1:
+            raise DimensionError("all Kraus operators must be d x d of equal d")
+        shape = (len(kraus_ops), *shapes.pop()) if kraus_ops else (0,)
+    if shape[:1] == (0,):
+        raise ParameterError("a channel needs at least one Kraus operator")
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise DimensionError("all Kraus operators must be d x d of equal d")
+    check_dense_dim(shape[1])
+    stack = np.ascontiguousarray(kraus_ops, dtype=np.complex128)
+    stack.flags.writeable = False
+    return stack
 
 
 def matrices_close(a, b, tol: float = ATOL) -> bool:
@@ -67,8 +81,10 @@ def dagger(a: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """A CPTP map given by d x d Kraus operators A_k with sum A_k^dag A_k = I.
 
-    `spec` names the channel (presets and compositions carry the string
-    parse_channel_spec reads back); `exact_fidelity` is its Haar-average
+    `kraus_ops` may be a sequence of matrices or one (K, d, d) array; it is
+    kept as a tuple of read-only views into one stack. `spec` names the
+    channel (presets and compositions carry the string parse_channel_spec
+    reads back); `exact_fidelity` is its Haar-average
     gate fidelity from exact_average_fidelity, computed once here. Channels
     compare and hash by identity, as field-wise equality over arrays has no
     single truth value.
@@ -81,22 +97,18 @@ class KrausChannel:
     exact_fidelity: float = field(init=False)
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(a) for a in self.kraus_ops)
-        if not ops:
-            raise ParameterError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for a in ops:
-            if a.shape != (d, d):
-                raise DimensionError("all Kraus operators must be d x d of equal d")
-        check_dense_dim(d)
-        if len(ops) > d * d:
-            raise ParameterError(
-                f"{len(ops)} Kraus operators exceed d^2 = {d * d}; reduce first"
-            )
-        total = sum(dagger(a) @ a for a in ops)
+        ops = _kraus_stack(self.kraus_ops)
+        k, d = ops.shape[:2]
+        if k > d * d:
+            raise ParameterError(f"{k} Kraus operators exceed d^2 = {d * d}; reduce first")
+        # sum_k A_k^dag A_k from one real Gram matrix of the stacked rows, with
+        # no conjugated copy: for A = R + iS, A^dag A = R^T R + S^T S + i (R^T S - S^T R)
+        rows = ops.reshape(-1, d).view(np.float64)
+        g = rows.T @ rows
+        total = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
         if not matrices_close(total, np.eye(d), TRACE_TOL):
             raise NumericalError("Kraus operators do not satisfy trace preservation")
-        object.__setattr__(self, "kraus_ops", ops)
+        object.__setattr__(self, "kraus_ops", tuple(ops))
         object.__setattr__(self, "weights", _weight_matrix(ops))
         object.__setattr__(self, "exact_fidelity", exact_average_fidelity(self))
 
@@ -105,20 +117,31 @@ class KrausChannel:
         return self.kraus_ops[0].shape[0]
 
 
-def _weight_matrix(ops: tuple) -> np.ndarray:
+def _weight_matrix(ops: np.ndarray) -> np.ndarray:
     """Real W of shape (2K, d^2) with <c|A_k|c> = (W r)_k + i (W r)_(K+k).
 
     r = r(c) holds the d^2 real coordinates of |c><c| that _coordinates
     builds: |c_i|^2, then Re z_ij and Im z_ij for z_ij = conj(c_i) c_j, i < j.
     Since <c|A|c> = sum_i A_ii |c_i|^2 + sum_(i<j) (A_ij + A_ji) Re z_ij
     + i (A_ij - A_ji) Im z_ij, row k holds the real parts of those
-    coefficients for A_k and row K + k their imaginary parts.
+    coefficients for A_k and row K + k their imaginary parts. ops is the
+    (K, d, d) stack; it is read a block of operators at a time, so the complex
+    temporaries stay near _BLOCK_BYTES.
     """
-    i, j = np.triu_indices(ops[0].shape[0], 1)
-    w = np.empty((2 * len(ops), ops[0].size))
-    for k, a in enumerate(ops):
-        f = np.concatenate([np.diagonal(a), a[i, j] + a[j, i], 1j * (a[i, j] - a[j, i])])
-        w[k], w[len(ops) + k] = f.real, f.imag
+    k, d = ops.shape[:2]
+    i, j = np.triu_indices(d, 1)
+    m = len(i)
+    flat = ops.reshape(k, d * d)
+    w = np.empty((2 * k, d * d))
+    step = max(1, _BLOCK_BYTES // (48 * d * d))
+    for lo in range(0, k, step):
+        a = flat[lo : lo + step]
+        hi = lo + len(a)
+        upper, lower = a.take(i * d + j, axis=1), a.take(j * d + i, axis=1)
+        for cols, f in ((slice(0, d), a.take(np.arange(d) * (d + 1), axis=1)),
+                        (slice(d, d + m), upper + lower),
+                        (slice(d + m, None), 1j * (upper - lower))):
+            w[lo:hi, cols], w[k + lo : k + hi, cols] = f.real, f.imag
     w.flags.writeable = False
     return w
 
@@ -180,7 +203,7 @@ def haar_second_moment(ch: KrausChannel) -> float:
     """
     d = ch.dim
     # m[a, b, c, e] = sum_k A_k[a, b] conj(A_k[c, e]) = X[(a, e), (b, c)]
-    m = _kraus_outer(ch.kraus_ops).reshape(d, d, d, d)
+    m = choi_matrix(ch.kraus_ops).reshape(d, d, d, d)
     total = 0.0
     for cols in itertools.permutations("abcd"):
         # rows (a, b, c, d) of X (x) X against columns permuted by pi
@@ -189,10 +212,11 @@ def haar_second_moment(ch: KrausChannel) -> float:
     return float(total / (24 * math.comb(d + 3, 4)))
 
 
-def _kraus_outer(ops: tuple) -> np.ndarray:
-    """sum_k vec(A_k) vec(A_k)^dag, shape (d^2, d^2), accumulated a block of
-    Kraus operators and a block of rows at a time, so each temporary stays
-    near _BLOCK_BYTES."""
+def choi_matrix(ops) -> np.ndarray:
+    """sum_k vec(A_k) vec(A_k)^dag, shape (d^2, d^2), for a sequence or a
+    (K, d, d) stack of operators: V^T conj(V) for the rows vec(A_k) of V,
+    accumulated a block of Kraus operators and a block of rows at a time, so
+    each temporary stays near _BLOCK_BYTES."""
     n = ops[0].size
     step = max(1, _BLOCK_BYTES // (16 * n))
     out = np.zeros((n, n), dtype=np.complex128)

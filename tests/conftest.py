@@ -54,6 +54,22 @@ def random_state():
     return _random_state
 
 
+def _loop_weight_matrix(ops):
+    """The fidelity kernel's weights W built one Kraus operator at a time: the
+    reference that quantum._weight_matrix must equal entry for entry."""
+    i, j = np.triu_indices(ops[0].shape[0], 1)
+    w = np.empty((2 * len(ops), ops[0].size))
+    for k, a in enumerate(ops):
+        f = np.concatenate([np.diagonal(a), a[i, j] + a[j, i], 1j * (a[i, j] - a[j, i])])
+        w[k], w[len(ops) + k] = f.real, f.imag
+    return w
+
+
+@pytest.fixture(scope="session")
+def loop_weight_matrix():
+    return _loop_weight_matrix
+
+
 def _write_ensemble(path, unitaries, label):
     """Write `unitaries` as an ensemble file; loading it never marks a group."""
     grid = [[[[x.real, x.imag] for x in row] for row in u] for u in unitaries]

@@ -6,7 +6,95 @@ import pytest
 
 from gatefid import compose_channels, noise_preset, parse_channel_spec
 from gatefid.errors import CapacityError, ConfigError, DimensionError, FormatError, ParameterError
-from gatefid.quantum import MAX_DIM, KrausChannel, exact_average_fidelity
+from gatefid.quantum import MAX_DIM, KrausChannel, exact_average_fidelity, gate_fidelities
+
+# Loop references: each preset and composition built one Kraus operator at a
+# time, as the vectorised builders in gatefid.channels must reproduce.
+
+
+def loop_weyl_operators(d):
+    """X^a Z^b at index a d + b, each from its own matrix product."""
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
+    clock = np.diag(omega ** np.arange(d))
+    ops = []
+    xa = np.eye(d, dtype=np.complex128)
+    for _ in range(d):
+        zb = np.eye(d, dtype=np.complex128)
+        for _ in range(d):
+            ops.append(xa @ zb)
+            zb = zb @ clock
+        xa = xa @ shift
+    return ops
+
+
+def loop_preset_kraus(kind, params, d):
+    if kind == "identity":
+        return [np.eye(d, dtype=np.complex128)]
+    if kind == "depolarizing":
+        (p,) = params
+        ops = loop_weyl_operators(d)
+        ops[0] *= math.sqrt(1.0 - p + p / d**2)
+        if p == 0:
+            return ops[:1]
+        for w in ops[1:]:
+            w *= math.sqrt(p) / d
+        return ops
+    if kind == "dephasing":
+        (p,) = params
+        if d == 1:
+            return [np.eye(1, dtype=np.complex128)]
+        kraus = [math.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)]
+        if p > 0:
+            for j in range(d):
+                proj = np.zeros((d, d), dtype=np.complex128)
+                proj[j, j] = math.sqrt(p)
+                kraus.append(proj)
+        return kraus
+    if kind == "over_rotation":
+        axis, angle = params
+        if axis == "z":
+            return [np.diag(np.exp(1j * angle * np.arange(d)))]
+        sigma = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]]}[axis]
+        return [math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * np.array(sigma)]
+    (g,) = params  # amplitude_damping
+    a0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=np.complex128)
+    a1 = np.array([[0, math.sqrt(g)], [0, 0]], dtype=np.complex128)
+    return [a0, a1] if g > 0 else [a0]
+
+
+def loop_products(models, d):
+    ops = [np.eye(d, dtype=np.complex128)]
+    for m in models:
+        ops = [a @ b for a in m.kraus_ops for b in ops]
+    return ops
+
+
+def loop_reduce_kraus(ops, d):
+    choi = np.zeros((d * d, d * d), dtype=np.complex128)
+    for a in ops:
+        v = a.reshape(-1)
+        choi += np.outer(v, v.conj())
+    w, vecs = np.linalg.eigh(choi)
+    return [math.sqrt(lam) * vec.reshape(d, d) for lam, vec in zip(w, vecs.T) if lam > 1e-12]
+
+
+PRESET_CASES = [
+    (kind, params, d)
+    for d in (*range(1, 9), 16, 32)
+    for kind, params in [
+        ("identity", ()), ("depolarizing", (0.0,)), ("depolarizing", (0.1,)),
+        ("depolarizing", (1.0,)), ("dephasing", (0.0,)), ("dephasing", (0.3,)),
+        ("dephasing", (1.0,)), ("over_rotation", ("z", 0.35)),
+    ]
+] + [
+    ("over_rotation", ("x", 0.3), 2), ("over_rotation", ("y", 0.3), 2),
+    ("amplitude_damping", (0.0,), 2), ("amplitude_damping", (0.3,), 2),
+]
+
+
+def loop_fidelity(ops, d):
+    return float((sum(abs(np.trace(a)) ** 2 for a in ops) + d) / (d * d + d))
 
 
 class TestPresets:
@@ -99,6 +187,51 @@ class TestPresets:
                 noise_preset(kind, params, 200)
         with pytest.raises(ConfigError):
             noise_preset("thermal", (0.1,), 200)
+
+
+class TestLoopIdentity:
+    """The vectorised builders give the loop references' values entry for entry."""
+
+    @pytest.mark.parametrize("kind, params, d", PRESET_CASES)
+    def test_presets(self, kind, params, d, loop_weight_matrix):
+        ch = noise_preset(kind, params, d)
+        ref = loop_preset_kraus(kind, params, d)
+        assert len(ch.kraus_ops) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus_ops, ref))
+        assert np.array_equal(ch.weights, loop_weight_matrix(ref))
+        assert ch.exact_fidelity == loop_fidelity(ref, d)
+
+    @pytest.mark.parametrize("spec, d", [
+        ("depolarizing:0.1+over_rotation:z,0.35", 2), ("depolarizing:0.1+over_rotation:z,0.35", 3),
+        ("depolarizing:0.1+over_rotation:z,0.35", 8),
+        ("over_rotation:z,0.2+dephasing:0.1+over_rotation:z,0.1", 4),
+        ("amplitude_damping:0.2+over_rotation:x,0.1", 2), ("dephasing:0.2+identity", 5),
+    ])
+    def test_unreduced_compositions(self, spec, d, loop_weight_matrix):
+        # at most d^2 products: the composition keeps them, in the loop's order
+        ch = parse_channel_spec(spec, d)
+        ref = loop_products([parse_channel_spec(p, d) for p in spec.split("+")], d)
+        assert len(ref) <= d * d and len(ch.kraus_ops) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus_ops, ref))
+        assert np.array_equal(ch.weights, loop_weight_matrix(ref))
+        assert ch.exact_fidelity == loop_fidelity(ref, d)
+
+    @pytest.mark.parametrize("spec, d", [
+        ("depolarizing:0.1+depolarizing:0.1", 2), ("depolarizing:0.1+depolarizing:0.1", 3),
+        ("depolarizing:0.1+depolarizing:0.1", 8), ("dephasing:0.2+depolarizing:0.1", 4),
+        ("amplitude_damping:0.3+dephasing:0.2+over_rotation:x,0.4", 2),
+    ])
+    def test_reduced_compositions(self, spec, d, rng):
+        # past d^2 products the Choi reduction's rounding may differ from the loop's
+        ch = parse_channel_spec(spec, d)
+        products = loop_products([parse_channel_spec(p, d) for p in spec.split("+")], d)
+        assert len(products) > d * d
+        ref = KrausChannel(tuple(loop_reduce_kraus(products, d)))
+        assert len(ch.kraus_ops) == len(ref.kraus_ops)
+        assert abs(ch.exact_fidelity - ref.exact_fidelity) <= 1e-12
+        z = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
+        cols = z / np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.max(np.abs(gate_fidelities(ch, cols) - gate_fidelities(ref, cols))) <= 1e-12
 
 
 class TestComposition:

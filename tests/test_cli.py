@@ -1,14 +1,17 @@
+import argparse
+import gc
 import hashlib
 import json
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatefid import ensembles
-from gatefid.cli import hex_stream, main
+from gatefid import cli, ensembles
+from gatefid.cli import build_parser, hex_stream, main
 from gatefid.harness import CERT_MEMORY_CAP, MC_MEMORY_CAP
 from gatefid.prg import tape_seed_length, theta_log2_of
 from gatefid.quantum import haar_unitaries_batch
@@ -551,6 +554,69 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, *ESTIMATE_ARGS[:-2], "--config", str(cfg))
         assert code == 3 and out == ""
         assert "config seed must be a hex string" in err
+
+
+    def test_config_file_is_closed(self, capsys, tmp_path):
+        # the handle was once left to the garbage collector: a ResourceWarning
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.3, "delta": 0.4}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(capsys, *ESTIMATE_ARGS[:7], *ESTIMATE_ARGS[11:],
+                                 "--config", str(cfg))
+            gc.collect()
+        assert code == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def parser_state(parser):
+    """What a parse could change: the help text, the parser's defaults, and
+    each action's dest, default, choices, type and required flag, with every
+    subcommand's parser described the same way."""
+    state = [parser.format_help(), dict(parser._defaults)]
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            subs = {name: parser_state(p) for name, p in a.choices.items()}
+            state.append((a.dest, a.default, a.required, subs))
+        else:
+            state.append((a.dest, a.default, a.choices, a.type, a.required,
+                          a.option_strings, a.nargs, a.const))
+    return state
+
+
+class TestSharedParser:
+    """main parses with one cached parser; no run may leave a mark on it."""
+
+    def test_runs_leave_the_parser_as_built(self, capsys, tmp_path):
+        assert build_parser() is not build_parser()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.3, "delta": 0.4, "emit_trials": True}))
+        no_eps = [*ESTIMATE_ARGS[:7], *ESTIMATE_ARGS[11:]]
+        runs = [
+            ([*ESTIMATE_ARGS, "--emit-trials"], 0),
+            (ESTIMATE_ARGS, 0),
+            (["check-design", "--ensemble", "clifford1q", "--t", "1"], 0),
+            (["validate", "--suite", "variance", "--channel", "depolarizing:0.2"], 0),
+            (["gen-bits", "--k", "2", "--n", "4", "--theta", "0.5", "--seed", "000"], 0),
+            (["estimate", "--algorithm", "no-such-algorithm"], 3),
+            ([*no_eps, "--config", str(cfg)], 0),
+            ([*no_eps, f"--config={cfg}"], 0),
+            (["--help"], 0),
+            (["estimate", "--help"], 0),
+        ]
+        outputs = []
+        for argv, expect in runs:
+            code, out, _ = run_cli_exit(capsys, *argv)
+            assert code == expect, argv
+            outputs.append(out)
+        assert cli._parser() is cli._parser()
+        assert parser_state(cli._parser()) == parser_state(build_parser())
+        # --emit-trials on one run does not carry over to the next
+        assert "trials" in json.loads(outputs[0]) and "trials" not in json.loads(outputs[1])
+        assert json.loads(outputs[6])["epsilon"] == 0.3 and "trials" in json.loads(outputs[6])
+        assert outputs[7] == outputs[6]
+        assert "trials" not in json.loads(run_cli(capsys, *no_eps, "--epsilon", "0.3",
+                                                  "--delta", "0.4")[1])
 
 
 class TestCertificateCapacity:

@@ -66,6 +66,39 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             KrausChannel(())
 
+    def test_an_imaginary_defect_is_caught(self):
+        # sum A^dag A = I + i e B with B = [[0, 1], [-1, 0]]: the only defect is in
+        # the antisymmetric imaginary part R^T S - S^T R of the real Gram form
+        e = 1e-3
+        a = np.array([[1, 0.5j * e], [-0.5j * e, 1]]) / math.sqrt(1 + e * e / 4)
+        total = a.conj().T @ a
+        assert np.max(np.abs(total.real - np.eye(2))) < 1e-15
+        with pytest.raises(NumericalError):
+            KrausChannel((a,))
+        assert KrausChannel((1j * np.eye(2),)).exact_fidelity == 1.0
+
+    def test_a_stack_is_kept_without_a_copy(self):
+        stack = np.stack([np.eye(2), X, Z]).astype(complex) / math.sqrt(3)
+        ch = KrausChannel(stack)
+        assert len(ch.kraus_ops) == 3 and isinstance(ch.kraus_ops, tuple)
+        assert all(np.shares_memory(a, stack) for a in ch.kraus_ops)
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus_ops, stack))
+        with pytest.raises(ValueError):
+            ch.kraus_ops[0][0, 0] = 2.0
+
+    @pytest.mark.parametrize("ops, error", [
+        ((np.eye(2), np.eye(3)), DimensionError),
+        ((np.ones(2),), DimensionError),
+        ((np.ones((2, 3)),), DimensionError),
+        (np.ones((2, 2)), DimensionError),
+        (np.ones((1, 2, 3)), DimensionError),
+        (np.empty((0, 2, 2)), ParameterError),
+        ((np.eye(2),) * 5, ParameterError),
+    ])
+    def test_bad_kraus_sets(self, ops, error):
+        with pytest.raises(error):
+            KrausChannel(ops)
+
     def test_channels_compare_and_hash_by_identity(self):
         a, b = noise_preset("identity", (), 2), noise_preset("identity", (), 2)
         assert a == a and a != b
@@ -159,6 +192,17 @@ class TestFidelityKernel:
             p = gate_fidelities(ch, cols[:n])
             assert p.shape == (n,)
             assert np.max(np.abs(p - reference_fidelities(ch, cols[:n])), initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("k", ["1", "d", "d^2"])
+    @pytest.mark.parametrize("step", [None, 1, 3])
+    def test_weights_equal_the_per_operator_loop(self, d, k, step, rng, monkeypatch,
+                                                 loop_weight_matrix):
+        # W is filled a block of `step` operators at a time (all at once by default)
+        if step is not None:
+            monkeypatch.setattr(quantum, "_BLOCK_BYTES", 48 * d * d * step)
+        ch = random_kraus(d, {"1": 1, "d": d, "d^2": d * d}[k], rng)
+        assert np.array_equal(ch.weights, loop_weight_matrix(ch.kraus_ops))
 
     def test_one_row_blocks(self, rng, monkeypatch):
         ch = random_kraus(3, 9, rng)
