@@ -117,6 +117,8 @@ def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
     elif kind == "over_rotation":
         axis, angle = params
         axis, angle = str(axis), float(angle)
+        if not math.isfinite(angle):
+            raise ParameterError(f"over-rotation angle must be finite, got {angle}")
         if axis not in ("z", *_SIGMA):
             raise ParameterError(f"unknown rotation axis {axis!r}")
         if axis != "z" and d != 2:
@@ -171,7 +173,7 @@ def compose_channels(models: list) -> KrausChannel:
                 f" {need / 2**20:.0f} MiB of products, over the {RUN_MEMORY_CAP >> 20} MiB cap"
             )
         # product (k, l) is A_k B_l, at index k len(ops) + l
-        ops = np.matmul(np.array(m.kraus_ops)[:, None], ops[None]).reshape(-1, d, d)
+        ops = np.matmul(m.kraus_ops[:, None], ops[None]).reshape(-1, d, d)
     if len(ops) > d * d:
         ops = _reduce_kraus(ops, d)
     return KrausChannel(ops, "+".join(m.spec for m in models))

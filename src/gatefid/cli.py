@@ -20,7 +20,6 @@ import numpy as np
 from .channels import parse_channel_spec
 from .ensembles import (
     builtin_ensemble,
-    check_product_size,
     checked_lambda,
     load_ensemble,
     tensor_product,
@@ -88,15 +87,11 @@ def _lambda_arg(text: str) -> float:
 
 
 def _resolve_ensemble(name: str, d: int):
-    """A builtin name or a JSON file path, or '(x)'-joined parts folded left by tensor_product.
-
-    A product is sized as a whole first, so one that is too large is refused
-    before any of its partial stacks is built.
-    """
-    parts = [builtin_ensemble(p, d) if p in _BUILTIN_ENSEMBLES else load_ensemble(p)
-             for p in name.split("(x)")]
-    if len(parts) > 1:
-        check_product_size([e.unitaries.shape[:2] for e in parts], "(x)".join(e.label for e in parts))
+    """A builtin name or a JSON file path, or '(x)'-joined parts folded left by tensor_product."""
+    names = name.split("(x)")
+    if "" in names:
+        raise FormatError(f"ensemble {name!r} has an empty tensor factor")
+    parts = [builtin_ensemble(p, d) if p in _BUILTIN_ENSEMBLES else load_ensemble(p) for p in names]
     return functools.reduce(tensor_product, parts)
 
 

@@ -6,6 +6,7 @@ by pseudo-inverse so that d < t rank deficiency is handled gracefully. Each
 permutation operator is stored as the row of its single 1 in every column, so
 the twirl is a gather, a t! x t! product and a scatter-add.
 
+A tensor product holds its plain factors, never the stack of its members.
 The moment superoperator is applied matrix-free, one tensor factor at a time;
 a small factor's dense superoperator sum_i U_i^{(x)t} (x) conj(U_i^{(x)t}) / s
 is one GEMM per block of unitaries, with each block's Kronecker powers built
@@ -35,7 +36,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .quantum import check_dense_dim, dagger
+from .quantum import RUN_MEMORY_CAP, check_dense_dim, dagger
 
 # A factor's dense superoperator is built only up to this many rows (f.dim^{2t} <= cap).
 DENSE_CAP = 4096
@@ -43,9 +44,6 @@ DENSE_CAP = 4096
 TWIRL_T_CAP = 4
 # Bytes of one d^t x d^t complex operand, the size of each matrix Lanczos holds.
 TWIRL_OPERAND_CAP = 1 << 26
-# Bytes of the (s, d, d) stack of a tensor product (check_product_size): the four-fold
-# clifford1q product (d = 16) takes 1.27 GiB, the five-fold one 122 GiB.
-PRODUCT_STACK_CAP = 1 << 31
 # Bytes one block of stacked Kronecker powers (or unitarity products) may take.
 _BLOCK_BYTES = 1 << 24
 # Unitarity tolerance when loading ensembles from files.
@@ -65,18 +63,23 @@ _GROUP_GAP_TOL = 1e-6
 class UnitaryEnsemble:
     """A uniform-weight finite set of d x d unitaries.
 
+    A tensor product's `unitaries` is None: its members are the Kronecker
+    products f1[i1] (x) ... (x) fk[ik] of its factors, i1 the leading digit.
+
     `group` records how the set was built, never a run-time check: True only
     for a group modulo phase holding each element once, which the builtins are
     and tensor products of groups stay.
     """
 
     dim: int
-    unitaries: np.ndarray  # shape (s, d, d), complex128, read-only
+    unitaries: np.ndarray | None  # shape (s, d, d), complex128, read-only; None for a product
     label: str
     tensor_factors: tuple = ()  # the plain factors (f1, ..., fk) of a product, flattened
     group: bool = False
 
     def __post_init__(self):
+        if self.tensor_factors:  # built by tensor_product from checked plain factors
+            return
         stack = np.ascontiguousarray(np.asarray(self.unitaries, dtype=np.complex128))
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValidationError(f"expected shape (s, d, d), got {stack.shape}")
@@ -96,7 +99,23 @@ class UnitaryEnsemble:
 
     @property
     def size(self) -> int:
-        return self.unitaries.shape[0]
+        return math.prod(len(f.unitaries) for f in self.tensor_factors or (self,))
+
+    def first_columns(self) -> np.ndarray:
+        """Column 0 of every member, the states U|0>, shape (s, d), in member order; a
+        product's are folded left from its factors' by the einsum that once built its
+        stack, entry for entry. CapacityError once they would pass RUN_MEMORY_CAP bytes."""
+        need = self.size * self.dim * 16
+        if need > RUN_MEMORY_CAP:
+            raise CapacityError(
+                f"the first columns of {self.label}, {self.size} members of d = {self.dim},"
+                f" take {need / 2**20:.0f} MiB, over the {RUN_MEMORY_CAP >> 20} MiB cap"
+            )
+        first, *rest = self.tensor_factors or (self,)
+        cols = first.unitaries[:, :, 0]
+        for f in rest:
+            cols = np.einsum("ia,jc->ijac", cols, f.unitaries[:, :, 0]).reshape(len(cols) * f.size, -1)
+        return cols
 
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -163,39 +182,14 @@ def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
     raise ConfigError(f"unknown builtin ensemble {name!r}")
 
 
-def check_product_size(shapes, label: str) -> None:
-    """CapacityError unless the tensor product of stacks of these (s, d) shapes fits.
-
-    The product holds prod s_i unitaries of d = prod d_i: d must be within
-    the dense cap, and its (s, d, d) complex stack within PRODUCT_STACK_CAP
-    bytes. Nothing is built, so a product can be sized before its first factor pair.
-    """
-    size = math.prod(s for s, _ in shapes)
-    dim = math.prod(d for _, d in shapes)
-    check_dense_dim(dim)
-    need = size * dim**2 * 16
-    if need > PRODUCT_STACK_CAP:
-        raise CapacityError(
-            f"{label} holds {size} unitaries of d = {dim}, {need / 2**30:.1f} GiB,"
-            f" over the {PRODUCT_STACK_CAP >> 30} GiB cap"
-        )
-
-
 def tensor_product(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
-    """All s_a * s_b pairwise Kronecker products; uniform weights stay uniform.
-
-    `tensor_factors` lists the plain factors of both sides, so a nested product
-    records all of them. The product of two groups is a group, so `group`
-    carries over when both are. A product that check_product_size refuses is
-    refused before its stack is built.
-    """
-    sa, d1, _ = a.unitaries.shape
-    sb, d2, _ = b.unitaries.shape
-    label = f"{a.label}(x){b.label}"
-    check_product_size([(sa, d1), (sb, d2)], label)
-    stack = np.einsum("iab,jcd->ijacbd", a.unitaries, b.unitaries).reshape(sa * sb, d1 * d2, d1 * d2)
+    """All s_a * s_b pairwise Kronecker products, held as the plain factors of both
+    sides, flattened. The product of two groups is a group, so `group` carries
+    over when both are. A dimension past the dense cap is refused."""
+    check_dense_dim(a.dim * b.dim)
     factors = (a.tensor_factors or (a,)) + (b.tensor_factors or (b,))
-    return UnitaryEnsemble(d1 * d2, stack, label, tensor_factors=factors, group=a.group and b.group)
+    return UnitaryEnsemble(a.dim * b.dim, None, f"{a.label}(x){b.label}",
+                           tensor_factors=factors, group=a.group and b.group)
 
 
 def load_ensemble(path) -> UnitaryEnsemble:
@@ -402,16 +396,21 @@ def _haar_frame_potential(d: int, t: int) -> int:
     return count
 
 
+def _frame_potential(e: UnitaryEnsemble, t: int) -> float:
+    """FP_t = s^-1 sum_g |Tr g|^{2t} = Tr G; a product's is the product of its
+    factors', as the trace of a Kronecker product is the product of the traces."""
+    traces = (np.trace(f.unitaries, axis1=1, axis2=2) for f in e.tensor_factors or (e,))
+    return math.prod(float(np.mean((tr.real**2 + tr.imag**2) ** t)) for tr in traces)
+
+
 def _group_lambda(e: UnitaryEnsemble, t: int) -> float | None:
     """lambda_t of a group: 1.0 if FP_t exceeds the Haar frame potential, else 0.0.
 
-    FP_t = s^-1 sum_g |Tr g|^{2t} = Tr G. Under the twirl caps d^t <= 2048, so
-    every term is at most 4.2e6 and the float gap is off by ~1e-8; an integer
-    is taken only within _GROUP_GAP_TOL = 1e-6, far inside 1/2, and None
-    (use the numeric path) is returned otherwise.
+    Under the twirl caps d^t <= 2048, so FP_t is at most 4.2e6 and the float
+    gap is off by ~1e-8; an integer is taken only within _GROUP_GAP_TOL =
+    1e-6, far inside 1/2, and None (use the numeric path) is returned otherwise.
     """
-    traces = np.trace(e.unitaries, axis1=1, axis2=2)
-    gap = float(np.mean((traces.real**2 + traces.imag**2) ** t)) - _haar_frame_potential(e.dim, t)
+    gap = _frame_potential(e, t) - _haar_frame_potential(e.dim, t)
     whole = round(gap)
     if whole < 0 or abs(gap - whole) > _GROUP_GAP_TOL:
         return None

@@ -92,7 +92,7 @@ def _checked_channel(channel) -> KrausChannel:
 
 def _fidelity_table(ch: KrausChannel, ensemble: UnitaryEnsemble) -> np.ndarray:
     """Success probability of every ensemble member, in ensemble order."""
-    return gate_fidelities(ch, ensemble.unitaries[:, :, 0])
+    return gate_fidelities(ch, ensemble.first_columns())
 
 
 @dataclass
@@ -478,8 +478,9 @@ def estimate_single_qtpe(
     elif lam4 > plan.lambda_required:
         failures.append(f"lambda <= 1/(4 d^3) violated: {lam4:g} > {plan.lambda_required:g}")
     run.gate(plan, failures, waive_preconditions)
+    columns = ensemble.first_columns()
     chosen = int(run.indices("index", plan.width, ensemble.size, 1)[0])
-    p = _fidelity_columns(run.channel, ensemble.unitaries[chosen : chosen + 1, :, 0])[0]
+    p = _fidelity_columns(run.channel, columns[chosen : chosen + 1])[0]
     return run.finish(plan, np.full(plan.n, chosen), np.full(plan.n, p))
 
 

@@ -28,9 +28,9 @@ TRACE_TOL = 1e-9
 MAX_DIM = 64
 # Bytes of float64 temporaries the fidelity kernel holds per block of rows, about.
 _BLOCK_BYTES = 1 << 22
-# Bytes one run may hold: an estimator's trials and draws, a gen-bits tape, or
-# a channel composition's Kraus products. Each module that checks it imports
-# it by name and reads its own binding.
+# Bytes one run may hold: an estimator's trials and draws, a gen-bits tape, a
+# channel composition's Kraus products, or a product ensemble's first columns.
+# Each module that checks it imports it by name and reads its own binding.
 RUN_MEMORY_CAP = 1 << 30
 
 
@@ -82,7 +82,7 @@ class KrausChannel:
     """A CPTP map given by d x d Kraus operators A_k with sum A_k^dag A_k = I.
 
     `kraus_ops` may be a sequence of matrices or one (K, d, d) array; it is
-    kept as a tuple of read-only views into one stack. `spec` names the
+    kept as one read-only (K, d, d) complex128 stack. `spec` names the
     channel (presets and compositions carry the string parse_channel_spec
     reads back); `exact_fidelity` is its Haar-average
     gate fidelity from exact_average_fidelity, computed once here. Channels
@@ -90,7 +90,7 @@ class KrausChannel:
     single truth value.
     """
 
-    kraus_ops: tuple = field()
+    kraus_ops: np.ndarray = field()
     spec: str = "kraus"
     # (2K, d^2) real weight matrix of the fidelity kernel; see _weight_matrix.
     weights: np.ndarray = field(init=False, repr=False)
@@ -108,13 +108,13 @@ class KrausChannel:
         total = g[0::2, 0::2] + g[1::2, 1::2] + 1j * (g[0::2, 1::2] - g[1::2, 0::2])
         if not matrices_close(total, np.eye(d), TRACE_TOL):
             raise NumericalError("Kraus operators do not satisfy trace preservation")
-        object.__setattr__(self, "kraus_ops", tuple(ops))
+        object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "weights", _weight_matrix(ops))
         object.__setattr__(self, "exact_fidelity", exact_average_fidelity(self))
 
     @property
     def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[1]
 
 
 def _weight_matrix(ops: np.ndarray) -> np.ndarray:
@@ -186,9 +186,10 @@ def gate_fidelity_vector(ch: KrausChannel, psi) -> float:
 
 
 def exact_average_fidelity(ch: KrausChannel) -> float:
-    """Closed-form Haar average of the gate fidelity: (sum_k |Tr A_k|^2 + d) / (d^2 + d)."""
+    """Closed-form Haar average of the gate fidelity: (sum_k |Tr A_k|^2 + d) / (d^2 + d),
+    the traces read off the stack's diagonals and their squares summed left to right."""
     d = ch.dim
-    s = sum(abs(np.trace(a)) ** 2 for a in ch.kraus_ops)
+    s = sum(abs(tr) ** 2 for tr in np.trace(ch.kraus_ops, axis1=1, axis2=2))
     return float((s + d) / (d * d + d))
 
 

@@ -80,3 +80,20 @@ def _write_ensemble(path, unitaries, label):
 @pytest.fixture(scope="session")
 def write_ensemble():
     return _write_ensemble
+
+
+def _product_stack(e):
+    """The (s, d, d) stack of an ensemble's members: a plain ensemble's own, or a
+    product's folded left from its factors by the einsum tensor_product once built
+    its stack with. The slow reference for everything a product reads off its factors."""
+    first, *rest = e.tensor_factors or (e,)
+    stack = first.unitaries
+    for f in rest:
+        (sa, da, _), (sb, db, _) = stack.shape, f.unitaries.shape
+        stack = np.einsum("iab,jcd->ijacbd", stack, f.unitaries).reshape(sa * sb, da * db, da * db)
+    return stack
+
+
+@pytest.fixture(scope="session")
+def product_stack():
+    return _product_stack

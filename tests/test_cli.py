@@ -408,6 +408,26 @@ class TestBadArgvExitCode:
         assert code == 3 and out == ""
         assert err.startswith("error: malformed ensemble file: ")
 
+    @pytest.mark.parametrize("ensemble", ["clifford1q(x)", "(x)clifford1q"])
+    def test_empty_product_factor(self, capsys, ensemble):
+        # the empty name was once read as an ensemble file at the path '.'
+        code, out, err = run_cli(capsys, "check-design", "--ensemble", ensemble, "--t", "1")
+        assert code == 3 and out == ""
+        assert err == f"error: ensemble {ensemble!r} has an empty tensor factor\n"
+
+    @pytest.mark.parametrize("spec", ["over_rotation:z,inf", "over_rotation:z,-inf",
+                                      "over_rotation:z,nan", "over_rotation:x,nan"])
+    def test_non_finite_over_rotation_angle(self, capsys, spec):
+        # once a numpy RuntimeWarning, then a misleading trace-preservation error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "--algorithm", "naive-haar", "--channel", spec,
+                                     "--epsilon", "0.3", "--delta", "0.3", "--seed", "1")
+        assert code == 3 and out == ""
+        angle = float(spec.rpartition(",")[2])
+        assert err == f"error: over-rotation angle must be finite, got {angle}\n"
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     # each is 3 characters, the gen-bits length at r = 12, and int(s, 16)
     # reads it as a number, so distinct strings would name one stream
     @pytest.mark.parametrize("seed", ["0x1", "1_2", " 12", "12 ", "+12", "\u0661\u0662\u0663"])
@@ -701,7 +721,7 @@ class TestDimensionCap:
             # one 30000 x 30000 complex identity, 13.4 GiB
             NAIVE + ["--channel", "identity", "--d", "30000"],
             ["check-design", "--ensemble", "identity_only", "--d", "30000", "--t", "1"],
-            # a 4096-dimensional product: 1 TiB of stacked Kronecker products
+            # a 4096-dimensional product, refused at its first fold
             ["check-design", "--ensemble", "identity_only(x)identity_only(x)identity_only",
              "--d", "64", "--t", "1"],
         ],
@@ -718,16 +738,18 @@ class TestDimensionCap:
         assert peak < 4 << 20
 
 
-class TestProductSizedFirst:
-    """A '(x)' product is sized as a whole before any partial stack is built."""
+class TestProductsKeepTheirFactors:
+    """A '(x)' product holds its factors and never the stack of its members:
+    check-design reads their frame potentials, and an estimator's first
+    columns are the only product-sized array, capped by RUN_MEMORY_CAP."""
 
     @staticmethod
-    def product_argv(factors):
-        return ["check-design", "--ensemble", "(x)".join(["clifford1q"] * factors), "--t", "1"]
+    def cliffords(factors):
+        return "(x)".join(["clifford1q"] * factors)
 
-    def run_traced(self, capsys, argv):
+    def run_traced(self, capsys, *argv):
         # build the cached clifford1q group first, so the traced peak is the product's alone
-        assert run_cli(capsys, *self.product_argv(1))[0] == 0
+        assert run_cli(capsys, "check-design", "--ensemble", "clifford1q", "--t", "1")[0] == 0
         tracemalloc.start()
         try:
             code, out, err = run_cli(capsys, *argv)
@@ -736,22 +758,31 @@ class TestProductSizedFirst:
             tracemalloc.stop()
         return code, out, err, peak
 
-    def test_five_fold_clifford_exits_4_at_once(self, capsys):
-        # folding left would first build the admitted 1.27 GiB four-fold stack
-        code, out, err, peak = self.run_traced(capsys, self.product_argv(5))
-        assert code == 4 and out == ""
-        assert "holds 7962624 unitaries of d = 32, 121.5 GiB" in err
-        assert peak < 1 << 20
+    def test_four_fold_check_design_stays_small(self, capsys):
+        # the stack of its 331,776 members took 1.27 GiB
+        code, out, _, peak = self.run_traced(
+            capsys, "check-design", "--ensemble", self.cliffords(4), "--t", "1")
+        assert code == 0
+        assert out == (f"ensemble={self.cliffords(4)} d=16 s=331776\n"
+                       "t=1 lambda=0 method=group eps2=0\n")
+        assert peak < 16 << 20
 
-    def test_cap_admits_a_product_of_its_own_size(self, capsys, monkeypatch):
-        # at a cap of the three-fold stack's bytes (14 MiB) three factors run;
-        # four exit 4 without building the three-fold stack on the way
-        monkeypatch.setattr(ensembles, "PRODUCT_STACK_CAP", 24**3 * 8**2 * 16)
-        code, out, _ = run_cli(capsys, *self.product_argv(3))
-        assert code == 0 and out.startswith("ensemble=clifford1q(x)clifford1q(x)clifford1q d=8 s=13824")
-        code, out, err, peak = self.run_traced(capsys, self.product_argv(4))
-        assert code == 4 and out == "" and "holds 331776 unitaries of d = 16" in err
-        assert peak < 1 << 20
+    def test_five_fold_check_design_takes_the_group_path(self, capsys):
+        # once refused with exit 4: its stack would take 122 GiB
+        code, out, err = run_cli(capsys, "check-design", "--ensemble", self.cliffords(5), "--t", "1")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [f"ensemble={self.cliffords(5)} d=32 s=7962624",
+                                    "t=1 lambda=0 method=group eps2=0"]
+
+    def test_five_fold_single_qtpe_exits_4_at_the_column_cap(self, capsys):
+        code, out, err, peak = self.run_traced(
+            capsys, "estimate", "--algorithm", "single-qtpe", "--channel", "identity", "--d", "32",
+            "--epsilon", "0.3", "--delta", "0.3", "--ensemble", self.cliffords(5), "--seed", "1",
+            "--waive-preconditions",
+        )
+        assert code == 4 and out == ""
+        assert "the first columns of" in err and "take 3888 MiB, over the 1024 MiB cap" in err
+        assert peak < 16 << 20
 
 
 class TestUnwritableOutput:

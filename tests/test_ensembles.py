@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,10 +51,10 @@ def reference_kron_pow(u, t):
     return out
 
 
-def reference_dense_superop(e, t):
-    stack = np.array([reference_kron_pow(u, t) for u in e.unitaries])
+def reference_dense_superop(unitaries, t):
+    stack = np.array([reference_kron_pow(u, t) for u in unitaries])
     big = stack.shape[1]
-    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(big * big, big * big) / e.size
+    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(big * big, big * big) / len(stack)
 
 
 def reference_permutation_operator(d, t, perm):
@@ -174,14 +173,14 @@ class TestBuiltins:
             prod = clifford.unitaries[i] @ clifford.unitaries[j]
             assert _phase_canonical(prod) in keys
 
-    def test_tensor_product_structure(self, clifford, pauli):
+    def test_tensor_product_structure(self, clifford, pauli, product_stack):
         e = tensor_product(pauli, pauli)
-        assert e.dim == 4 and e.size == 16
+        assert e.dim == 4 and e.size == 16 and e.unitaries is None
         expect = np.kron(pauli.unitaries[1], pauli.unitaries[2])
-        assert any(np.allclose(u, expect) for u in e.unitaries)
+        assert any(np.allclose(u, expect) for u in product_stack(e))
 
     def test_tensor_product_dimension_cap(self, pauli):
-        # refused before the stack is formed, with builtin_ensemble's message
+        # refused with builtin_ensemble's message
         half = builtin_ensemble("identity_only", d=MAX_DIM // 2)
         assert tensor_product(half, pauli).dim == MAX_DIM
         wide = builtin_ensemble("identity_only", d=MAX_DIM)
@@ -189,14 +188,15 @@ class TestBuiltins:
         with pytest.raises(CapacityError, match=message):
             tensor_product(wide, pauli)
 
-    def test_tensor_factors_are_flattened(self, clifford, pauli):
+    def test_tensor_factors_are_flattened(self, clifford, pauli, product_stack):
         assert clifford.tensor_factors == ()
         left = tensor_product(tensor_product(pauli, clifford), pauli)
         right = tensor_product(pauli, tensor_product(clifford, pauli))
         for e in (left, right):
-            assert len(e.tensor_factors) == 3
+            assert len(e.tensor_factors) == 3 and e.unitaries is None
             assert all(f is g for f, g in zip(e.tensor_factors, (pauli, clifford, pauli)))
-        assert np.array_equal(left.unitaries, right.unitaries)
+        assert np.array_equal(product_stack(left), product_stack(right))
+        assert np.array_equal(left.first_columns(), right.first_columns())
 
 
 class TestEnsembleIO:
@@ -311,19 +311,19 @@ class TestMomentOperator:
                 for p in permutation_operators(e.dim, t):
                     assert np.max(np.abs(g.apply(p) - p)) <= 1e-12
 
-    def test_factored_matches_generic(self, clifford, pauli, rng):
+    def test_factored_matches_generic(self, clifford, pauli, rng, product_stack):
         e = tensor_product(pauli, clifford)
         g = MomentOperator(e, 1)
         assert len(g._superops) == 2 and all(s is not None for s in g._superops)
         m = random_matrix(rng, 4)
-        brute = sum(u @ m @ u.conj().T for u in e.unitaries) / e.size
+        brute = sum(u @ m @ u.conj().T for u in product_stack(e)) / e.size
         assert np.max(np.abs(g.apply(m) - brute)) <= 1e-9
         # adjoint pairing <G(a), b> == <a, G^dag(b)>
         b = random_matrix(rng, 4)
         assert abs(np.vdot(g.apply(m), b) - np.vdot(m, g.apply_adjoint(b))) <= 1e-9
 
     @pytest.mark.parametrize("case,t", [("builtins", 1), ("random", 1), ("random", 2)])
-    def test_nested_product_matches_reference(self, clifford, pauli, rng, case, t):
+    def test_nested_product_matches_reference(self, clifford, pauli, rng, product_stack, case, t):
         if case == "builtins":
             e = tensor_product(tensor_product(pauli, clifford), pauli)
         else:
@@ -333,20 +333,21 @@ class TestMomentOperator:
             e = tensor_product(pauli, tensor_product(a, b))
         g = MomentOperator(e, t)
         assert len(g._superops) == 3 and all(s is not None for s in g._superops)
-        dense = reference_dense_superop(e, t)
+        dense = reference_dense_superop(product_stack(e), t)
         for _ in range(3):
             m = random_matrix(rng, 8**t)
             assert np.max(np.abs(g.apply(m) - dense_apply(dense, m))) <= 1e-12
             assert np.max(np.abs(g.apply_adjoint(m) - dense_apply(dense.conj().T, m))) <= 1e-12
 
     @pytest.mark.parametrize("t,cap", [(1, 8), (2, 16)])
-    def test_mixed_loop_and_dense_factors(self, random_qutrits, pauli, rng, monkeypatch, t, cap):
+    def test_mixed_loop_and_dense_factors(self, random_qutrits, pauli, rng, monkeypatch,
+                                          product_stack, t, cap):
         # the qutrit factor (3^{2t} rows) is past the lowered cap, the Pauli one (2^{2t}) is not
         e = tensor_product(random_qutrits, pauli)
         monkeypatch.setattr(ensembles, "DENSE_CAP", cap)
         g = MomentOperator(e, t)
         assert g._superops[0] is None and g._superops[1] is not None
-        dense = reference_dense_superop(e, t)
+        dense = reference_dense_superop(product_stack(e), t)
         big = 6**t
         for _ in range(3):
             m, b = random_matrix(rng, big), random_matrix(rng, big)
@@ -431,12 +432,13 @@ SUPEROP_CASES = [
 
 
 @pytest.fixture(scope="module")
-def named_ensembles(clifford, pauli, random_qutrits):
+def named_ensembles(clifford, pauli, random_qutrits, product_stack):
     return {
         "clifford1q": clifford,
         "pauli1q": pauli,
         "identity_only": builtin_ensemble("identity_only", d=2),
-        "product": tensor_product(clifford, clifford),
+        # a factor's superoperator is the only one built; this one holds the 576 members
+        "product": UnitaryEnsemble(4, product_stack(tensor_product(clifford, clifford)), "product"),
         "random_qutrits": random_qutrits,
     }
 
@@ -445,7 +447,7 @@ class TestDenseSuperopReference:
     @pytest.mark.parametrize("name,t", SUPEROP_CASES)
     def test_gemm_matches_einsum(self, named_ensembles, name, t):
         e = named_ensembles[name]
-        assert np.max(np.abs(_dense_superop(e, t) - reference_dense_superop(e, t))) <= 1e-13
+        assert np.max(np.abs(_dense_superop(e, t) - reference_dense_superop(e.unitaries, t))) <= 1e-13
 
     @pytest.mark.parametrize("per_block", [1, 5])
     @pytest.mark.parametrize("name,t", [("clifford1q", 2), ("product", 1), ("random_qutrits", 3)])
@@ -453,7 +455,7 @@ class TestDenseSuperopReference:
         e = named_ensembles[name]
         monkeypatch.setattr(ensembles, "_BLOCK_BYTES", per_block * e.dim ** (2 * t) * 16)
         assert len(list(ensembles._kron_powers(e.unitaries, t))) == -(-e.size // per_block)
-        assert np.max(np.abs(_dense_superop(e, t) - reference_dense_superop(e, t))) <= 1e-13
+        assert np.max(np.abs(_dense_superop(e, t) - reference_dense_superop(e.unitaries, t))) <= 1e-13
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_kron_powers_equal_np_kron(self, random_qutrits, monkeypatch, t):
@@ -591,12 +593,13 @@ class TestTpeLambda:
                 assert 0.0 <= tpe_lambda(e, t).lambda_value <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("name,t", LANCZOS_CASES)
-    def test_lanczos_matches_dense_svd(self, lanczos_ensembles, name, t):
+    def test_lanczos_matches_dense_svd(self, lanczos_ensembles, product_stack, name, t):
         e = lanczos_ensembles[name]
         assert not e.group and e.dim ** (2 * t) <= ensembles.DENSE_CAP
         chk = tpe_lambda(e, t)
         assert chk.method == "lanczos"
-        assert abs(chk.lambda_value - dense_svd_lambda(e, t)) <= 1e-12
+        members = UnitaryEnsemble(e.dim, product_stack(e), e.label)
+        assert abs(chk.lambda_value - dense_svd_lambda(members, t)) <= 1e-12
         lam = chk.lambda_value
         stop = max(ensembles._LANCZOS_TOL * lam, ensembles._LANCZOS_FLOOR) * lam
         assert chk.residual <= stop * (1 + 1e-9) and 1 <= chk.iterations
@@ -640,7 +643,7 @@ class TestGroupLambda:
     ]
 
     @pytest.mark.parametrize("name,d,t", CASES)
-    def test_matches_numeric_path(self, clifford, pauli, name, d, t):
+    def test_matches_numeric_path(self, clifford, pauli, product_stack, name, d, t):
         if name == "product":
             e = tensor_product(clifford, clifford)
         elif name == "nested":
@@ -652,7 +655,7 @@ class TestGroupLambda:
         assert group.lambda_value in (0.0, 1.0)
         assert group.iterations is None and group.residual is None
         copy = plain_copy(e)
-        assert np.array_equal(copy.unitaries, e.unitaries) and not copy.group
+        assert np.array_equal(product_stack(copy), product_stack(e)) and not copy.group
         numeric = tpe_lambda(copy, t)
         assert numeric.method == "lanczos"
         assert abs(group.lambda_value - numeric.lambda_value) <= 1e-12
@@ -715,29 +718,69 @@ class TestGroupProvenance:
         assert tensor_product(tensor_product(clifford, pauli), clifford).group
 
 
-class TestProductStackCap:
-    def test_five_fold_clifford_refused_before_the_einsum(self, clifford):
-        # the four-fold product's shape without its 1.27 GiB: one matrix, broadcast
-        four = SimpleNamespace(
-            unitaries=np.broadcast_to(np.eye(16, dtype=complex), (24**4, 16, 16)), label="c4"
-        )
+# Left folds of the builtins whose member stacks stay small enough to build as
+# references (the four-fold clifford1q stack alone takes 1.27 GiB); "haar" is a
+# loaded file of seven Haar qubit unitaries.
+PRODUCT_FOLDS = [
+    ("clifford1q", "clifford1q"),
+    ("pauli1q", "clifford1q"),
+    ("clifford1q", "pauli1q", "clifford1q"),
+    ("clifford1q", "clifford1q", "clifford1q"),
+    ("pauli1q", "clifford1q", "pauli1q", "clifford1q"),
+    ("identity_only", "pauli1q", "clifford1q", "pauli1q"),
+    ("haar", "clifford1q"),
+    ("clifford1q", "haar", "pauli1q"),
+    ("haar", "clifford1q", "haar", "pauli1q"),
+]
+
+
+@pytest.fixture(scope="module")
+def haar_file(write_ensemble, tmp_path_factory):
+    rng = np.random.Generator(np.random.Philox(0xC015))
+    path = tmp_path_factory.mktemp("haar") / "haar.json"
+    return load_ensemble(write_ensemble(path, haar_unitaries_batch(2, 7, rng), "haar"))
+
+
+class TestProductColumns:
+    """A product keeps only its factors; what it reads off them matches the stack
+    tensor_product once built (conftest's product_stack)."""
+
+    @pytest.fixture(params=PRODUCT_FOLDS, ids="(x)".join)
+    def product(self, request, haar_file):
+        parts = [haar_file if n == "haar" else builtin_ensemble(n) for n in request.param]
+        return functools.reduce(tensor_product, parts)
+
+    def test_first_columns_are_the_stack_columns_byte_for_byte(self, product, product_stack):
+        cols = product.first_columns()
+        assert cols.shape == (product.size, product.dim) and product.unitaries is None
+        assert cols.tobytes() == np.ascontiguousarray(product_stack(product)[:, :, 0]).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_frame_potential_is_the_factors_product(self, product, product_stack, t):
+        traces = np.trace(product_stack(product), axis1=1, axis2=2)
+        stack_fp = np.mean((traces.real**2 + traces.imag**2) ** t)
+        assert ensembles._frame_potential(product, t) == pytest.approx(stack_fp, rel=1e-12)
+
+    def test_column_cap_refuses_before_the_fold(self, clifford):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="7962624 unitaries of d = 32, 121.5 GiB"):
-                tensor_product(four, clifford)
+            # 7,962,624 members of d = 32: their stack would take 122 GiB, their columns 3.8 GiB
+            five = functools.reduce(tensor_product, [clifford] * 5)
+            assert five.size == 24**5 and five.dim == 32
+            with pytest.raises(CapacityError, match="7962624 members of d = 32, take 3888 MiB"):
+                five.first_columns()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # the four-fold product itself (d = 16) stays under the cap
-        assert 24**4 * 16**2 * 16 <= ensembles.PRODUCT_STACK_CAP
 
-    def test_cap_admits_a_stack_of_its_own_size(self, clifford, monkeypatch):
-        monkeypatch.setattr(ensembles, "PRODUCT_STACK_CAP", 24 * 24 * 4**2 * 16)
-        assert tensor_product(clifford, clifford).size == 576
-        monkeypatch.setattr(ensembles, "PRODUCT_STACK_CAP", 24 * 24 * 4**2 * 16 - 1)
-        with pytest.raises(CapacityError, match="holds 576 unitaries of d = 4"):
-            tensor_product(clifford, clifford)
+    def test_column_cap_admits_columns_of_its_own_size(self, clifford, monkeypatch):
+        product = tensor_product(clifford, clifford)
+        monkeypatch.setattr(ensembles, "RUN_MEMORY_CAP", 576 * 4 * 16)
+        assert product.first_columns().shape == (576, 4)
+        monkeypatch.setattr(ensembles, "RUN_MEMORY_CAP", 576 * 4 * 16 - 1)
+        with pytest.raises(CapacityError, match="576 members of d = 4"):
+            product.first_columns()
 
 
 class TestDesignEpsilon:

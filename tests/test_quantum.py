@@ -80,9 +80,9 @@ class TestConstruction:
     def test_a_stack_is_kept_without_a_copy(self):
         stack = np.stack([np.eye(2), X, Z]).astype(complex) / math.sqrt(3)
         ch = KrausChannel(stack)
-        assert len(ch.kraus_ops) == 3 and isinstance(ch.kraus_ops, tuple)
-        assert all(np.shares_memory(a, stack) for a in ch.kraus_ops)
-        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus_ops, stack))
+        assert isinstance(ch.kraus_ops, np.ndarray) and ch.kraus_ops.shape == (3, 2, 2)
+        assert ch.kraus_ops is stack and np.shares_memory(ch.kraus_ops, stack)
+        assert np.array_equal(ch.kraus_ops, stack)
         with pytest.raises(ValueError):
             ch.kraus_ops[0][0, 0] = 2.0
 
@@ -225,15 +225,16 @@ class TestFidelityKernel:
         assert abs(gate_fidelity_vector(ch, v[:, 0]) - expect) <= 1e-13
 
     @pytest.mark.parametrize("two_qubit", [False, True])
-    def test_table_matches_per_unitary_gate_fidelity(self, two_qubit):
+    def test_table_matches_per_unitary_gate_fidelity(self, two_qubit, product_stack):
         c1 = builtin_ensemble("clifford1q")
         ensemble = tensor_product(c1, c1) if two_qubit else c1
         ch = parse_channel_spec("depolarizing:0.1+over_rotation:z,0.35", ensemble.dim)
         table = _fidelity_table(ch, ensemble)
-        per_unitary = [gate_fidelities(ch, u[None, :, 0])[0] for u in ensemble.unitaries]
+        stack = product_stack(ensemble)
+        per_unitary = [gate_fidelities(ch, u[None, :, 0])[0] for u in stack]
         assert table.shape == (ensemble.size,)
         assert np.max(np.abs(table - per_unitary)) <= 1e-13
-        ref = reference_fidelities(ch, ensemble.unitaries[:, :, 0])
+        ref = reference_fidelities(ch, stack[:, :, 0])
         assert np.max(np.abs(table - ref)) <= 1e-13
 
     def test_dimension_mismatch(self):
@@ -280,6 +281,20 @@ class TestExactAverageFidelity:
             f = exact_average_fidelity(KrausChannel((w,)))
             expect = (abs(np.trace(w)) ** 2 + d) / (d * d + d)
             assert abs(f - expect) <= 1e-12
+
+    @pytest.mark.parametrize("spec,d", [
+        *(("depolarizing:0.2", d) for d in (1, 2, 3, 8, 16, 32)),
+        ("dephasing:0.3", 16),
+        ("amplitude_damping:0.15", 2),
+        ("depolarizing:0.1+over_rotation:z,0.35", 16),
+        ("depolarizing:0.1+dephasing:0.2+over_rotation:z,0.3", 8),
+    ])
+    def test_stack_traces_equal_the_per_operator_loop(self, spec, d):
+        # the closed form once took one np.trace per Kraus operator; read off the
+        # stack's diagonals and summed in the same order, it is the same double
+        ch = parse_channel_spec(spec, d)
+        s = sum(abs(np.trace(a)) ** 2 for a in ch.kraus_ops)
+        assert exact_average_fidelity(ch) == float((s + d) / (d * d + d))
 
 
 def monte_carlo_second_moment(ch, n, rng):
