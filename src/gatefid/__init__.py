@@ -44,8 +44,6 @@ from .prg import (
     GF2mField,
     RandomnessLedger,
     generate_tape,
-    kwise_seed_length,
-    sampling_seed_length,
     tape_seed_length,
 )
 from .quantum import KrausChannel, exact_average_fidelity, gate_fidelities, haar_second_moment

@@ -34,14 +34,13 @@ from .errors import (
     PreconditionError,
 )
 from .prg import (
+    BiasedTape,
     RandomnessLedger,
     generate_tape,
     index_width,
     indices_from_bits,
-    sampling_seed_length,
     tape_bytes,
     tape_field_degree,
-    tape_seed_length,
 )
 from .quantum import RUN_MEMORY_CAP, KrausChannel, gate_fidelities
 # Not called here any more (tables come from one batched kernel call, lambda
@@ -168,23 +167,41 @@ def plan_naive_haar(epsilon: float, delta: float, d: int) -> IidPlan:
 
 @dataclass(frozen=True)
 class KwisePlan:
+    """The one description of a k-wise index draw: n indices of `width` bits each, read from
+    an n w-bit powering-construction tape on which every k w bits are theta-close to uniform.
+
+    Everything else follows from these four: the field degree m, the seed length r = 2m that
+    is drawn and ledgered, the tape's memory (prg.tape_bytes) and the tape itself.
+    """
+
     n: int
     k: int
-    theta_log2: float
     width: int
-    n_bits: int
-    k_bits: int
-    field_degree: int
-    r: int  # implemented tape seed length, the ledgered value
-    r_sampling_formula: int  # the index-sampling seed-length formula, for comparison
+    theta_log2: float
+
+    @property
+    def field_degree(self) -> int:
+        return tape_field_degree(self.k * self.width, self.n * self.width, self.theta_log2)
+
+    @property
+    def r(self) -> int:
+        return 2 * self.field_degree
 
     @property
     def total_bits(self) -> int:
         return self.r
 
+    @property
+    def tape_bytes(self) -> int:
+        return tape_bytes(self.n * self.width, self.field_degree)
+
+    def tape(self, seed_bits) -> BiasedTape:
+        """The n w-bit tape expanded from r seed bits."""
+        return generate_tape(self.k * self.width, self.n * self.width, self.theta_log2, seed_bits)
+
 
 def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
-    """Sample-count and tape parameters for the k-wise design estimator.
+    """The k-wise design estimator's draw.
 
     n = ceil(16 log2(1/delta) / eps^2), k = ceil(e^(-1/3) eps^2 n),
     theta = (delta/2) (eps/n)^(eps^2 n / 4); the tape runs at bit level, so
@@ -199,12 +216,7 @@ def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
     w = index_width(set_size)
     if w == 0:
         raise ParameterError("set of size 1 leaves nothing to sample")
-    n_bits = n * w
-    k_bits = k * w
-    m = tape_field_degree(k_bits, n_bits, theta_log2)
-    r = 2 * m
-    r_sampling = sampling_seed_length(epsilon, n, set_size, theta_log2)
-    return KwisePlan(n, k, theta_log2, w, n_bits, k_bits, m, r, r_sampling)
+    return KwisePlan(n, k, w, theta_log2)
 
 
 @dataclass(frozen=True)
@@ -235,28 +247,22 @@ def plan_single_qtpe(epsilon: float, delta: float, d: int, set_size: int) -> Sin
 @dataclass(frozen=True)
 class TwoPhasePlan:
     moment_order: int  # the expander order is four times this
-    pool_size: int  # unitaries drawn in phase 1
     lambda_required_log2: float
     n: int
-    theta_log2: float
-    width_phase1: int
-    width_phase2: int
-    k: int
-    r_phase1: int
-    r_phase2: int  # implemented tape seed length; 0 when t == 1
-    r_sampling_formula: int  # the two-phase seed-length formula value, for comparison
+    phase1: IidPlan  # the pool of unitaries drawn uniformly
+    phase2: KwisePlan | None  # the n k-wise positions in the pool; None for a pool of one
     precondition_failures: tuple
 
     @property
     def total_bits(self) -> int:
-        return self.r_phase1 + self.r_phase2
+        return self.phase1.total_bits + (self.phase2.r if self.phase2 else 0)
 
 
 def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPhasePlan:
     """Two-phase parameters with moment order L = ceil(log2(16/delta)):
     pool size t = ceil(2^11 L/(eps^2 d)), required lambda = (eps^2/(2^5 d^2))^L,
-    n = ceil(16 log2(4/delta)/eps^2), theta = (delta/4)(eps/n)^(eps^2 n/16),
-    and the comparison seed-length formula eps^2 n log2 t + 2 log2(1/theta)."""
+    n = ceil(16 log2(4/delta)/eps^2), k = ceil(e^(-1/3) eps^2 n / 4) and
+    theta = (delta/4)(eps/n)^(eps^2 n/16)."""
     _check_eps_delta(epsilon, delta)
     failures = []
     order = math.ceil(math.log2(16.0 / delta))
@@ -271,20 +277,15 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
         raise CapacityError(f"phase-1 sample count t = {pool} exceeds the cap {T_CAP}")
     lambda_req_log2 = order * (2.0 * math.log2(epsilon) - 5.0 - 2.0 * math.log2(d))
     n = math.ceil(16.0 * math.log2(4.0 / delta) / epsilon**2)
-    theta_log2 = math.log2(delta / 4.0) + (epsilon**2 * n / 16.0) * math.log2(epsilon / n)
-    w1 = index_width(set_size)
+    phase2 = None
     if pool >= 2:
-        w2 = index_width(pool)
         k = math.ceil(_E_THIRD * epsilon**2 * n / 4.0)
         if k < 2:
             raise ParameterError(f"phase-2 independence parameter k = {k} < 2")
-        r2 = tape_seed_length(k * w2, n * w2, theta_log2)
-        r_formula = math.ceil(epsilon**2 * n * math.log2(pool) - 2.0 * theta_log2)
-    else:
-        w2, k, r2, r_formula = 0, 0, 0, 0
+        theta_log2 = math.log2(delta / 4.0) + (epsilon**2 * n / 16.0) * math.log2(epsilon / n)
+        phase2 = KwisePlan(n, k, index_width(pool), theta_log2)
     return TwoPhasePlan(
-        order, pool, lambda_req_log2, n, theta_log2, w1, w2, k, pool * w1,
-        r2, r_formula, tuple(failures),
+        order, lambda_req_log2, n, IidPlan(pool, index_width(set_size)), phase2, tuple(failures)
     )
 
 
@@ -340,9 +341,9 @@ class _Run:
         """n indices in [0, set_size) decoded from `bits` counted bits."""
         return indices_from_bits(self.take_bits(label, bits), set_size, n).indices
 
-    def tape_draw(self, label: str, r: int, k_bits: int, n_bits: int, theta_log2: float,
-                  table: np.ndarray, n: int) -> tuple:
-        """n indices into `table` read from a k-wise tape on r counted seed bits, and their entries.
+    def tape_draw(self, label: str, plan: KwisePlan, table: np.ndarray) -> tuple:
+        """The plan's n indices into `table`, read from its tape on r counted seed bits, and
+        their entries.
 
         The entries are gathered while the tape is alive, so its bits, the
         draw's largest array, are freed after the arrays the trials keep.
@@ -350,9 +351,8 @@ class _Run:
         gap that no later array filled, about 0.1 MB per run repeated in one
         process at the k-wise contract's point.
         """
-        seed_bits = self.take_bits(label, r)
-        tape = generate_tape(k_bits, n_bits, theta_log2, seed_bits)
-        ids = indices_from_bits(tape.bits, len(table), n).indices
+        tape = plan.tape(self.take_bits(label, plan.r))
+        ids = indices_from_bits(tape.bits, len(table), plan.n).indices
         return ids, table[ids]
 
     def gate(self, plan, extra: list, waive: bool) -> None:
@@ -447,13 +447,10 @@ def estimate_kwise_design(
     run = _Run("kwise-design", channel, epsilon, delta, seed, ensemble)
     _certify_design(ensemble, epsilon, lambda2)
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
-    run.reserve(plan.n, tape=tape_bytes(plan.n_bits, plan.field_degree))
+    run.reserve(plan.n, tape=plan.tape_bytes)
     if epsilon >= run.channel.exact_fidelity:
         run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
-    ids, probs = run.tape_draw(
-        "tape_seed", plan.r, plan.k_bits, plan.n_bits, plan.theta_log2,
-        _fidelity_table(run.channel, ensemble), plan.n,
-    )
+    ids, probs = run.tape_draw("tape_seed", plan, _fidelity_table(run.channel, ensemble))
     return run.finish(plan, ids, probs)
 
 
@@ -509,9 +506,9 @@ def estimate_two_phase(
     """Phase 1 draws t unitaries uniformly; phase 2 samples among them k-wise."""
     run = _Run("two-phase", channel, epsilon, delta, seed, ensemble)
     plan = plan_two_phase(epsilon, delta, run.channel.dim, ensemble.size)
-    # the phase-1 pool holds an id and a probability each, as a trial does
-    run.reserve(plan.n + plan.pool_size, plan.r_phase1,
-                tape=tape_bytes(plan.n * plan.width_phase2, plan.r_phase2 // 2))
+    # with eps < 1, L >= 5 and d <= MAX_DIM = 64 the pool holds over 2^11 * 5 / 64 = 160 ids,
+    # so phase 2 is planned; a pool member holds an id and a probability, as a trial does
+    run.reserve(plan.n + plan.phase1.n, plan.phase1.total_bits, tape=plan.phase2.tape_bytes)
     failures = []
     lam = None if claimed_lambda is None else checked_lambda(claimed_lambda)
     if lam is None:
@@ -522,12 +519,7 @@ def estimate_two_phase(
             f" log2(lambda) = {math.log2(lam):g} > {plan.lambda_required_log2:g}"
         )
     run.gate(plan, failures, waive_preconditions)
-    pool = run.indices("phase1_indices", plan.r_phase1, ensemble.size, plan.pool_size)
+    pool = run.indices("phase1_indices", plan.phase1.total_bits, ensemble.size, plan.phase1.n)
     sub_table = _fidelity_table(run.channel, ensemble)[pool]
-    # with eps < 1, L >= 5 and d <= MAX_DIM = 64 the pool holds over 2^11 * 5 / 64 = 160 ids
-    w = plan.width_phase2
-    positions, probs = run.tape_draw(
-        "phase2_tape_seed", plan.r_phase2, plan.k * w, plan.n * w, plan.theta_log2,
-        sub_table, plan.n,
-    )
+    positions, probs = run.tape_draw("phase2_tape_seed", plan.phase2, sub_table)
     return run.finish(plan, pool[positions], probs)

@@ -56,6 +56,11 @@ class HarnessReport:
     estimates: np.ndarray
     ledger_totals: np.ndarray
 
+    @property
+    def spread(self) -> float:
+        """Standard deviation of the estimates: the contract's margin is epsilon against it."""
+        return float(np.std(self.estimates))
+
 
 def harness_confidence(
     run, oracle: float, epsilon: float, delta: float, repeats: int, master_seed: int

@@ -10,9 +10,6 @@ over positions in [1, n] then has bias at most n / 2^m, and choosing
 drives that bias below theta * 2^(-k/2 - 1), which forces every <= k-subset's
 joint distribution to be theta-close to uniform in L1 (Parseval over the
 subset's parities).
-The resulting seed length 2m generally exceeds the constant-free textbook
-formula kwise_seed_length(), which no plan or output reports; the tests bound
-the ratio of the two.
 Every function here takes theta as theta_log2 = log2(theta), because the theta
 a plan asks for is often far below the smallest float; theta_log2_of converts
 a float theta once, where one enters from outside.
@@ -298,23 +295,6 @@ def _check_k_n(k: int, n: int) -> None:
         raise ParameterError(f"k must be >= 2, got {k}")
     if n < k:
         raise ParameterError(f"need k <= n, got k={k} n={n}")
-
-
-def kwise_seed_length(k: int, n: int, theta_log2: float) -> int:
-    """Textbook seed length ceil(k + 2 log2 log2 k + 2 log2 log2 n + 2 log2(1/theta))."""
-    _check_k_n(k, n)
-    lt = -_checked_theta_log2(theta_log2)
-    return math.ceil(k + 2 * math.log2(math.log2(k)) + 2 * math.log2(math.log2(n)) + 2 * lt)
-
-
-def sampling_seed_length(epsilon: float, n: int, set_size: int, theta_log2: float) -> int:
-    """Seed length ceil(4 eps^2 n log2 |Y| + 2 log2(1/theta)) for n index samples."""
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    if set_size < 1:
-        raise ParameterError(f"set size must be >= 1, got {set_size}")
-    lt = -_checked_theta_log2(theta_log2)
-    return math.ceil(4 * epsilon**2 * n * math.log2(set_size) + 2 * lt)
 
 
 def tape_field_degree(k: int, n: int, theta_log2: float) -> int:

@@ -26,6 +26,7 @@ from gatefid import (
     tensor_product,
     tpe_lambda,
 )
+from gatefid import estimators
 from gatefid.cli import main as cli_main
 from gatefid.errors import PreconditionError
 from gatefid.estimators import _fidelity_columns, _fidelity_table
@@ -140,7 +141,48 @@ def test_criterion_06_kwise_confidence_contract(clifford, report):
     report(6, "k-wise (eps, delta) contract",
             rep.passed and elapsed < 300.0,
             f"fraction {rep.fraction_within:.3f} >= {rep.threshold:.3f},"
-            f" 500 repeats, {elapsed:.1f} s")
+            f" spread {rep.spread:.4f} vs eps 0.05, 500 repeats, {elapsed:.1f} s")
+
+
+def test_criterion_06_contract_on_a_spreading_channel(clifford, report):
+    # amplitude damping spreads p from 0.10 to 1.00 over the 24 members (F = 0.622),
+    # so the contract sees which indices the tape drew
+    start = time.perf_counter()
+    model = noise_preset("amplitude_damping", (0.9,), 2)
+    run = lambda s: estimate_kwise_design(model, 0.05, 0.1, clifford, s)
+    rep = harness_confidence(run, model.exact_fidelity, 0.05, 0.1, repeats=500,
+                             master_seed=0xACC6)
+    elapsed = time.perf_counter() - start
+    report(6, "k-wise contract, amplitude_damping:0.9",
+            rep.passed and elapsed < 300.0,
+            f"fraction {rep.fraction_within:.3f} >= {rep.threshold:.3f},"
+            f" spread {rep.spread:.4f} vs eps 0.05, 500 repeats, {elapsed:.1f} s")
+
+
+@pytest.mark.parametrize("spec, params, passes", [
+    ("amplitude_damping", (0.9,), False),
+    ("over_rotation", ("z", 2.5), False),
+    ("depolarizing", (0.2,), True),
+])
+def test_criterion_06_zero_seed_control(clifford, report, monkeypatch, spec, params, passes):
+    """A tape whose seed bits are zeroed after they are drawn (and ledgered): x = 0, so
+    every tape bit and every index is 0. The contract must FAIL on a channel that
+    spreads p over the set: about 0.099 against F = 0.622 on amplitude_damping:0.9,
+    and 1.000 against F = 0.400 on over_rotation:z,2.5. On depolarizing:0.2 every
+    member has p = 0.9, so the control passes at fraction 1.000: criterion 6 alone
+    cannot see the draw.
+    """
+    real = estimators.generate_tape
+    monkeypatch.setattr(estimators, "generate_tape", lambda k, n, theta_log2, seed_bits:
+                        real(k, n, theta_log2, np.zeros_like(seed_bits)))
+    model = noise_preset(spec, params, 2)
+    run = lambda s: estimate_kwise_design(model, 0.05, 0.1, clifford, s)
+    rep = harness_confidence(run, model.exact_fidelity, 0.05, 0.1, repeats=50,
+                             master_seed=0xACC6)
+    report(6, f"zero-seed control on {spec}", rep.passed == passes,
+            f"contract {'PASS' if rep.passed else 'FAIL'} as expected: fraction"
+            f" {rep.fraction_within:.3f}, mean estimate {rep.estimates.mean():.3f}"
+            f" vs F {model.exact_fidelity:.3f}, 50 repeats")
 
 
 def test_criterion_07_ledger_ordering(clifford, report):
@@ -165,8 +207,8 @@ def test_criterion_08_planner_arithmetic(clifford, report):
         )
     except PreconditionError:
         got_precondition = True
-    t_large = plan_two_phase(0.2, 0.5, 1024, 24).pool_size
-    t_one = plan_two_phase(0.2, 0.5, 2**20, 24).pool_size
+    t_large = plan_two_phase(0.2, 0.5, 1024, 24).phase1.n
+    t_one = plan_two_phase(0.2, 0.5, 2**20, 24).phase1.n
     ok = p3.n == 400 and p3.k == 12 and got_precondition and t_large == 250 and t_one == 1
     report(8, "planner arithmetic", ok,
             f"n={p3.n}, k={p3.k}, precondition={got_precondition}, t={t_large}, t'={t_one}")

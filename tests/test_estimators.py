@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -22,7 +23,9 @@ from gatefid import (
     tensor_product,
 )
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
-from gatefid.estimators import HAAR_BITS_PER_DIM2, plan_naive_haar
+from gatefid.estimators import HAAR_BITS_PER_DIM2, IidPlan, KwisePlan, plan_naive_haar
+from gatefid.prg import generate_tape, index_width, tape_bytes, tape_field_degree, tape_seed_length
+from gatefid.streams import BitSource
 from gatefid.quantum import KrausChannel, exact_average_fidelity
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -43,13 +46,14 @@ class TestPlanners:
         assert "10800" in plan.precondition_failures[0]
 
     def test_two_phase_t_formula(self):
-        assert plan_two_phase(0.2, 0.5, 1024, 24).pool_size == 250
+        assert plan_two_phase(0.2, 0.5, 1024, 24).phase1.n == 250
         assert plan_two_phase(0.2, 0.5, 1024, 24).moment_order == 5
 
     def test_two_phase_degenerates_to_one_unitary(self):
         plan = plan_two_phase(0.2, 0.5, 2**20, 24)
-        assert plan.pool_size == 1
-        assert plan.r_phase2 == 0
+        assert plan.phase1.n == 1
+        assert plan.phase2 is None
+        assert plan.total_bits == plan.phase1.total_bits
 
     def test_two_phase_pool_of_a_channel_is_never_one(self):
         # the planner's pool of one needs d past MAX_DIM = 64; at the cap,
@@ -57,7 +61,7 @@ class TestPlanners:
         from gatefid.quantum import MAX_DIM
 
         assert MAX_DIM == 64
-        assert plan_two_phase(0.999, 0.999, 64, 24).pool_size >= 2
+        assert plan_two_phase(0.999, 0.999, 64, 24).phase1.n >= 2
 
     def test_naive_chernoff_count(self):
         plan = plan_naive_haar(0.1, 0.05, 2)
@@ -207,7 +211,7 @@ class TestTwoPhase:
         )
         labels = [lab for lab, _ in result.ledger.entries]
         assert labels == ["phase1_indices", "phase2_tape_seed"]
-        assert result.ledger.total == result.plan.r_phase1 + result.plan.r_phase2
+        assert result.ledger.total == result.plan.phase1.total_bits + result.plan.phase2.r
 
     def test_identity_channel(self, clifford):
         result = estimate_two_phase(
@@ -427,7 +431,7 @@ class TestTapeCostModel:
         ),
         "two-phase": (
             lambda c: estimate_two_phase(DEPOL, 0.9, 1e-240, c, seed=1, waive_preconditions=True),
-            lambda: plan_two_phase(0.9, 1e-240, 2, 24).r_phase2 // 2, 44_162, 1933,
+            lambda: plan_two_phase(0.9, 1e-240, 2, 24).phase2.field_degree, 44_162, 1933,
         ),
     }
 
@@ -464,13 +468,52 @@ class TestChannelType:
                 _RUNS[algorithm](clifford, wrong)
 
 
-class TestSeedLengthCrossCheck:
-    def test_tape_seed_vs_index_sampling_formula(self):
-        # implemented tape seed length stays within the allowed factor of the
-        # index-sampling seed-length formula recorded in the plan
-        for eps, delta in [(0.05, 0.1), (0.1, 0.2), (0.2, 0.5)]:
-            plan = plan_kwise_design(eps, delta, 24)
-            assert plan.r <= 4 * plan.r_sampling_formula + 64
+# Each planner's k-wise draw: criterion 6's point, criterion 10's CLI point, the
+# pinned planner point, and phase 2 of the benchmark's two-phase points.
+KWISE_PLANS = {
+    "kwise-0.05-0.1": lambda: plan_kwise_design(0.05, 0.1, 24),
+    "kwise-0.1-0.2": lambda: plan_kwise_design(0.1, 0.2, 24),
+    "kwise-0.2-0.5": lambda: plan_kwise_design(0.2, 0.5, 24),
+    "two-phase-d2": lambda: plan_two_phase(0.2, 0.3, 2, 24).phase2,
+    "two-phase-d4": lambda: plan_two_phase(0.2, 0.3, 4, 576).phase2,
+}
+
+
+class TestKwisePlan:
+    def test_four_fields(self):
+        assert [f.name for f in dataclasses.fields(KwisePlan)] == ["n", "k", "width", "theta_log2"]
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan_kwise_design(0.2, 0.5, 24).n = 1
+
+    @pytest.mark.parametrize("name", sorted(KWISE_PLANS))
+    def test_derived_from_the_bit_level_tape(self, name):
+        plan = KWISE_PLANS[name]()
+        k_bits, n_bits = plan.k * plan.width, plan.n * plan.width
+        m = tape_field_degree(k_bits, n_bits, plan.theta_log2)
+        assert plan.field_degree == m
+        assert plan.r == plan.total_bits == tape_seed_length(k_bits, n_bits, plan.theta_log2) == 2 * m
+        assert plan.tape_bytes == tape_bytes(n_bits, m)
+
+    def test_tape_is_the_powering_tape(self):
+        plan = KwisePlan(40, 4, 3, -10.0)
+        seed = BitSource(5).take_bits(plan.r)
+        got, want = plan.tape(seed), generate_tape(12, 120, -10.0, seed)
+        assert got.gf.m == want.gf.m == plan.field_degree
+        assert np.array_equal(got.bits, want.bits)
+
+    def test_tape_takes_exactly_r_seed_bits(self):
+        plan = KwisePlan(40, 4, 3, -10.0)
+        with pytest.raises(ParameterError, match=f"exactly {plan.r} bits"):
+            plan.tape(np.zeros(plan.r - 1, dtype=np.uint8))
+
+    def test_two_phase_is_an_iid_pool_then_a_kwise_draw(self):
+        plan = plan_two_phase(0.2, 0.3, 2, 24)
+        assert plan.phase1 == IidPlan(plan.phase1.n, index_width(24))
+        assert (plan.phase2.n, plan.phase2.width) == (plan.n, index_width(plan.phase1.n))
+        assert plan.total_bits == plan.phase1.n * plan.phase1.width + plan.phase2.r
+
 
 # Pinned at the commit before the fidelity kernel became one batched product
 # over the channel's weight matrix: (estimate, SHA-256 of the measured bits,

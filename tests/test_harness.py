@@ -80,6 +80,7 @@ class TestHarnessConfidence:
         assert (rep.repeats, rep.epsilon, rep.delta, rep.oracle) == (12, 0.1, 0.2, 0.9)
         assert (rep.fraction_within, rep.threshold) == (frac, threshold)
         assert rep.passed == (frac >= threshold)
+        assert rep.spread == float(np.std(estimates))
 
     def test_drops_each_result_before_the_next_run(self, clifford):
         refs = []

@@ -19,13 +19,11 @@ from gatefid import (
     GF2mField,
     RandomnessLedger,
     generate_tape,
-    kwise_seed_length,
-    sampling_seed_length,
     tape_seed_length,
 )
 from gatefid.errors import CapacityError, ParameterError, ValidationError
 from gatefid import prg
-from gatefid.estimators import plan_kwise_design, plan_two_phase
+from gatefid.estimators import KwisePlan, plan_kwise_design, plan_two_phase
 from gatefid.prg import (
     IRREDUCIBLE_TABLE,
     MAX_INDEX_WIDTH,
@@ -154,8 +152,7 @@ THETA_LOG2_TAKERS = {
     "generate_tape": lambda t: generate_tape(2, 4, t, [0] * 8),
     "tape_field_degree": lambda t: tape_field_degree(2, 4, t),
     "tape_seed_length": lambda t: tape_seed_length(2, 4, t),
-    "sampling_seed_length": lambda t: sampling_seed_length(0.1, 100, 2, t),
-    "kwise_seed_length": lambda t: kwise_seed_length(2, 4, t),
+    "KwisePlan.tape": lambda t: KwisePlan(4, 2, 1, t).tape([0] * 8),
 }
 
 
@@ -179,37 +176,16 @@ class TestThetaLog2:
         # the theta this plan asks for underflows to 0.0; its log2 sizes the field
         plan = plan_kwise_design(0.05, 1e-12, 24)
         assert 2.0**plan.theta_log2 == 0.0
-        assert tape_field_degree(plan.k_bits, plan.n_bits, plan.theta_log2) == plan.field_degree == 6594
+        w = plan.width
+        assert tape_field_degree(plan.k * w, plan.n * w, plan.theta_log2) == plan.field_degree == 6594
 
 
-class TestSeedLengths:
-    def test_kwise_pinned_values(self):
-        assert kwise_seed_length(16, 2**16, -20.0) == 68
-        assert kwise_seed_length(4, 16, -10.0) == 30
-        assert kwise_seed_length(2, 4, -1.0) == 6
-
-    def test_kwise_requires_k_at_least_2(self):
-        with pytest.raises(ParameterError):
-            kwise_seed_length(1, 4, -1.0)
-
-    def test_sampling_pinned_values(self):
-        # eps^2 n = 1, two-element set, theta = 1/4
-        assert sampling_seed_length(0.1, 100, 2, -2.0) == 8
-        assert sampling_seed_length(0.05, 6400, 24, -16.0) == 326
-
-    def test_sampling_singleton_set(self):
-        assert sampling_seed_length(0.1, 100, 1, -2.0) == 4  # only 2 log2(1/theta)
-
-    def test_implemented_vs_textbook_ratio(self):
-        # the design allows implemented r <= 4 * textbook r + 64
-        for k, n, theta_log2 in [
-            (4 * 13, 400 * 13, -30.0),
-            (507, 276393, -252.84),
-            (12, 5200, -40.0),
-        ]:
-            r_impl = tape_seed_length(k, n, theta_log2)
-            r_text = kwise_seed_length(k, n, theta_log2)
-            assert r_impl <= 4 * r_text + 64
+class TestFieldDegreeDomain:
+    def test_k_at_least_2_and_at_most_n(self):
+        with pytest.raises(ParameterError, match="k must be >= 2"):
+            tape_field_degree(1, 4, -1.0)
+        with pytest.raises(ParameterError, match="need k <= n"):
+            tape_field_degree(5, 4, -1.0)
 
 
 class TestGenerateTape:
@@ -380,11 +356,12 @@ class TestTapeAgainstLocalDecoder:
 
     def test_kwise_contract_plan_sampled(self):
         plan = plan_kwise_design(0.05, 0.1, 24)
-        assert (plan.field_degree, plan.n_bits) == (526, 276393)
-        tape = generate_tape(plan.k_bits, plan.n_bits, plan.theta_log2, BitSource(7).take_bits(plan.r))
+        n_bits = plan.n * plan.width
+        assert (plan.field_degree, n_bits) == (526, 276393)
+        tape = plan.tape(BitSource(7).take_bits(plan.r))
         rng = np.random.default_rng(3)
-        sampled = rng.integers(0, plan.n_bits, size=24).tolist()
-        assert_matches_local_decoder(tape, sampled + boundary_positions(plan.n_bits)[::4])
+        sampled = rng.integers(0, n_bits, size=24).tolist()
+        assert_matches_local_decoder(tape, sampled + boundary_positions(n_bits)[::4])
 
 
 def packed_bits(bits):
@@ -544,7 +521,7 @@ class TestPinnedTapes:
     def test_kwise_acceptance_first_op(self):
         plan = plan_kwise_design(0.05, 0.1, 24)
         seed_bits = BitSource(split_seed(0xACC6, 0)).take_bits(plan.r)
-        tape = generate_tape(plan.k_bits, plan.n_bits, plan.theta_log2, seed_bits)
+        tape = plan.tape(seed_bits)
         assert tape_digest(tape) == (
             "3e009ebd312160967030ac1092ca6dc8d927a876e6600ba49111d2f5012284e7"
         )
@@ -552,9 +529,8 @@ class TestPinnedTapes:
     def test_two_phase_tape(self):
         plan = plan_two_phase(0.2, 0.3, 2, 24)
         source = BitSource(0x2A)
-        source.take_bits(plan.r_phase1)
-        w2 = plan.width_phase2
-        tape = generate_tape(plan.k * w2, plan.n * w2, plan.theta_log2, source.take_bits(plan.r_phase2))
+        source.take_bits(plan.phase1.total_bits)
+        tape = plan.phase2.tape(source.take_bits(plan.phase2.r))
         assert (tape.gf.m, tape.n) == (212, 38870)
         assert tape_digest(tape) == (
             "8ece48c31394481b396b0fcdafe12423c1e486a8bd2a4d17481db016e6ca2134"
@@ -612,19 +588,20 @@ class TestTapeCapacity:
         # the products are blocked, so memory stays far below one m x m
         # float32 matrix (119 MB here) and no working-set limit applies
         plan = plan_kwise_design(0.05, 1e-10, 24)
-        assert (plan.field_degree, plan.n_bits) == (5460, 2763852)
+        n_bits = plan.n * plan.width
+        assert (plan.field_degree, n_bits) == (5460, 2763852)
         GF2mField(plan.field_degree)  # a table entry: its first-use Rabin check is not measured
         tracemalloc.start()
         try:
-            tape = generate_tape(plan.k_bits, plan.n_bits, plan.theta_log2, BitSource(9).take_bits(plan.r))
+            tape = plan.tape(BitSource(9).take_bits(plan.r))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tape.bits.shape == (plan.n_bits,)
+        assert tape.bits.shape == (n_bits,)
         assert peak < 40 * 2**20
         rng = np.random.default_rng(5)
-        sampled = rng.integers(0, plan.n_bits, size=4).tolist()
-        assert_matches_local_decoder(tape, sampled + boundary_positions(plan.n_bits)[::8])
+        sampled = rng.integers(0, n_bits, size=4).tolist()
+        assert_matches_local_decoder(tape, sampled + boundary_positions(n_bits)[::8])
 
 
 class TestSampleIndices:
