@@ -14,20 +14,22 @@ Every function here takes theta as theta_log2 = log2(theta), because the theta
 a plan asks for is often far below the smallest float; theta_log2_of converts
 a float theta once, where one enters from outside.
 
-Expansion: with e = i*B + r and B = isqrt(n) + 1, bilinearity of
+Expansion: with e = i*B + r and B = 2^b, bilinearity of
 (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
 the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row r of V
 those of x^r, and H is the m x m Hankel matrix H[j, l] = <t^(j+l), y>.
 Matrices are kept as rows of little-endian 64-bit words, and every product
 is an XOR of table rows (the method of four Russians): each 8-row chunk of
 the right factor gets a 256-entry XOR table, and the left factor's bytes
-pick one entry per chunk. U and V come from square-and-multiply doubling,
-since squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix,
-and x^(2q+1) that times the matrix of multiplication by x. Row j of the
-squaring matrix is the single bit 2j while 2j < m, so its low rows are a
-byte-table spread and only the rest get XOR tables. Tables and gathers are
-built in blocks of bounded size, in buffers kept per field degree with the
-squaring tables, so a second tape of the same shape allocates no table.
+pick one entry per chunk. V comes from square-and-multiply doubling, since
+squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix S, and
+x^(2q+1) that times the matrix of multiplication by x. One chain serves the
+whole tape: B is a power of two, so x^(iB) = (x^i)^(2^b) is row i of V
+times F = S^b, the degree's Frobenius matrix for b, and U = V F. Row j of
+S is the single bit 2j while 2j < m, so its low rows are a byte-table
+spread and only the rest get XOR tables. Tables and gathers are built in
+blocks of bounded size, in buffers kept per field degree with the squaring
+tables and F, so a second tape of the same shape allocates no table.
 The rest of the per-seed set-up is word work with no loop over bits: x and
 y are one packbits of the seed; the parities <t^a, y> are one pass over the
 degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
@@ -372,8 +374,18 @@ _GATHER_ROWS = 64
 def tape_bytes(n: int, m: int) -> int:
     """Bytes an n-bit tape over GF(2^m) holds at most: 2 a bit bound the unpacked tape, its
     packed words and gen-bits' hex text; the degree-m workspace adds under m^2 of packed m x m
-    matrices and Python-int powers, and 4 blocks of _BLOCK_BYTES of XOR tables and gathers."""
-    return 2 * n + m * m + 4 * _BLOCK_BYTES
+    matrices and Python-int powers, the kept Frobenius matrix F (m^2/8 packed, and its tables
+    while they fit one block), and 4 blocks of _BLOCK_BYTES of XOR tables and gathers."""
+    return 2 * n + m * m + m * 8 * -(-m // 64) + _kept_table_bytes(m) + 4 * _BLOCK_BYTES
+
+
+def _kept_table_bytes(m: int) -> int:
+    """Bytes of the XOR tables of an m x m matrix if they fit one block, else 0.
+
+    Only such tables are kept between tapes; larger ones are rebuilt on each use.
+    """
+    size = 256 * -(-m // 8) * 8 * -(-m // 64)
+    return size if size <= _BLOCK_BYTES else 0
 
 
 def _packed(elems, words: int) -> np.ndarray:
@@ -438,14 +450,14 @@ class _XorTables:
     never rebuilds them; further blocks are rebuilt on each use. Every
     temporary lives in `buffers`, which products with these tables reuse
     too. Given shared `buffers`, the first block is built in their table
-    buffer and is valid until the next set is built there; otherwise it
-    gets an array of its own.
+    buffer and is valid until the next set is built there, unless `keep`
+    asks for an array of its own; without them it always gets one.
     """
 
-    def __init__(self, mat: np.ndarray, buffers: _Buffers | None = None):
-        shared = buffers is not None
+    def __init__(self, mat: np.ndarray, buffers: _Buffers | None = None, keep: bool = False):
+        shared = buffers is not None and not keep
         self.mat = mat
-        self.buffers = buffers if shared else _Buffers()
+        self.buffers = _Buffers() if buffers is None else buffers
         self.words = mat.shape[1]
         self.width = min(self.words, max(1, _BLOCK_BYTES // (256 * 8)))
         self.chunks = max(1, _BLOCK_BYTES // (256 * 8 * self.width))
@@ -580,19 +592,58 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _workspace(m: int, thread: int) -> tuple:
-    """What the tapes of field degree m share: packed rows t^0 .. t^(2m-2) and the squaring tables.
+class _Workspace:
+    """What the tapes of field degree m share: packed rows t^0 .. t^(2m-2),
+    the squaring tables, and the Frobenius matrix F = S^b of the last b.
 
     The squaring tables' buffers are the tapes' reusable workspace: the
-    chains' multiply-by-base tables, then the V^T tables, then the HV
-    tables are built in turn in one table buffer there, and every product
-    gathers into the same gather and index buffers. So a second tape of
-    the same shape allocates no table. Each thread gets its own, so tapes
-    on concurrent threads never share a buffer.
+    chain's multiply-by-base tables, then F's tables unless they are kept,
+    then the V^T tables, then the HV tables are built in turn in one table
+    buffer there, and every product gathers into the same gather and index
+    buffers. So a second tape of the same shape allocates no table.
     """
-    t_powers = _packed(_times_t(GF2mField(m), 1, 2 * m - 1), -(-m // 64))
-    return t_powers, _Squaring(t_powers[::2])  # row j is t^(2j)
+
+    def __init__(self, m: int):
+        self.gf = GF2mField(m)
+        self.t_powers = _packed(_times_t(self.gf, 1, 2 * m - 1), -(-m // 64))
+        self.square = _Squaring(self.t_powers[::2])  # row j is t^(2j)
+        self._frobenius = None  # (b, F, F's kept tables or None)
+
+    def frobenius(self, b: int) -> _XorTables:
+        """The XOR tables of F = S^b: row j is t^(j 2^b), so row i of A F is row i of A to the 2^b.
+
+        F is the power chain of t^(2^b), built once per b; the last b's F is
+        kept. Its tables are kept with it while they fit one block (m up to
+        1024); larger ones are rebuilt in the shared table buffer on each
+        call, as every larger table set is.
+        """
+        if self._frobenius is None or self._frobenius[0] != b:
+            gf = self.gf
+            taps = _low_taps(gf.modulus)
+            base = gf.mul_t(1)
+            for _ in range(b):
+                base = _fold(_gf2_square(base), gf.m, taps)
+            mat = _power_chain(gf, base, gf.m - 1, self.square)
+            kept = _XorTables(mat, self.square.buffers, keep=True) if _kept_table_bytes(gf.m) else None
+            self._frobenius = (b, mat, kept)
+        _, mat, kept = self._frobenius
+        return _XorTables(mat, self.square.buffers) if kept is None else kept
+
+
+@functools.lru_cache(maxsize=4)
+def _workspace(m: int, thread: int) -> _Workspace:
+    """The degree-m workspace of one thread, so tapes on concurrent threads never share a buffer."""
+    return _Workspace(m)
+
+
+def _row_log2(n: int) -> int:
+    """b of the n-bit tape's layout: Q = n // B + 1 rows of B = 2^b bits.
+
+    The tape's one power chain runs to x^(max(B, Q) - 1), so b minimises
+    max(B, Q), the smallest such b on a tie; B and Q then lie within a
+    factor of 2 of sqrt(n).
+    """
+    return min(range(n.bit_length() + 1), key=lambda b: max(1 << b, (n >> b) + 1))
 
 
 def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
@@ -616,30 +667,36 @@ def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     """Bits <x^e, y> for e = 1..n as one GF(2) matrix product.
 
-    Write e = i*B + r with B = isqrt(n) + 1, 0 <= r < B and 0 <= i < Q =
-    n // B + 1. Since (u, v) -> <u*v, y> is GF(2)-bilinear, bit e is
-    u H v^T with u, v the coefficient bits of x^(iB), x^r and H the m x m
-    Hankel matrix H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B matrix
-    is therefore U (H V^T), where row i of U holds x^(iB) and row r of V
-    holds x^r. U and V are power chains; both products are XOR-table
-    products on packed words, and the tape is unpacked once at the end.
-    Tables, gathers and unpacked bits stay within _BLOCK_BYTES, and the
-    tables and gathers reuse the degree's workspace, so apart from the
-    output the working set is a few packed m x m and m x B matrices
-    whatever n.
+    Write e = i*B + r with B = 2^b (b from _row_log2), 0 <= r < B and
+    0 <= i < Q = n // B + 1. Since (u, v) -> <u*v, y> is GF(2)-bilinear,
+    bit e is u H v^T with u, v the coefficient bits of x^(iB), x^r and H the
+    m x m Hankel matrix H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B
+    matrix is therefore U (H V^T), where row i of U holds x^(iB) and row r
+    of V holds x^r. One power chain gives x^0 .. x^(max(B, Q) - 1); its
+    first B rows are V, and as x^(iB) = (x^i)^(2^b), U is its first Q rows
+    times the degree's Frobenius matrix F = S^b. All three products are
+    XOR-table products on packed words, each operand is freed once read, and
+    the tape is unpacked once at the end. Tables, gathers and unpacked bits
+    stay within _BLOCK_BYTES, and the tables and gathers reuse the degree's
+    workspace, so apart from the output the working set is a few packed
+    m x m and m x max(B, Q) matrices whatever n.
     """
     m = gf.m
     if m >= _MAX_DEGREE:
         raise CapacityError(
             f"field degree m = {m} is at least 2^24: an m x m bit matrix would need m^2/8 bytes"
         )
-    block = math.isqrt(n) + 1
-    rows = n // block + 1
-    t_powers, square = _workspace(m, threading.get_ident())
-    v = _power_chain(gf, x, block, square)  # x^0 .. x^B
-    u = _power_chain(gf, int.from_bytes(v[block].tobytes(), "little"), rows - 1, square)
-    hv = _gf2_product(_hankel_rows(t_powers, y), _XorTables(_transposed(v[:block], m), square.buffers))
-    tape = _gf2_product(u, _XorTables(hv, square.buffers))
+    b = _row_log2(n)
+    block, rows = 1 << b, (n >> b) + 1
+    work = _workspace(m, threading.get_ident())
+    v = _power_chain(gf, x, max(block, rows) - 1, work.square)
+    u = _gf2_product(v[:rows], work.frobenius(b))  # row i is x^(iB)
+    vt = _transposed(v[:block], m)
+    del v
+    hv = _gf2_product(_hankel_rows(work.t_powers, y), _XorTables(vt, work.square.buffers))
+    del vt
+    tape = _gf2_product(u, _XorTables(hv, work.square.buffers))
+    del u, hv
     bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")
     out = bits.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape
     out.flags.writeable = False

@@ -31,6 +31,7 @@ from gatefid.cli import main as cli_main
 from gatefid.errors import PreconditionError
 from gatefid.estimators import _fidelity_columns, _fidelity_table
 from gatefid.harness import SuiteParams
+from gatefid.prg import IndexDraw
 from gatefid.quantum import haar_unitaries_batch
 
 
@@ -183,6 +184,44 @@ def test_criterion_06_zero_seed_control(clifford, report, monkeypatch, spec, par
             f"contract {'PASS' if rep.passed else 'FAIL'} as expected: fraction"
             f" {rep.fraction_within:.3f}, mean estimate {rep.estimates.mean():.3f}"
             f" vs F {model.exact_fidelity:.3f}, 50 repeats")
+
+
+def test_criterion_06_lowest_member_control(clifford, report, monkeypatch):
+    """Every trial reads its tape and then draws the one member with the lowest p
+    on amplitude_damping:0.9 (members 0-3 share p = 0.10, against F = 0.622; argmin
+    takes member 0): the estimates sit near that p, and the contract must FAIL.
+    """
+    model = noise_preset("amplitude_damping", (0.9,), 2)
+    lowest = int(np.argmin(_fidelity_table(model, clifford)))
+    real = estimators.indices_from_bits
+
+    def constant(bits, set_size, n):
+        draw = real(bits, set_size, n)
+        return IndexDraw(np.full_like(draw.indices, lowest), draw.bits_consumed)
+
+    monkeypatch.setattr(estimators, "indices_from_bits", constant)
+    run = lambda s: estimate_kwise_design(model, 0.05, 0.1, clifford, s)
+    rep = harness_confidence(run, model.exact_fidelity, 0.05, 0.1, repeats=50,
+                             master_seed=0xACC6)
+    report(6, "lowest-member control on amplitude_damping", not rep.passed,
+            f"contract {'PASS' if rep.passed else 'FAIL'} as expected: fraction"
+            f" {rep.fraction_within:.3f}, mean estimate {rep.estimates.mean():.3f}"
+            f" vs F {model.exact_fidelity:.3f}, 50 repeats")
+
+
+def test_criterion_06_design_iid_on_a_spreading_channel(clifford, report):
+    # the same spreading channel with independent uniform indices: the contract the
+    # tape's draws are held to above, met by truly random ones
+    start = time.perf_counter()
+    model = noise_preset("amplitude_damping", (0.9,), 2)
+    run = lambda s: estimate_design_iid(model, 0.05, 0.1, clifford, s)
+    rep = harness_confidence(run, model.exact_fidelity, 0.05, 0.1, repeats=500,
+                             master_seed=0xACC6)
+    elapsed = time.perf_counter() - start
+    report(6, "design-iid contract, amplitude_damping:0.9",
+            rep.passed and elapsed < 300.0,
+            f"fraction {rep.fraction_within:.3f} >= {rep.threshold:.3f},"
+            f" spread {rep.spread:.4f} vs eps 0.05, 500 repeats, {elapsed:.1f} s")
 
 
 def test_criterion_07_ledger_ordering(clifford, report):

@@ -289,9 +289,15 @@ def assert_matches_local_decoder(tape, positions=None, bits=None):
     assert bits[positions].tolist() == [tape.bit(i) for i in positions]
 
 
+def tape_layout(n):
+    """(B, Q) of an n-bit tape: Q rows of B = 2^b bits, b as _tape_bits picks it."""
+    b = prg._row_log2(n)
+    return 1 << b, (n >> b) + 1
+
+
 def boundary_positions(n):
     """0-indexed positions next to the B boundary and the 64-row strides."""
-    block = math.isqrt(n) + 1
+    block, _ = tape_layout(n)
     exps = {1, 2, n - 1, n}
     for e in (63, 64, 65, block - 1, block, block + 1):
         exps.add(e)
@@ -322,25 +328,68 @@ class TestTapeAgainstLocalDecoder:
 
     @pytest.mark.parametrize("n", [4224, 4225, 4290, 8000])
     def test_shapes_straddling_strides(self, n):
-        # B = isqrt(n) + 1 and Q = n // B + 1 land on both sides of 64 and 65
+        # B = 64, one word, and Q = 67, 67, 68 and 126 rows: past one 64-row gather
         tape = tape_of_degree(24, n, BitSource(n + 1).take_bits(48))
         assert_matches_local_decoder(tape)
 
+    @pytest.mark.parametrize(
+        "n,shape",
+        [(2**12 - 1, (64, 64)), (2**12, (64, 65)), (2**12 + 1, (64, 65)),
+         (2**13 - 1, (64, 128)), (2**13, (128, 65)), (2**13 + 1, (128, 65))],
+    )
+    def test_shapes_around_powers_of_two(self, n, shape):
+        # B = 2^b: square at 2^12 - 1, then Q > B; at 2^13 - 1 both B = 64 and
+        # B = 128 give a 128-row chain and the smaller B is taken; then B > Q
+        assert tape_layout(n) == shape
+        tape = tape_of_degree(24, n, BitSource(n + 2).take_bits(48))
+        assert_matches_local_decoder(tape)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 4000, 276_393, 10**6])
+    def test_layout_minimises_the_chain(self, n):
+        # the one chain runs to max(B, Q): no other power of two gives a shorter one
+        block, rows = tape_layout(n)
+        assert block * rows > n and rows == n // block + 1
+        assert all(max(1 << b, n // (1 << b) + 1) >= max(block, rows) for b in range(40))
+        assert max(block, rows) <= 2 * math.isqrt(n) + 2
+
+    @pytest.mark.parametrize("n,m", [(4000, 24), (4099, 24), (276_393, 65)])
+    def test_u_rows_are_powers_at_row_starts(self, monkeypatch, n, m):
+        # U is the left factor of the tape's last product: row i must be x^(iB),
+        # here with B > Q (n = 4000) and Q > B (the other two)
+        left = []
+        product = prg._gf2_product
+
+        def recorded(a, tables):
+            left.append(a.copy())
+            return product(a, tables)
+
+        monkeypatch.setattr(prg, "_gf2_product", recorded)
+        gf = GF2mField(m)
+        x = int.from_bytes(np.random.default_rng(n).bytes(-(-m // 8)), "little") % (1 << m) | 1 << (m - 1)
+        _tape_bits(gf, x, 0b1011, n)
+        block, rows = tape_layout(n)
+        reference = byte_comb_powers(gf, x, (rows - 1) * block)
+        got = [int.from_bytes(row.tobytes(), "little") for row in left[-1]]
+        assert got == reference[::block] and len(got) == rows
+
     def test_column_blocks(self, monkeypatch):
         # a 256-byte block splits every table into one-chunk, one-word blocks:
-        # B = 265 columns are five words and each m-row table several blocks;
-        # Q = 265 rows take five 64-row gathers. Every bit is checked against
-        # the tape's definition, <x^e, y> for e = 1..n, along a byte-comb chain.
+        # B = 256 columns are four words and each m-row table several blocks;
+        # Q = 274 rows take five 64-row gathers, and the Frobenius tables are
+        # rebuilt on each use. Every bit is checked against the tape's
+        # definition, <x^e, y> for e = 1..n, along a byte-comb chain.
         # A fresh workspace cache, so the squaring tables split too and no
         # split tables outlive the test
         monkeypatch.setattr(prg, "_BLOCK_BYTES", 256)
         monkeypatch.setattr(prg, "_workspace", functools.lru_cache(maxsize=4)(prg._workspace.__wrapped__))
         n = 70_000
-        block = math.isqrt(n) + 1
+        block, rows = tape_layout(n)
+        assert (block, rows) == (256, 274)
         near_gather_steps = [i * block + r - 1 for i in (255, 256, 257) for r in (-1, 0, 1, block - 1)]
         for m in (24, 65):
-            tables = prg._XorTables(np.zeros((m, 5), prg._WORD))
-            assert len({c0 for c0, _ in tables.spans}) > 1 and len({w0 for _, w0 in tables.spans}) == 5
+            tables = prg._XorTables(np.zeros((m, block // 64), prg._WORD))
+            assert len({c0 for c0, _ in tables.spans}) > 1 and len({w0 for _, w0 in tables.spans}) == 4
+            assert prg._kept_table_bytes(m) == 0
             tape = tape_of_degree(m, n, BitSource(n + m).take_bits(2 * m))
             want = [(xe & tape.y).bit_count() & 1 for xe in byte_comb_powers(tape.gf, tape.x, n)[1:]]
             assert tape.bits.tolist() == want, m
@@ -558,13 +607,36 @@ class TestTapeWorkspace:
 
     def test_workspace_kept_per_degree_and_thread(self):
         here = threading.get_ident()
-        t_powers, square = prg._workspace(526, here)
-        assert prg._workspace(526, here)[1] is square
+        work = prg._workspace(526, here)
+        assert prg._workspace(526, here) is work
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            assert pool.submit(lambda: prg._workspace(526, threading.get_ident())[1]).result() is not square
+            assert pool.submit(lambda: prg._workspace(526, threading.get_ident())).result() is not work
         # rows t^(2j), j < 256, are single bits: tables cover rows 256..525 only
-        assert len(t_powers) == 2 * 526 - 1 and square.plain == 256
-        assert square.tables.first.shape == (34 * 256, 9)
+        assert len(work.t_powers) == 2 * 526 - 1 and work.square.plain == 256
+        assert work.square.tables.first.shape == (34 * 256, 9)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 64, 65, 130])
+    @pytest.mark.parametrize("b", [0, 1, 5, 9])
+    def test_frobenius_rows(self, m, b):
+        # row j of F = S^b is t^(j 2^b)
+        gf = GF2mField(m)
+        frobenius = prg._workspace(m, threading.get_ident()).frobenius(b).mat
+        got = [int.from_bytes(row.tobytes(), "little") for row in frobenius]
+        assert got == [gf.pow(2, j << b) for j in range(m)]
+
+    def test_frobenius_tables_kept_within_one_block(self):
+        # m = 526: F's tables fit one 4 MiB block and are kept, in the bytes
+        # tape_bytes counts for them; m = 1052: they span two blocks and are
+        # rebuilt in the shared table buffer on each use, and only F is kept
+        here = threading.get_ident()
+        small, large = prg._workspace(526, here), prg._workspace(1052, here)
+        tables = small.frobenius(9)
+        assert small.frobenius(9) is tables
+        assert tables.first.nbytes == prg._kept_table_bytes(526) == 66 * 256 * 9 * 8
+        assert not np.shares_memory(tables.first, small.square.buffers.get("table", (1,), prg._WORD))
+        assert large.frobenius(10) is not large.frobenius(10) and prg._kept_table_bytes(1052) == 0
+        assert large.frobenius(10).mat is large.frobenius(10).mat
+        assert small.frobenius(8) is not tables  # one b kept at a time
 
 
     def test_concurrent_tapes_match_sequential(self):
