@@ -42,9 +42,9 @@ from .harness import (
 from .prg import (
     BiasedTape,
     GF2mField,
+    KwisePlan,
     RandomnessLedger,
     generate_tape,
-    tape_seed_length,
 )
 from .quantum import KrausChannel, exact_average_fidelity, gate_fidelities, haar_second_moment
 from .streams import BitSource, fresh_seed, measurement_rng, split_seed

@@ -59,26 +59,36 @@ def _weyl_operators(d: int) -> np.ndarray:
     return ops.reshape(d * d, d, d)
 
 
+def _read_only(ops: np.ndarray) -> np.ndarray:
+    """ops with its write flag cleared, and that of every array it views: a stack built
+    here, which KrausChannel keeps without a copy."""
+    a = ops
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+    return ops
+
+
 def _depolarizing_kraus(p: float, d: int) -> np.ndarray:
     # scaled in place: at d = 64 the d^2 operators take 268 MB
     ops = _weyl_operators(d)
     ops[0] *= math.sqrt(1.0 - p + p / d**2)
     if p == 0:
-        return ops[:1].copy()
+        return _read_only(ops[:1].copy())
     ops[1:] *= math.sqrt(p) / d
-    return ops
+    return _read_only(ops)
 
 
 def _dephasing_kraus(p: float, d: int) -> np.ndarray:
     if d == 1:
         # the only projector is the identity, so the channel is the identity
-        return np.eye(1, dtype=np.complex128)[None]
+        return _read_only(np.eye(1, dtype=np.complex128)[None])
     kraus = np.zeros((d + 1 if p > 0 else 1, d, d), dtype=np.complex128)
     kraus[0] = math.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)
     if p > 0:
         j = np.arange(d)
         kraus[1 + j, j, j] = math.sqrt(p)
-    return kraus
+    return _read_only(kraus)
 
 
 _SIGMA = {
@@ -176,7 +186,7 @@ def compose_channels(models: list) -> KrausChannel:
         ops = np.matmul(m.kraus_ops[:, None], ops[None]).reshape(-1, d, d)
     if len(ops) > d * d:
         ops = _reduce_kraus(ops, d)
-    return KrausChannel(ops, "+".join(m.spec for m in models))
+    return KrausChannel(_read_only(ops), "+".join(m.spec for m in models))
 
 
 def parse_channel_spec(text: str, d: int) -> KrausChannel:

@@ -46,7 +46,7 @@ from .estimators import (
     estimate_two_phase,
 )
 from .harness import SuiteParams, SuiteReport, exhaustive_bias_check
-from .prg import generate_tape, tape_bytes, tape_seed_length, theta_log2_of
+from .prg import KwisePlan, generate_tape, theta_log2_of
 from .streams import fresh_seed
 
 EXIT_OK = 0
@@ -218,9 +218,8 @@ def hex_stream(bits) -> str:
 
 
 def cmd_gen_bits(args) -> int:
-    theta_log2 = theta_log2_of(args.theta)
-    r = tape_seed_length(args.k, args.n, theta_log2)
-    need = tape_bytes(args.n, r // 2)
+    plan = KwisePlan(args.n, args.k, 1, theta_log2_of(args.theta))
+    r, need = plan.r, plan.tape_bytes
     if need > RUN_MEMORY_CAP:
         raise CapacityError(
             f"a {args.n}-bit tape needs {need / 2**20:.0f} MiB as bits and hex text,"
@@ -237,7 +236,7 @@ def cmd_gen_bits(args) -> int:
     if value >> r:
         raise ParameterError(f"seed encodes more than {r} bits")
     seed_bits = [(value >> j) & 1 for j in range(r)]
-    stream = hex_stream(generate_tape(args.k, args.n, theta_log2, seed_bits).bits)
+    stream = hex_stream(generate_tape(plan, seed_bits).bits)
     lines = [f"{args.n} {args.k} {args.theta:g} {r} {args.seed}"]
     lines.extend(stream[i : i + 64] for i in range(0, len(stream), 64))
     _emit("\n".join(lines) + "\n", args.output)

@@ -101,22 +101,32 @@ class UnitaryEnsemble:
     def size(self) -> int:
         return math.prod(len(f.unitaries) for f in self.tensor_factors or (self,))
 
-    def first_columns(self) -> np.ndarray:
-        """Column 0 of every member, the states U|0>, shape (s, d), in member order; a
-        product's are folded left from its factors' by the einsum that once built its
-        stack, entry for entry. CapacityError once they would pass RUN_MEMORY_CAP bytes."""
-        need = self.size * self.dim * 16
+    def first_columns(self, ids=None) -> np.ndarray:
+        """Column 0 of the members `ids` in their order, the states U|0>, shape (len(ids), d);
+        of every member in member order when ids is None. A product's are folded left from
+        its factors' columns, entry for entry by the same complex products, with the factor
+        indices that are each id's mixed-radix digits, the first factor's leading.
+        CapacityError once the columns would pass RUN_MEMORY_CAP bytes."""
+        count = self.size if ids is None else len(ids)
+        need = count * self.dim * 16
         if need > RUN_MEMORY_CAP:
             raise CapacityError(
-                f"the first columns of {self.label}, {self.size} members of d = {self.dim},"
+                f"the first columns of {self.label}, {count} members of d = {self.dim},"
                 f" take {need / 2**20:.0f} MiB, over the {RUN_MEMORY_CAP >> 20} MiB cap"
             )
+        ids = np.arange(self.size) if ids is None else np.asarray(ids, dtype=np.int64).reshape(-1)
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.size:
+            raise ParameterError(f"member ids must lie in [0, {self.size})")
         first, *rest = self.tensor_factors or (self,)
-        cols = first.unitaries[:, :, 0]
-        for f in rest:
-            cols = np.einsum("ia,jc->ijac", cols, f.unitaries[:, :, 0]).reshape(len(cols) * f.size, -1)
+        digits = []
+        for f in reversed(rest):
+            ids, digit = np.divmod(ids, f.size)
+            digits.append(digit)
+        cols = first.unitaries[ids, :, 0]
+        for f, digit in zip(rest, reversed(digits)):
+            width = cols.shape[1] * f.dim
+            cols = np.einsum("ia,ic->iac", cols, f.unitaries[digit, :, 0]).reshape(len(cols), width)
         return cols
-
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=np.complex128)

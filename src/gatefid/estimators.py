@@ -34,13 +34,11 @@ from .errors import (
     PreconditionError,
 )
 from .prg import (
-    BiasedTape,
+    KwisePlan,
     RandomnessLedger,
     generate_tape,
     index_width,
     indices_from_bits,
-    tape_bytes,
-    tape_field_degree,
 )
 from .quantum import RUN_MEMORY_CAP, KrausChannel, gate_fidelities
 # Not called here any more (tables come from one batched kernel call, lambda
@@ -165,53 +163,15 @@ def plan_naive_haar(epsilon: float, delta: float, d: int) -> IidPlan:
     return _iid_plan(epsilon, delta, HAAR_BITS_PER_DIM2 * d * d)
 
 
-@dataclass(frozen=True)
-class KwisePlan:
-    """The one description of a k-wise index draw: n indices of `width` bits each, read from
-    an n w-bit powering-construction tape on which every k w bits are theta-close to uniform.
-
-    Everything else follows from these four: the field degree m, the seed length r = 2m that
-    is drawn and ledgered, the tape's memory (prg.tape_bytes) and the tape itself.
-    """
-
-    n: int
-    k: int
-    width: int
-    theta_log2: float
-
-    @property
-    def field_degree(self) -> int:
-        return tape_field_degree(self.k * self.width, self.n * self.width, self.theta_log2)
-
-    @property
-    def r(self) -> int:
-        return 2 * self.field_degree
-
-    @property
-    def total_bits(self) -> int:
-        return self.r
-
-    @property
-    def tape_bytes(self) -> int:
-        return tape_bytes(self.n * self.width, self.field_degree)
-
-    def tape(self, seed_bits) -> BiasedTape:
-        """The n w-bit tape expanded from r seed bits."""
-        return generate_tape(self.k * self.width, self.n * self.width, self.theta_log2, seed_bits)
-
-
 def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
     """The k-wise design estimator's draw.
 
     n = ceil(16 log2(1/delta) / eps^2), k = ceil(e^(-1/3) eps^2 n),
-    theta = (delta/2) (eps/n)^(eps^2 n / 4); the tape runs at bit level, so
-    k and n are scaled by the per-index bit width before sizing the field.
+    theta = (delta/2) (eps/n)^(eps^2 n / 4). The plan refuses k < 2, as at delta near 1.
     """
     _check_eps_delta(epsilon, delta)
     n = math.ceil(16.0 * math.log2(1.0 / delta) / epsilon**2)
     k = math.ceil(_E_THIRD * epsilon**2 * n)
-    if k < 2:
-        raise ParameterError(f"planned independence parameter k = {k} < 2; loosen epsilon/delta")
     theta_log2 = math.log2(delta / 2.0) + (epsilon**2 * n / 4.0) * math.log2(epsilon / n)
     w = index_width(set_size)
     if w == 0:
@@ -280,8 +240,6 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
     phase2 = None
     if pool >= 2:
         k = math.ceil(_E_THIRD * epsilon**2 * n / 4.0)
-        if k < 2:
-            raise ParameterError(f"phase-2 independence parameter k = {k} < 2")
         theta_log2 = math.log2(delta / 4.0) + (epsilon**2 * n / 16.0) * math.log2(epsilon / n)
         phase2 = KwisePlan(n, k, index_width(pool), theta_log2)
     return TwoPhasePlan(
@@ -343,7 +301,8 @@ class _Run:
 
     def tape_draw(self, label: str, plan: KwisePlan, table: np.ndarray) -> tuple:
         """The plan's n indices into `table`, read from its tape on r counted seed bits, and
-        their entries.
+        their entries. generate_tape is looked up in this module at call time, so a wrapper set
+        here sees every tape.
 
         The entries are gathered while the tape is alive, so its bits, the
         draw's largest array, are freed after the arrays the trials keep.
@@ -351,7 +310,7 @@ class _Run:
         gap that no later array filled, about 0.1 MB per run repeated in one
         process at the k-wise contract's point.
         """
-        tape = plan.tape(self.take_bits(label, plan.r))
+        tape = generate_tape(plan, self.take_bits(label, plan.r))
         ids = indices_from_bits(tape.bits, len(table), plan.n).indices
         return ids, table[ids]
 
@@ -475,9 +434,8 @@ def estimate_single_qtpe(
     elif lam4 > plan.lambda_required:
         failures.append(f"lambda <= 1/(4 d^3) violated: {lam4:g} > {plan.lambda_required:g}")
     run.gate(plan, failures, waive_preconditions)
-    columns = ensemble.first_columns()
     chosen = int(run.indices("index", plan.width, ensemble.size, 1)[0])
-    p = _fidelity_columns(run.channel, columns[chosen : chosen + 1])[0]
+    p = _fidelity_columns(run.channel, ensemble.first_columns([chosen]))[0]
     return run.finish(plan, np.full(plan.n, chosen), np.full(plan.n, p))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .ensembles import UnitaryEnsemble, lambda_t
 from .errors import CapacityError, ParameterError
 from .estimators import _checked_channel, _fidelity_columns, _fidelity_table
-from .prg import GF2mField, tape_field_degree, theta_log2_of
+from .prg import GF2mField, KwisePlan, theta_log2_of
 from .quantum import haar_second_moment
 # Not called here any more (the bound suite samples first columns without QR,
 # and takes lambda from ensembles.lambda_t); kept importable from this module,
@@ -289,8 +289,8 @@ def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     Refused with CapacityError when r exceeds EXHAUSTIVE_R_CAP or the power
     table, character sums and working block would exceed CERT_MEMORY_CAP bytes.
     """
-    m = tape_field_degree(k, n, theta_log2_of(theta))
-    r = 2 * m
+    plan = KwisePlan(n, k, 1, theta_log2_of(theta))
+    m, r = plan.field_degree, plan.r
     if r > EXHAUSTIVE_R_CAP:
         raise CapacityError(f"exhaustive enumeration needs r <= {EXHAUSTIVE_R_CAP}, got {r}")
     # n uint16 powers per x, one int64 per subset, and the largest working

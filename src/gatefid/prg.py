@@ -10,9 +10,12 @@ over positions in [1, n] then has bias at most n / 2^m, and choosing
 drives that bias below theta * 2^(-k/2 - 1), which forces every <= k-subset's
 joint distribution to be theta-close to uniform in L1 (Parseval over the
 subset's parities).
-Every function here takes theta as theta_log2 = log2(theta), because the theta
-a plan asks for is often far below the smallest float; theta_log2_of converts
-a float theta once, where one enters from outside.
+Every caller sizes a tape through its KwisePlan(n, k, width, theta_log2): the
+plan alone derives m and the seed length r = 2m, checks its domain, and is
+what generate_tape(plan, seed_bits) expands. The plan takes theta as
+theta_log2 = log2(theta), because the theta a plan asks for is often far below
+the smallest float; theta_log2_of converts a float theta once, where one
+enters from outside.
 
 Expansion: with e = i*B + r and B = 2^b, bilinearity of
 (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
@@ -39,7 +42,7 @@ Indices decode exactly from the packed bits through 8-byte windows, so an
 index field is at most 57 bits wide. Every entry is an XOR of bits,
 so the tape is bit-exact on any host; fields of degree 2^24 or more, whose
 m x m matrices alone would take 32 TiB, are refused with CapacityError.
-gen-bits and the tape estimators check tape_bytes, the one tape memory model, first.
+gen-bits and the tape estimators check the plan's tape_bytes, the one tape memory model, first.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 """
 
@@ -286,29 +289,55 @@ def theta_log2_of(theta: float) -> float:
     return math.log2(theta)
 
 
-def _checked_theta_log2(theta_log2: float) -> float:
-    if not -math.inf < theta_log2 < 0:  # also refuses NaN
-        raise ParameterError(f"theta_log2 must be finite and negative, got {theta_log2}")
-    return theta_log2
+@dataclass(frozen=True)
+class KwisePlan:
+    """The one description of a tape: n indices of `width` bits each, read from an n w-bit
+    powering-construction tape on which every k w bits are theta-close to uniform. A raw bit
+    tape is KwisePlan(n, k, 1, theta_log2).
 
+    Everything else follows from these four: the field degree m, the seed length r = 2m that
+    is drawn and ledgered, and the tape's memory (tape_bytes). The domain is checked when a
+    plan is built: 2 <= k <= n, width >= 1 and theta_log2 finite and negative.
+    """
 
-def _check_k_n(k: int, n: int) -> None:
-    if k < 2:
-        raise ParameterError(f"k must be >= 2, got {k}")
-    if n < k:
-        raise ParameterError(f"need k <= n, got k={k} n={n}")
+    n: int
+    k: int
+    width: int
+    theta_log2: float
 
+    def __post_init__(self):
+        if self.k < 2:
+            raise ParameterError(f"k must be >= 2, got {self.k}")
+        if self.n < self.k:
+            raise ParameterError(f"need k <= n, got k={self.k} n={self.n}")
+        if self.width < 1:
+            raise ParameterError(f"width must be >= 1, got {self.width}")
+        if not -math.inf < self.theta_log2 < 0:  # also refuses NaN
+            raise ParameterError(f"theta_log2 must be finite and negative, got {self.theta_log2}")
 
-def tape_field_degree(k: int, n: int, theta_log2: float) -> int:
-    """Field degree m of the powering construction for a (k, n, theta) tape."""
-    _check_k_n(k, n)
-    lt = -_checked_theta_log2(theta_log2)
-    return max(1, math.ceil(math.log2(n) + k / 2 + lt + 1))
+    @property
+    def field_degree(self) -> int:
+        """m = ceil(log2(n w) + k w / 2 + log2(1/theta) + 1): the tape runs at bit level."""
+        k_bits = self.k * self.width
+        return max(1, math.ceil(math.log2(self.n_bits) + k_bits / 2 - self.theta_log2 + 1))
 
+    @property
+    def n_bits(self) -> int:
+        """The tape's length in bits, n w."""
+        return self.n * self.width
 
-def tape_seed_length(k: int, n: int, theta_log2: float) -> int:
-    """Implemented seed length: 2m truly random bits for the (x, y) field pair."""
-    return 2 * tape_field_degree(k, n, theta_log2)
+    @property
+    def r(self) -> int:
+        """Seed length: 2m truly random bits for the (x, y) field pair."""
+        return 2 * self.field_degree
+
+    @property
+    def total_bits(self) -> int:
+        return self.r
+
+    @property
+    def tape_bytes(self) -> int:
+        return tape_bytes(self.n_bits, self.field_degree)
 
 
 @dataclass(frozen=True)
@@ -319,14 +348,17 @@ class BiasedTape:
     output bit is recomputable from (seed_bits, position) alone via bit().
     """
 
-    n: int
-    k: int
-    theta_log2: float
+    plan: KwisePlan
     seed_bits: tuple
     gf: GF2mField
     x: int
     y: int
     bits: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def n(self) -> int:
+        """The tape's length in bits, n w."""
+        return self.plan.n_bits
 
     @property
     def r(self) -> int:
@@ -340,22 +372,22 @@ class BiasedTape:
         return (xi & self.y).bit_count() & 1
 
 
-def generate_tape(k: int, n: int, theta_log2: float, seed_bits) -> BiasedTape:
-    """Expand a 2m-bit true-random seed into an n-bit approximately k-wise tape."""
-    m = tape_field_degree(k, n, theta_log2)
+def generate_tape(plan: KwisePlan, seed_bits) -> BiasedTape:
+    """Expand the plan's r = 2m true-random seed bits into its n w-bit tape."""
+    m = plan.field_degree
     bits = np.asarray(seed_bits)
     if bits.ndim == 1 and bits.dtype.kind in "biu":
         bits = (bits & 1).astype(np.uint8)
     else:  # floats, strings, Python ints past 64 bits, iterators: one by one
         bits = np.array([int(b) & 1 for b in seed_bits], np.uint8)
-    if len(bits) != 2 * m:
-        raise ParameterError(f"seed must have exactly {2 * m} bits, got {len(bits)}")
+    if len(bits) != plan.r:
+        raise ParameterError(f"seed must have exactly {plan.r} bits, got {len(bits)}")
     gf = GF2mField(m)
     # bit j of x is seed bit j, bit j of y seed bit m + j
     halves = np.packbits(bits.reshape(2, m), axis=1, bitorder="little")
     x, y = (int.from_bytes(h.tobytes(), "little") for h in halves)
     seed = tuple(bits.tolist())
-    return BiasedTape(n, k, theta_log2, seed, gf, x, y, _tape_bits(gf, x, y, n))
+    return BiasedTape(plan, seed, gf, x, y, _tape_bits(gf, x, y, plan.n_bits))
 
 
 # Packed GF(2) rows: bit l of a row is bit l % 64 of its word l // 64, and

@@ -40,10 +40,26 @@ def check_dense_dim(d: int) -> None:
         raise CapacityError(f"dimension {d} exceeds the dense cap {MAX_DIM}")
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True when no writable array shares a's memory: a and every array it views,
+    down to the one that owns the data, have their write flags clear."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return False  # memory owned by some other buffer, which may be writable
+
+
 def _kraus_stack(kraus_ops) -> np.ndarray:
     """Kraus operators as one read-only (K, d, d) complex128 array.
 
-    A contiguous complex128 (K, d, d) array is taken without a copy; a
+    A contiguous complex128 (K, d, d) array is taken without a copy when it
+    and every array it views are read-only, as the presets and compositions
+    build theirs. Any other array is copied, so its owner can neither lose
+    write access nor change the channel, through the array or through a
+    writable array it views, behind its cached weights and fidelity. A
     sequence of matrices is stacked into one once its shapes are checked.
     """
     if isinstance(kraus_ops, np.ndarray):
@@ -59,6 +75,8 @@ def _kraus_stack(kraus_ops) -> np.ndarray:
     if len(shape) != 3 or shape[1] != shape[2]:
         raise DimensionError("all Kraus operators must be d x d of equal d")
     check_dense_dim(shape[1])
+    if isinstance(kraus_ops, np.ndarray) and not _frozen(kraus_ops):
+        kraus_ops = kraus_ops.astype(np.complex128, order="C")
     stack = np.ascontiguousarray(kraus_ops, dtype=np.complex128)
     stack.flags.writeable = False
     return stack

@@ -17,6 +17,7 @@ from gatefid import (
     estimate_design_iid,
     estimate_kwise_design,
     estimate_single_qtpe,
+    estimate_two_phase,
     exact_average_fidelity,
     exhaustive_bias_check,
     harness_confidence,
@@ -174,8 +175,8 @@ def test_criterion_06_zero_seed_control(clifford, report, monkeypatch, spec, par
     cannot see the draw.
     """
     real = estimators.generate_tape
-    monkeypatch.setattr(estimators, "generate_tape", lambda k, n, theta_log2, seed_bits:
-                        real(k, n, theta_log2, np.zeros_like(seed_bits)))
+    monkeypatch.setattr(estimators, "generate_tape", lambda plan, seed_bits:
+                        real(plan, np.zeros_like(seed_bits)))
     model = noise_preset(spec, params, 2)
     run = lambda s: estimate_kwise_design(model, 0.05, 0.1, clifford, s)
     rep = harness_confidence(run, model.exact_fidelity, 0.05, 0.1, repeats=50,
@@ -222,6 +223,47 @@ def test_criterion_06_design_iid_on_a_spreading_channel(clifford, report):
             rep.passed and elapsed < 300.0,
             f"fraction {rep.fraction_within:.3f} >= {rep.threshold:.3f},"
             f" spread {rep.spread:.4f} vs eps 0.05, 500 repeats, {elapsed:.1f} s")
+
+
+def test_criterion_06_two_phase_on_a_spreading_channel(clifford, report):
+    # a waived two-phase run (its d-precondition fails at d = 2): a pool of t uniform
+    # draws, then n positions in the pool read off the k-wise phase-2 tape
+    start = time.perf_counter()
+    model = noise_preset("amplitude_damping", (0.9,), 2)
+    run = lambda s: estimate_two_phase(model, 0.2, 0.1, clifford, s, waive_preconditions=True)
+    rep = harness_confidence(run, model.exact_fidelity, 0.2, 0.1, repeats=500,
+                             master_seed=0xACC6)
+    elapsed = time.perf_counter() - start
+    report(6, "two-phase contract, amplitude_damping:0.9",
+            rep.passed and elapsed < 300.0,
+            f"fraction {rep.fraction_within:.3f} >= {rep.threshold:.3f},"
+            f" spread {rep.spread:.4f} vs eps 0.2, 500 repeats, {elapsed:.1f} s")
+
+
+@pytest.mark.parametrize("spec, params, passes", [
+    ("amplitude_damping", (0.9,), False),
+    ("depolarizing", (0.2,), True),
+])
+def test_criterion_06_two_phase_zero_seed_control(clifford, report, monkeypatch, spec, params, passes):
+    """The phase-2 tape's seed bits are zeroed after they are drawn (and ledgered): x = 0,
+    so every position is 0 and every trial reads the pool's first member, one uniform
+    draw from the set. On amplitude_damping:0.9 that member's p lies within 0.2 of
+    F = 0.622 for about two runs in three, so the contract must FAIL; on depolarizing:0.2
+    every member has p = 0.9 and the control passes. (At delta = 0.3 the threshold
+    falls below two in three, and the control would pass there too.)
+    """
+    real = estimators.generate_tape
+    monkeypatch.setattr(estimators, "generate_tape", lambda plan, seed_bits:
+                        real(plan, np.zeros_like(seed_bits)))
+    model = noise_preset(spec, params, 2)
+    run = lambda s: estimate_two_phase(model, 0.2, 0.1, clifford, s, waive_preconditions=True)
+    rep = harness_confidence(run, model.exact_fidelity, 0.2, 0.1, repeats=500,
+                             master_seed=0xACC6)
+    assert set(rep.ledger_totals) == {plan_two_phase(0.2, 0.1, 2, clifford.size).total_bits}
+    report(6, f"two-phase zero-seed control on {spec}", rep.passed == passes,
+            f"contract {'PASS' if rep.passed else 'FAIL'} as expected: fraction"
+            f" {rep.fraction_within:.3f} vs threshold {rep.threshold:.3f},"
+            f" mean estimate {rep.estimates.mean():.3f} vs F {model.exact_fidelity:.3f}, 500 repeats")
 
 
 def test_criterion_07_ledger_ordering(clifford, report):
@@ -296,9 +338,9 @@ def test_criterion_10_cli_determinism(tmp_path, report):
             "--seed", "0" * ((2 * 13 + 3) // 4),
         ],
     }
-    from gatefid.prg import tape_seed_length
+    from gatefid.prg import KwisePlan
 
-    r = tape_seed_length(4, 64, -2.0)
+    r = KwisePlan(64, 4, 1, -2.0).r
     commands["gen-bits"][-1] = "1" * ((r + 3) // 4)
     ok = True
     details = []

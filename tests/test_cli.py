@@ -13,7 +13,7 @@ import pytest
 from gatefid import cli, ensembles
 from gatefid.cli import build_parser, hex_stream, main
 from gatefid.harness import CERT_MEMORY_CAP, MC_MEMORY_CAP
-from gatefid.prg import tape_seed_length, theta_log2_of
+from gatefid.prg import KwisePlan, theta_log2_of
 from gatefid.quantum import haar_unitaries_batch
 
 
@@ -251,7 +251,7 @@ class TestGenBits:
 
     def test_deterministic(self, capsys):
         args = ["gen-bits", "--k", "4", "--n", "64", "--theta", "0.25", "--seed"]
-        r = tape_seed_length(4, 64, -2.0)
+        r = KwisePlan(64, 4, 1, -2.0).r
         seed = format(0x5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
         _, out1, _ = run_cli(capsys, *args, seed)
         _, out2, _ = run_cli(capsys, *args, seed)
@@ -266,7 +266,7 @@ class TestGenBits:
 
 
 def gen_bits_argv(k, n, theta):
-    r = tape_seed_length(k, n, theta_log2_of(theta))
+    r = KwisePlan(n, k, 1, theta_log2_of(theta)).r
     seed = format(0x5A5A5A5A5A5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
     return ["gen-bits", "--k", str(k), "--n", str(n), "--theta", str(theta), "--seed", seed]
 
@@ -348,7 +348,7 @@ class TestGenBitsGolden:
         assert out == "5 2 0.5 12 0b5\n18\n"
 
     def test_n4099_output(self, capsys):
-        r = tape_seed_length(6, 4099, theta_log2_of(0.01))
+        r = KwisePlan(4099, 6, 1, theta_log2_of(0.01)).r
         seed = format(0x5A5A5A5A5A5A5A5A5A % (1 << r), f"0{(r + 3) // 4}x")
         code, out, _ = run_cli(
             capsys, "gen-bits", "--k", "6", "--n", "4099", "--theta", "0.01", "--seed", seed
@@ -740,8 +740,9 @@ class TestDimensionCap:
 
 class TestProductsKeepTheirFactors:
     """A '(x)' product holds its factors and never the stack of its members:
-    check-design reads their frame potentials, and an estimator's first
-    columns are the only product-sized array, capped by RUN_MEMORY_CAP."""
+    check-design reads their frame potentials, single-qtpe reads the column of
+    the one member it draws, and the other estimators' first columns are the
+    only product-sized array, capped by RUN_MEMORY_CAP."""
 
     @staticmethod
     def cliffords(factors):
@@ -774,14 +775,17 @@ class TestProductsKeepTheirFactors:
         assert out.splitlines() == [f"ensemble={self.cliffords(5)} d=32 s=7962624",
                                     "t=1 lambda=0 method=group eps2=0"]
 
-    def test_five_fold_single_qtpe_exits_4_at_the_column_cap(self, capsys):
+    def test_five_fold_single_qtpe_reads_only_the_drawn_member(self, capsys):
+        # once exit 4: the columns of all 7,962,624 members would take 3888 MiB
         code, out, err, peak = self.run_traced(
             capsys, "estimate", "--algorithm", "single-qtpe", "--channel", "identity", "--d", "32",
             "--epsilon", "0.3", "--delta", "0.3", "--ensemble", self.cliffords(5), "--seed", "1",
             "--waive-preconditions",
         )
-        assert code == 4 and out == ""
-        assert "the first columns of" in err and "take 3888 MiB, over the 1024 MiB cap" in err
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ledger"] == [{"label": "index", "bits": 31}] and doc["estimate"] == 1.0
+        assert "the first columns of" not in err
         assert peak < 16 << 20
 
 

@@ -755,6 +755,15 @@ class TestProductColumns:
         assert cols.shape == (product.size, product.dim) and product.unitaries is None
         assert cols.tobytes() == np.ascontiguousarray(product_stack(product)[:, :, 0]).tobytes()
 
+    def test_indexed_columns_are_the_stack_rows_byte_for_byte(self, product, product_stack):
+        full = product_stack(product)[:, :, 0]
+        rng = np.random.default_rng(product.size)
+        for ids in (np.arange(product.size), rng.integers(0, product.size, 40), [product.size - 1, 0, 0]):
+            got = product.first_columns(ids)
+            assert got.shape == (len(ids), product.dim)
+            assert got.tobytes() == np.ascontiguousarray(full[ids]).tobytes()
+        assert product.first_columns([]).shape == (0, product.dim)
+
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_frame_potential_is_the_factors_product(self, product, product_stack, t):
         traces = np.trace(product_stack(product), axis1=1, axis2=2)
@@ -774,6 +783,28 @@ class TestProductColumns:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_indexed_columns_of_a_plain_set(self, clifford):
+        ids = [5, 23, 0, 5]
+        assert clifford.first_columns(ids).tobytes() == clifford.unitaries[ids, :, 0].tobytes()
+        assert clifford.first_columns([]).shape == (0, 2)
+
+    @pytest.mark.parametrize("ids", [[-1], [24**5], [0, 24**5 + 3]])
+    def test_indexed_columns_refuse_ids_outside_the_set(self, clifford, ids):
+        five = functools.reduce(tensor_product, [clifford] * 5)
+        with pytest.raises(ParameterError, match=r"member ids must lie in \[0, 7962624\)"):
+            five.first_columns(ids)
+
+    def test_indexed_columns_of_five_factors_count_only_the_ids(self, clifford):
+        # the columns of every member would take 3888 MiB; one member's take 512 bytes
+        five = functools.reduce(tensor_product, [clifford] * 5)
+        ids = [0, 24**5 - 1, 123_456]
+        cols = five.first_columns(ids)
+        assert cols.shape == (3, 32)
+        for row, i in zip(cols, ids):
+            digits = [(i // 24**j) % 24 for j in (4, 3, 2, 1, 0)]
+            want = functools.reduce(np.kron, [clifford.unitaries[g][:, 0] for g in digits])
+            assert np.allclose(row, want, atol=1e-15)
+
     def test_column_cap_admits_columns_of_its_own_size(self, clifford, monkeypatch):
         product = tensor_product(clifford, clifford)
         monkeypatch.setattr(ensembles, "RUN_MEMORY_CAP", 576 * 4 * 16)
@@ -781,6 +812,13 @@ class TestProductColumns:
         monkeypatch.setattr(ensembles, "RUN_MEMORY_CAP", 576 * 4 * 16 - 1)
         with pytest.raises(CapacityError, match="576 members of d = 4"):
             product.first_columns()
+
+    def test_column_cap_counts_only_the_ids(self, clifford, monkeypatch):
+        product = tensor_product(clifford, clifford)
+        monkeypatch.setattr(ensembles, "RUN_MEMORY_CAP", 2 * 4 * 16)
+        assert product.first_columns([7, 500]).shape == (2, 4)
+        with pytest.raises(CapacityError, match="3 members of d = 4"):
+            product.first_columns([7, 500, 1])
 
 
 class TestDesignEpsilon:

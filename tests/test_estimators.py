@@ -24,7 +24,7 @@ from gatefid import (
 )
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
 from gatefid.estimators import HAAR_BITS_PER_DIM2, IidPlan, KwisePlan, plan_naive_haar
-from gatefid.prg import generate_tape, index_width, tape_bytes, tape_field_degree, tape_seed_length
+from gatefid.prg import generate_tape, index_width, tape_bytes
 from gatefid.streams import BitSource
 from gatefid.quantum import KrausChannel, exact_average_fidelity
 
@@ -487,26 +487,33 @@ class TestKwisePlan:
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan_kwise_design(0.2, 0.5, 24).n = 1
 
+    def test_the_estimators_use_the_prg_plan(self):
+        import gatefid
+        from gatefid import prg
+
+        assert KwisePlan is prg.KwisePlan is gatefid.KwisePlan
+
     @pytest.mark.parametrize("name", sorted(KWISE_PLANS))
     def test_derived_from_the_bit_level_tape(self, name):
         plan = KWISE_PLANS[name]()
-        k_bits, n_bits = plan.k * plan.width, plan.n * plan.width
-        m = tape_field_degree(k_bits, n_bits, plan.theta_log2)
+        n_bits = plan.n * plan.width
+        bit_level = KwisePlan(n_bits, plan.k * plan.width, 1, plan.theta_log2)
+        m = bit_level.field_degree
         assert plan.field_degree == m
-        assert plan.r == plan.total_bits == tape_seed_length(k_bits, n_bits, plan.theta_log2) == 2 * m
-        assert plan.tape_bytes == tape_bytes(n_bits, m)
+        assert plan.r == plan.total_bits == bit_level.r == 2 * m
+        assert plan.tape_bytes == bit_level.tape_bytes == tape_bytes(n_bits, m)
 
-    def test_tape_is_the_powering_tape(self):
+    def test_tape_is_the_bit_level_powering_tape(self):
         plan = KwisePlan(40, 4, 3, -10.0)
         seed = BitSource(5).take_bits(plan.r)
-        got, want = plan.tape(seed), generate_tape(12, 120, -10.0, seed)
+        got, want = generate_tape(plan, seed), generate_tape(KwisePlan(120, 12, 1, -10.0), seed)
         assert got.gf.m == want.gf.m == plan.field_degree
         assert np.array_equal(got.bits, want.bits)
 
     def test_tape_takes_exactly_r_seed_bits(self):
         plan = KwisePlan(40, 4, 3, -10.0)
         with pytest.raises(ParameterError, match=f"exactly {plan.r} bits"):
-            plan.tape(np.zeros(plan.r - 1, dtype=np.uint8))
+            generate_tape(plan, np.zeros(plan.r - 1, dtype=np.uint8))
 
     def test_two_phase_is_an_iid_pool_then_a_kwise_draw(self):
         plan = plan_two_phase(0.2, 0.3, 2, 24)

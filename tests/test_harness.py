@@ -33,7 +33,7 @@ from gatefid.harness import (
     tail_check,
     variance_check,
 )
-from gatefid.prg import GF2mField, tape_field_degree
+from gatefid.prg import GF2mField, KwisePlan
 from gatefid.quantum import haar_unitaries_batch, phase_fixed_qr
 from gatefid.streams import BitSource, split_seed
 
@@ -359,7 +359,7 @@ class TestCertificateAgainstEnumeration:
     )
     def test_planned_cases_agree_exactly(self, n, k, theta):
         rep = exhaustive_bias_check(n, k, theta)
-        bits = _powering_matrix(GF2mField(tape_field_degree(k, n, math.log2(theta))), n)
+        bits = _powering_matrix(GF2mField(KwisePlan(n, k, 1, math.log2(theta)).field_degree), n)
         assert len(bits) == 1 << rep.r
         got = (rep.subsets_checked, rep.worst_l1, rep.worst_parity_bias)
         assert got == _enumerated_laws(bits, k)

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from gatefid import (
     GF2mField,
+    KwisePlan,
     RandomnessLedger,
     generate_tape,
-    tape_seed_length,
 )
 from gatefid.errors import CapacityError, ParameterError, ValidationError
 from gatefid import prg
-from gatefid.estimators import KwisePlan, plan_kwise_design, plan_two_phase
+from gatefid.estimators import plan_kwise_design, plan_two_phase
 from gatefid.prg import (
     IRREDUCIBLE_TABLE,
     MAX_INDEX_WIDTH,
@@ -35,7 +35,6 @@ from gatefid.prg import (
     index_width,
     indices_from_bits,
     irreducible_modulus,
-    tape_field_degree,
     theta_log2_of,
 )
 from gatefid.streams import BitSource, split_seed
@@ -147,12 +146,11 @@ class TestModuli:
         assert not _has_small_factor(prg._clmul(IRREDUCIBLE_TABLE[13], IRREDUCIBLE_TABLE[64]))
 
 
-# Each function that takes theta_log2, called at a valid (k, n) point.
+# Each plan that takes theta_log2, built at a valid (n, k, width) point: a raw bit
+# tape and an index draw.
 THETA_LOG2_TAKERS = {
-    "generate_tape": lambda t: generate_tape(2, 4, t, [0] * 8),
-    "tape_field_degree": lambda t: tape_field_degree(2, 4, t),
-    "tape_seed_length": lambda t: tape_seed_length(2, 4, t),
-    "KwisePlan.tape": lambda t: KwisePlan(4, 2, 1, t).tape([0] * 8),
+    "KwisePlan(width=1)": lambda t: KwisePlan(4, 2, 1, t),
+    "KwisePlan(width=3)": lambda t: KwisePlan(4, 2, 3, t),
 }
 
 
@@ -177,28 +175,38 @@ class TestThetaLog2:
         plan = plan_kwise_design(0.05, 1e-12, 24)
         assert 2.0**plan.theta_log2 == 0.0
         w = plan.width
-        assert tape_field_degree(plan.k * w, plan.n * w, plan.theta_log2) == plan.field_degree == 6594
+        bit_level = KwisePlan(plan.n * w, plan.k * w, 1, plan.theta_log2)
+        assert bit_level.field_degree == plan.field_degree == 6594
 
 
 class TestFieldDegreeDomain:
     def test_k_at_least_2_and_at_most_n(self):
         with pytest.raises(ParameterError, match="k must be >= 2"):
-            tape_field_degree(1, 4, -1.0)
+            KwisePlan(4, 1, 1, -1.0)
         with pytest.raises(ParameterError, match="need k <= n"):
-            tape_field_degree(5, 4, -1.0)
+            KwisePlan(4, 5, 1, -1.0)
+
+    def test_width_at_least_1(self):
+        with pytest.raises(ParameterError, match="width must be >= 1"):
+            KwisePlan(4, 2, 0, -1.0)
+
+
+# Raw bit tapes of 16 and 32 bits at k = 4, theta = 1/4.
+PLAN_16 = KwisePlan(16, 4, 1, -2.0)
+PLAN_32 = KwisePlan(32, 4, 1, -2.0)
 
 
 class TestGenerateTape:
     def test_zero_x_gives_zero_tape(self):
-        m = tape_field_degree(4, 16, -2.0)
+        m = PLAN_16.field_degree
         seed = [0] * m + [1] * m
-        tape = generate_tape(4, 16, -2.0, seed)
+        tape = generate_tape(PLAN_16, seed)
         assert not tape.bits.any()
 
     def test_zero_y_gives_zero_tape(self):
-        m = tape_field_degree(4, 16, -2.0)
+        m = PLAN_16.field_degree
         seed = [1] * m + [0] * m
-        tape = generate_tape(4, 16, -2.0, seed)
+        tape = generate_tape(PLAN_16, seed)
         assert not tape.bits.any()
 
     @pytest.mark.parametrize("m", [1, 2, 9, 64, 65, 130])
@@ -211,34 +219,38 @@ class TestGenerateTape:
 
     def test_wrong_seed_length(self):
         with pytest.raises(ParameterError):
-            generate_tape(4, 16, -2.0, [0, 1, 0])
+            generate_tape(PLAN_16, [0, 1, 0])
 
     def test_local_decodability_small(self):
-        m = tape_field_degree(4, 16, -2.0)
-        tape = generate_tape(4, 16, -2.0, BitSource(5).take_bits(2 * m))
+        tape = generate_tape(PLAN_16, BitSource(5).take_bits(PLAN_16.r))
         for i in range(16):
             assert tape.bit(i) == tape.bits[i]
 
     def test_local_decodability_long(self):
-        m = tape_field_degree(10, 40_000, math.log2(0.01))
-        tape = generate_tape(10, 40_000, math.log2(0.01), BitSource(9).take_bits(2 * m))
+        plan = KwisePlan(40_000, 10, 1, math.log2(0.01))
+        tape = generate_tape(plan, BitSource(9).take_bits(plan.r))
         rng = np.random.default_rng(0)
         for i in rng.integers(0, 40_000, size=60):
             assert tape.bit(int(i)) == tape.bits[int(i)]
 
     def test_deterministic(self):
-        m = tape_field_degree(6, 200, math.log2(0.1))
-        seed = BitSource(3).take_bits(2 * m)
-        a = generate_tape(6, 200, math.log2(0.1), seed)
-        b = generate_tape(6, 200, math.log2(0.1), list(seed))
+        plan = KwisePlan(200, 6, 1, math.log2(0.1))
+        seed = BitSource(3).take_bits(plan.r)
+        a = generate_tape(plan, seed)
+        b = generate_tape(plan, list(seed))
         assert np.array_equal(a.bits, b.bits)
-        assert a.seed_bits == b.seed_bits and a.r == 2 * m
+        assert a.seed_bits == b.seed_bits and a.r == 2 * plan.field_degree
 
     def test_seed_bits_recorded_exactly(self):
-        m = tape_field_degree(4, 32, -2.0)
-        seed = BitSource(11).take_bits(2 * m)
-        tape = generate_tape(4, 32, -2.0, seed)
-        assert len(tape.seed_bits) == tape.r == 2 * m
+        seed = BitSource(11).take_bits(PLAN_32.r)
+        tape = generate_tape(PLAN_32, seed)
+        assert len(tape.seed_bits) == tape.r == 2 * PLAN_32.field_degree
+
+    def test_tape_holds_its_plan(self):
+        plan = KwisePlan(40, 4, 3, -10.0)
+        tape = generate_tape(plan, BitSource(5).take_bits(plan.r))
+        assert tape.plan is plan and tape.n == len(tape.bits) == 120
+        assert tape.gf.m == plan.field_degree
 
     @pytest.mark.parametrize(
         "form",
@@ -249,12 +261,12 @@ class TestGenerateTape:
     def test_seed_forms_read_alike(self, form):
         # every form reads entry b as int(b) & 1, with bit j of x seed bit j
         # and bit j of y seed bit m + j, as the per-bit sums did
-        m = tape_field_degree(4, 32, -2.0)
+        m = PLAN_32.field_degree
         seed = BitSource(11).take_bits(2 * m).tolist()
         want = tuple(seed)
         x = sum(b << j for j, b in enumerate(want[:m]))
         y = sum(b << j for j, b in enumerate(want[m:]))
-        tape = generate_tape(4, 32, -2.0, form(seed))
+        tape = generate_tape(PLAN_32, form(seed))
         assert (tape.x, tape.y, tape.seed_bits) == (x, y, want)
         assert all(type(b) is int for b in tape.seed_bits)
 
@@ -264,19 +276,19 @@ class TestGenerateTape:
         ids=["list", "int64", "uint8", "past-64-bits"],
     )
     def test_seed_entries_above_1_read_their_low_bit(self, form):
-        m = tape_field_degree(4, 32, -2.0)
-        seed = BitSource(12).take_bits(2 * m).tolist()
+        seed = BitSource(12).take_bits(PLAN_32.r).tolist()
         high = [2 * j + b for j, b in enumerate(seed)]  # low bit b, every entry but the first above 1
-        tape = generate_tape(4, 32, -2.0, form(high))
+        tape = generate_tape(PLAN_32, form(high))
         assert tape.seed_bits == tuple(seed)
-        assert np.array_equal(tape.bits, generate_tape(4, 32, -2.0, seed).bits)
+        assert np.array_equal(tape.bits, generate_tape(PLAN_32, seed).bits)
 
 
 def tape_of_degree(m, n, seed_bits, k=2):
     """A generated tape over GF(2^m): theta chosen so the planned degree is m."""
     theta_log2 = -(m - 1 - k / 2 - math.log2(n)) + 0.5
-    assert tape_field_degree(k, n, theta_log2) == m
-    return generate_tape(k, n, theta_log2, seed_bits)
+    plan = KwisePlan(n, k, 1, theta_log2)
+    assert plan.field_degree == m
+    return generate_tape(plan, seed_bits)
 
 
 def x_one_seed(m, y=0b1011):
@@ -407,7 +419,7 @@ class TestTapeAgainstLocalDecoder:
         plan = plan_kwise_design(0.05, 0.1, 24)
         n_bits = plan.n * plan.width
         assert (plan.field_degree, n_bits) == (526, 276393)
-        tape = plan.tape(BitSource(7).take_bits(plan.r))
+        tape = generate_tape(plan, BitSource(7).take_bits(plan.r))
         rng = np.random.default_rng(3)
         sampled = rng.integers(0, n_bits, size=24).tolist()
         assert_matches_local_decoder(tape, sampled + boundary_positions(n_bits)[::4])
@@ -570,7 +582,7 @@ class TestPinnedTapes:
     def test_kwise_acceptance_first_op(self):
         plan = plan_kwise_design(0.05, 0.1, 24)
         seed_bits = BitSource(split_seed(0xACC6, 0)).take_bits(plan.r)
-        tape = plan.tape(seed_bits)
+        tape = generate_tape(plan, seed_bits)
         assert tape_digest(tape) == (
             "3e009ebd312160967030ac1092ca6dc8d927a876e6600ba49111d2f5012284e7"
         )
@@ -579,7 +591,7 @@ class TestPinnedTapes:
         plan = plan_two_phase(0.2, 0.3, 2, 24)
         source = BitSource(0x2A)
         source.take_bits(plan.phase1.total_bits)
-        tape = plan.phase2.tape(source.take_bits(plan.phase2.r))
+        tape = generate_tape(plan.phase2, source.take_bits(plan.phase2.r))
         assert (tape.gf.m, tape.n) == (212, 38870)
         assert tape_digest(tape) == (
             "8ece48c31394481b396b0fcdafe12423c1e486a8bd2a4d17481db016e6ca2134"
@@ -665,7 +677,7 @@ class TestTapeCapacity:
         GF2mField(plan.field_degree)  # a table entry: its first-use Rabin check is not measured
         tracemalloc.start()
         try:
-            tape = plan.tape(BitSource(9).take_bits(plan.r))
+            tape = generate_tape(plan, BitSource(9).take_bits(plan.r))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -678,8 +690,7 @@ class TestTapeCapacity:
 
 class TestSampleIndices:
     def test_singleton_set_consumes_nothing(self):
-        m = tape_field_degree(4, 16, -2.0)
-        tape = generate_tape(4, 16, -2.0, BitSource(5).take_bits(2 * m))
+        tape = generate_tape(PLAN_16, BitSource(5).take_bits(PLAN_16.r))
         draw = indices_from_bits(tape.bits, 1, 10)
         assert draw.bits_consumed == 0 and not draw.indices.any()
 
@@ -805,12 +816,12 @@ class TestChernoffSanity:
         # generated tape at k = ceil(e^(-1/3) eps^2 n): limited-independence bound
         n, eps, theta = 512, 0.25, 0.125
         k = math.ceil(math.exp(-1 / 3) * eps**2 * n)
-        m = tape_field_degree(max(k, 2), n, math.log2(theta))
+        plan = KwisePlan(n, max(k, 2), 1, math.log2(theta))
         reps = 400
         src = BitSource(2024)
         devs = []
         for _ in range(reps):
-            tape = generate_tape(max(k, 2), n, math.log2(theta), src.take_bits(2 * m))
+            tape = generate_tape(plan, src.take_bits(plan.r))
             devs.append(abs(float(tape.bits.mean()) - 0.5) > eps)
         emp = float(np.mean(devs))
         bound = math.exp(-k / 2) + theta * (n / eps) ** k

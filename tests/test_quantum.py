@@ -79,12 +79,53 @@ class TestConstruction:
 
     def test_a_stack_is_kept_without_a_copy(self):
         stack = np.stack([np.eye(2), X, Z]).astype(complex) / math.sqrt(3)
+        stack.flags.writeable = False
         ch = KrausChannel(stack)
         assert isinstance(ch.kraus_ops, np.ndarray) and ch.kraus_ops.shape == (3, 2, 2)
         assert ch.kraus_ops is stack and np.shares_memory(ch.kraus_ops, stack)
         assert np.array_equal(ch.kraus_ops, stack)
         with pytest.raises(ValueError):
             ch.kraus_ops[0][0, 0] = 2.0
+
+    def test_the_callers_writable_stack_stays_writable_and_apart(self):
+        stack = np.stack([np.eye(2), X, Z]).astype(complex) / math.sqrt(3)
+        ch = KrausChannel(stack)
+        ops, fidelity, weights = ch.kraus_ops.copy(), ch.exact_fidelity, ch.weights.copy()
+        assert stack.flags.writeable and not ch.kraus_ops.flags.writeable
+        assert not np.shares_memory(ch.kraus_ops, stack)
+        stack[0, 0, 0] = 1.0
+        stack[1:] = 0.0
+        assert np.array_equal(ch.kraus_ops, ops)
+        assert ch.exact_fidelity == fidelity and np.array_equal(ch.weights, weights)
+        assert ch.exact_fidelity == exact_average_fidelity(KrausChannel(ops))
+
+    def test_a_read_only_view_of_a_writable_stack_is_copied(self):
+        stack = np.stack([np.eye(2), X, Z]).astype(complex) / math.sqrt(3)
+        view = stack.view()
+        view.flags.writeable = False
+        ch = KrausChannel(view)
+        fidelity = ch.exact_fidelity
+        assert not np.shares_memory(ch.kraus_ops, stack)
+        stack[1:] = 0.0
+        assert ch.exact_fidelity == fidelity
+        assert np.array_equal(ch.kraus_ops[1], X / math.sqrt(3))
+
+    @pytest.mark.parametrize("spec, d", [("depolarizing:0.2", 64), ("dephasing:0.3", 16),
+                                         ("depolarizing:0.1+dephasing:0.2", 4)])
+    def test_presets_and_compositions_build_no_copy(self, monkeypatch, spec, d):
+        from gatefid import channels, quantum
+
+        built = []
+        real = quantum._kraus_stack
+
+        def recorded(ops):
+            stack = real(ops)
+            built.append(stack is ops)
+            return stack
+
+        monkeypatch.setattr(quantum, "_kraus_stack", recorded)
+        channels.parse_channel_spec(spec, d)
+        assert built and all(built)
 
     @pytest.mark.parametrize("ops, error", [
         ((np.eye(2), np.eye(3)), DimensionError),
