@@ -7,11 +7,12 @@ a rounding-only slack; the tail checks are Monte Carlo, with a 3 sigma slack.
 The PRG certificate is exact too: it counts, for each small set of tape
 outputs, the field elements x whose powers over the set sum to zero, and turns
 those root counts into every subset's joint law over all 2^r seeds. The powers
-come from GF(2^m)'s log and antilog tables, built with GF2mField.mul.
+come from GF(2^m)'s log and antilog tables, walked with a multiply-by-g table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -146,10 +147,25 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     The phase-fixed QR of a Ginibre matrix has first column z0 / |z0|, z0 its
     first column, so only z0 is drawn: a (count, d) block of real parts, then
-    one of imaginary parts.
+    one of imaginary parts, each written into the complex block in place.
     """
-    cols = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    cols = np.empty((count, d), dtype=np.complex128)
+    cols.real = rng.standard_normal((count, d))
+    cols.imag = rng.standard_normal((count, d))
     cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+    return cols
+
+
+@functools.lru_cache(maxsize=1)
+def _haar_sample(seed: int, d: int, count: int) -> np.ndarray:
+    """The tail check's Haar columns for one seed, read-only. The sample does
+    not depend on the channel, so the last one is kept: a suite run over several
+    channels at one d draws it once. It holds 16 d bytes per column until a
+    tail check with another (seed, d, count) replaces it."""
+    # a miss: drop the last sample before drawing, so two are never held at once
+    _haar_sample.cache_clear()
+    cols = _haar_columns(d, count, _generator(seed, "harness", 2))
+    cols.flags.writeable = False
     return cols
 
 
@@ -175,10 +191,10 @@ def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     ch = _checked_channel(channel)
     d, fbar = ch.dim, ch.exact_fidelity
     t, dlt, reps = TAIL_T, TAIL_DELTA, params.repeats
-    # real and imaginary Gaussians and their complex sum, then a fidelity and its clip
+    # the complex column and one real Gaussian block filling it, then a fidelity
+    # and its clip: within 32 d + 16 bytes a draw
     _check_draws("haar-tail", reps, t, 32 * d + 16)
-    rng = _generator(params.seed, "harness", 2)
-    fids = _fidelity_columns(ch, _haar_columns(d, reps * t, rng)).reshape(reps, t)
+    fids = _fidelity_columns(ch, _haar_sample(params.seed, d, reps * t)).reshape(reps, t)
     emp = float(np.mean(np.abs(fids.mean(axis=1) - fbar) > dlt))
     bound = 4.0 * math.exp(-(dlt**2) * d * t / 256.0)
     slack = 3.0 * math.sqrt(emp * (1.0 - emp) / reps) + 3.0 / reps
@@ -310,11 +326,19 @@ def _power_table(gf: GF2mField, n: int) -> np.ndarray:
     """powers[i, x] = x^(i+1) for every x in GF(2^m), as uint16 (m <= 16;
     EXHAUSTIVE_R_CAP keeps m <= 12). With antilog[j] = g^j for g the least
     generator of the cyclic group GF(2^m)*, row i is one gather, x^(i+1) =
-    antilog[(i+1) log(x) mod (2^m - 1)] for x != 0, and 0 stays 0."""
+    antilog[(i+1) log(x) mod (2^m - 1)] for x != 0, and 0 stays 0.
+
+    Each candidate g's powers are walked through times_g[x] = g x, built by
+    linearity from the m products g t^b: times_g[x] is the XOR of those whose
+    bit b is set in x."""
     order = (1 << gf.m) - 1
     for g in itertools.count(1):
+        times_g, row = [0], g
+        for _ in range(gf.m):
+            times_g += [v ^ row for v in times_g]
+            row = gf.mul_t(row)
         antilog = [1]
-        while (power := gf.mul(antilog[-1], g)) != 1:
+        while (power := times_g[antilog[-1]]) != 1:
             antilog.append(power)
         if len(antilog) == order:
             break

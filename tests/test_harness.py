@@ -22,6 +22,7 @@ from gatefid import (
     tpe_lambda,
 )
 from gatefid import ensembles, estimators, harness
+from gatefid.cli import main
 from gatefid.errors import CapacityError, ParameterError
 from gatefid.harness import (
     _haar_columns,
@@ -472,6 +473,29 @@ def ginibre_first_columns(d, count, rng):
     return phase_fixed_qr(z)[:, :, 0]
 
 
+@pytest.fixture
+def fresh_sample():
+    """No kept tail sample before or after the test, so a draw the test patches
+    is made and does not outlive it."""
+    harness._haar_sample.cache_clear()
+    yield
+    harness._haar_sample.cache_clear()
+
+
+@pytest.fixture
+def column_draws(monkeypatch, fresh_sample):
+    """(d, count) of every _haar_columns call, the real draw still made."""
+    calls = []
+    draw = harness._haar_columns
+
+    def counting(d, count, rng):
+        calls.append((d, count))
+        return draw(d, count, rng)
+
+    monkeypatch.setattr(harness, "_haar_columns", counting)
+    return calls
+
+
 class TestHaarColumns:
     @pytest.mark.parametrize("d", [1, 2, 4, 8])
     def test_columns_match_qr(self, d):
@@ -481,17 +505,108 @@ class TestHaarColumns:
         assert np.abs(cols - ginibre_first_columns(d, 4000, b)).max() <= 1e-12
         assert a.standard_normal() == b.standard_normal()
 
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_suite_matches_qr_path(self, clifford, monkeypatch, d):
-        model = noise_preset("dephasing", (0.25,), d)
+    # points whose tail empirical is not 0, so a wrong reference changes it
+    @pytest.mark.parametrize(
+        "kind,args,d",
+        [("amplitude_damping", (0.9,), 2), ("over_rotation", ("z", 2.5), 4)],
+        ids=["2", "4"],
+    )
+    def test_suite_matches_qr_path(self, clifford, monkeypatch, fresh_sample, kind, args, d):
+        model = noise_preset(kind, args, d)
         ens = clifford if d == 2 else tensor_product(clifford, clifford)
         lam2, lam4 = tpe_lambda(ens, 2).lambda_value, tpe_lambda(ens, 4).lambda_value
         fast = bound_validation_suite(model, ens, lam2, lam4, FAST)
-        monkeypatch.setattr(harness, "_haar_columns", ginibre_first_columns)
+        assert fast.checks[1].name.startswith("haar-tail") and fast.checks[1].empirical > 0
+        calls = []
+
+        def reference(d, count, rng):
+            calls.append((d, count))
+            return ginibre_first_columns(d, count, rng)
+
+        monkeypatch.setattr(harness, "_haar_columns", reference)
+        # the fast suite's sample is kept under the same key; drop it so the reference draws
+        harness._haar_sample.cache_clear()
         slow = bound_validation_suite(model, ens, lam2, lam4, FAST)
+        assert calls == [(d, FAST.repeats * harness.TAIL_T)]
         for a, b in zip(fast.checks, slow.checks):
             assert (a.name, a.passed, a.vacuous, a.bound) == (b.name, b.passed, b.vacuous, b.bound)
             assert abs(a.empirical - b.empirical) <= 1e-12 and abs(a.slack - b.slack) <= 1e-12
+
+
+class TestHaarSample:
+    """The tail check keeps its last Haar sample, keyed by (seed, d, count):
+    the suite over criterion 9's channels draws once per d, and every check
+    reads as if each call had drawn its own."""
+
+    @pytest.fixture(scope="class")
+    def points(self, clifford):
+        """Criterion 9's suite points in its order: three channels at d = 2,
+        then the same three at d = 4, with their ensemble and lambdas."""
+        cc = tensor_product(clifford, clifford)
+        ens = {2: (clifford, 0.0, tpe_lambda(clifford, 4).lambda_value),
+               4: (cc, tpe_lambda(cc, 2).lambda_value, tpe_lambda(cc, 4).lambda_value)}
+        specs = (("depolarizing", (0.25,)), ("dephasing", (0.25,)), ("over_rotation", ("z", 0.35)))
+        return [(noise_preset(kind, args, d), *ens[d]) for d in (2, 4) for kind, args in specs]
+
+    def test_criterion_9_draws_once_per_d(self, points, column_draws):
+        params = SuiteParams()
+        for model, ens, lam2, lam4 in points:
+            bound_validation_suite(model, ens, lam2, lam4, params)
+        count = params.repeats * harness.TAIL_T
+        assert column_draws == [(2, count), (4, count)]
+
+    @pytest.mark.parametrize(
+        "d2,params2",
+        [(2, SuiteParams(repeats=400, seed=4660)), (4, FAST), (2, SuiteParams(repeats=401))],
+        ids=["seed", "d", "repeats"],
+    )
+    def test_changed_key_draws_again(self, column_draws, d2, params2):
+        first, second = noise_preset("dephasing", (0.25,), 2), noise_preset("dephasing", (0.25,), d2)
+        tail_check(first, FAST)
+        kept = tail_check(second, params2)
+        assert len(column_draws) == 2
+        harness._haar_sample.cache_clear()
+        assert tail_check(second, params2) == kept
+        # and back: the first key was replaced, so it is drawn again
+        tail_check(first, FAST)
+        assert len(column_draws) == 4
+
+    def test_sample_is_read_only(self, fresh_sample):
+        tail_check(DEPOL, FAST)
+        sample = harness._haar_sample(FAST.seed, 2, FAST.repeats * harness.TAIL_T)
+        assert not sample.flags.writeable
+        with pytest.raises(ValueError):
+            sample[0, 0] = 0.0
+
+    def test_last_sample_dropped_before_the_next_draw(self, monkeypatch, fresh_sample):
+        tail_check(DEPOL, FAST)
+        last = weakref.ref(harness._haar_sample(FAST.seed, 2, FAST.repeats * harness.TAIL_T))
+        draw, alive = harness._haar_columns, []
+
+        def checking(d, count, rng):
+            alive.append(last() is not None)
+            return draw(d, count, rng)
+
+        monkeypatch.setattr(harness, "_haar_columns", checking)
+        tail_check(DEPOL, SuiteParams(repeats=400, seed=4660))
+        assert alive == [False]
+
+    @pytest.mark.parametrize("seed", [0x0F0F, 4660])
+    def test_checks_match_a_draw_per_call(self, points, fresh_sample, seed):
+        params = SuiteParams(seed=seed)
+        kept = [bound_validation_suite(*point, params).checks for point in points]
+        drawn = []
+        for point in points:
+            harness._haar_sample.cache_clear()
+            drawn.append(bound_validation_suite(*point, params).checks)
+        for a, b in zip(itertools.chain(*kept), itertools.chain(*drawn)):
+            assert a.name == b.name
+            assert (a.bound, a.empirical, a.slack) == (b.bound, b.empirical, b.slack)
+
+    def test_over_cap_repeats_refused_before_any_draw(self, capsys, column_draws):
+        code = main(["validate", "--suite", "tail", "--channel", "identity", "--repeats", "100000000"])
+        assert code == 4 and "capacity:" in capsys.readouterr().err
+        assert column_draws == []
 
 
 class TestNaiveHaarStates:
