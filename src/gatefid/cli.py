@@ -19,6 +19,7 @@ import numpy as np
 
 from .channels import parse_channel_spec
 from .ensembles import (
+    _BUILTIN_ENSEMBLES,
     builtin_ensemble,
     checked_lambda,
     load_ensemble,
@@ -54,8 +55,6 @@ EXIT_PRECONDITION = 2
 EXIT_PARAMETER = 3
 EXIT_CAPACITY = 4
 EXIT_VALIDATION = 5
-
-_BUILTIN_ENSEMBLES = ("clifford1q", "pauli1q", "identity_only")
 
 
 class _Parser(argparse.ArgumentParser):

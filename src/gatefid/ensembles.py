@@ -55,8 +55,10 @@ _LANCZOS_SEED = 0x7E57ED
 _LANCZOS_TOL = 1e-8
 _LANCZOS_FLOOR = 1e-12
 _LANCZOS_MAX = 500
-# A group's frame-potential gap is taken as an integer only within this distance of one.
+# A group factor's frame potential is taken as an integer only within this distance of one.
 _GROUP_GAP_TOL = 1e-6
+# The names builtin_ensemble builds; the CLI reads any other ensemble name as a file.
+_BUILTIN_ENSEMBLES = ("clifford1q", "pauli1q", "identity_only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +179,7 @@ def _clifford1q_stack() -> np.ndarray:
 
 @functools.cache
 def builtin_ensemble(name: str, d: int | None = None) -> UnitaryEnsemble:
-    """Named built-in ensembles: clifford1q, pauli1q, identity_only.
+    """The built-in ensembles named in _BUILTIN_ENSEMBLES: clifford1q, pauli1q, identity_only.
 
     Each (name, d) is built once per process and shared, which is safe
     because an ensemble is frozen and its stack read-only; a product such
@@ -416,30 +418,32 @@ def _haar_frame_potential(d: int, t: int) -> int:
     return count
 
 
-def _frame_potential(e: UnitaryEnsemble, t: int) -> float:
-    """FP_t = s^-1 sum_g |Tr g|^{2t} = Tr G; a product's is the product of its
-    factors', as the trace of a Kronecker product is the product of the traces."""
+def _frame_potentials(e: UnitaryEnsemble, t: int) -> list:
+    """FP_t = s^-1 sum_g |Tr g|^{2t} = Tr G of each plain factor of e; a product's
+    FP_t is the product of its factors', as the trace of a Kronecker product is
+    the product of the traces."""
     traces = (np.trace(f.unitaries, axis1=1, axis2=2) for f in e.factors)
-    return math.prod(float(np.mean((tr.real**2 + tr.imag**2) ** t)) for tr in traces)
+    return [float(np.mean((tr.real**2 + tr.imag**2) ** t)) for tr in traces]
 
 
-def _group_lambda(e: UnitaryEnsemble, t: int) -> float | None:
-    """lambda_t of a group: 1.0 if FP_t exceeds the Haar frame potential, else 0.0.
+def _group_gap(e: UnitaryEnsemble, t: int) -> int | None:
+    """FP_t minus the Haar frame potential of a group, an exact integer.
 
-    The gap is taken as an integer only within _GROUP_GAP_TOL = 1e-6, far
-    inside 1/2, and None (use the numeric path) is returned otherwise. No
-    twirl cap bounds FP_t here: it reaches d^{2t} = 2^48 at d = 64, t = 4, so
-    a large float FP_t may miss the integer, and then Lanczos, which checks
-    the operand cap first, refuses it. Up to d = 64 at t <= 4, products of
-    clifford1q and pauli1q miss an integer by at most 9.4e-10; with
-    identity_only factors FP_3 reaches 5 * 2^30 and misses by 9.5e-7, inside
-    the tolerance with little room.
+    A group factor's FP_t is an integer, the dimension of its commutant, so
+    each factor's float FP_t is rounded to its integer and the integers are
+    multiplied exactly. None (use the numeric path) is returned when a
+    factor's FP_t misses its integer by more than _GROUP_GAP_TOL = 1e-6 or
+    the gap is negative. The builtins miss by at most 8.9e-16 (clifford1q's
+    FP_3, computed as 4.999999999999999) at t <= 4 and d <= 64, so no product
+    of them comes near the tolerance, however large its FP_t: five
+    identity_only factors with one clifford1q give FP_3 = 5 * 2^30 exactly.
     """
-    gap = _frame_potential(e, t) - _haar_frame_potential(e.dim, t)
-    whole = round(gap)
-    if whole < 0 or abs(gap - whole) > _GROUP_GAP_TOL:
+    fps = _frame_potentials(e, t)
+    whole = [round(fp) for fp in fps]
+    if any(abs(fp - w) > _GROUP_GAP_TOL for fp, w in zip(fps, whole)):
         return None
-    return float(whole > 0)
+    gap = math.prod(whole) - _haar_frame_potential(e.dim, t)
+    return gap if gap >= 0 else None
 
 
 def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
@@ -455,10 +459,9 @@ def tpe_lambda(e: UnitaryEnsemble, t: int) -> DesignCheck:
     """
     _check_tensor_power(t)
     eps = lambda lam: design_epsilon_from_lambda(lam, e.dim)
-    if e.group:
-        lam = _group_lambda(e, t)
-        if lam is not None:
-            return DesignCheck(t, lam, "group", eps(lam), eps(lam) > 2)
+    if e.group and (gap := _group_gap(e, t)) is not None:
+        lam = float(gap > 0)
+        return DesignCheck(t, lam, "group", eps(lam), eps(lam) > 2)
     _check_twirl_size(e.dim, t)
     lam, steps, resid = _lanczos_lambda(MomentOperator(e, t), haar_twirl_projector(e.dim, t))
     return DesignCheck(t, lam, "lanczos", eps(lam), eps(lam) > 2, steps, resid)

@@ -69,7 +69,13 @@ T_CAP = 1 << 20
 # then its share of the complex state: 32 bytes, plus 8 of margin). Without the
 # margin naive-haar's model was only 3% above its traced peak at d = 4, epsilon
 # = 0.05 (544 bytes a trial against 529), and 11-75% above it at d = 1, 2 and
-# 8; with it the model is at least 15% above the peak.
+# 8; with it the model is at least 13% above the peak (d = 4, whose peak
+# includes about 30 KB for the fidelity kernel's zero-padded last tile).
+
+# Bits _Run.indices draws and decodes at a time (256 KiB unpacked). A two-phase
+# pool of 153,600 13-bit indices drew 2 MB of unpacked bits at once, and on a
+# heap that glibc trims, every run faulted that memory in again.
+_DECODE_BITS = 1 << 18
 
 _E_THIRD = math.exp(-1.0 / 3.0)
 
@@ -297,8 +303,18 @@ class _Run:
         return gauss
 
     def indices(self, label: str, bits: int, set_size: int, n: int) -> np.ndarray:
-        """n indices in [0, set_size) decoded from `bits` counted bits."""
-        return indices_from_bits(self.take_bits(label, bits), set_size, n).indices
+        """n indices in [0, set_size) decoded from `bits` = n w counted bits, drawn and
+        decoded _DECODE_BITS at a time: the stream and the indices are those of one draw,
+        but the unpacked bits held stay small."""
+        width = bits // n
+        step = max(1, _DECODE_BITS // width) if width else n
+        ids = np.empty(n, np.int64)
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            block = self.source.take_bits(m * width)
+            ids[lo : lo + m] = indices_from_bits(block, set_size, m).indices
+        self.ledger.record(label, bits)
+        return ids
 
     def tape_draw(self, label: str, plan: KwisePlan, size: int) -> np.ndarray:
         """The plan's n indices in [0, size), read from its tape on r counted seed bits.
@@ -308,8 +324,10 @@ class _Run:
 
     def probabilities(self, ensemble: UnitaryEnsemble, ids: np.ndarray) -> np.ndarray:
         """Success probabilities of the members `ids`: whole-set table rows when the set is no
-        larger than the draw, else the drawn members' columns alone (a few ULP from the rows),
-        so no large product is folded whole. Wrappers of the module's two helpers see each call."""
+        larger than the draw, else the drawn members' columns alone, so no large product is
+        folded whole. Both sides give the same bytes, as gate_fidelities computes a member's
+        probability as one float whatever batch it is in; the rule only picks the cheaper side.
+        Wrappers of the module's two helpers see each call."""
         if ensemble.size <= len(ids):
             return _fidelity_table(self.channel, ensemble)[ids]
         return _fidelity_columns(self.channel, ensemble.first_columns(ids))

@@ -182,7 +182,12 @@ def _check_draws(name: str, reps: int, t: int, draw_bytes: int) -> None:
 def variance_check(channel) -> BoundCheck:
     """Exact Haar variance of the gate fidelity, E[p^2] - F^2, against 26/d."""
     ch = _checked_channel(channel)
-    var = haar_second_moment(ch) - ch.exact_fidelity**2
+    return _variance(ch, haar_second_moment(ch))
+
+
+def _variance(ch, haar_m2: float) -> BoundCheck:
+    """variance_check on the channel's Haar E[p^2]."""
+    var = haar_m2 - ch.exact_fidelity**2
     return _one_sided("haar-variance <= 26/d", 26.0 / ch.dim, var, EXACT_SLACK, 0.25)
 
 
@@ -209,10 +214,14 @@ def moment_gap_checks(channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=
     E[(p - a)^l] is F - a at l = 1 and E[p^2] - 2aF + a^2 at l = 2.
     """
     ch = _checked_channel(channel)
+    lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
+    return _moment_gaps(ch, lam2, lam4, haar_second_moment(ch), _fidelity_table(ch, ensemble))
+
+
+def _moment_gaps(ch, lam2: float, lam4: float, haar_m2: float, table: np.ndarray) -> list:
+    """moment_gap_checks on the channel's Haar E[p^2] and the ensemble's fidelity table."""
     d, fbar = ch.dim, ch.exact_fidelity
-    lam = {1: lambda_t(ensemble, 2, lambda2), 2: lambda_t(ensemble, 4, lambda4)}
-    haar_m2 = haar_second_moment(ch)
-    table = _fidelity_table(ch, ensemble)
+    lam = {1: lam2, 2: lam4}
     checks = []
     for l in (1, 2):
         for a in (0.0, fbar):
@@ -233,14 +242,21 @@ def prop1_tail_check(
 ) -> BoundCheck:
     """Tail of the t-average under iid ensemble draws vs the l = 1 moment bound."""
     ch = _checked_channel(channel)
+    _check_prop1_draws(params)
+    return _prop1_tail(ch, lambda_t(ensemble, 4, lambda4), _fidelity_table(ch, ensemble), params)
+
+
+def _check_prop1_draws(params: SuiteParams) -> None:
+    # an int64 index and the fidelity it gathers, and a share of the repeat's mean (~18 bytes)
+    _check_draws("qtpe-tail", params.repeats, PROP1_T, 24)
+
+
+def _prop1_tail(ch, lam4: float, table: np.ndarray, params: SuiteParams) -> BoundCheck:
+    """prop1_tail_check on the ensemble's fidelity table, its draws already checked."""
     d, fbar = ch.dim, ch.exact_fidelity
     t, dlt, reps = PROP1_T, PROP1_DELTA, params.repeats
-    # an int64 index and the fidelity it gathers, and a share of the repeat's mean (~18 bytes)
-    _check_draws("qtpe-tail", reps, t, 24)
-    lam4 = lambda_t(ensemble, 4, lambda4)
     rng = _generator(params.seed, "harness", 4)
-    table = _fidelity_table(ch, ensemble)
-    idx = rng.integers(0, ensemble.size, size=(reps, t))
+    idx = rng.integers(0, len(table), size=(reps, t))
     means = table[idx].mean(axis=1)
     emp = float(np.mean(np.abs(means - fbar) > dlt))
     bound = dlt**-2 * (26.0 / (d * t) + lam4 * (2.0 * d) ** 2)
@@ -251,15 +267,17 @@ def prop1_tail_check(
 def bound_validation_suite(
     channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=None, params: SuiteParams = SuiteParams()
 ) -> SuiteReport:
-    """Every bound check on one channel and ensemble. An unclaimed lambda_2 or
-    lambda_4 is computed once here and shared by the checks that read it."""
+    """Every bound check on one channel and ensemble. Each input two checks
+    share is computed once here: an unclaimed lambda_2 or lambda_4, the Haar
+    E[p^2] and the ensemble's fidelity table."""
     ch = _checked_channel(channel)
     lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
-    report = SuiteReport()
-    report.checks.append(variance_check(ch))
-    report.checks.append(tail_check(ch, params))
-    report.checks.extend(moment_gap_checks(ch, ensemble, lam2, lam4))
-    report.checks.append(prop1_tail_check(ch, ensemble, lam4, params))
+    haar_m2 = haar_second_moment(ch)
+    report = SuiteReport([_variance(ch, haar_m2), tail_check(ch, params)])
+    _check_prop1_draws(params)
+    table = _fidelity_table(ch, ensemble)
+    report.checks.extend(_moment_gaps(ch, lam2, lam4, haar_m2, table))
+    report.checks.append(_prop1_tail(ch, lam4, table, params))
     return report
 
 

@@ -177,25 +177,51 @@ def _block_rows(w: np.ndarray) -> int:
     return max(1, _BLOCK_BYTES // (8 * (w.shape[0] + 4 * w.shape[1])))
 
 
+def _tile_rows(w: np.ndarray) -> int:
+    """Rows per tile of the kernel's matrix product: the largest power of two
+    that is at most 512 and fits one block, so it depends on W's shape alone."""
+    return 1 << (min(512, _block_rows(w)).bit_length() - 1)
+
+
 def gate_fidelities(ch: KrausChannel, columns) -> np.ndarray:
     """Success probabilities p(c) = <c|Lambda(|c><c|)|c> for unit rows c.
 
     columns has shape (n, d); the result has shape (n,). p(c) is
-    sum_k |<c|A_k|c>|^2 = |W r(c)|^2, one real matrix product with the
-    channel's cached weights per block of rows, so the temporaries stay near
-    _BLOCK_BYTES whatever n is.
+    sum_k |<c|A_k|c>|^2 = |W r(c)|^2 with the channel's cached weights W, taken
+    a block of rows at a time, so the temporaries stay near _BLOCK_BYTES
+    whatever n is. A BLAS product may round a row differently in a product of
+    another height, so every product runs on tiles of _tile_rows rows: a
+    block's full tiles go through one batched matmul, and its last rows
+    through one tile padded with zero rows. A row's p then depends only on the
+    row and the channel: a member's probability is one float whatever batch it
+    is read in.
     """
     cols = np.asarray(columns, dtype=np.complex128)
     if cols.ndim != 2 or cols.shape[1] != ch.dim:
         raise DimensionError(f"expected columns of shape (n, {ch.dim}), got {cols.shape}")
-    rows = _block_rows(ch.weights)
+    w = ch.weights
+    tile = _tile_rows(w)
+    step = _block_rows(w) // tile * tile
     p = np.empty(len(cols))
-    for s in range(0, len(cols), rows):
-        y = _coordinates(cols[s : s + rows]) @ ch.weights.T
-        p[s : s + rows] = np.einsum("nk,nk->n", y, y)
+    for s in range(0, len(cols), step):
+        r = _coordinates(cols[s : s + step])
+        full = len(r) // tile * tile
+        p[s : s + full] = _tile_norms(r[:full], w, tile)
+        if full < len(r):
+            last = np.zeros((tile, r.shape[1]))
+            last[: len(r) - full] = r[full:]
+            p[s + full : s + len(r)] = _tile_norms(last, w, tile)[: len(r) - full]
     if p.size and (p.min() < -TRACE_TOL or p.max() > 1.0 + TRACE_TOL):
         raise NumericalError("gate fidelity outside [0,1] beyond tolerance")
     return np.clip(p, 0.0, 1.0)
+
+
+def _tile_norms(r: np.ndarray, w: np.ndarray, tile: int) -> np.ndarray:
+    """|W r|^2 for each row of r, whose height is a multiple of `tile`: one
+    matmul over its tiles stacked (one BLAS product per tile), then row-wise dot
+    products."""
+    y = np.matmul(r.reshape(-1, tile, r.shape[1]), w.T).reshape(len(r), w.shape[0])
+    return np.einsum("nk,nk->n", y, y)
 
 
 def gate_fidelity_vector(ch: KrausChannel, psi) -> float:

@@ -191,6 +191,22 @@ class TestCheckDesign:
         assert out1 == out2
 
 
+class TestBuiltinNames:
+    """The CLI builds the names ensembles lists, and reads any other bare name as a file."""
+
+    @pytest.mark.parametrize("name", ensembles._BUILTIN_ENSEMBLES)
+    def test_every_listed_name_resolves(self, capsys, name):
+        assert cli._resolve_ensemble(name, 2) is builtin_ensemble(name, 2)
+        code, out, _ = run_cli(capsys, "check-design", "--ensemble", name, "--t", "1")
+        assert code == 0 and out.splitlines()[1].startswith("t=1 lambda=")
+
+    def test_an_unknown_bare_name_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no file of that name either
+        code, out, err = run_cli(capsys, "check-design", "--ensemble", "clifford2q", "--t", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: cannot parse ensemble file clifford2q")
+
+
 class TestValidate:
     def test_variance_pass(self, capsys):
         code, out, _ = run_cli(

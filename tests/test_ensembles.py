@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -695,6 +696,16 @@ class TestGroupLambda:
         with pytest.raises(CapacityError, match="twirl cap"):
             tpe_lambda(clifford, 5)
 
+    def test_a_large_frame_potential_gives_an_exact_integer_gap(self, clifford):
+        # FP_3 = 5 * 2^30 at d = 64; as one float product it read 5368709119.999999,
+        # 9.5e-7 from its integer against the 1e-6 tolerance
+        e = functools.reduce(tensor_product, [builtin_ensemble("identity_only")] * 5 + [clifford])
+        assert e.dim == 64
+        gap = ensembles._group_gap(e, 3)
+        assert type(gap) is int and gap == 5 * 2**30 - math.factorial(3)
+        chk = tpe_lambda(e, 3)
+        assert chk.method == "group" and chk.lambda_value == 1.0
+
     def test_off_integer_gap_falls_back(self):
         # random unitaries wrongly flagged a group: their frame potential is no integer
         rng = np.random.Generator(np.random.Philox(0x6A9))
@@ -780,7 +791,8 @@ class TestProductColumns:
     def test_frame_potential_is_the_factors_product(self, product, product_stack, t):
         traces = np.trace(product_stack(product), axis1=1, axis2=2)
         stack_fp = np.mean((traces.real**2 + traces.imag**2) ** t)
-        assert ensembles._frame_potential(product, t) == pytest.approx(stack_fp, rel=1e-12)
+        fp = math.prod(ensembles._frame_potentials(product, t))
+        assert fp == pytest.approx(stack_fp, rel=1e-12)
 
     def test_column_cap_refuses_before_the_fold(self, clifford):
         tracemalloc.start()
@@ -836,7 +848,8 @@ class TestProductColumns:
 class TestDrawnProbabilities:
     """estimators._Run.probabilities, the one rule for reading drawn members:
     whole-set table rows once the draw covers the set, else the drawn members'
-    columns alone, on clifford1q and on every product above."""
+    columns alone, on clifford1q and on every product above. Both sides give
+    the full table's rows byte for byte."""
 
     @pytest.fixture(params=[("clifford1q",), *PRODUCT_FOLDS], ids="(x)".join)
     def ensemble(self, request, haar_file):
@@ -856,22 +869,22 @@ class TestDrawnProbabilities:
         return got, estimators._fidelity_table(ch, ensemble)[ids]
 
     def test_a_covering_draw_reads_table_rows_byte_for_byte(self, ensemble, monkeypatch):
-        rng = np.random.default_rng(ensemble.size)
-        for ids in (rng.integers(0, ensemble.size, ensemble.size), np.arange(ensemble.size)[::-1],
-                    rng.integers(0, ensemble.size, 3 * ensemble.size)):
+        s = ensemble.size
+        rng = np.random.default_rng(s)
+        # the boundary draw n = s, a permutation, and n = 3 s
+        for ids in (rng.integers(0, s, s), np.arange(s)[::-1], rng.integers(0, s, 3 * s)):
             got, want = self.probabilities(ensemble, ids, monkeypatch, "_fidelity_columns")
             assert got.tobytes() == want.tobytes()
 
-    def test_a_smaller_draw_reads_columns_within_a_few_ulp(self, ensemble, monkeypatch):
-        # the kernel's matrix product may round a row differently in a batch of
-        # another height: up to 3 ULP from the table row was seen on one x86 host;
-        # the bound leaves room for other BLAS kernels
-        rng = np.random.default_rng(ensemble.size)
-        for ids in ([ensemble.size - 1], rng.integers(0, ensemble.size, 3),
-                    rng.integers(0, ensemble.size, min(40, ensemble.size - 1))):
+    def test_a_smaller_draw_reads_columns_equal_to_the_rows(self, ensemble, monkeypatch):
+        s = ensemble.size
+        rng = np.random.default_rng(s)
+        # one member, the last, three, 40 and the boundary draw n = s - 1
+        for ids in ([s - 1], rng.integers(0, s, 3), rng.integers(0, s, min(40, s - 1)),
+                    rng.integers(0, s, s - 1)):
             got, want = self.probabilities(ensemble, ids, monkeypatch, "_fidelity_table")
             assert got.shape == (len(ids),)
-            assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDesignEpsilon:

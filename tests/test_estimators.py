@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -24,7 +25,8 @@ from gatefid import (
 )
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
 from gatefid.estimators import HAAR_BITS_PER_DIM2, IidPlan, KwisePlan, plan_naive_haar
-from gatefid.prg import generate_tape, index_width, tape_bytes
+from gatefid import estimators
+from gatefid.prg import generate_tape, index_width, indices_from_bits, tape_bytes
 from gatefid.streams import BitSource
 from gatefid.quantum import KrausChannel, exact_average_fidelity
 
@@ -236,6 +238,27 @@ class TestTwoPhase:
             estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=5)
 
 
+class TestOneFloatPerMember:
+    """A member's p is one float whichever side of _Run.probabilities reads it."""
+
+    def test_single_qtpe_prints_the_p_of_two_phase(self, clifford):
+        three = functools.reduce(tensor_product, [clifford] * 3)
+        model = parse_channel_spec("dephasing:0.3+over_rotation:z,0.35", 8)
+        # 23,917 draws cover the 13,824 members, so two-phase reads whole-table rows,
+        # while single-qtpe reads its one drawn member's column
+        two = estimate_two_phase(model, 0.05, 0.3, three, seed=1, waive_preconditions=True)
+        assert three.size <= two.n_trials
+        table_p = dict(zip(two.unitary_ids.tolist(), two.probabilities.tolist()))
+        compared = 0
+        for seed in range(49):
+            one = estimate_single_qtpe(model, 0.05, 0.3, three, seed=seed, waive_preconditions=True)
+            u = int(one.unitary_ids[0])
+            if u in table_p:
+                assert float(one.probabilities[0]) == table_p[u], seed
+                compared += 1
+        assert compared >= 25
+
+
 class TestClaimedLambda:
     """One rule, ensembles.checked_lambda, refuses every bad claim with one message."""
 
@@ -368,16 +391,33 @@ def warm_traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+class TestBlockedIndexDraw:
+    """_Run.indices draws and decodes a block of bits at a time: the stream, the
+    indices and the one ledger entry are those of a single draw."""
+
+    @pytest.mark.parametrize("block", [1, 13, 64, 1000, 1 << 18])
+    @pytest.mark.parametrize("size,n", [(24, 997), (576, 300), (1, 50)])
+    def test_blocks_give_the_single_draw(self, monkeypatch, block, size, n):
+        bits = n * index_width(size)
+        want = indices_from_bits(BitSource(7).take_bits(bits), size, n).indices
+        monkeypatch.setattr(estimators, "_DECODE_BITS", block)
+        run = estimators._Run("design-iid", DEPOL, 0.1, 0.1, 7)
+        got = run.indices("indices", bits, size, n)
+        assert got.tobytes() == want.tobytes()
+        assert run.ledger.entries == [("indices", bits)] and run.source.total_bits == bits
+
+
 class TestMemory:
     """Bits stay 64-bit words until the span a draw returns, and indices are
     read from packed bytes: no byte per bit and no int64 per bit."""
 
     def test_two_phase_mix_point(self, clifford):
-        # 153,600 phase-1 indices of 13 bits; an int64 per bit took 19.5 MiB
+        # 153,600 phase-1 indices of 13 bits: 1.65 MB with a block of bits unpacked at
+        # a time; the whole draw unpacked at once took 3.6 MB, an int64 per bit 19.5 MiB
         peak = warm_traced_peak(
             lambda: estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=0x2A, waive_preconditions=True)
         )
-        assert peak < 10 * 2**20
+        assert peak < 2 * 2**20
 
     def test_repeated_kwise_design_holds_no_more(self, clifford):
         # criterion 6's point: probabilities are read after the tape is freed,

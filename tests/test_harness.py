@@ -180,6 +180,29 @@ class TestBoundChecks:
                 with pytest.raises(ParameterError, match="expected a KrausChannel"):
                     check()
 
+    def test_suite_computes_the_table_and_second_moment_once(self, clifford, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_fidelity_table", "haar_second_moment"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        product = tensor_product(clifford, clifford)
+        model = noise_preset("over_rotation", ("z", 0.35), 4)
+        for ch, ens in ((DEPOL, clifford), (model, product), (model, product)):
+            calls.clear()
+            report = bound_validation_suite(ch, ens, params=FAST)
+            assert sorted(calls) == ["_fidelity_table", "haar_second_moment"]
+            # the same rows as the checks that compute their own inputs
+            lam2, lam4 = tpe_lambda(ens, 2).lambda_value, tpe_lambda(ens, 4).lambda_value
+            alone = [variance_check(ch), tail_check(ch, FAST),
+                     *moment_gap_checks(ch, ens, lam2, lam4), prop1_tail_check(ch, ens, lam4, FAST)]
+            assert report.checks == alone
+
     def test_suite_computes_each_unclaimed_lambda_once(self, clifford, monkeypatch):
         calls = []
 

@@ -298,6 +298,43 @@ class TestFidelityKernel:
             w[0, 0] = 1.0
 
 
+# Every preset kind at any d, plus a composition that spreads p over the rows.
+BATCH_SPECS = ["identity", "depolarizing:0.2", "dephasing:0.3", "over_rotation:z,0.35",
+               "dephasing:0.3+over_rotation:z,0.35"]
+QUBIT_SPECS = ["amplitude_damping:0.15", "over_rotation:x,0.2", "over_rotation:y,0.2"]
+BATCH_HEIGHTS = (1, 2, 3, 7, 24, 40, 333, 1000)
+
+
+class TestBatchInvariance:
+    """A row's probability is one float whatever batch it is in: a batch of any
+    height gives the whole batch's rows byte for byte."""
+
+    CASES = [
+        *((spec, d) for d in (2, 4, 8, 16)
+          for spec in BATCH_SPECS + (QUBIT_SPECS if d == 2 else [])),
+        ("depolarizing:0.2", 64),
+    ]
+
+    @pytest.mark.parametrize("spec,d", CASES)
+    def test_every_height_gives_the_whole_batch_rows(self, spec, d, rng):
+        ch = parse_channel_spec(spec, d)
+        n = 2000 if d < 64 else 48  # a d = 64 tile costs 16 rows of 67 Mflop each
+        cols = unit_rows(n, d, rng)
+        whole = gate_fidelities(ch, cols)
+        for h in BATCH_HEIGHTS:
+            starts = range(0, n, h)
+            # at most 16 batches of each height spread over the rows, and the ragged last one
+            for s in sorted({*starts[:: -(-len(starts) // 16)], starts[-1]}):
+                got = gate_fidelities(ch, cols[s : s + h])
+                assert got.tobytes() == whole[s : s + h].tobytes(), (h, s)
+
+    @pytest.mark.parametrize("d,tile", [(2, 512), (8, 512), (16, 256), (64, 16)])
+    def test_tiles_depend_on_the_weights_shape_alone(self, d, tile):
+        # depolarizing's W has shape (2 d^2, d^2); only the shape is read
+        w = np.broadcast_to(0.0, (2 * d * d, d * d))
+        assert quantum._tile_rows(w) == tile <= quantum._block_rows(w)
+
+
 class TestExactAverageFidelity:
     def test_identity_d2(self):
         assert exact_average_fidelity(KrausChannel((np.eye(2),))) == pytest.approx(1.0)
