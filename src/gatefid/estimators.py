@@ -170,6 +170,19 @@ def plan_naive_haar(epsilon: float, delta: float, d: int) -> IidPlan:
     return _iid_plan(epsilon, delta, HAAR_BITS_PER_DIM2 * d * d)
 
 
+def _kwise_draw(epsilon: float, delta: float, n: int, width: int, split: int) -> KwisePlan:
+    """The one rule for a k-wise draw of n width-bit indices: k = ceil(e^(-1/3) eps^2 n / split^2)
+    and theta = (delta / (2 split)) (eps/n)^(eps^2 n / (4 split^2)).
+
+    split is 1 for kwise-design and 2 for two-phase's phase 2, which shares (eps, delta) with
+    its phase 1.
+    """
+    k = math.ceil(_E_THIRD * epsilon**2 * n / split**2)
+    exponent = epsilon**2 * n / (4.0 * split**2)
+    theta_log2 = math.log2(delta / (2.0 * split)) + exponent * math.log2(epsilon / n)
+    return KwisePlan(n, k, width, theta_log2)
+
+
 def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
     """The k-wise design estimator's draw.
 
@@ -178,12 +191,10 @@ def plan_kwise_design(epsilon: float, delta: float, set_size: int) -> KwisePlan:
     """
     _check_eps_delta(epsilon, delta)
     n = math.ceil(16.0 * math.log2(1.0 / delta) / epsilon**2)
-    k = math.ceil(_E_THIRD * epsilon**2 * n)
-    theta_log2 = math.log2(delta / 2.0) + (epsilon**2 * n / 4.0) * math.log2(epsilon / n)
     w = index_width(set_size)
     if w == 0:
         raise ParameterError("set of size 1 leaves nothing to sample")
-    return KwisePlan(n, k, w, theta_log2)
+    return _kwise_draw(epsilon, delta, n, w, 1)
 
 
 @dataclass(frozen=True)
@@ -246,9 +257,7 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
     n = math.ceil(16.0 * math.log2(4.0 / delta) / epsilon**2)
     phase2 = None
     if pool >= 2:
-        k = math.ceil(_E_THIRD * epsilon**2 * n / 4.0)
-        theta_log2 = math.log2(delta / 4.0) + (epsilon**2 * n / 16.0) * math.log2(epsilon / n)
-        phase2 = KwisePlan(n, k, index_width(pool), theta_log2)
+        phase2 = _kwise_draw(epsilon, delta, n, index_width(pool), 2)
     return TwoPhasePlan(
         order, lambda_req_log2, n, IidPlan(pool, index_width(set_size)), phase2, tuple(failures)
     )

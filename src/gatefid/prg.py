@@ -31,8 +31,9 @@ whole tape: B is a power of two, so x^(iB) = (x^i)^(2^b) is row i of V
 times F = S^b, the degree's Frobenius matrix for b, and U = V F. Row j of
 S is the single bit 2j while 2j < m, so its low rows are a byte-table
 spread and only the rest get XOR tables. Tables and gathers are built in
-blocks of bounded size, in buffers kept per field degree with the squaring
-tables and F, so a second tape of the same shape allocates no table.
+blocks of bounded size, each in an array of its own. What is kept per field
+degree (the squaring tables, F, and F's tables while they fit one block) is
+seed-independent and read-only once built, so every thread shares it.
 The rest of the per-seed set-up is word work with no loop over bits: x and
 y are one packbits of the seed; the parities <t^a, y> are one pass over the
 degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
@@ -51,7 +52,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,30 +435,16 @@ def _times_t(gf: GF2mField, c: int, count: int) -> list:
     return out
 
 
-class _Buffers:
-    """Reusable flat arrays by name, each grown to the largest size asked of it."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._arrays.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._arrays[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
 # Entry 16 h + l of a chunk's table takes its high half from entry h.
 _HIGH_ENTRY = np.repeat(np.arange(16, dtype=np.intp), 16)
 
 
-def _xor_table(rows: np.ndarray, out: np.ndarray, buffers: _Buffers) -> np.ndarray:
-    """Fill out so that entry 256 c + v is the XOR of rows 8c + b over the set bits b of v."""
+def _xor_table(rows: np.ndarray) -> np.ndarray:
+    """The table whose entry 256 c + v is the XOR of rows 8c + b over the set bits b of v."""
     chunks = -(-len(rows) // 8)
     width = rows.shape[1]
     # entry v of quad q is the XOR of rows 4q + b over the set bits b of v < 16
-    quads = buffers.get("halves", (2 * chunks, 16, width), _WORD)
+    quads = np.empty((2 * chunks, 16, width), _WORD)
     quads[:, 0] = 0
     for b in range(4):
         picked = rows[b::4]
@@ -467,10 +453,9 @@ def _xor_table(rows: np.ndarray, out: np.ndarray, buffers: _Buffers) -> np.ndarr
         np.bitwise_xor(quads[:, 1 : 1 << b], quads[:, 1 << b, None], out=quads[:, (1 << b) + 1 : 2 << b])
     # entry 16 h + l of chunk c is high[h] ^ low[l], with quads 2c (low) and 2c + 1 (high)
     halves = quads.reshape(chunks, 2, 16, width)
-    table = out.reshape(chunks, 256, width)
-    np.take(halves[:, 1], _HIGH_ENTRY, axis=1, out=table, mode="clip")
+    table = np.take(halves[:, 1], _HIGH_ENTRY, axis=1, mode="clip")
     table.reshape(chunks, 16, 16 * width)[...] ^= halves[:, 0].reshape(chunks, 1, 16 * width)
-    return out
+    return table.reshape(256 * chunks, width)
 
 
 class _XorTables:
@@ -480,16 +465,11 @@ class _XorTables:
     times a span of its words. The first block is built once and kept, so
     a matrix whose tables fit one block (an m x m matrix up to m = 1024)
     never rebuilds them; further blocks are rebuilt on each use. Every
-    temporary lives in `buffers`, which products with these tables reuse
-    too. Given shared `buffers`, the first block is built in their table
-    buffer and is valid until the next set is built there, unless `keep`
-    asks for an array of its own; without them it always gets one.
+    block is an array of its own, and nothing here changes once built.
     """
 
-    def __init__(self, mat: np.ndarray, buffers: _Buffers | None = None, keep: bool = False):
-        shared = buffers is not None and not keep
+    def __init__(self, mat: np.ndarray):
         self.mat = mat
-        self.buffers = _Buffers() if buffers is None else buffers
         self.words = mat.shape[1]
         self.width = min(self.words, max(1, _BLOCK_BYTES // (256 * 8)))
         self.chunks = max(1, _BLOCK_BYTES // (256 * 8 * self.width))
@@ -498,10 +478,7 @@ class _XorTables:
             for w0 in range(0, self.words, self.width)
             for c0 in range(0, -(-len(mat) // 8), self.chunks)
         ]
-        rows = self._rows(*self.spans[0])
-        shape = (256 * -(-len(rows) // 8), rows.shape[1])
-        out = self.buffers.get("table", shape, _WORD) if shared else np.empty(shape, _WORD)
-        self.first = _xor_table(rows, out, self.buffers)
+        self.first = _xor_table(self._rows(*self.spans[0]))
 
     def _rows(self, c0: int, w0: int) -> np.ndarray:
         return self.mat[8 * c0 : 8 * (c0 + self.chunks), w0 : w0 + self.width]
@@ -510,9 +487,7 @@ class _XorTables:
         """(first chunk, first word, table) for every block."""
         yield (*self.spans[0], self.first)
         for c0, w0 in self.spans[1:]:
-            rows = self._rows(c0, w0)
-            out = self.buffers.get("block", (256 * -(-len(rows) // 8), rows.shape[1]), _WORD)
-            yield c0, w0, _xor_table(rows, out, self.buffers)
+            yield c0, w0, _xor_table(self._rows(c0, w0))
 
 
 def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
@@ -521,7 +496,7 @@ def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
     Byte c of a row of A selects table entry 256 c + byte, and the row of
     the product is the XOR of the selected entries over all chunks c. Rows
     of A go _GATHER_ROWS at a time, so a gather is a quarter of its table
-    block; the gather and its index reuse the tables' buffers.
+    block.
     """
     out = np.zeros((len(a), tables.words), _WORD)
     a_bytes = a.view(np.uint8)
@@ -529,13 +504,10 @@ def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
         chunks, width = len(table) // 256, table.shape[1]
         offsets = np.arange(0, 256 * chunks, 256, dtype=np.intp)[:, None]
         for r0 in range(0, len(a), _GATHER_ROWS):
-            rows = min(_GATHER_ROWS, len(a) - r0)
-            index = tables.buffers.get("index", (chunks, rows), np.intp)
-            np.add(a_bytes[r0 : r0 + rows, c0 : c0 + chunks].T, offsets, out=index)
-            # mode="clip" writes the gather in place; the default mode buffers it
-            gather = tables.buffers.get("gather", (chunks, rows, width), _WORD)
-            np.take(table, index, axis=0, out=gather, mode="clip")
-            out[r0 : r0 + rows, w0 : w0 + width] ^= np.bitwise_xor.reduce(gather, axis=0)
+            index = a_bytes[r0 : r0 + _GATHER_ROWS, c0 : c0 + chunks].T + offsets
+            # every index is in range; the default mode checks them and buffers the gather
+            gather = np.take(table, index, axis=0, mode="clip")
+            out[r0 : r0 + _GATHER_ROWS, w0 : w0 + width] ^= np.bitwise_xor.reduce(gather, axis=0)
     return out
 
 
@@ -589,7 +561,6 @@ class _Squaring:
         self.words = rows.shape[1]
         self.plain = (len(rows) + 1) // 2 // 64 * 64
         self.tables = _XorTables(rows[self.plain :])
-        self.buffers = self.tables.buffers
 
     def product(self, a: np.ndarray) -> np.ndarray:
         out = _gf2_product(a[:, self.plain // 64 :], self.tables)
@@ -605,11 +576,11 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.
     Rows [k, 2k) come from rows [k/2, k): the even rows base^(2q) are one
     product with the squaring matrix, the odd rows base^(2q+1) those times
     the matrix of multiplication by base. About log2(count) rounds, each
-    with the same two sets of tables; the second is built in the squaring
-    tables' buffers.
+    with the same two sets of tables: the degree's squaring tables and the
+    multiply-by-base tables, which the chain builds for itself.
     """
     words = square.words
-    times_base = _XorTables(_packed(_times_t(gf, base, gf.m), words), square.buffers)
+    times_base = _XorTables(_packed(_times_t(gf, base, gf.m), words))
     out = np.zeros((count + 1, words), _WORD)
     out[0, 0] = 1
     if count:
@@ -628,11 +599,11 @@ class _Workspace:
     """What the tapes of field degree m share: packed rows t^0 .. t^(2m-2),
     the squaring tables, and the Frobenius matrix F = S^b of the last b.
 
-    The squaring tables' buffers are the tapes' reusable workspace: the
-    chain's multiply-by-base tables, then F's tables unless they are kept,
-    then the V^T tables, then the HV tables are built in turn in one table
-    buffer there, and every product gathers into the same gather and index
-    buffers. So a second tape of the same shape allocates no table.
+    All of it is seed-independent and read-only once built, so one
+    workspace serves every thread. Each tape builds its seed-dependent
+    tables (the chain's multiply-by-base tables, the V^T and HV tables,
+    and F's tables when they are not kept), gathers and indices in arrays
+    of its own, which are freed once the product that reads them is done.
     """
 
     def __init__(self, m: int):
@@ -646,25 +617,26 @@ class _Workspace:
 
         F is the power chain of t^(2^b), built once per b; the last b's F is
         kept. Its tables are kept with it while they fit one block (m up to
-        1024); larger ones are rebuilt in the shared table buffer on each
-        call, as every larger table set is.
+        1024); larger ones are rebuilt on each call, as every larger table
+        set is. The memo is read once, so a thread that swaps in another b
+        never changes what this call returns.
         """
-        if self._frobenius is None or self._frobenius[0] != b:
+        memo = self._frobenius
+        if memo is None or memo[0] != b:
             gf = self.gf
             taps = _low_taps(gf.modulus)
             base = gf.mul_t(1)
             for _ in range(b):
                 base = _fold(_gf2_square(base), gf.m, taps)
             mat = _power_chain(gf, base, gf.m - 1, self.square)
-            kept = _XorTables(mat, self.square.buffers, keep=True) if _kept_table_bytes(gf.m) else None
-            self._frobenius = (b, mat, kept)
-        _, mat, kept = self._frobenius
-        return _XorTables(mat, self.square.buffers) if kept is None else kept
+            memo = self._frobenius = (b, mat, _XorTables(mat) if _kept_table_bytes(gf.m) else None)
+        _, mat, kept = memo
+        return _XorTables(mat) if kept is None else kept
 
 
 @functools.lru_cache(maxsize=4)
-def _workspace(m: int, thread: int) -> _Workspace:
-    """The degree-m workspace of one thread, so tapes on concurrent threads never share a buffer."""
+def _workspace(m: int) -> _Workspace:
+    """The degree-m workspace, which every thread shares."""
     return _Workspace(m)
 
 
@@ -709,9 +681,8 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     times the degree's Frobenius matrix F = S^b. All three products are
     XOR-table products on packed words, each operand is freed once read, and
     the tape is unpacked once at the end. Tables, gathers and unpacked bits
-    stay within _BLOCK_BYTES, and the tables and gathers reuse the degree's
-    workspace, so apart from the output the working set is a few packed
-    m x m and m x max(B, Q) matrices whatever n.
+    stay within _BLOCK_BYTES, so apart from the output the working set is a
+    few packed m x m and m x max(B, Q) matrices whatever n.
     """
     m = gf.m
     if m >= _MAX_DEGREE:
@@ -720,14 +691,14 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
         )
     b = _row_log2(n)
     block, rows = 1 << b, (n >> b) + 1
-    work = _workspace(m, threading.get_ident())
+    work = _workspace(m)
     v = _power_chain(gf, x, max(block, rows) - 1, work.square)
     u = _gf2_product(v[:rows], work.frobenius(b))  # row i is x^(iB)
     vt = _transposed(v[:block], m)
     del v
-    hv = _gf2_product(_hankel_rows(work.t_powers, y), _XorTables(vt, work.square.buffers))
+    hv = _gf2_product(_hankel_rows(work.t_powers, y), _XorTables(vt))
     del vt
-    tape = _gf2_product(u, _XorTables(hv, work.square.buffers))
+    tape = _gf2_product(u, _XorTables(hv))
     del u, hv
     bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")
     out = bits.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape

@@ -5,8 +5,8 @@ import hashlib
 import inspect
 import itertools
 import math
+import sys
 import textwrap
-import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -599,30 +599,11 @@ class TestPinnedTapes:
 
 
 class TestTapeWorkspace:
-    def test_second_tape_allocates_no_xor_table(self):
-        # the kwise contract's shape: one XOR table of the m x m matrices is
-        # 66 chunks x 256 entries x 9 words; after one tape of the degree,
-        # the squaring tables are kept and every other table, gather and
-        # 16-entry half reuses the workspace
-        n = 276_393
-        table_bytes = 66 * 256 * 9 * 8
-        tape_of_degree(526, n, BitSource(1).take_bits(1052))
-        seed_bits = BitSource(2).take_bits(1052)
-        tracemalloc.start()
-        try:
-            tape = tape_of_degree(526, n, seed_bits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < table_bytes
-        assert_matches_local_decoder(tape, boundary_positions(n)[::4])
-
     def test_workspace_kept_per_degree_and_thread(self):
-        here = threading.get_ident()
-        work = prg._workspace(526, here)
-        assert prg._workspace(526, here) is work
+        work = prg._workspace(526)
+        assert prg._workspace(526) is work
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            assert pool.submit(lambda: prg._workspace(526, threading.get_ident())).result() is not work
+            assert pool.submit(lambda: prg._workspace(526)).result() is work
         # rows t^(2j), j < 256, are single bits: tables cover rows 256..525 only
         assert len(work.t_powers) == 2 * 526 - 1 and work.square.plain == 256
         assert work.square.tables.first.shape == (34 * 256, 9)
@@ -632,20 +613,18 @@ class TestTapeWorkspace:
     def test_frobenius_rows(self, m, b):
         # row j of F = S^b is t^(j 2^b)
         gf = GF2mField(m)
-        frobenius = prg._workspace(m, threading.get_ident()).frobenius(b).mat
+        frobenius = prg._workspace(m).frobenius(b).mat
         got = [int.from_bytes(row.tobytes(), "little") for row in frobenius]
         assert got == [gf.pow(2, j << b) for j in range(m)]
 
     def test_frobenius_tables_kept_within_one_block(self):
         # m = 526: F's tables fit one 4 MiB block and are kept, in the bytes
         # tape_bytes counts for them; m = 1052: they span two blocks and are
-        # rebuilt in the shared table buffer on each use, and only F is kept
-        here = threading.get_ident()
-        small, large = prg._workspace(526, here), prg._workspace(1052, here)
+        # rebuilt on each use, and only F is kept
+        small, large = prg._workspace(526), prg._workspace(1052)
         tables = small.frobenius(9)
         assert small.frobenius(9) is tables
         assert tables.first.nbytes == prg._kept_table_bytes(526) == 66 * 256 * 9 * 8
-        assert not np.shares_memory(tables.first, small.square.buffers.get("table", (1,), prg._WORD))
         assert large.frobenius(10) is not large.frobenius(10) and prg._kept_table_bytes(1052) == 0
         assert large.frobenius(10).mat is large.frobenius(10).mat
         assert small.frobenius(8) is not tables  # one b kept at a time
@@ -660,8 +639,43 @@ class TestTapeWorkspace:
                 got = list(pool.map(lambda b: tape_of_degree(129, 20_000, b).bits, seeds))
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    def test_threads_swap_the_shared_frobenius_memo(self):
+        # every thread shares the degree's workspace: tapes of n = 300 and
+        # n = 20,000 lay out rows of 2^4 and 2^7 bits, so threads running
+        # both keep swapping F's one-slot memo between two values of b
+        assert (prg._row_log2(300), prg._row_log2(20_000)) == (4, 7)
+        jobs = [(n, BitSource(s).take_bits(2 * 129)) for s, n in enumerate([300, 20_000] * 4)]
+        want = [tape_of_degree(129, n, b).bits for n, b in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch between the memo's read and its write
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                for _ in range(4):
+                    got = list(pool.map(lambda job: tape_of_degree(129, *job).bits, jobs))
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestTapeCapacity:
+    @pytest.mark.parametrize("m,n", [(526, 276_393), (1052, 20_000)])
+    def test_model_bounds_first_and_repeated_tapes(self, monkeypatch, m, n):
+        # every table, gather and index is allocated per tape; the first tape
+        # of a fresh workspace also builds t's powers, the squaring tables and
+        # F, and tape_bytes must bound the traced peak of both tapes
+        monkeypatch.setattr(prg, "_workspace", functools.lru_cache(maxsize=4)(prg._workspace.__wrapped__))
+        GF2mField(m)  # its modulus's first-use Rabin check is not measured
+        peaks = []
+        for seed in (1, 2):
+            seed_bits = BitSource(seed).take_bits(2 * m)
+            tracemalloc.start()
+            try:
+                tape_of_degree(m, n, seed_bits)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < prg.tape_bytes(n, m), peaks
+
     def test_degree_cap_at_2_pow_24(self):
         # from m = 2^24 on, one m x m bit matrix alone would take m^2 / 8 bytes (32 TiB)
         with pytest.raises(CapacityError):
