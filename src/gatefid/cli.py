@@ -10,7 +10,9 @@ passed explicitly, in which case the drawn seed is logged to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import re
 import sys
@@ -127,9 +129,8 @@ def cmd_estimate(args) -> int:
     if args.format == "csv":
         cols = ["algorithm", "d", "epsilon", "delta", "estimate", "exact_reference",
                 "n_trials", "seed", "diagnostic"]
-        header = ",".join(cols + ["ledger_bits"])
-        row = ",".join(str(doc[c]).lower() if c == "diagnostic" else str(doc[c]) for c in cols)
-        text = f"{header}\n{row},{result.ledger.total}\n"
+        row = [str(doc[c]).lower() if c == "diagnostic" else str(doc[c]) for c in cols]
+        text = _csv_text([cols + ["ledger_bits"], row + [str(result.ledger.total)]])
     else:
         text = json.dumps(doc, indent=2) + "\n"
     _emit(text, args.output)
@@ -156,16 +157,24 @@ def cmd_check_design(args) -> int:
     return EXIT_OK
 
 
+def _csv_text(rows) -> str:
+    """Rows of strings as CSV: a field is quoted only where it holds a comma, quote or newline."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _format_suite(report: SuiteReport, fmt: str) -> str:
     rows = report.rows()
     if fmt == "csv":
-        lines = ["check,bound,empirical,slack,verdict,vacuous,note"]
-        for r in rows:
-            lines.append(
-                f"{r['check']},{r['bound']:.12g},{r['empirical']:.12g},{r['slack']:.12g},"
-                f"{r['verdict']},{str(r['vacuous']).lower()},{r['note']}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(
+            [["check", "bound", "empirical", "slack", "verdict", "vacuous", "note"]]
+            + [
+                [r["check"], f"{r['bound']:.12g}", f"{r['empirical']:.12g}", f"{r['slack']:.12g}",
+                 r["verdict"], str(r["vacuous"]).lower(), r["note"]]
+                for r in rows
+            ]
+        )
     width = max(len(r["check"]) for r in rows)
     lines = []
     for r in rows:
@@ -298,11 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _option_dests(parser) -> set:
-    """The dest of every subcommand option except --help: the config keys."""
+def _option_dests(parser) -> dict:
+    """The dest of every subcommand option except --help, the config keys, mapped to
+    whether the option is a flag (it takes no value)."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
-        a.dest
+        a.dest: isinstance(a, argparse._StoreTrueAction)
         for p in sub.choices.values()
         for a in p._actions
         if not isinstance(a, argparse._HelpAction)
@@ -327,7 +337,8 @@ def _apply_config(parser, argv):
         raise FormatError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("config file must hold a JSON object")
-    unknown = set(doc) - _option_dests(parser)
+    flags = _option_dests(parser)
+    unknown = set(doc) - set(flags)
     if unknown:
         raise FormatError(f"unknown config keys: {sorted(unknown)}")
     if "seed" in doc and not isinstance(doc["seed"], str):
@@ -335,11 +346,16 @@ def _apply_config(parser, argv):
         raise ParameterError(f"config seed must be a hex string or \"auto\", got {doc['seed']!r}")
     extra = []
     for key, value in doc.items():
+        # str() would turn null into the value "None", and false into a flag's stray argument
+        if value is None:
+            raise ParameterError(f"config key {key!r} is null; leave the key out instead")
+        if isinstance(value, bool) != flags[key]:
+            want = "true or false" if flags[key] else "a value, not true or false"
+            raise ParameterError(f"config key {key!r} takes {want}, got {json.dumps(value)}")
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                extra.append(flag)
-        else:
+        if value is True:
+            extra.append(flag)
+        elif value is not False:
             extra.extend([flag, str(value)])
     # config supplies defaults: put its flags before the explicit ones
     return rest[:1] + extra + rest[1:]

@@ -6,14 +6,15 @@ Each estimator checks its design certificate or preconditions, calls a pure
 planner (every sample count and pseudorandomness parameter from epsilon,
 delta, dimension and ensemble size), draws its indices and finishes. The
 private ``_Run`` owns the shared steps: the timer, the channel type and
-dimension checks; the plan-time size check against RUN_MEMORY_CAP; every
-counted draw, one call that takes bits from a BitSource and ledgers them
-under a label; the k-wise tape draw of indices; the one rule that reads the
-drawn members' success probabilities; the precondition gate (epsilon < F/2,
-PreconditionError unless waived, a waived run diagnostic with its failures
-in ``flags``); and the finish, which checks that the ledger equals the bits
-drawn and decides each outcome bit by one Bernoulli draw on the exactly
-simulated success probability, from a separate uncounted stream
+dimension checks; the plan-time size check against RUN_MEMORY_CAP; the three
+counted draws, each one call that draws from a BitSource and ledgers the bits
+under a label (gaussians; iid indices, decoded from the bytes of the words
+drawn; and the k-wise tape draw of indices, on its counted seed bits); the one
+rule that reads the drawn members' success probabilities; the precondition
+gate (epsilon < F/2, PreconditionError unless waived, a waived run diagnostic
+with its failures in ``flags``); and the finish, which checks that the ledger
+equals the bits drawn and decides each outcome bit by one Bernoulli draw on
+the exactly simulated success probability, from a separate uncounted stream
 (measurement models quantum, not classical, randomness).
 """
 
@@ -40,6 +41,7 @@ from .prg import (
     generate_tape,
     index_width,
     indices_from_bits,
+    indices_from_packed,
 )
 from .quantum import RUN_MEMORY_CAP, KrausChannel, gate_fidelities
 # Not called here any more (tables come from one batched kernel call, lambda
@@ -62,20 +64,17 @@ HAAR_BITS_PER_DIM2 = 128
 T_CAP = 1 << 20
 # _Run.reserve refuses a plan past RUN_MEMORY_CAP before any bit is drawn. The
 # model: a trial holds its unitary id, probability, outcome and the outcome's
-# uniform (32 bytes, rounded up); while drawn, each stream bit it reads holds 2
-# bytes (its unpacked byte and its packed copies, 1.4 bytes), a k-wise tape
-# prg.tape_bytes, each drawn 64-bit word 8 bytes, and each Box-Muller gaussian
-# read 40 bytes (its uniform and value, half of its pair's radius and angle,
-# then its share of the complex state: 32 bytes, plus 8 of margin). Without the
-# margin naive-haar's model was only 3% above its traced peak at d = 4, epsilon
-# = 0.05 (544 bytes a trial against 529), and 11-75% above it at d = 1, 2 and
-# 8; with it the model is at least 13% above the peak (d = 4, whose peak
-# includes about 30 KB for the fidelity kernel's zero-padded last tile).
-
-# Bits _Run.indices draws and decodes at a time (256 KiB unpacked). A two-phase
-# pool of 153,600 13-bit indices drew 2 MB of unpacked bits at once, and on a
-# heap that glibc trims, every run faulted that memory in again.
-_DECODE_BITS = 1 << 18
+# uniform (32 bytes, rounded up); while drawn, each stream bit it reads is
+# charged 2 bytes, an over-bound that leaves every plan's exit code as it was
+# (a bit holds a quarter byte: its drawn word and that word's big-endian copy,
+# which its index is decoded from), a k-wise tape prg.tape_bytes, each
+# drawn 64-bit word 8 bytes, and each Box-Muller gaussian read 40 bytes (its
+# uniform and value, half of its pair's radius and angle, then its share of the
+# complex state: 32 bytes, plus 8 of margin). Without the margin naive-haar's
+# model was only 3% above its traced peak at d = 4, epsilon = 0.05 (544 bytes a
+# trial against 529), and 11-75% above it at d = 1, 2 and 8; with it the model
+# is at least 13% above the peak (d = 4, whose peak includes about 30 KB for
+# the fidelity kernel's zero-padded last tile).
 
 _E_THIRD = math.exp(-1.0 / 3.0)
 
@@ -299,12 +298,6 @@ class _Run:
                 f" and outcomes, over the {RUN_MEMORY_CAP >> 20} MiB cap"
             )
 
-    def take_bits(self, label: str, count: int) -> np.ndarray:
-        """Draw `count` counted bits and ledger them under `label`."""
-        bits = self.source.take_bits(count)
-        self.ledger.record(label, count)
-        return bits
-
     def take_gaussians(self, label: str, count: int, bits: int, step: int) -> np.ndarray:
         """Draw `count` counted normals, ledgered as the planner's `bits`; return every step-th."""
         gauss = self.source.take_gaussians(count, step)
@@ -312,24 +305,18 @@ class _Run:
         return gauss
 
     def indices(self, label: str, bits: int, set_size: int, n: int) -> np.ndarray:
-        """n indices in [0, set_size) decoded from `bits` = n w counted bits, drawn and
-        decoded _DECODE_BITS at a time: the stream and the indices are those of one draw,
-        but the unpacked bits held stay small."""
-        width = bits // n
-        step = max(1, _DECODE_BITS // width) if width else n
-        ids = np.empty(n, np.int64)
-        for lo in range(0, n, step):
-            m = min(step, n - lo)
-            block = self.source.take_bits(m * width)
-            ids[lo : lo + m] = indices_from_bits(block, set_size, m).indices
+        """n indices in [0, set_size) decoded from `bits` = n w counted bits, read from the
+        drawn words' bytes."""
+        packed, start = self.source.take_packed(bits)
         self.ledger.record(label, bits)
-        return ids
+        return indices_from_packed(packed, start, set_size, n)
 
     def tape_draw(self, label: str, plan: KwisePlan, size: int) -> np.ndarray:
         """The plan's n indices in [0, size), read from its tape on r counted seed bits.
         generate_tape is a module global, so a wrapper set here sees every tape."""
-        tape = generate_tape(plan, self.take_bits(label, plan.r))
-        return indices_from_bits(tape.bits, size, plan.n).indices
+        seed = self.source.take_bits(plan.r)
+        self.ledger.record(label, plan.r)
+        return indices_from_bits(generate_tape(plan, seed).bits, size, plan.n).indices
 
     def probabilities(self, ensemble: UnitaryEnsemble, ids: np.ndarray) -> np.ndarray:
         """Success probabilities of the members `ids`: whole-set table rows when the set is no

@@ -39,9 +39,10 @@ y are one packbits of the seed; the parities <t^a, y> are one pass over the
 degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
 parities j .. j+m-1, packed in row blocks; V^T is V transposed in 8 x 8
 bit blocks, each a word put through three delta swaps.
-Indices decode exactly from the packed bits through 8-byte windows, so an
-index field is at most 57 bits wide. Every entry is an XOR of bits,
-so the tape is bit-exact on any host; fields of degree 2^24 or more, whose
+Indices decode exactly from packed bytes (a tape's bits packed once, or a
+BitSource's drawn words) through 8-byte windows, so an index field is at
+most 57 bits wide. Every entry is an XOR of bits, so the tape is bit-exact
+on any host; fields of degree 2^24 or more, whose
 m x m matrices alone would take 32 TiB, are refused with CapacityError.
 gen-bits and the tape estimators check the plan's tape_bytes, the one tape memory model, first.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
@@ -749,36 +750,54 @@ def _scaled(values: np.ndarray, set_size: int, w: int) -> np.ndarray:
     return ((high * s_high) << np.uint64(64 - w)) + (mid >> np.uint64(w - 32))
 
 
-def indices_from_bits(bits: np.ndarray, set_size: int, n: int) -> IndexDraw:
-    """Decode n indices in [0, set_size) from a 0/1 bit array (MSB-first groups).
+def indices_from_packed(packed: np.ndarray, start: int, set_size: int, n: int) -> np.ndarray:
+    """Decode n indices in [0, set_size) from MSB-first uint8 bytes, the first at bit `start`.
 
-    The bits are packed once. Index i is bits iw .. iw+w-1, read from the
-    big-endian 8-byte window at byte iw // 8; indices i and i + 8 start w
-    bytes apart at the same bit of their byte, so each residue of i mod 8 is
-    one strided view of the packed bytes. A set that is not a power of two
-    scales the w-bit value v to floor(v * set_size / 2^w), exactly.
+    Index i is bits start + iw .. start + iw + w - 1, read from the big-endian
+    8-byte window at its first byte; indices i and i + 8 start w bytes apart
+    at the same bit of their byte, so each residue of i mod 8 is one strided
+    view of the bytes. A buffer that ends before the last window's eighth
+    byte is copied once into a zero-padded one. A set that is not a power of
+    two scales the w-bit value v to floor(v * set_size / 2^w), exactly.
     """
     w = index_width(set_size)
     if w > MAX_INDEX_WIDTH:
         raise CapacityError(
             f"set size {set_size} needs {w}-bit indices; at most {MAX_INDEX_WIDTH} bits are supported"
         )
-    if n * w > len(bits):
-        raise CapacityError(f"need {n * w} bits for {n} indices, tape has {len(bits)}")
+    if start + n * w > 8 * len(packed):
+        raise CapacityError(
+            f"need bits {start} .. {start + n * w} for {n} indices, buffer has {8 * len(packed)}"
+        )
     if w == 0:
-        return IndexDraw(np.zeros(n, dtype=np.int64), 0)
-    nbytes = -(-n * w // 8)
-    packed = np.zeros(nbytes + 8, np.uint8)  # 8 bytes of padding for the last windows
-    packed[:nbytes] = np.packbits(bits[: n * w])
+        return np.zeros(n, dtype=np.int64)
+    end = (start + (n - 1) * w) // 8 + 8
+    if len(packed) < end:
+        packed = np.pad(packed, (0, end - len(packed)))
     values = np.empty(n, np.uint64)
     mask = np.uint64((1 << w) - 1)
     for j in range(min(8, n)):
-        start = j * w
-        windows = np.ndarray((len(range(j, n, 8)),), ">u8", packed, start // 8, (w,))
-        values[j::8] = (windows >> np.uint64(64 - w - start % 8)) & mask
+        first = start + j * w
+        windows = np.ndarray((len(range(j, n, 8)),), ">u8", packed, first // 8, (w,))
+        values[j::8] = (windows >> np.uint64(64 - w - first % 8)) & mask
     if 1 << w == set_size:
-        return IndexDraw(values.view(np.int64), n * w)
-    return IndexDraw(_scaled(values, set_size, w).view(np.int64), n * w)
+        return values.view(np.int64)
+    return _scaled(values, set_size, w).view(np.int64)
+
+
+def indices_from_bits(bits: np.ndarray, set_size: int, n: int) -> IndexDraw:
+    """Decode n indices in [0, set_size) from a 0/1 bit array (MSB-first groups).
+
+    The n w bits are packed once, into a buffer with the 8 bytes of padding
+    indices_from_packed reads its last windows from.
+    """
+    w = index_width(set_size)
+    if n * w > len(bits):
+        raise CapacityError(f"need {n * w} bits for {n} indices, tape has {len(bits)}")
+    nbytes = -(-n * w // 8)
+    packed = np.zeros(nbytes + 8, np.uint8)
+    packed[:nbytes] = np.packbits(bits[: n * w])
+    return IndexDraw(indices_from_packed(packed, 0, set_size, n), n * w)
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 Estimators draw all sampling randomness through a BitSource, whose total is
 what the randomness ledger must match. It keeps its bits as the generator's
-64-bit words and unpacks only the spans it hands out as bits, so bits cost
-a byte each only once drawn. Measurement outcomes come from a separate
-stream and are never counted: they model physical quantum randomness, not
-classical coin flips.
+64-bit words and hands a span out as those words' bytes, so a bit costs a
+byte only where a caller asks for it unpacked. Measurement outcomes come
+from a separate stream and are never counted: they model physical quantum
+randomness, not classical coin flips.
 """
 
 from __future__ import annotations
@@ -50,13 +50,14 @@ class BitSource:
 
     The buffer holds the generator's 64-bit words as drawn and a bit offset
     into the first of them. Stream bit j is bit 63 - j % 64 of word j // 64,
-    so a bit draw unpacks its span most significant bit first and a
-    gaussian draw reads the 64-bit uniforms of the pairs it transforms as
-    strided views of the words (at an unaligned offset, two adjacent words
-    joined by shifts); a pair it skips is drawn and counted but never
-    transformed. Both draws take their span from _span, which draws exactly
-    the words it is short of, keeps at most the one partly read word and
-    counts the span in total_bits. Philox is counter-based: how many words
+    so a packed draw is its span's words written big-endian, a bit draw
+    unpacks those bytes most significant bit first, and a gaussian draw
+    reads the 64-bit uniforms of the pairs it transforms as strided views
+    of the words (at an unaligned offset, two adjacent words joined by
+    shifts); a pair it skips is drawn and counted but never transformed.
+    Every draw takes its span from _span, which draws exactly the words it
+    is short of, keeps at most the one partly read word and counts the span
+    in total_bits. Philox is counter-based: how many words
     are drawn at a time does not change the stream.
     """
 
@@ -79,10 +80,21 @@ class BitSource:
         self.total_bits += count
         return span, offset
 
+    def take_packed(self, count: int) -> tuple:
+        """The next `count` bits, MSB first, as uint8 bytes and the offset of the first bit in them.
+
+        The bytes are the span's words big-endian, written in one copy and followed by 8 zero
+        bytes, so an 8-byte window read at any byte of the span stays inside them.
+        """
+        words, offset = self._span(count)
+        packed = np.zeros(8 * len(words) + 8, np.uint8)
+        packed[:-8].view(">u8")[:] = words
+        return packed, offset
+
     def take_bits(self, count: int) -> np.ndarray:
         """The next `count` bits as a 0/1 uint8 array."""
-        words, offset = self._span(count)
-        return np.unpackbits(words.astype(">u8").view(np.uint8))[offset : offset + count]
+        packed, offset = self.take_packed(count)
+        return np.unpackbits(packed, count=offset + count)[offset:]
 
     def take_gaussians(self, count: int, step: int = 1) -> np.ndarray:
         """take_gaussians(count)[::step], standard normals via Box-Muller from

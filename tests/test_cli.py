@@ -1,5 +1,7 @@
 import argparse
+import csv
 import gc
+import io
 import hashlib
 import json
 import shlex
@@ -254,6 +256,24 @@ class TestValidate:
         )
         assert code == 0
         assert out.splitlines()[0] == "check,bound,empirical,slack,verdict,vacuous,note"
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "prg", "--n", "16", "--k", "4", "--theta", "0.25"],
+        ["--suite", "tail", "--channel", "amplitude_damping:0.9", "--repeats", "200"],
+        ["--suite", "variance", "--channel", "over_rotation:z,0.35"],
+        ["--suite", "moment", "--channel", "depolarizing:0.2", "--ensemble", "clifford1q"],
+        ["--suite", "prop1", "--channel", "depolarizing:0.2", "--ensemble", "clifford1q",
+         "--claimed-lambda4", "0", "--repeats", "200"],
+    ])
+    def test_csv_rows_parse(self, capsys, argv):
+        # check names and notes hold commas: prg-exhaustive(n=16, k=4, theta=0.25)
+        code, out, _ = run_cli(capsys, "validate", *argv, "--format", "csv")
+        assert code in (0, 5) and out.endswith("\n") and "\r" not in out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["check", "bound", "empirical", "slack", "verdict", "vacuous", "note"]
+        assert len(rows) > 1 and all(len(r) == 7 for r in rows)
+        text = run_cli(capsys, "validate", *argv)[1].splitlines()
+        assert [r[0] for r in rows[1:]] == [line.split("  ")[0].rstrip() for line in text]
 
 
 class TestGenBits:
@@ -592,6 +612,42 @@ class TestConfigFile:
         assert code == 3 and out == ""
         assert "config seed must be a hex string" in err
 
+    @pytest.mark.parametrize("key", ["output", "ensemble", "epsilon", "d", "format",
+                                     "claimed_lambda", "emit_trials", "waive_preconditions"])
+    def test_null_value_refused(self, capsys, tmp_path, monkeypatch, key):
+        # str(None) once reached argparse: {"output": null} wrote the run to a file named None
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({key: None}))
+        code, out, err = run_cli(capsys, *ESTIMATE_ARGS[:7], *ESTIMATE_ARGS[11:],
+                                 "--config", "cfg.json")
+        assert code == 3 and out == ""
+        assert f"config key {key!r} is null" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("key", ["waive_preconditions", "emit_trials", "emit_timing"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_flag_takes_a_json_boolean(self, capsys, tmp_path, key, value):
+        # "false" was once passed on as a stray argument: argparse's "unrecognized arguments"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, *ESTIMATE_ARGS, "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert f"config key {key!r} takes true or false, got {json.dumps(value)}" in err
+
+    @pytest.mark.parametrize("value,trials", [(True, True), (False, False)])
+    def test_flag_booleans_read(self, capsys, tmp_path, value, trials):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"emit_trials": value}))
+        code, out, _ = run_cli(capsys, *ESTIMATE_ARGS, "--config", str(cfg))
+        assert code == 0 and ("trials" in json.loads(out)) == trials
+
+    def test_boolean_for_a_valued_key_refused(self, capsys, tmp_path):
+        # true once became a bare --d, false was silently dropped
+        for value in (True, False):
+            (tmp_path / "cfg.json").write_text(json.dumps({"d": value}))
+            code, out, err = run_cli(capsys, *ESTIMATE_ARGS, "--config", str(tmp_path / "cfg.json"))
+            assert code == 3 and out == ""
+            assert "config key 'd' takes a value, not true or false" in err
 
     def test_config_file_is_closed(self, capsys, tmp_path):
         # the handle was once left to the garbage collector: a ResourceWarning

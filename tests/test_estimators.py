@@ -391,20 +391,34 @@ def warm_traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-class TestBlockedIndexDraw:
-    """_Run.indices draws and decodes a block of bits at a time: the stream, the
-    indices and the one ledger entry are those of a single draw."""
+class TestIndexDrawOffsets:
+    """_Run.indices decodes the drawn words' bytes from the bit the draw starts at. An
+    estimator's draw always starts at offset 0, so only a drawn prefix reaches the others."""
 
-    @pytest.mark.parametrize("block", [1, 13, 64, 1000, 1 << 18])
-    @pytest.mark.parametrize("size,n", [(24, 997), (576, 300), (1, 50)])
-    def test_blocks_give_the_single_draw(self, monkeypatch, block, size, n):
+    # widths 0, 1, 13, 36, 37, 57 and 57 exactly: both scaled products and the widest field
+    @pytest.mark.parametrize("size", [1, 2, 24, 2**27 + 1, 2**28 + 1, 2**48 + 1, 2**57])
+    def test_every_start_offset_gives_the_bit_draw(self, size):
+        n = 17  # every residue of i mod 8, twice
         bits = n * index_width(size)
-        want = indices_from_bits(BitSource(7).take_bits(bits), size, n).indices
-        monkeypatch.setattr(estimators, "_DECODE_BITS", block)
-        run = estimators._Run("design-iid", DEPOL, 0.1, 0.1, 7)
-        got = run.indices("indices", bits, size, n)
-        assert got.tobytes() == want.tobytes()
-        assert run.ledger.entries == [("indices", bits)] and run.source.total_bits == bits
+        for prefix in range(64):
+            twin = BitSource(7)
+            twin.take_bits(prefix)
+            want = indices_from_bits(twin.take_bits(bits), size, n).indices
+            run = estimators._Run("design-iid", DEPOL, 0.1, 0.1, 7)
+            run.source.take_bits(prefix)
+            got = run.indices("indices", bits, size, n)
+            assert got.tobytes() == want.tobytes(), prefix
+            assert run.ledger.entries == [("indices", bits)]
+            assert run.source.total_bits == prefix + bits
+
+    def test_iid_draws_unpack_no_bit(self, clifford, monkeypatch):
+        # design-iid and single-qtpe read their indices from the drawn words alone
+        def refuse(self, count):
+            raise AssertionError("an iid index draw unpacked its bits")
+
+        monkeypatch.setattr(BitSource, "take_bits", refuse)
+        assert estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=0.0).n_trials
+        assert estimate_single_qtpe(DEPOL, 0.2, 0.5, clifford, seed=1, waive_preconditions=True).n_trials
 
 
 class TestMemory:
@@ -412,8 +426,8 @@ class TestMemory:
     read from packed bytes: no byte per bit and no int64 per bit."""
 
     def test_two_phase_mix_point(self, clifford):
-        # 153,600 phase-1 indices of 13 bits: 1.65 MB with a block of bits unpacked at
-        # a time; the whole draw unpacked at once took 3.6 MB, an int64 per bit 19.5 MiB
+        # 153,600 phase-1 indices of 13 bits decoded from the drawn words: 1.7 MiB; the
+        # whole draw unpacked at once took 3.6 MB, an int64 per bit 19.5 MiB
         peak = warm_traced_peak(
             lambda: estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=0x2A, waive_preconditions=True)
         )

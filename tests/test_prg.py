@@ -34,6 +34,7 @@ from gatefid.prg import (
     _tape_bits,
     index_width,
     indices_from_bits,
+    indices_from_packed,
     irreducible_modulus,
     theta_log2_of,
 )
@@ -807,6 +808,28 @@ class TestIndexDecodeAgainstReference:
         # the int64 product overflowed here: all-ones decoded to -67108865
         draw = indices_from_bits(np.ones(36, np.uint8), 3 * 2**26, 1)
         assert index_width(3 * 2**26) == 36 and draw.indices.tolist() == [3 * 2**26 - 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        set_size=st.one_of(st.integers(1, 2**49), st.sampled_from([2**j for j in range(58)])),
+        n=st.integers(0, 19),
+        start=st.integers(0, 200),
+        spare=st.integers(0, 70),
+        seed=st.integers(0, 2**32),
+    )
+    def test_packed_bytes_from_any_start(self, set_size, n, start, spare, seed):
+        # an unpadded buffer of any length that holds the draw decodes as its unpacked bits
+        w = index_width(set_size)
+        packed = np.random.default_rng(seed).integers(
+            0, 256, size=-(-(start + n * w + spare) // 8), dtype=np.uint8
+        )
+        got = indices_from_packed(packed, start, set_size, n)
+        want = indices_from_bits(np.unpackbits(packed)[start:], set_size, n).indices
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+    def test_packed_buffer_too_short_refused(self):
+        with pytest.raises(CapacityError, match="buffer has 16"):
+            indices_from_packed(np.zeros(2, np.uint8), 5, 24, 1)
 
     @pytest.mark.parametrize("set_size", [2**49 + 1, 2**58, 3 * 2**60])
     def test_past_the_widest_field_refused(self, set_size):
