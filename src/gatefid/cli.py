@@ -10,7 +10,6 @@ passed explicitly, in which case the drawn seed is logged to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -19,6 +18,7 @@ import sys
 
 import numpy as np
 
+from . import harness
 from .channels import parse_channel_spec
 from .ensembles import (
     _BUILTIN_ENSEMBLES,
@@ -158,7 +158,10 @@ def cmd_check_design(args) -> int:
 
 
 def _csv_text(rows) -> str:
-    """Rows of strings as CSV: a field is quoted only where it holds a comma, quote or newline."""
+    """Rows of strings as CSV: a field is quoted only where it holds a comma, quote or newline.
+    csv is imported here, as only CSV output needs it."""
+    import csv
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
@@ -187,8 +190,6 @@ def _format_suite(report: SuiteReport, fmt: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    from . import harness
-
     seed = _parse_seed(args.seed)
     params = SuiteParams(repeats=args.repeats, seed=seed)
     report = SuiteReport()
@@ -220,9 +221,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def hex_stream(bits) -> str:
-    """Bits as MSB-first hex nibbles, the last nibble zero-padded on the right."""
-    return np.packbits(bits).tobytes().hex()[: (len(bits) + 3) // 4]
+def hex_stream(packed, n: int) -> str:
+    """The first n bits of MSB-first bytes, zero past n as a tape's are, as hex nibbles."""
+    return packed[: -(-n // 8)].tobytes().hex()[: -(-n // 4)]
 
 
 def cmd_gen_bits(args) -> int:
@@ -244,7 +245,7 @@ def cmd_gen_bits(args) -> int:
     if value >> r:
         raise ParameterError(f"seed encodes more than {r} bits")
     seed_bits = [(value >> j) & 1 for j in range(r)]
-    stream = hex_stream(generate_tape(plan, seed_bits).bits)
+    stream = hex_stream(generate_tape(plan, seed_bits).packed, args.n)
     lines = [f"{args.n} {args.k} {args.theta:g} {r} {args.seed}"]
     lines.extend(stream[i : i + 64] for i in range(0, len(stream), 64))
     _emit("\n".join(lines) + "\n", args.output)

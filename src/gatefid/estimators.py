@@ -40,14 +40,14 @@ from .prg import (
     RandomnessLedger,
     generate_tape,
     index_width,
-    indices_from_bits,
     indices_from_packed,
 )
 from .quantum import RUN_MEMORY_CAP, KrausChannel, gate_fidelities
 # Not called here any more (tables come from one batched kernel call, lambda
-# from ensembles.lambda_t); kept importable from this module, where
-# perfbench/spans.py looks them up.
+# from ensembles.lambda_t, indices from packed bytes); kept importable from
+# this module, where perfbench/spans.py looks them up.
 from .ensembles import tpe_lambda  # noqa: F401
+from .prg import indices_from_bits  # noqa: F401
 from .quantum import gate_fidelity_vector  # noqa: F401
 from .streams import BitSource, measurement_rng
 
@@ -312,11 +312,11 @@ class _Run:
         return indices_from_packed(packed, start, set_size, n)
 
     def tape_draw(self, label: str, plan: KwisePlan, size: int) -> np.ndarray:
-        """The plan's n indices in [0, size), read from its tape on r counted seed bits.
-        generate_tape is a module global, so a wrapper set here sees every tape."""
+        """The plan's n indices in [0, size), decoded from the bytes of its tape on r counted
+        seed bits. generate_tape is a module global, so a wrapper set here sees every tape."""
         seed = self.source.take_bits(plan.r)
         self.ledger.record(label, plan.r)
-        return indices_from_bits(generate_tape(plan, seed).bits, size, plan.n).indices
+        return indices_from_packed(generate_tape(plan, seed).packed, 0, size, plan.n)
 
     def probabilities(self, ensemble: UnitaryEnsemble, ids: np.ndarray) -> np.ndarray:
         """Success probabilities of the members `ids`: whole-set table rows when the set is no

@@ -17,31 +17,35 @@ theta_log2 = log2(theta), because the theta a plan asks for is often far below
 the smallest float; theta_log2_of converts a float theta once, where one
 enters from outside.
 
-Expansion: with e = i*B + r and B = 2^b, bilinearity of
+Expansion: with e = i*B + s, 1 <= s <= B and B = 2^b >= 8, bilinearity of
 (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
-the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row r of V
-those of x^r, and H is the m x m Hankel matrix H[j, l] = <t^(j+l), y>.
-Matrices are kept as rows of little-endian 64-bit words, and every product
-is an XOR of table rows (the method of four Russians): each 8-row chunk of
-the right factor gets a 256-entry XOR table, and the left factor's bytes
-pick one entry per chunk. V comes from square-and-multiply doubling, since
-squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix S, and
-x^(2q+1) that times the matrix of multiplication by x. One chain serves the
-whole tape: B is a power of two, so x^(iB) = (x^i)^(2^b) is row i of V
-times F = S^b, the degree's Frobenius matrix for b, and U = V F. Row j of
-S is the single bit 2j while 2j < m, so its low rows are a byte-table
-spread and only the rest get XOR tables. Tables and gathers are built in
-blocks of bounded size, each in an array of its own. What is kept per field
-degree (the squaring tables, F, and F's tables while they fit one block) is
-seed-independent and read-only once built, so every thread shares it.
+the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row c of V
+those of x^((c ^ 7) + 1), and H is the m x m Hankel matrix
+H[j, l] = <t^(j+l), y>. Matrices are kept as rows of little-endian 64-bit
+words, so bit c of a row is bit c % 8 of its byte c // 8: with V's rows in
+that order each byte of the product reads MSB first, and the product's rows,
+read as bytes, are the tape every reader takes. Every product is an XOR of
+table rows (the method of four Russians): each 8-row chunk of the right
+factor gets a 256-entry XOR table, and the left factor's bytes pick one
+entry per chunk. The powers of x come from square-and-multiply doubling,
+since squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix
+S, and x^(2q+1) that times the matrix of multiplication by x. One chain
+serves the whole tape: V is its rows 1 .. B, and as B is a power of two,
+x^(iB) = (x^i)^(2^b) is its row i times F = S^b, the degree's Frobenius
+matrix for b. Row j of S is the single bit 2j while 2j < m, so its low
+rows are a byte-table spread and only the rest get XOR tables. Tables and
+gathers are built in blocks of bounded size, each in an array of its own.
+What is kept per field degree (the squaring tables, F, and F's tables while
+they fit one block) is seed-independent and read-only once built, so every
+thread shares it.
 The rest of the per-seed set-up is word work with no loop over bits: x and
 y are one packbits of the seed; the parities <t^a, y> are one pass over the
 degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
 parities j .. j+m-1, packed in row blocks; V^T is V transposed in 8 x 8
 bit blocks, each a word put through three delta swaps.
-Indices decode exactly from packed bytes (a tape's bits packed once, or a
-BitSource's drawn words) through 8-byte windows, so an index field is at
-most 57 bits wide. Every entry is an XOR of bits, so the tape is bit-exact
+Indices decode exactly from packed bytes (the bytes a tape is computed as,
+or a BitSource's drawn words) through 8-byte windows, so an index field is
+at most 57 bits wide. Every entry is an XOR of bits, so the tape is bit-exact
 on any host; fields of degree 2^24 or more, whose
 m x m matrices alone would take 32 TiB, are refused with CapacityError.
 gen-bits and the tape estimators check the plan's tape_bytes, the one tape memory model, first.
@@ -347,6 +351,8 @@ class BiasedTape:
 
     seed_bits holds exactly the r = 2m consumed truly random bits; every
     output bit is recomputable from (seed_bits, position) alone via bit().
+    packed is the tape as _tape_bits computes it: MSB-first bytes, bit i of
+    the tape bit 7 - i % 8 of byte i // 8, then 8 zero bytes.
     """
 
     plan: KwisePlan
@@ -354,12 +360,17 @@ class BiasedTape:
     gf: GF2mField
     x: int
     y: int
-    bits: np.ndarray = field(repr=False, default=None)
+    packed: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
         """The tape's length in bits, n w."""
         return self.plan.n_bits
+
+    @functools.cached_property
+    def bits(self) -> np.ndarray:
+        """The tape as one uint8 per bit: a reference view, unpacked on first read."""
+        return np.unpackbits(self.packed, count=self.n)
 
     @property
     def r(self) -> int:
@@ -405,10 +416,12 @@ _GATHER_ROWS = 64
 
 
 def tape_bytes(n: int, m: int) -> int:
-    """Bytes an n-bit tape over GF(2^m) holds at most: 2 a bit bound the unpacked tape, its
-    packed words and gen-bits' hex text; the degree-m workspace adds under m^2 of packed m x m
-    matrices and Python-int powers, the kept Frobenius matrix F (m^2/8 packed, and its tables
-    while they fit one block), and 4 blocks of _BLOCK_BYTES of XOR tables and gathers."""
+    """Bytes an n-bit tape over GF(2^m) holds at most. 2 a bit is an over-bound, kept so that
+    no plan's cap moves: the tape takes a quarter byte a bit (its packed words and the byte
+    copy it is read from), and gen-bits with its hex text and lines about 1.25. The degree-m
+    workspace adds under m^2 of packed m x m matrices and Python-int powers, the kept
+    Frobenius matrix F (m^2/8 packed, and its tables while they fit one block), and 4 blocks
+    of _BLOCK_BYTES of XOR tables and gathers."""
     return 2 * n + m * m + m * 8 * -(-m // 64) + _kept_table_bytes(m) + 4 * _BLOCK_BYTES
 
 
@@ -642,13 +655,13 @@ def _workspace(m: int) -> _Workspace:
 
 
 def _row_log2(n: int) -> int:
-    """b of the n-bit tape's layout: Q = n // B + 1 rows of B = 2^b bits.
+    """b of the n-bit tape's layout: Q = ceil(n / B) rows of B = 2^b bits, B >= 8.
 
-    The tape's one power chain runs to x^(max(B, Q) - 1), so b minimises
-    max(B, Q), the smallest such b on a tie; B and Q then lie within a
-    factor of 2 of sqrt(n).
+    The tape's one power chain runs to x^max(B, Q - 1), so b is the smallest
+    b >= 3 that minimises max(B + 1, Q); B and Q then lie within about a
+    factor of 2 of sqrt(n) from n = 16 on.
     """
-    return min(range(n.bit_length() + 1), key=lambda b: max(1 << b, (n >> b) + 1))
+    return min(range(3, n.bit_length() + 4), key=lambda b: max((1 << b) + 1, -(-n >> b)))
 
 
 def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
@@ -670,20 +683,26 @@ def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
 
 
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
-    """Bits <x^e, y> for e = 1..n as one GF(2) matrix product.
+    """Bits <x^e, y> for e = 1..n as MSB-first bytes, computed as one GF(2) matrix product.
 
-    Write e = i*B + r with B = 2^b (b from _row_log2), 0 <= r < B and
-    0 <= i < Q = n // B + 1. Since (u, v) -> <u*v, y> is GF(2)-bilinear,
-    bit e is u H v^T with u, v the coefficient bits of x^(iB), x^r and H the
-    m x m Hankel matrix H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B
-    matrix is therefore U (H V^T), where row i of U holds x^(iB) and row r
-    of V holds x^r. One power chain gives x^0 .. x^(max(B, Q) - 1); its
-    first B rows are V, and as x^(iB) = (x^i)^(2^b), U is its first Q rows
-    times the degree's Frobenius matrix F = S^b. All three products are
-    XOR-table products on packed words, each operand is freed once read, and
-    the tape is unpacked once at the end. Tables, gathers and unpacked bits
-    stay within _BLOCK_BYTES, so apart from the output the working set is a
-    few packed m x m and m x max(B, Q) matrices whatever n.
+    Row i of the tape holds exponents iB + 1 .. iB + B, with B = 2^b >= 8 (b
+    from _row_log2) and 0 <= i < Q = ceil(n / B). Since (u, v) -> <u*v, y> is
+    GF(2)-bilinear, the bit of exponent iB + s is u H v^T with u, v the
+    coefficient bits of x^(iB), x^s and H the m x m Hankel matrix
+    H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B matrix is therefore
+    U (H V^T), where row i of U holds x^(iB) and column c of V^T holds
+    x^((c ^ 7) + 1): bit c of a row's little-endian words is bit c % 8 of its
+    byte c // 8, so each byte reads its 8 exponents MSB first and the rows'
+    bytes, in order, are the tape. One power chain gives x^0 .. x^max(B, Q - 1);
+    V is its rows 1 .. B in that column order, and as x^(iB) = (x^i)^(2^b), U
+    is its first Q rows times the degree's Frobenius matrix F = S^b. All three
+    products are XOR-table products on packed words, and each operand is freed
+    once read. Tables and gathers stay within _BLOCK_BYTES, so apart from the
+    output the working set is a few packed m x m and m x max(B, Q) matrices
+    whatever n.
+
+    Returns a read-only uint8 buffer: the ceil(n/8) tape bytes, with the bits
+    past n zero, then 8 zero bytes, so indices_from_packed reads it as it is.
     """
     m = gf.m
     if m >= _MAX_DEGREE:
@@ -691,18 +710,21 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
             f"field degree m = {m} is at least 2^24: an m x m bit matrix would need m^2/8 bytes"
         )
     b = _row_log2(n)
-    block, rows = 1 << b, (n >> b) + 1
+    block, rows = 1 << b, -(-n >> b)
     work = _workspace(m)
-    v = _power_chain(gf, x, max(block, rows) - 1, work.square)
+    v = _power_chain(gf, x, max(block, rows - 1), work.square)
     u = _gf2_product(v[:rows], work.frobenius(b))  # row i is x^(iB)
-    vt = _transposed(v[:block], m)
+    vt = _transposed(v[1 + (np.arange(block) ^ 7)], m)  # column c is x^((c ^ 7) + 1)
     del v
     hv = _gf2_product(_hankel_rows(work.t_powers, y), _XorTables(vt))
     del vt
     tape = _gf2_product(u, _XorTables(hv))
     del u, hv
-    bits = np.unpackbits(tape.view(np.uint8), axis=1, count=block, bitorder="little")
-    out = bits.reshape(-1)[1 : n + 1]  # exponent 0 is not part of the tape
+    nbytes = -(-n // 8)
+    out = np.zeros(nbytes + 8, np.uint8)
+    out[:nbytes] = tape.view(np.uint8)[:, : block // 8].reshape(-1)[:nbytes]
+    if n % 8:
+        out[nbytes - 1] &= 0xFF << (8 - n % 8) & 0xFF
     out.flags.writeable = False
     return out
 

@@ -32,7 +32,6 @@ from gatefid.cli import main as cli_main
 from gatefid.errors import PreconditionError
 from gatefid.estimators import _fidelity_columns, _fidelity_table
 from gatefid.harness import SuiteParams
-from gatefid.prg import IndexDraw
 from gatefid.quantum import haar_unitaries_batch
 
 
@@ -194,13 +193,12 @@ def test_criterion_06_lowest_member_control(clifford, report, monkeypatch):
     """
     model = noise_preset("amplitude_damping", (0.9,), 2)
     lowest = int(np.argmin(_fidelity_table(model, clifford)))
-    real = estimators.indices_from_bits
+    real = estimators.indices_from_packed
 
-    def constant(bits, set_size, n):
-        draw = real(bits, set_size, n)
-        return IndexDraw(np.full_like(draw.indices, lowest), draw.bits_consumed)
+    def constant(packed, start, set_size, n):
+        return np.full_like(real(packed, start, set_size, n), lowest)
 
-    monkeypatch.setattr(estimators, "indices_from_bits", constant)
+    monkeypatch.setattr(estimators, "indices_from_packed", constant)
     run = lambda s: estimate_kwise_design(model, 0.05, 0.1, clifford, s)
     rep = harness_confidence(run, model.exact_fidelity, 0.05, 0.1, repeats=50,
                              master_seed=0xACC6)

@@ -5,6 +5,8 @@ import io
 import hashlib
 import json
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -58,6 +60,18 @@ class TestEstimate:
         )
         assert code == 0
         assert json.loads(out)["diagnostic"] is True
+
+    def test_epsilon_at_least_half_f_exit_2(self, capsys):
+        # F = 0.55 on depolarizing:0.9, so epsilon = 0.4 fails epsilon < F/2
+        argv = ["estimate", "--algorithm", "single-qtpe", "--channel", "depolarizing:0.9",
+                "--d", "2", "--epsilon", "0.4", "--delta", "0.3", "--ensemble", "clifford1q",
+                "--seed", "1"]
+        failure = "epsilon < F/2 violated: 0.4 >= 0.275"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and failure in err
+        code, out, err = run_cli(capsys, *argv, "--waive-preconditions")
+        assert code == 0 and json.loads(out)["diagnostic"] is True
+        assert f"note: {failure}" in err.splitlines()
 
     def test_planning_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -301,6 +315,14 @@ class TestGenBits:
         assert code == 3
         assert "hex digits" in err
 
+    def test_seed_past_r_bits_exit_3(self, capsys):
+        # r = 10 bits take 3 hex digits, so the top two bits of the first must be 0
+        argv = ["gen-bits", "--k", "2", "--n", "3", "--theta", "0.5", "--seed"]
+        code, out, err = run_cli(capsys, *argv, "fff")
+        assert code == 3 and out == "" and "seed encodes more than 10 bits" in err
+        code, out, _ = run_cli(capsys, *argv, "3ff")
+        assert code == 0 and out.startswith("3 2 0.5 10 3ff\n")
+
 
 def gen_bits_argv(k, n, theta):
     r = KwisePlan(n, k, 1, theta_log2_of(theta)).r
@@ -371,11 +393,11 @@ class TestGenBitsGolden:
     @pytest.mark.parametrize("n", [1, 5, 4099])
     def test_hex_matches_nibble_loop(self, n):
         bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
-        assert hex_stream(bits) == nibble_loop_hex(bits)
+        assert hex_stream(np.packbits(bits), n) == nibble_loop_hex(bits)
 
     def test_one_bit(self):
-        assert hex_stream(np.array([1], dtype=np.uint8)) == "8"
-        assert hex_stream(np.array([0], dtype=np.uint8)) == "0"
+        assert hex_stream(np.array([0x80], dtype=np.uint8), 1) == "8"
+        assert hex_stream(np.array([0], dtype=np.uint8), 1) == "0"
 
     def test_n5_output(self, capsys):
         code, out, _ = run_cli(
@@ -498,6 +520,17 @@ class TestClaimedLambda:
         assert "lambda" not in err
         code, _, err = run_cli_exit(capsys, *self.TWO_PHASE, "--claimed-lambda", "0")
         assert code == 2 and "lambda" not in err
+
+    def test_two_phase_refuses_a_lambda_past_its_gate(self, capsys):
+        # lambda = 0.5 fails (eps^2/(2^5 d^2))^l; lambda = 0 passes it, and the
+        # run still exits 2 on its d precondition
+        gate = "lambda <= (eps^2/(2^5 d^2))^l violated"
+        argv = [*self.TWO_PHASE[:-1], "1", "--d", "2", "--claimed-lambda"]
+        code, out, err = run_cli_exit(capsys, *argv, "0.5")
+        assert code == 2 and out == "" and gate in err
+        code, out, err = run_cli_exit(capsys, *argv, "0")
+        assert code == 2 and out == "" and gate not in err
+        assert "4 log2(16/delta) < d^(1/6)/(10 log2 d) violated" in err
 
     @pytest.mark.parametrize("algorithm", ["design-iid", "kwise-design", "single-qtpe",
                                            "two-phase"])
@@ -1047,6 +1080,13 @@ class TestMiscFlags:
         code, out, err = run_cli(capsys, *ESTIMATE_ARGS[:-1], "auto")
         assert code == 0
         assert "seed auto ->" in err
+
+    def test_csv_is_imported_only_to_write_csv(self):
+        # a fresh interpreter: importing the CLI leaves csv unloaded
+        src = str(Path(cli.__file__).parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import gatefid.cli; print('csv' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 # Pinned before the estimators shared one run pipeline: exit code, SHA-256 of

@@ -26,7 +26,8 @@ from gatefid import (
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
 from gatefid.estimators import HAAR_BITS_PER_DIM2, IidPlan, KwisePlan, plan_naive_haar
 from gatefid import estimators
-from gatefid.prg import generate_tape, index_width, indices_from_bits, tape_bytes
+from gatefid.cli import main
+from gatefid.prg import BiasedTape, generate_tape, index_width, indices_from_bits, tape_bytes
 from gatefid.streams import BitSource
 from gatefid.quantum import KrausChannel, exact_average_fidelity
 
@@ -74,6 +75,10 @@ class TestPlanners:
             plan_kwise_design(0.0, 0.5, 24)
         with pytest.raises(ParameterError):
             plan_kwise_design(0.2, 1.5, 24)
+
+    def test_kwise_refuses_a_set_of_one(self):
+        with pytest.raises(ParameterError, match="size 1"):
+            plan_kwise_design(0.1, 0.1, 1)
 
 
 class TestNaiveHaar:
@@ -419,6 +424,25 @@ class TestIndexDrawOffsets:
         monkeypatch.setattr(BitSource, "take_bits", refuse)
         assert estimate_design_iid(DEPOL, 0.2, 0.5, clifford, seed=1, lambda2=0.0).n_trials
         assert estimate_single_qtpe(DEPOL, 0.2, 0.5, clifford, seed=1, waive_preconditions=True).n_trials
+
+    def test_tape_draws_unpack_no_tape_bit(self, clifford, monkeypatch, capsys):
+        # kwise-design, two-phase's phase 2 and gen-bits read a tape's packed bytes alone,
+        # and read the same indices and hex as runs free to unpack it
+        def runs():
+            kwise = estimate_kwise_design(DEPOL, 0.1, 0.2, clifford, seed=9, lambda2=0.0)
+            two = estimate_two_phase(DEPOL, 0.2, 0.3, clifford, seed=9, waive_preconditions=True)
+            assert main(["gen-bits", "--k", "3", "--n", "4097", "--theta", "0.001",
+                         "--seed", "1edcba9876543"]) == 0
+            return kwise.unitary_ids, two.unitary_ids, capsys.readouterr().out
+
+        want = runs()
+
+        def refuse(self):
+            raise AssertionError("a tape was unpacked")
+
+        monkeypatch.setattr(BiasedTape, "bits", property(refuse))
+        got = runs()
+        assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2])) and got[2] == want[2]
 
 
 class TestMemory:

@@ -214,13 +214,26 @@ class TestGenerateTape:
     def test_zero_x_y_or_length_through_the_general_path(self, m):
         gf, full = GF2mField(m), (0x5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A5A % (1 << m)) | 1
         for x, y, n in [(0, full, 300), (full, 0, 300), (full, full, 0)]:
-            bits = _tape_bits(gf, x, y, n)
-            assert bits.dtype == np.uint8 and bits.shape == (n,)
-            assert not bits.any() and not bits.flags.writeable
+            packed = _tape_bits(gf, x, y, n)
+            assert packed.dtype == np.uint8 and packed.shape == (-(-n // 8) + 8,)
+            assert not packed.any() and not packed.flags.writeable
 
     def test_wrong_seed_length(self):
         with pytest.raises(ParameterError):
             generate_tape(PLAN_16, [0, 1, 0])
+
+    @pytest.mark.parametrize("n,size", [(9, 2), (40, 5), (700, 24), (333, 2**57)])
+    def test_packed_is_the_bits_msb_first(self, n, size):
+        # the bytes the tape is computed as are its bits packed MSB first, zero past n w,
+        # then 8 zero bytes; they decode to the indices the bit array does
+        plan = KwisePlan(n, 2, index_width(size), -3.0)
+        tape = generate_tape(plan, BitSource(n).take_bits(plan.r))
+        nbytes = -(-tape.n // 8)
+        assert tape.packed.shape == (nbytes + 8,) and not tape.packed.flags.writeable
+        assert np.array_equal(tape.packed[:nbytes], np.packbits(tape.bits))
+        assert not tape.packed[nbytes:].any()
+        got = indices_from_packed(tape.packed, 0, size, n)
+        assert np.array_equal(got, indices_from_bits(tape.bits, size, n).indices)
 
     def test_local_decodability_small(self):
         tape = generate_tape(PLAN_16, BitSource(5).take_bits(PLAN_16.r))
@@ -305,7 +318,7 @@ def assert_matches_local_decoder(tape, positions=None, bits=None):
 def tape_layout(n):
     """(B, Q) of an n-bit tape: Q rows of B = 2^b bits, b as _tape_bits picks it."""
     b = prg._row_log2(n)
-    return 1 << b, (n >> b) + 1
+    return 1 << b, -(-n >> b)
 
 
 def boundary_positions(n):
@@ -326,7 +339,8 @@ class TestTapeAgainstLocalDecoder:
         # a tape needs n >= k >= 2; bit e does not depend on n, so n = 1 is a
         # one-bit expansion of the n = 2 tape's seed
         tape = tape_of_degree(20, max(n, 2), BitSource(n).take_bits(40))
-        assert_matches_local_decoder(tape, bits=_tape_bits(tape.gf, tape.x, tape.y, n))
+        packed = _tape_bits(tape.gf, tape.x, tape.y, n)
+        assert_matches_local_decoder(tape, bits=np.unpackbits(packed, count=n))
 
     @pytest.mark.parametrize("m", [65, 128, 129])
     def test_multiword_field_every_position(self, m):
@@ -341,29 +355,34 @@ class TestTapeAgainstLocalDecoder:
 
     @pytest.mark.parametrize("n", [4224, 4225, 4290, 8000])
     def test_shapes_straddling_strides(self, n):
-        # B = 64, one word, and Q = 67, 67, 68 and 126 rows: past one 64-row gather
+        # B = 64, one word, and Q = 66, 67, 68 and 125 rows: past one 64-row gather
         tape = tape_of_degree(24, n, BitSource(n + 1).take_bits(48))
         assert_matches_local_decoder(tape)
 
     @pytest.mark.parametrize(
         "n,shape",
-        [(2**12 - 1, (64, 64)), (2**12, (64, 65)), (2**12 + 1, (64, 65)),
-         (2**13 - 1, (64, 128)), (2**13, (128, 65)), (2**13 + 1, (128, 65))],
+        [(2**12 - 1, (64, 64)), (64 * 65, (64, 65)), (64 * 65 + 1, (64, 66)),
+         (2**13, (64, 128)), (64 * 129, (64, 129)), (64 * 129 + 1, (128, 65))],
     )
     def test_shapes_around_powers_of_two(self, n, shape):
-        # B = 2^b: square at 2^12 - 1, then Q > B; at 2^13 - 1 both B = 64 and
-        # B = 128 give a 128-row chain and the smaller B is taken; then B > Q
+        # B = 2^b and the chain has max(B + 1, Q) rows: B + 1 > Q at 2^12 - 1,
+        # square at 64 * 65, then Q > B + 1; up to 64 * 129 both B = 64 and
+        # B = 128 give a 129-row chain and the smaller B is taken; then B + 1 > Q
         assert tape_layout(n) == shape
         tape = tape_of_degree(24, n, BitSource(n + 2).take_bits(48))
         assert_matches_local_decoder(tape)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 4000, 276_393, 10**6])
     def test_layout_minimises_the_chain(self, n):
-        # the one chain runs to max(B, Q): no other power of two gives a shorter one
+        # the one chain runs to x^max(B, Q - 1): no other power of two B >= 8
+        # gives a shorter one, and no smaller one as short a one
         block, rows = tape_layout(n)
-        assert block * rows > n and rows == n // block + 1
-        assert all(max(1 << b, n // (1 << b) + 1) >= max(block, rows) for b in range(40))
-        assert max(block, rows) <= 2 * math.isqrt(n) + 2
+        assert block >= 8 and block * rows >= n and rows == -(-n // block)
+        chain = max(block + 1, rows)
+        for b in range(3, 40):
+            other = max((1 << b) + 1, -(-n >> b))
+            assert other > chain if 1 << b < block else other >= chain
+        assert chain <= max(9, 2 * math.isqrt(n) + 2)
 
     @pytest.mark.parametrize("n,m", [(4000, 24), (4099, 24), (276_393, 65)])
     def test_u_rows_are_powers_at_row_starts(self, monkeypatch, n, m):
