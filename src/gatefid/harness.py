@@ -6,8 +6,10 @@ quantity and are flagged vacuous. The variance and moment checks are exact, with
 a rounding-only slack; the tail checks are Monte Carlo, with a 3 sigma slack.
 The PRG certificate is exact too: it counts, for each small set of tape
 outputs, the field elements x whose powers over the set sum to zero, and turns
-those root counts into every subset's joint law over all 2^r seeds. The powers
-come from GF(2^m)'s log and antilog tables, walked with a multiply-by-g table.
+those root counts into every subset's joint law over all 2^r seeds. A set and
+its translates have one law, so only the sets holding position 0 are counted,
+one per translation class. The powers come from GF(2^m)'s log and antilog
+tables, walked with a multiply-by-g table.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .streams import _generator, split_seed
 
 # The exact PRG certificate is only attempted up to this seed length (m <= 12).
 EXHAUSTIVE_R_CAP = 24
-# Bytes the certificate may hold in powers, character sums and working blocks.
+# Bytes the certificate may hold in powers, class sums and working blocks.
 CERT_MEMORY_CAP = 1 << 27
-# Entries per numpy block in the certificate: powers XORed, or transform points.
+# Entries per numpy block in the certificate's transform; 32 bytes an entry bound
+# its working block, which also holds a slice of x values' XORs.
 _BLOCK_ENTRIES = 1 << 18
 # Slack of the checks whose both sides are exact: rounding only.
 EXACT_SLACK = 1e-9
@@ -316,27 +319,38 @@ def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     behind the construction's bias bound, Alon-Goldreich-Hastad-Peralta 1992).
     Each k-set's joint law is then an integer Walsh-Hadamard transform of the
     character sums of its sub-subsets (the Vazirani XOR lemma), and every
-    subset's parity bias is its own character sum over the seeds. Every count is an exact
-    integer and 2^r is a power of two, so the L1 distances and biases are the
-    exact rationals an enumeration gives.
+    subset's parity bias is its own character sum over the seeds.
+
+    A set and its translates have one law: <x^(i+1), y> = <x^(i+1-s), M^T y>
+    with M the multiplication by x^s, a bijection of y for x != 0, and every
+    output is 0 for x = 0. So only the translation classes are counted and
+    transformed, each by its member T - min T, the one that holds position 0:
+    sum_j C(n-1, j-1) sets of size j <= k instead of sum_j C(n, j), and
+    C(n-1, k-1) transforms instead of C(n, k). `subsets_checked` still counts
+    every subset. Every count is an exact integer and 2^r is a power of two, so
+    the L1 distances and biases are the exact rationals an enumeration gives.
 
     Refused with CapacityError when r exceeds EXHAUSTIVE_R_CAP or the power
-    table, character sums and working block would exceed CERT_MEMORY_CAP bytes.
+    table, class sums and working blocks would exceed CERT_MEMORY_CAP bytes.
     """
     plan = KwisePlan(n, k, 1, theta_log2_of(theta))
     m, r = plan.field_degree, plan.r
     if r > EXHAUSTIVE_R_CAP:
         raise CapacityError(f"exhaustive enumeration needs r <= {EXHAUSTIVE_R_CAP}, got {r}")
-    # n uint16 powers per x, one int64 per subset, and the largest working
-    # block: a transform's int64 spectrum with its butterfly temporaries
-    need = 2 * (n << m) + 8 * sum(math.comb(n, j) for j in range(1, k + 1)) + 32 * _BLOCK_ENTRIES
+    # n uint16 powers per x, one int64 per class, and the larger working
+    # block: a transform's int64 spectrum with its butterfly temporaries, or
+    # a slice of x values, 3 bytes a value and 8 more for each class of size
+    # < k (_root_count_sums)
+    classes = sum(math.comb(n - 1, j) for j in range(k))
+    work = max(32 * _BLOCK_ENTRIES, 11 * (classes - math.comb(n - 1, k - 1)))
+    need = 2 * (n << m) + 8 * classes + work
     if need > CERT_MEMORY_CAP:
         raise CapacityError(
             f"the certificate for n={n}, k={k}, r={r} needs {need / 2**20:.0f} MiB of powers,"
-            f" character sums and working blocks, over the {CERT_MEMORY_CAP >> 20} MiB cap"
+            f" class sums and working blocks, over the {CERT_MEMORY_CAP >> 20} MiB cap"
         )
     sums = _root_count_sums(_power_table(GF2mField(m), n), k)
-    subsets, worst_l1, worst_bias = _walsh_hadamard_laws(sums, 1 << r)
+    subsets, worst_l1, worst_bias = _walsh_hadamard_laws(sums, 1 << r, n)
     return BiasReport(n, k, theta, r, subsets, worst_l1, worst_bias, worst_l1 <= theta)
 
 
@@ -368,69 +382,107 @@ def _power_table(gf: GF2mField, n: int) -> np.ndarray:
     return powers
 
 
-def _subset_blocks(n: int, j: int, rows: int):
-    """Every j-subset of range(n) in lexicographic order, as int64 blocks of
-    at most `rows` rows, one sorted subset a row."""
-    combos = itertools.combinations(range(n), j)
-    while block := list(itertools.islice(combos, rows)):
-        yield np.array(block, dtype=np.int64)
-
-
-def _colex_ranks(binom: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Colex rank sum_p C(t_p, p) of each sorted row t_1 < ... < t_j, with
-    binom[c, j] = C(c, j)."""
-    return binom[subsets, np.arange(1, subsets.shape[1] + 1)].sum(axis=1)
-
-
 def _binomials(n: int, k: int) -> np.ndarray:
+    """binom[c, j] = C(c, j) for c < n and j <= k, as int64."""
     return np.array([[math.comb(c, j) for j in range(k + 1)] for c in range(n)], dtype=np.int64)
 
 
+def _colex_sets(binom: np.ndarray, ranks: np.ndarray, q: int) -> np.ndarray:
+    """The q-sets of colex rank `ranks`, one sorted row each: the largest
+    element is the largest c with C(c, q) <= rank, and the rest is the
+    (q-1)-set of rank rank - C(c, q). binom is _binomials' table."""
+    sets = np.empty((len(ranks), q), dtype=np.int64)
+    rest = ranks.copy()
+    for p in range(q, 0, -1):
+        sets[:, p - 1] = np.searchsorted(binom[:, p], rest, side="right") - 1
+        rest -= binom[sets[:, p - 1], p]
+    return sets
+
+
 def _root_count_sums(powers: np.ndarray, k: int) -> list:
-    """sums[j][colex rank of T] = the character sum over every seed (x, y) of
-    each j-set T of output bits, j = 1..k: 2^m times the number of x whose
-    powers over T XOR to zero. `powers` is _power_table's (n, 2^m) table."""
+    """sums[j][rank] = the character sum over every seed (x, y) of one class
+    j-set {0} < t_1 < ... < t_(j-1) of output bits, j = 1..k: 2^m times the
+    number of x whose powers over the set XOR to zero. The rank is the colex
+    rank of {t_1 - 1, ..., t_(j-1) - 1}, sum_p C(t_p - 1, p). `powers` is
+    _power_table's (n, 2^m) table.
+
+    The class j-sets {0} + Q + {d} with largest element d fill ranks
+    C(d-1, j-1) up to C(d, j-1), and their (j-1)-sets {0} + Q are the first
+    C(d-1, j-2) class (j-1)-sets. So with acc holding the XOR of each class
+    (j-1)-set's rows, rank order, each block of root counts is one comparison,
+    acc[:c] == powers[d], and acc[:c] ^ powers[d] is the next level's block.
+    Root counts add over x, so the levels run a slice of x values at a time.
+    Each class of size < k holds 3 bytes per value in the slice (its XORs,
+    kept two levels at a time, and a comparison) and an int64 count; slices
+    are as wide as 32 _BLOCK_ENTRIES bytes allow, and one value at least.
+    """
     n, size = powers.shape
     m = size.bit_length() - 1
-    binom = _binomials(n, k)
-    sums = [None]
-    for j in range(1, k + 1):
-        sums.append(np.empty(math.comb(n, j), dtype=np.int64))
-        for block in _subset_blocks(n, j, max(1, _BLOCK_ENTRIES // size)):
-            acc = powers[block[:, 0]]
-            for p in range(1, j):
-                acc ^= powers[block[:, p]]
-            roots = np.count_nonzero(acc == 0, axis=1).astype(np.int64)
-            sums[j][_colex_ranks(binom, block)] = roots << m
+    sums = [None] + [np.zeros(math.comb(n - 1, j - 1), dtype=np.int64) for j in range(1, k + 1)]
+    inner = max(1, sum(len(s) for s in sums[1:k]))
+    width = max(1, (32 * _BLOCK_ENTRIES // inner - 8) // 3)
+    for lo in range(0, size, width):
+        block = powers[:, lo : lo + width]
+        sums[1][0] += np.count_nonzero(block[0] == 0)
+        acc = block[:1]
+        for j in range(2, k + 1):
+            grown = np.empty((len(sums[j]), block.shape[1]), dtype=np.uint16) if j < k else None
+            for d in range(j - 1, n):
+                a, b = math.comb(d - 1, j - 1), math.comb(d, j - 1)
+                sums[j][a:b] += np.count_nonzero(acc[: b - a] == block[d], axis=1)
+                if grown is not None:
+                    np.bitwise_xor(acc[: b - a], block[d], out=grown[a:b])
+            acc = grown
+    for s in sums[1:]:
+        s <<= m
     return sums
 
 
-def _walsh_hadamard_laws(sums: list, seeds: int) -> tuple:
+def _walsh_hadamard_laws(sums: list, seeds: int, n: int | None = None) -> tuple:
     """(subsets, worst L1 from uniform, worst parity bias) over every nonempty
-    subset of at most k outputs, from their character sums over `seeds` seeds
-    (sums[j] indexed by colex rank, as _root_count_sums gives them).
+    subset of at most k outputs, from their character sums over `seeds` seeds.
 
-    Only the k-sets are transformed. A smaller set lies inside some k-set, as
-    k <= n, and its law is a marginal of that k-set's law; marginalising does
-    not increase the L1 distance from uniform, so the worst L1 is at size k.
-    The parity biases and the subset count still cover every size.
+    sums[j] is indexed by colex rank. With n = None it holds every j-subset of
+    range(len(sums[1])), the sums of any matrix. Given the tape length n it
+    holds one set per translation class, _root_count_sums' layout: a set's
+    sum is then its class's, that of the translate holding position 0.
+
+    Only the k-sets are transformed, a class's representative standing for
+    the whole class. A smaller set lies inside some k-set, as k <= n, and its
+    law is a marginal of that k-set's law; marginalising does not increase
+    the L1 distance from uniform, so the worst L1 is at size k. The parity
+    biases and the subset count still cover every size.
 
     The results are exact when `seeds` is a power of two below 2^50.
     """
-    n, k = len(sums[1]), len(sums) - 1
+    k = len(sums) - 1
+    shift = n is not None  # drop each set's least element and count from it
+    n = n if shift else len(sums[1])
     binom = _binomials(n, k)
-    worst_bias = max(int(np.abs(s).max()) for s in sums[1:]) / seeds
-    # picks[u]: the positions within a k-set of its sub-subset u (bit p selects position p)
-    picks = [[p for p in range(k) if u >> p & 1] for u in range(1 << k)]
+    worst_bias = max(max(int(s.max()), -int(s.min())) for s in sums[1:]) / seeds  # no |s| copy
+    # by size j: the sub-subsets u of a k-set (bit p selects position p) and their positions
+    picks = [[u for u in range(1, 1 << k) if u.bit_count() == j] for j in range(k + 1)]
+    where = [np.array([[p for p in range(k) if u >> p & 1] for u in us]) for us in picks]
+    rows = max(1, _BLOCK_ENTRIES >> k)
     worst = 0
-    for block in _subset_blocks(n, k, max(1, _BLOCK_ENTRIES >> k)):
-        spectrum = np.zeros((len(block), 1 << k), dtype=np.int64)
-        for u in range(1, 1 << k):
-            spectrum[:, u] = sums[len(picks[u])][_colex_ranks(binom, block[:, picks[u]])]
+    for lo in range(0, len(sums[k]), rows):
+        ranks = np.arange(lo, min(lo + rows, len(sums[k])), dtype=np.int64)
+        sets = _colex_sets(binom, ranks, k - shift) + shift
+        if shift:
+            sets = np.hstack((np.zeros((len(ranks), 1), dtype=np.int64), sets))
+        spectrum = np.zeros((len(ranks), 1 << k), dtype=np.int64)
+        for j in range(1, k + 1):
+            # the colex rank of each sub-subset of size j, a term per position
+            least = sets[:, where[j][:, 0]] + 1 if shift else 0
+            rank = 0
+            for p in range(shift, j):
+                rank = rank + binom[sets[:, where[j][:, p]] - least, p + 1 - shift]
+            spectrum[:, picks[j]] = sums[j][rank]
         # Walsh-Hadamard butterflies: entry v becomes 2^k * count(v) - seeds
         for h in (1 << p for p in range(k)):
-            pairs = spectrum.reshape(len(block), -1, 2, h)
+            pairs = spectrum.reshape(len(ranks), -1, 2, h)
             spectrum = np.stack((pairs[:, :, 0] + pairs[:, :, 1],
                                  pairs[:, :, 0] - pairs[:, :, 1]), axis=2)
-        worst = max(worst, int(np.abs(spectrum).reshape(len(block), -1).sum(axis=1).max()))
-    return sum(len(s) for s in sums[1:]), worst / (seeds << k), worst_bias
+        worst = max(worst, int(np.abs(spectrum).reshape(len(ranks), -1).sum(axis=1).max()))
+    subsets = sum(math.comb(n, j) for j in range(1, k + 1))
+    return subsets, worst / (seeds << k), worst_bias

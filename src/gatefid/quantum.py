@@ -12,6 +12,7 @@ haar_second_moment.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -147,7 +148,7 @@ def _weight_matrix(ops: np.ndarray) -> np.ndarray:
     temporaries stay near _BLOCK_BYTES.
     """
     k, d = ops.shape[:2]
-    i, j = np.triu_indices(d, 1)
+    i, j = _upper_pairs(d)
     m = len(i)
     flat = ops.reshape(k, d * d)
     w = np.empty((2 * k, d * d))
@@ -164,9 +165,17 @@ def _weight_matrix(ops: np.ndarray) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _upper_pairs(d: int) -> tuple:
+    """np.triu_indices(d, 1): the pairs i < j, as read-only arrays kept per d."""
+    i, j = np.triu_indices(d, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _coordinates(c: np.ndarray) -> np.ndarray:
     """r(c) of shape (n, d^2) for rows c of shape (n, d); see _weight_matrix."""
-    i, j = np.triu_indices(c.shape[1], 1)
+    i, j = _upper_pairs(c.shape[1])
     z = c[:, i].conj() * c[:, j]
     return np.concatenate([c.real**2 + c.imag**2, z.real, z.imag], axis=1)
 

@@ -749,20 +749,37 @@ class TestCertificateCapacity:
     PRG_R24 = ["validate", "--suite", "prg", "--n", "500", "--theta", "0.9"]
 
     def test_packed_columns_capped_before_allocation(self, capsys):
-        # r = 24 over n = 500 columns at k = 3: 159 MiB of character sums, one
-        # int64 per subset (the old packed columns alone were 1 GB)
+        # r = 24 over n = 460 columns at k = 4: 123 MiB of class sums (one int64
+        # for each of 16.1 M translation classes), 3.6 MiB of powers and an
+        # 8 MiB working block (the old packed columns alone were 1 GB)
         tracemalloc.start()
         try:
-            code, _, err = run_cli(capsys, *self.PRG_R24, "--k", "3")
+            code, _, err = run_cli(capsys, "validate", "--suite", "prg", "--n", "460",
+                                   "--k", "4", "--theta", "0.9")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 4
-        assert err.startswith("capacity: ") and "r=24" in err
+        assert err.startswith("capacity: ") and "r=24" in err and "needs 135 MiB" in err
         assert peak < 4 << 20
 
+    def test_triples_at_r24_certify(self, capsys):
+        # k = 3: 124,750 class sums instead of 20.8 M subset sums; the worst
+        # L1 and parity bias are the worst pair's, as an uncapped run of the
+        # per-subset certificate gave
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *self.PRG_R24, "--k", "3", "--format", "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.splitlines()[1] == ('"prg-exhaustive(n=500, k=3, theta=0.9)",0.9,0.111328125,0,'
+                                       'PASS,false,"r=24, subsets=20833750, worst parity bias 0.111"')
+        assert peak < CERT_MEMORY_CAP // 4
+
     def test_pairs_at_r24_certify(self, capsys):
-        # k = 2: 4 MiB of powers and 1 MiB of character sums; the worst pair
+        # k = 2: 4 MiB of powers and 500 class sums; the worst pair
         # has 1 + gcd(455, 4095) = 456 roots of x^a = x^b in GF(2^12)
         tracemalloc.start()
         try:

@@ -361,6 +361,34 @@ class TestExhaustiveBias:
             exhaustive_bias_check(16, 4, 0.25)
 
 
+class TestCertificateMemoryModel:
+    """The class sums' model against the per-subset one it replaced."""
+
+    class Admitted(Exception):
+        pass
+
+    def test_admits_every_case_the_per_subset_model_admitted(self, monkeypatch):
+        def admitted(gf, n):
+            raise self.Admitted
+
+        monkeypatch.setattr(harness, "_power_table", admitted)
+        checked = 0
+        for k in range(2, 15):
+            for n in range(k, 1024, 7):
+                for theta in (0.9, 0.3, 0.05):
+                    plan = KwisePlan(n, k, 1, math.log2(theta))
+                    if plan.r > harness.EXHAUSTIVE_R_CAP:
+                        continue
+                    # powers, one int64 per subset and the transform's working block
+                    old = (2 * (n << plan.field_degree) + 8 * sum(math.comb(n, j) for j in range(1, k + 1))
+                           + 32 * harness._BLOCK_ENTRIES)
+                    if old <= harness.CERT_MEMORY_CAP:
+                        with pytest.raises(self.Admitted):
+                            exhaustive_bias_check(n, k, theta)
+                        checked += 1
+        assert checked > 100
+
+
 def _character_sums(bits, k):
     """Reference: sums[j][colex rank of T] = sum over rows of (-1)^(XOR of T's
     bits), for every j-set T of columns, j = 1..k."""
@@ -374,12 +402,20 @@ def _character_sums(bits, k):
     return sums
 
 
+def _class_rank(subset):
+    """Rank of a sorted set's translation class in _root_count_sums' layout:
+    the colex rank of {t - min - 1 : t > min}."""
+    return sum(math.comb(c - subset[0] - 1, p) for p, c in enumerate(subset) if p)
+
+
 class TestCertificateAgainstEnumeration:
     """The root-count certificate against a bincount over every seed."""
 
     @pytest.mark.parametrize(
         "n,k,theta",
-        [(8, 2, 0.5), (8, 3, 0.5), (16, 3, 0.25), (16, 4, 0.25), (12, 3, 0.3), (10, 5, 0.4)],
+        [(8, 2, 0.5), (8, 3, 0.5), (16, 3, 0.25), (16, 4, 0.25), (12, 3, 0.3), (10, 5, 0.4),
+         # n = k (one class k-set), the shortest tape, and pairs alone
+         (5, 5, 0.9), (2, 2, 0.9), (6, 2, 0.9)],
     )
     def test_planned_cases_agree_exactly(self, n, k, theta):
         rep = exhaustive_bias_check(n, k, theta)
@@ -387,6 +423,20 @@ class TestCertificateAgainstEnumeration:
         assert len(bits) == 1 << rep.r
         got = (rep.subsets_checked, rep.worst_l1, rep.worst_parity_bias)
         assert got == _enumerated_laws(bits, k)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_translates_share_one_law(self, m):
+        # outputs at T and at T - min T have one joint law over every seed
+        n = 8
+        bits = _powering_matrix(GF2mField(m), n).astype(np.int64)
+
+        def law(subset):
+            values = sum(bits[:, col] << pos for pos, col in enumerate(subset))
+            return np.bincount(values, minlength=1 << len(subset)).tolist()
+
+        for j in (1, 2, 3):
+            for subset in itertools.combinations(range(n), j):
+                assert law(subset) == law([t - subset[0] for t in subset]), subset
 
     def test_criterion_5_values(self):
         rep = exhaustive_bias_check(16, 4, 0.25)
@@ -404,12 +454,31 @@ class TestCertificateAgainstEnumeration:
         # the sums over T of x^(i+1) and of x^(i+2) differ by a factor x, so their
         # root counts agree: check the table itself
         assert table.T.tolist() == powers
+        # one sum per translation class: the class sets holding position 0
+        assert [len(s) for s in got[1:]] == [math.comb(n - 1, j - 1) for j in (1, 2, 3)]
         for j in (1, 2, 3):
             for subset in itertools.combinations(range(n), j):
                 rank = sum(math.comb(c, p + 1) for p, c in enumerate(subset))
                 roots = sum(1 for row in powers if functools.reduce(
                     operator.xor, (row[i] for i in subset)) == 0)
-                assert got[j][rank] == expected[j][rank] == roots << m
+                assert got[j][_class_rank(subset)] == expected[j][rank] == roots << m
+
+    @pytest.mark.parametrize("m,n,k", [(4, 5, 3), (5, 8, 4), (6, 7, 5)])
+    def test_class_layout_transforms_as_every_subset(self, m, n, k):
+        bits = _powering_matrix(GF2mField(m), n)
+        classes = _walsh_hadamard_laws(_root_count_sums(_power_table(GF2mField(m), n), k), len(bits), n)
+        assert classes == _walsh_hadamard_laws(_character_sums(bits, k), len(bits))
+        assert classes == _enumerated_laws(bits, k)
+
+    def test_x_slices_and_transform_blocks_add_up(self, monkeypatch):
+        # slices of one x value and transform blocks of one k-set, against one slice and one block
+        gf, n, k = GF2mField(6), 9, 4
+        whole = _root_count_sums(_power_table(gf, n), k)
+        laws = _walsh_hadamard_laws(whole, 1 << 12, n)
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 1)
+        sliced = _root_count_sums(_power_table(gf, n), k)
+        assert all(np.array_equal(a, b) for a, b in zip(whole[1:], sliced[1:]))
+        assert _walsh_hadamard_laws(sliced, 1 << 12, n) == laws
 
     @pytest.mark.parametrize("seeds", [32, 1024])
     def test_biased_matrices_agree(self, seeds):

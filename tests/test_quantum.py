@@ -245,6 +245,14 @@ class TestFidelityKernel:
         ch = random_kraus(d, {"1": 1, "d": d, "d^2": d * d}[k], rng)
         assert np.array_equal(ch.weights, loop_weight_matrix(ch.kraus_ops))
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    def test_upper_pairs_are_kept_read_only(self, d):
+        i, j = quantum._upper_pairs(d)
+        ref_i, ref_j = np.triu_indices(d, 1)
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+        assert not i.flags.writeable and not j.flags.writeable
+        assert quantum._upper_pairs(d)[0] is i
+
     def test_one_row_blocks(self, rng, monkeypatch):
         ch = random_kraus(3, 9, rng)
         cols = unit_rows(50, 3, rng)
