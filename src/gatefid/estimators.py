@@ -5,17 +5,18 @@ Haar gaussians, iid indices, one k-wise tape, one single draw, or two phases.
 Each estimator checks its design certificate or preconditions, calls a pure
 planner (every sample count and pseudorandomness parameter from epsilon,
 delta, dimension and ensemble size), draws its indices and finishes. The
-private ``_Run`` owns the shared steps: the timer, the channel type and
-dimension checks; the plan-time size check against RUN_MEMORY_CAP; the three
-counted draws, each one call that draws from a BitSource and ledgers the bits
-under a label (gaussians; iid indices, decoded from the bytes of the words
-drawn; and the k-wise tape draw of indices, on its counted seed bits); the one
-rule that reads the drawn members' success probabilities; the precondition
-gate (epsilon < F/2, PreconditionError unless waived, a waived run diagnostic
-with its failures in ``flags``); and the finish, which checks that the ledger
-equals the bits drawn and decides each outcome bit by one Bernoulli draw on
-the exactly simulated success probability, from a separate uncounted stream
-(measurement models quantum, not classical, randomness).
+private ``_Run`` owns the shared steps: the timer, the channel type,
+dimension, epsilon and delta checks; the plan-time size check against
+RUN_MEMORY_CAP; the two counted draws, each one call that draws from a
+BitSource and ledgers the bits under a label (gaussians, and an index plan's
+indices, decoded from the drawn words' bytes for an IidPlan and from its
+tape's bytes for a KwisePlan); the one rule that reads the drawn members'
+success probabilities; the precondition gate (epsilon < F/2, PreconditionError
+unless waived, a waived run diagnostic with its failures in ``flags``); and
+the finish, which checks that the ledger equals the bits drawn and decides
+each outcome bit by one Bernoulli draw on the exactly simulated success
+probability, from a separate uncounted stream (measurement models quantum, not
+classical, randomness).
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ HAAR_BITS_PER_DIM2 = 128
 T_CAP = 1 << 20
 # _Run.reserve refuses a plan past RUN_MEMORY_CAP before any bit is drawn. The
 # model: a trial holds its unitary id, probability, outcome and the outcome's
-# uniform (32 bytes, rounded up); while drawn, each stream bit it reads is
-# charged 2 bytes, an over-bound that leaves every plan's exit code as it was
-# (a bit holds a quarter byte: its drawn word and that word's big-endian copy,
-# which its index is decoded from), a k-wise tape prg.tape_bytes, each
-# drawn 64-bit word 8 bytes, and each Box-Muller gaussian read 40 bytes (its
+# uniform (32 bytes, rounded up); while drawn, an iid index plan is charged 2
+# bytes a bit, an over-bound that leaves every plan's exit code as it was (a
+# bit holds a quarter byte: its drawn word and that word's big-endian copy,
+# which its index is decoded from), a k-wise plan its tape's prg.tape_bytes,
+# each drawn 64-bit word 8 bytes, and each Box-Muller gaussian read 40 bytes (its
 # uniform and value, half of its pair's radius and angle, then its share of the
 # complex state: 32 bytes, plus 8 of margin). Without the margin naive-haar's
 # model was only 3% above its traced peak at d = 4, epsilon = 0.05 (544 bytes a
@@ -86,10 +87,12 @@ def _check_eps_delta(epsilon: float, delta: float) -> None:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
 
 
-def _checked_channel(channel) -> KrausChannel:
-    """The channel itself; ParameterError unless it is a KrausChannel."""
+def _checked_channel(channel, ensemble: UnitaryEnsemble | None = None) -> KrausChannel:
+    """The channel; ParameterError unless it is a KrausChannel of the ensemble's dimension."""
     if not isinstance(channel, KrausChannel):
         raise ParameterError(f"expected a KrausChannel, got {type(channel)!r}")
+    if ensemble is not None and channel.dim != ensemble.dim:
+        raise ParameterError(f"channel dim {channel.dim} != ensemble dim {ensemble.dim}")
     return channel
 
 
@@ -269,17 +272,16 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
 class _Run:
     """The shared steps, from the timer through the drawn members' probabilities to the result.
 
-    The bit source is created at the first draw, so every planning and
-    precondition error still comes before a bad seed is noticed.
+    Its inputs are checked before any lambda is computed. The bit source is created at the
+    first draw, so every planning and precondition error still comes before a bad seed is noticed.
     """
 
     def __init__(self, algorithm: str, channel, epsilon: float, delta: float, seed: int,
                  ensemble: UnitaryEnsemble | None = None):
         self.started = time.perf_counter()
         self.algorithm, self.epsilon, self.delta, self.seed = algorithm, epsilon, delta, seed
-        self.channel = _checked_channel(channel)
-        if ensemble is not None and self.channel.dim != ensemble.dim:
-            raise ParameterError(f"channel dim {self.channel.dim} != ensemble dim {ensemble.dim}")
+        self.channel = _checked_channel(channel, ensemble)
+        _check_eps_delta(epsilon, delta)
         self.ledger = RandomnessLedger()
         self.flags: list = []
         self.diagnostic = False
@@ -288,10 +290,11 @@ class _Run:
     def source(self) -> BitSource:
         return BitSource(self.seed)
 
-    def reserve(self, trials: int, bits: int = 0, words: int = 0, gaussians: int = 0, tape: int = 0) -> None:
-        """Refuse a plan of `trials` trials reading `bits` stream bits, a `tape`-byte k-wise tape,
-        or `gaussians` gaussians out of `words` words, once it would hold over RUN_MEMORY_CAP bytes."""
-        need = 32 * trials + 2 * bits + tape + 8 * words + 40 * gaussians
+    def reserve(self, trials: int, *plans, words: int = 0, gaussians: int = 0) -> None:
+        """Refuse `trials` trials drawing the index `plans` (an IidPlan at 2 bytes a bit, a
+        KwisePlan at its tape_bytes) or `gaussians` of `words` words past RUN_MEMORY_CAP bytes."""
+        need = 32 * trials + 8 * words + 40 * gaussians
+        need += sum(p.tape_bytes if isinstance(p, KwisePlan) else 2 * p.total_bits for p in plans)
         if need > RUN_MEMORY_CAP:
             raise CapacityError(
                 f"{trials} trials of {self.algorithm} need {need / 2**20:.0f} MiB of draws"
@@ -304,19 +307,16 @@ class _Run:
         self.ledger.record(label, bits)
         return gauss
 
-    def indices(self, label: str, bits: int, set_size: int, n: int) -> np.ndarray:
-        """n indices in [0, set_size) decoded from `bits` = n w counted bits, read from the
-        drawn words' bytes."""
-        packed, start = self.source.take_packed(bits)
-        self.ledger.record(label, bits)
-        return indices_from_packed(packed, start, set_size, n)
-
-    def tape_draw(self, label: str, plan: KwisePlan, size: int) -> np.ndarray:
-        """The plan's n indices in [0, size), decoded from the bytes of its tape on r counted
-        seed bits. generate_tape is a module global, so a wrapper set here sees every tape."""
-        seed = self.source.take_bits(plan.r)
-        self.ledger.record(label, plan.r)
-        return indices_from_packed(generate_tape(plan, seed).packed, 0, size, plan.n)
+    def draw(self, label: str, plan, size: int) -> np.ndarray:
+        """The plan's n indices in [0, size) on its total_bits counted bits, ledgered as `label`:
+        an IidPlan's decoded from the drawn words' bytes, a KwisePlan's from its tape's bytes.
+        generate_tape is a module global, so a wrapper set here sees every tape."""
+        if isinstance(plan, KwisePlan):
+            packed, start = generate_tape(plan, self.source.take_bits(plan.r)).packed, 0
+        else:
+            packed, start = self.source.take_packed(plan.total_bits)
+        self.ledger.record(label, plan.total_bits)
+        return indices_from_packed(packed, start, size, plan.n)
 
     def probabilities(self, ensemble: UnitaryEnsemble, ids: np.ndarray) -> np.ndarray:
         """Success probabilities of the members `ids`: whole-set table rows when the set is no
@@ -406,10 +406,9 @@ def estimate_design_iid(
     """Independent uniform draws from a certified (approximate) 2-design."""
     run = _Run("design-iid", channel, epsilon, delta, seed, ensemble)
     exact = _certify_design(ensemble, epsilon, lambda2)
-    _check_eps_delta(epsilon, delta)
     plan = _iid_plan(epsilon if exact else epsilon / 2.0, delta, index_width(ensemble.size))
-    run.reserve(plan.n, plan.total_bits)
-    ids = run.indices("indices", plan.total_bits, ensemble.size, plan.n)
+    run.reserve(plan.n, plan)
+    ids = run.draw("indices", plan, ensemble.size)
     return run.finish(plan, ids, run.probabilities(ensemble, ids))
 
 
@@ -420,10 +419,10 @@ def estimate_kwise_design(
     run = _Run("kwise-design", channel, epsilon, delta, seed, ensemble)
     _certify_design(ensemble, epsilon, lambda2)
     plan = plan_kwise_design(epsilon, delta, ensemble.size)
-    run.reserve(plan.n, tape=plan.tape_bytes)
+    run.reserve(plan.n, plan)
     if epsilon >= run.channel.exact_fidelity:
         run.flags.append("epsilon >= exact average fidelity; the deviation guarantee is void")
-    ids = run.tape_draw("tape_seed", plan, ensemble.size)
+    ids = run.draw("tape_seed", plan, ensemble.size)
     return run.finish(plan, ids, run.probabilities(ensemble, ids))
 
 
@@ -440,7 +439,8 @@ def estimate_single_qtpe(
     """One uniform ensemble draw, repeated n times with the same unitary."""
     run = _Run("single-qtpe", channel, epsilon, delta, seed, ensemble)
     plan = plan_single_qtpe(epsilon, delta, run.channel.dim, ensemble.size)
-    run.reserve(plan.n)
+    index = IidPlan(1, plan.width)
+    run.reserve(plan.n, index)
     failures = []
     lam4 = _lambda4_or_none(ensemble, claimed_lambda)
     if lam4 is None:
@@ -448,7 +448,7 @@ def estimate_single_qtpe(
     elif lam4 > plan.lambda_required:
         failures.append(f"lambda <= 1/(4 d^3) violated: {lam4:g} > {plan.lambda_required:g}")
     run.gate(plan, failures, waive_preconditions)
-    chosen = run.indices("index", plan.width, ensemble.size, 1)
+    chosen = run.draw("index", index, ensemble.size)
     p = run.probabilities(ensemble, chosen)
     return run.finish(plan, np.repeat(chosen, plan.n), np.repeat(p, plan.n))
 
@@ -480,7 +480,7 @@ def estimate_two_phase(
     plan = plan_two_phase(epsilon, delta, run.channel.dim, ensemble.size)
     # with eps < 1, L >= 5 and d <= MAX_DIM = 64 the pool holds over 2^11 * 5 / 64 = 160 ids,
     # so phase 2 is planned; a pool member is charged as a trial
-    run.reserve(plan.n + plan.phase1.n, plan.phase1.total_bits, tape=plan.phase2.tape_bytes)
+    run.reserve(plan.n + plan.phase1.n, plan.phase1, plan.phase2)
     failures = []
     lam = None if claimed_lambda is None else checked_lambda(claimed_lambda)
     if lam is None:
@@ -491,6 +491,6 @@ def estimate_two_phase(
             f" log2(lambda) = {math.log2(lam):g} > {plan.lambda_required_log2:g}"
         )
     run.gate(plan, failures, waive_preconditions)
-    pool = run.indices("phase1_indices", plan.phase1.total_bits, ensemble.size, plan.phase1.n)
-    ids = pool[run.tape_draw("phase2_tape_seed", plan.phase2, len(pool))]
+    pool = run.draw("phase1_indices", plan.phase1, ensemble.size)
+    ids = pool[run.draw("phase2_tape_seed", plan.phase2, len(pool))]
     return run.finish(plan, ids, run.probabilities(ensemble, ids))

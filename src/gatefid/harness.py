@@ -216,7 +216,7 @@ def moment_gap_checks(channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=
     ensemble side averages its fidelity table, and the Haar side of
     E[(p - a)^l] is F - a at l = 1 and E[p^2] - 2aF + a^2 at l = 2.
     """
-    ch = _checked_channel(channel)
+    ch = _checked_channel(channel, ensemble)
     lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
     return _moment_gaps(ch, lam2, lam4, haar_second_moment(ch), _fidelity_table(ch, ensemble))
 
@@ -244,7 +244,7 @@ def prop1_tail_check(
     channel, ensemble: UnitaryEnsemble, lambda4=None, params: SuiteParams = SuiteParams()
 ) -> BoundCheck:
     """Tail of the t-average under iid ensemble draws vs the l = 1 moment bound."""
-    ch = _checked_channel(channel)
+    ch = _checked_channel(channel, ensemble)
     _check_prop1_draws(params)
     return _prop1_tail(ch, lambda_t(ensemble, 4, lambda4), _fidelity_table(ch, ensemble), params)
 
@@ -273,7 +273,7 @@ def bound_validation_suite(
     """Every bound check on one channel and ensemble. Each input two checks
     share is computed once here: an unclaimed lambda_2 or lambda_4, the Haar
     E[p^2] and the ensemble's fidelity table."""
-    ch = _checked_channel(channel)
+    ch = _checked_channel(channel, ensemble)
     lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
     haar_m2 = haar_second_moment(ch)
     report = SuiteReport([_variance(ch, haar_m2), tail_check(ch, params)])

@@ -82,6 +82,18 @@ class TestEstimate:
         assert code == 3
         assert "too coarse" in err
 
+    @pytest.mark.parametrize("algorithm, argv, message", [
+        ("design-iid", ["--epsilon", "1.5", "--delta", "0.1", "--ensemble", "pauli1q"],
+         "error: epsilon must be in (0, 1), got 1.5"),
+        ("kwise-design", ["--epsilon", "0.1", "--delta", "7", "--ensemble", "pauli1q"],
+         "error: delta must be in (0, 1), got 7.0"),
+    ])
+    def test_epsilon_and_delta_before_the_certificate(self, capsys, algorithm, argv, message):
+        # once the certificate's "design too coarse" message, with the same exit 3
+        code, out, err = run_cli(capsys, "estimate", "--algorithm", algorithm, "--channel",
+                                 "depolarizing:0.2", "--d", "2", *argv, "--seed", "2a")
+        assert (code, out, err) == (3, "", message + "\n")
+
     def test_missing_ensemble(self, capsys):
         code, _, err = run_cli(
             capsys, "estimate", "--algorithm", "design-iid", "--channel",
@@ -262,6 +274,21 @@ class TestValidate:
             capsys, "validate", "--suite", "moment", "--channel", "depolarizing:0.2"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("suite", ["moment", "prop1"])
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_dimension_mismatch_exits_3(self, capsys, monkeypatch, write_ensemble, tmp_path,
+                                        suite, d):
+        # once exit 4 at d = 8 (the t = 4 twirl cap) and the kernel's column shape at d = 3
+        def refuse(*args):
+            raise AssertionError("Lanczos entered")
+
+        monkeypatch.setattr(ensembles, "_lanczos_lambda", refuse)
+        rng = np.random.Generator(np.random.Philox(0x3D3))
+        path = write_ensemble(tmp_path / "q.json", haar_unitaries_batch(d, 5, rng), "q")
+        code, out, err = run_cli(capsys, "validate", "--suite", suite, "--d", "2", "--channel",
+                                 "depolarizing:0.2", "--ensemble", str(path), "--repeats", "200")
+        assert (code, out, err) == (3, "", f"error: channel dim 2 != ensemble dim {d}\n")
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

@@ -25,11 +25,11 @@ from gatefid import (
 )
 from gatefid.errors import ParameterError, PlanningError, PreconditionError
 from gatefid.estimators import HAAR_BITS_PER_DIM2, IidPlan, KwisePlan, plan_naive_haar
-from gatefid import estimators
+from gatefid import ensembles, estimators
 from gatefid.cli import main
 from gatefid.prg import BiasedTape, generate_tape, index_width, indices_from_bits, tape_bytes
 from gatefid.streams import BitSource
-from gatefid.quantum import KrausChannel, exact_average_fidelity
+from gatefid.quantum import KrausChannel, exact_average_fidelity, haar_unitaries_batch
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -299,6 +299,51 @@ class TestClaimedLambda:
         assert not any("lambda" in f for f in result.flags)
 
 
+def _refuse_lanczos(*args):
+    raise AssertionError("Lanczos entered")
+
+
+class TestRunChecksFirst:
+    """_Run checks the channel type, its dimension against the ensemble's, epsilon and delta
+    before any design certificate or lambda is computed."""
+
+    ESTIMATORS = {
+        "design-iid": estimate_design_iid,
+        "kwise-design": estimate_kwise_design,
+        "single-qtpe": estimate_single_qtpe,
+        "two-phase": estimate_two_phase,
+    }
+
+    @staticmethod
+    def haar5(d):
+        rng = np.random.Generator(np.random.Philox(0x3D3))
+        return UnitaryEnsemble(d, haar_unitaries_batch(d, 5, rng), "haar5")
+
+    @pytest.mark.parametrize("algorithm", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("epsilon, delta, message", [
+        (1.5, 0.1, r"epsilon must be in \(0, 1\), got 1.5"),
+        (0.1, 7.0, r"delta must be in \(0, 1\), got 7.0"),
+    ])
+    def test_epsilon_and_delta_before_any_lambda(self, monkeypatch, algorithm, epsilon, delta,
+                                                 message):
+        monkeypatch.setattr(ensembles, "_lanczos_lambda", _refuse_lanczos)
+        model = noise_preset("depolarizing", (0.2,), 3)
+        with pytest.raises(ParameterError, match=message):
+            self.ESTIMATORS[algorithm](model, epsilon, delta, self.haar5(3), seed=1)
+
+    def test_design_iid_range_before_its_certificate(self, pauli):
+        # once "certifies only epsilon_2 = 16 >= epsilon/2 = 0.75; design too coarse"
+        with pytest.raises(ParameterError, match="epsilon must be in"):
+            estimate_design_iid(DEPOL, 1.5, 0.1, pauli, seed=1)
+
+    @pytest.mark.parametrize("algorithm", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_dimension_mismatch_before_any_lambda(self, monkeypatch, algorithm, d):
+        monkeypatch.setattr(ensembles, "_lanczos_lambda", _refuse_lanczos)
+        with pytest.raises(ParameterError, match=f"channel dim 2 != ensemble dim {d}"):
+            self.ESTIMATORS[algorithm](DEPOL, 0.1, 0.2, self.haar5(d), seed=1)
+
+
 class TestResultContract:
     def test_estimates_in_unit_interval(self, clifford):
         for seed in range(5):
@@ -397,24 +442,42 @@ def warm_traced_peak(run) -> int:
 
 
 class TestIndexDrawOffsets:
-    """_Run.indices decodes the drawn words' bytes from the bit the draw starts at. An
-    estimator's draw always starts at offset 0, so only a drawn prefix reaches the others."""
+    """_Run.draw decodes an IidPlan from the drawn words' bytes at the bit the draw starts at,
+    and a KwisePlan from its tape on the r seed bits drawn from there. An estimator's first
+    draw starts at offset 0, so only a drawn prefix reaches the others."""
+
+    @staticmethod
+    def drawn(prefix, label, plan, size):
+        """A run's draw of `plan` after `prefix` bits, with its ledger and bit count checked."""
+        run = estimators._Run("design-iid", DEPOL, 0.1, 0.1, 7)
+        run.source.take_bits(prefix)
+        got = run.draw(label, plan, size)
+        assert run.ledger.entries == [(label, plan.total_bits)]
+        assert run.source.total_bits == prefix + plan.total_bits
+        return got
 
     # widths 0, 1, 13, 36, 37, 57 and 57 exactly: both scaled products and the widest field
     @pytest.mark.parametrize("size", [1, 2, 24, 2**27 + 1, 2**28 + 1, 2**48 + 1, 2**57])
     def test_every_start_offset_gives_the_bit_draw(self, size):
-        n = 17  # every residue of i mod 8, twice
-        bits = n * index_width(size)
+        plan = IidPlan(17, index_width(size))  # every residue of i mod 8, twice
         for prefix in range(64):
             twin = BitSource(7)
             twin.take_bits(prefix)
-            want = indices_from_bits(twin.take_bits(bits), size, n).indices
-            run = estimators._Run("design-iid", DEPOL, 0.1, 0.1, 7)
-            run.source.take_bits(prefix)
-            got = run.indices("indices", bits, size, n)
+            want = indices_from_bits(twin.take_bits(plan.total_bits), size, plan.n).indices
+            got = self.drawn(prefix, "indices", plan, size)
             assert got.tobytes() == want.tobytes(), prefix
-            assert run.ledger.entries == [("indices", bits)]
-            assert run.source.total_bits == prefix + bits
+
+    # widths 1, 5 and 13, one of them scaled
+    @pytest.mark.parametrize("size", [2, 32, 24])
+    def test_every_start_offset_gives_the_tape_decode(self, size):
+        plan = KwisePlan(17, 3, index_width(size), -10.0)
+        for prefix in range(64):
+            twin = BitSource(7)
+            twin.take_bits(prefix)
+            tape = generate_tape(plan, twin.take_bits(plan.r))
+            want = indices_from_bits(tape.bits, size, plan.n).indices
+            got = self.drawn(prefix, "tape_seed", plan, size)
+            assert got.tobytes() == want.tobytes(), prefix
 
     def test_iid_draws_unpack_no_bit(self, clifford, monkeypatch):
         # design-iid and single-qtpe read their indices from the drawn words alone
@@ -512,6 +575,39 @@ class TestRunMemoryCap:
         monkeypatch.setattr(estimators, "RUN_MEMORY_CAP", peak - 1)
         with pytest.raises(CapacityError, match=r"trials of [a-z-]+ need \d+ MiB"):
             self.POINTS[point](clifford)
+        assert drawn == []
+
+
+class TestRunMemoryBoundary:
+    """Each estimator's modelled need, written out from its plan: 32 bytes a trial, an iid
+    index plan 2 bytes a bit (single-qtpe's one w-bit index too), a k-wise plan its
+    tape_bytes, and naive-haar 8 bytes a drawn word and 40 a gaussian read. A run fits a
+    cap of exactly its need, and a cap one byte less refuses it before any bit is drawn."""
+
+    NEEDS = {
+        "naive-haar": lambda p: 32 * p.n + 8 * (p.total_bits // 64) + 40 * p.n * 2 * DEPOL.dim,
+        "design-iid": lambda p: 32 * p.n + 2 * p.total_bits,
+        "kwise-design": lambda p: 32 * p.n + p.tape_bytes,
+        "single-qtpe": lambda p: 32 * p.n + 2 * p.width,
+        "two-phase": lambda p: (32 * (p.n + p.phase1.n) + 2 * p.phase1.total_bits
+                                + p.phase2.tape_bytes),
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(_RUNS))
+    def test_a_cap_of_the_need_fits_and_one_byte_less_refuses(self, clifford, monkeypatch,
+                                                              algorithm):
+        from gatefid import streams
+        from gatefid.errors import CapacityError
+
+        run = _RUNS[algorithm]
+        need = self.NEEDS[algorithm](run(clifford).plan)
+        monkeypatch.setattr(estimators, "RUN_MEMORY_CAP", need)
+        assert run(clifford).ledger.total > 0
+        drawn = []
+        monkeypatch.setattr(streams.BitSource, "_span", lambda self, count: drawn.append(count))
+        monkeypatch.setattr(estimators, "RUN_MEMORY_CAP", need - 1)
+        with pytest.raises(CapacityError, match=rf"trials of {algorithm} need \d+ MiB"):
+            run(clifford)
         assert drawn == []
 
 

@@ -180,6 +180,24 @@ class TestBoundChecks:
                 with pytest.raises(ParameterError, match="expected a KrausChannel"):
                     check()
 
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_dimension_mismatch_refused_before_any_lambda(self, monkeypatch, d):
+        # a loaded 5-member Haar set against a d = 2 channel; past the lambdas this was the
+        # t = 4 twirl cap at d = 8 and the kernel's column-shape error at d = 3
+        def refuse(*args):
+            raise AssertionError("Lanczos entered")
+
+        monkeypatch.setattr(ensembles, "_lanczos_lambda", refuse)
+        rng = np.random.Generator(np.random.Philox(0x3D3))
+        haar = ensembles.UnitaryEnsemble(d, haar_unitaries_batch(d, 5, rng), "haar5")
+        for check in (
+            lambda: moment_gap_checks(DEPOL, haar),
+            lambda: prop1_tail_check(DEPOL, haar, params=FAST),
+            lambda: bound_validation_suite(DEPOL, haar, params=FAST),
+        ):
+            with pytest.raises(ParameterError, match=f"channel dim 2 != ensemble dim {d}"):
+                check()
+
     def test_suite_computes_the_table_and_second_moment_once(self, clifford, monkeypatch):
         calls = []
 
