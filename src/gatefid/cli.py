@@ -35,9 +35,7 @@ from .errors import (
     FormatError,
     GatefidError,
     ParameterError,
-    PlanningError,
     PreconditionError,
-    ValidationError,
 )
 from .estimators import (
     ALGORITHMS,
@@ -379,9 +377,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ParameterError, PlanningError, ConfigError, FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
     except (CapacityError, ConvergenceError) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import UnitaryEnsemble, lambda_t
+from .ensembles import UnitaryEnsemble, checked_lambda, lambda_t
 from .errors import CapacityError, ParameterError
 from .estimators import _checked_channel, _fidelity_columns, _fidelity_table
 from .prg import GF2mField, KwisePlan, theta_log2_of
@@ -217,8 +217,18 @@ def moment_gap_checks(channel, ensemble: UnitaryEnsemble, lambda2=None, lambda4=
     E[(p - a)^l] is F - a at l = 1 and E[p^2] - 2aF + a^2 at l = 2.
     """
     ch = _checked_channel(channel, ensemble)
-    lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
+    lam2, lam4 = _lambdas(ensemble, lambda2, lambda4)
     return _moment_gaps(ch, lam2, lam4, haar_second_moment(ch), _fidelity_table(ch, ensemble))
+
+
+def _lambdas(ensemble: UnitaryEnsemble, lambda2, lambda4) -> tuple:
+    """(lambda_2, lambda_4): both claims are checked first, and lambda_4 is taken
+    before lambda_2, so a t = 4 twirl over its cap is refused before the t = 2 one runs."""
+    for claim in (lambda2, lambda4):
+        if claim is not None:
+            checked_lambda(claim)
+    lam4 = lambda_t(ensemble, 4, lambda4)
+    return lambda_t(ensemble, 2, lambda2), lam4
 
 
 def _moment_gaps(ch, lam2: float, lam4: float, haar_m2: float, table: np.ndarray) -> list:
@@ -274,7 +284,7 @@ def bound_validation_suite(
     share is computed once here: an unclaimed lambda_2 or lambda_4, the Haar
     E[p^2] and the ensemble's fidelity table."""
     ch = _checked_channel(channel, ensemble)
-    lam2, lam4 = lambda_t(ensemble, 2, lambda2), lambda_t(ensemble, 4, lambda4)
+    lam2, lam4 = _lambdas(ensemble, lambda2, lambda4)
     haar_m2 = haar_second_moment(ch)
     report = SuiteReport([_variance(ch, haar_m2), tail_check(ch, params)])
     _check_prop1_draws(params)

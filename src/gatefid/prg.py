@@ -35,9 +35,10 @@ x^(iB) = (x^i)^(2^b) is its row i times F = S^b, the degree's Frobenius
 matrix for b. Row j of S is the single bit 2j while 2j < m, so its low
 rows are a byte-table spread and only the rest get XOR tables. Tables and
 gathers are built in blocks of bounded size, each in an array of its own.
-What is kept per field degree (the squaring tables, F, and F's tables while
-they fit one block) is seed-independent and read-only once built, so every
-thread shares it.
+Two lru caches keep what tapes share: per field degree t's packed powers and
+the squaring tables (_degree), and per degree and b the tables of F, whose
+first block is kept (_frobenius). Both are seed-independent and read-only
+once built, so every thread shares them.
 The rest of the per-seed set-up is word work with no loop over bits: x and
 y are one packbits of the seed; the parities <t^a, y> are one pass over the
 degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
@@ -418,20 +419,11 @@ _GATHER_ROWS = 64
 def tape_bytes(n: int, m: int) -> int:
     """Bytes an n-bit tape over GF(2^m) holds at most. 2 a bit is an over-bound, kept so that
     no plan's cap moves: the tape takes a quarter byte a bit (its packed words and the byte
-    copy it is read from), and gen-bits with its hex text and lines about 1.25. The degree-m
-    workspace adds under m^2 of packed m x m matrices and Python-int powers, the kept
-    Frobenius matrix F (m^2/8 packed, and its tables while they fit one block), and 4 blocks
-    of _BLOCK_BYTES of XOR tables and gathers."""
-    return 2 * n + m * m + m * 8 * -(-m // 64) + _kept_table_bytes(m) + 4 * _BLOCK_BYTES
-
-
-def _kept_table_bytes(m: int) -> int:
-    """Bytes of the XOR tables of an m x m matrix if they fit one block, else 0.
-
-    Only such tables are kept between tapes; larger ones are rebuilt on each use.
-    """
-    size = 256 * -(-m // 8) * 8 * -(-m // 64)
-    return size if size <= _BLOCK_BYTES else 0
+    copy it is read from), and gen-bits with its hex text and lines about 1.25. Degree m adds
+    under m^2 of packed m x m matrices and Python-int powers, the kept Frobenius matrix F
+    (m^2/8 packed) and 5 blocks of _BLOCK_BYTES: F's kept first table block, and the XOR
+    tables and gathers."""
+    return 2 * n + m * m + m * 8 * -(-m // 64) + 5 * _BLOCK_BYTES
 
 
 def _packed(elems, words: int) -> np.ndarray:
@@ -475,33 +467,26 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
 class _XorTables:
     """The XOR tables of a packed GF(2) matrix M, for products A M.
 
-    Tables cover at most _BLOCK_BYTES each: a span of 8-row chunks of M
-    times a span of its words. The first block is built once and kept, so
-    a matrix whose tables fit one block (an m x m matrix up to m = 1024)
-    never rebuilds them; further blocks are rebuilt on each use. Every
-    block is an array of its own, and nothing here changes once built.
+    Each block of tables covers a span of 8-row chunks of M, all its words,
+    in at most _BLOCK_BYTES while a chunk's 256 entries fit one block: every
+    right factor of a tape the caps admit is at most 512 words wide, a
+    quarter of that. The first block is built once and kept, so a matrix
+    whose tables fit one block (an m x m matrix up to m = 1024) never
+    rebuilds them; further blocks are rebuilt on each use. Every block is
+    an array of its own, and nothing here changes once built.
     """
 
     def __init__(self, mat: np.ndarray):
         self.mat = mat
-        self.words = mat.shape[1]
-        self.width = min(self.words, max(1, _BLOCK_BYTES // (256 * 8)))
-        self.chunks = max(1, _BLOCK_BYTES // (256 * 8 * self.width))
-        self.spans = [
-            (c0, w0)
-            for w0 in range(0, self.words, self.width)
-            for c0 in range(0, -(-len(mat) // 8), self.chunks)
-        ]
-        self.first = _xor_table(self._rows(*self.spans[0]))
-
-    def _rows(self, c0: int, w0: int) -> np.ndarray:
-        return self.mat[8 * c0 : 8 * (c0 + self.chunks), w0 : w0 + self.width]
+        self.chunks = max(1, _BLOCK_BYTES // (256 * 8 * mat.shape[1]))
+        self.starts = range(0, -(-len(mat) // 8), self.chunks)
+        self.first = _xor_table(mat[: 8 * self.chunks])
 
     def blocks(self):
-        """(first chunk, first word, table) for every block."""
-        yield (*self.spans[0], self.first)
-        for c0, w0 in self.spans[1:]:
-            yield c0, w0, _xor_table(self._rows(c0, w0))
+        """(first chunk, table) for every block."""
+        yield 0, self.first
+        for c0 in self.starts[1:]:
+            yield c0, _xor_table(self.mat[8 * c0 : 8 * (c0 + self.chunks)])
 
 
 def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
@@ -512,16 +497,16 @@ def _gf2_product(a: np.ndarray, tables: _XorTables) -> np.ndarray:
     of A go _GATHER_ROWS at a time, so a gather is a quarter of its table
     block.
     """
-    out = np.zeros((len(a), tables.words), _WORD)
+    out = np.zeros((len(a), tables.mat.shape[1]), _WORD)
     a_bytes = a.view(np.uint8)
-    for c0, w0, table in tables.blocks():
-        chunks, width = len(table) // 256, table.shape[1]
+    for c0, table in tables.blocks():
+        chunks = len(table) // 256
         offsets = np.arange(0, 256 * chunks, 256, dtype=np.intp)[:, None]
         for r0 in range(0, len(a), _GATHER_ROWS):
             index = a_bytes[r0 : r0 + _GATHER_ROWS, c0 : c0 + chunks].T + offsets
             # every index is in range; the default mode checks them and buffers the gather
             gather = np.take(table, index, axis=0, mode="clip")
-            out[r0 : r0 + _GATHER_ROWS, w0 : w0 + width] ^= np.bitwise_xor.reduce(gather, axis=0)
+            out[r0 : r0 + _GATHER_ROWS] ^= np.bitwise_xor.reduce(gather, axis=0)
     return out
 
 
@@ -609,49 +594,24 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.
     return out
 
 
-class _Workspace:
-    """What the tapes of field degree m share: packed rows t^0 .. t^(2m-2),
-    the squaring tables, and the Frobenius matrix F = S^b of the last b.
-
-    All of it is seed-independent and read-only once built, so one
-    workspace serves every thread. Each tape builds its seed-dependent
-    tables (the chain's multiply-by-base tables, the V^T and HV tables,
-    and F's tables when they are not kept), gathers and indices in arrays
-    of its own, which are freed once the product that reads them is done.
-    """
-
-    def __init__(self, m: int):
-        self.gf = GF2mField(m)
-        self.t_powers = _packed(_times_t(self.gf, 1, 2 * m - 1), -(-m // 64))
-        self.square = _Squaring(self.t_powers[::2])  # row j is t^(2j)
-        self._frobenius = None  # (b, F, F's kept tables or None)
-
-    def frobenius(self, b: int) -> _XorTables:
-        """The XOR tables of F = S^b: row j is t^(j 2^b), so row i of A F is row i of A to the 2^b.
-
-        F is the power chain of t^(2^b), built once per b; the last b's F is
-        kept. Its tables are kept with it while they fit one block (m up to
-        1024); larger ones are rebuilt on each call, as every larger table
-        set is. The memo is read once, so a thread that swaps in another b
-        never changes what this call returns.
-        """
-        memo = self._frobenius
-        if memo is None or memo[0] != b:
-            gf = self.gf
-            taps = _low_taps(gf.modulus)
-            base = gf.mul_t(1)
-            for _ in range(b):
-                base = _fold(_gf2_square(base), gf.m, taps)
-            mat = _power_chain(gf, base, gf.m - 1, self.square)
-            memo = self._frobenius = (b, mat, _XorTables(mat) if _kept_table_bytes(gf.m) else None)
-        _, mat, kept = memo
-        return _XorTables(mat) if kept is None else kept
+@functools.lru_cache(maxsize=4)
+def _degree(m: int) -> tuple:
+    """What every tape of field degree m shares: packed rows t^0 .. t^(2m-2), and the
+    squaring tables."""
+    t_powers = _packed(_times_t(GF2mField(m), 1, 2 * m - 1), -(-m // 64))
+    return t_powers, _Squaring(t_powers[::2])  # row j of S is t^(2j)
 
 
 @functools.lru_cache(maxsize=4)
-def _workspace(m: int) -> _Workspace:
-    """The degree-m workspace, which every thread shares."""
-    return _Workspace(m)
+def _frobenius(m: int, b: int) -> _XorTables:
+    """The XOR tables of F = S^b over GF(2^m): row j is t^(j 2^b), so row i of A F is
+    row i of A to the 2^b. F is the power chain of t^(2^b)."""
+    gf = GF2mField(m)
+    taps = _low_taps(gf.modulus)
+    base = gf.mul_t(1)
+    for _ in range(b):
+        base = _fold(_gf2_square(base), m, taps)
+    return _XorTables(_power_chain(gf, base, m - 1, _degree(m)[1]))
 
 
 def _row_log2(n: int) -> int:
@@ -711,12 +671,12 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
         )
     b = _row_log2(n)
     block, rows = 1 << b, -(-n >> b)
-    work = _workspace(m)
-    v = _power_chain(gf, x, max(block, rows - 1), work.square)
-    u = _gf2_product(v[:rows], work.frobenius(b))  # row i is x^(iB)
+    t_powers, square = _degree(m)
+    v = _power_chain(gf, x, max(block, rows - 1), square)
+    u = _gf2_product(v[:rows], _frobenius(m, b))  # row i is x^(iB)
     vt = _transposed(v[1 + (np.arange(block) ^ 7)], m)  # column c is x^((c ^ 7) + 1)
     del v
-    hv = _gf2_product(_hankel_rows(work.t_powers, y), _XorTables(vt))
+    hv = _gf2_product(_hankel_rows(t_powers, y), _XorTables(vt))
     del vt
     tape = _gf2_product(u, _XorTables(hv))
     del u, hv

@@ -621,11 +621,11 @@ class TestTapeCostModel:
     POINTS = {
         "kwise-design": (
             lambda c: estimate_kwise_design(DEPOL, 0.2, 1e-300, c, seed=1),
-            lambda: plan_kwise_design(0.2, 1e-300, 24).field_degree, 158_711, 27063,
+            lambda: plan_kwise_design(0.2, 1e-300, 24).field_degree, 158_711, 27067,
         ),
         "two-phase": (
             lambda c: estimate_two_phase(DEPOL, 0.9, 1e-240, c, seed=1, waive_preconditions=True),
-            lambda: plan_two_phase(0.9, 1e-240, 2, 24).phase2.field_degree, 44_162, 2166,
+            lambda: plan_two_phase(0.9, 1e-240, 2, 24).phase2.field_degree, 44_162, 2170,
         ),
     }
 

@@ -198,6 +198,36 @@ class TestBoundChecks:
             with pytest.raises(ParameterError, match=f"channel dim 2 != ensemble dim {d}"):
                 check()
 
+    def test_oversized_lambda4_refused_before_lambda2(self, monkeypatch):
+        # a 5-member Haar set at d = 8: the t = 4 twirl is over its cap, so both checks
+        # that read lambda_4 exit at that cap without running the t = 2 Lanczos first
+        def refuse(*args):
+            raise AssertionError("Lanczos entered")
+
+        monkeypatch.setattr(ensembles, "_lanczos_lambda", refuse)
+        rng = np.random.Generator(np.random.Philox(0x3D3))
+        haar = ensembles.UnitaryEnsemble(8, haar_unitaries_batch(8, 5, rng), "haar8")
+        model = noise_preset("depolarizing", (0.2,), 8)
+        for check in (
+            lambda: moment_gap_checks(model, haar),
+            lambda: bound_validation_suite(model, haar, params=FAST),
+        ):
+            with pytest.raises(CapacityError, match="the t = 4 twirl at d = 8"):
+                check()
+
+    @pytest.mark.parametrize("claims", [(math.nan, None), (None, math.nan)])
+    def test_bad_claim_refused_before_any_lambda(self, clifford, monkeypatch, claims):
+        def refuse(*args):
+            raise AssertionError("tpe_lambda entered")
+
+        monkeypatch.setattr(ensembles, "tpe_lambda", refuse)  # lambda_t's lookup
+        for check in (
+            lambda: moment_gap_checks(DEPOL, clifford, *claims),
+            lambda: bound_validation_suite(DEPOL, clifford, *claims, params=FAST),
+        ):
+            with pytest.raises(ParameterError, match="claimed lambda"):
+                check()
+
     def test_suite_computes_the_table_and_second_moment_once(self, clifford, monkeypatch):
         calls = []
 

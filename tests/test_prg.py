@@ -1,6 +1,5 @@
 import ast
 import concurrent.futures
-import functools
 import hashlib
 import inspect
 import itertools
@@ -297,6 +296,17 @@ class TestGenerateTape:
         assert np.array_equal(tape.bits, generate_tape(PLAN_32, seed).bits)
 
 
+@pytest.fixture
+def fresh_tape_caches():
+    """Empty per-degree caches before and after: the test's first tape builds t's powers,
+    the squaring tables and F, and no tables built under a patched block size outlive it."""
+    prg._degree.cache_clear()
+    prg._frobenius.cache_clear()
+    yield
+    prg._degree.cache_clear()
+    prg._frobenius.cache_clear()
+
+
 def tape_of_degree(m, n, seed_bits, k=2):
     """A generated tape over GF(2^m): theta chosen so the planned degree is m."""
     theta_log2 = -(m - 1 - k / 2 - math.log2(n)) + 0.5
@@ -404,24 +414,21 @@ class TestTapeAgainstLocalDecoder:
         got = [int.from_bytes(row.tobytes(), "little") for row in left[-1]]
         assert got == reference[::block] and len(got) == rows
 
-    def test_column_blocks(self, monkeypatch):
-        # a 256-byte block splits every table into one-chunk, one-word blocks:
-        # B = 256 columns are four words and each m-row table several blocks;
-        # Q = 274 rows take five 64-row gathers, and the Frobenius tables are
-        # rebuilt on each use. Every bit is checked against the tape's
-        # definition, <x^e, y> for e = 1..n, along a byte-comb chain.
-        # A fresh workspace cache, so the squaring tables split too and no
-        # split tables outlive the test
+    def test_column_blocks(self, monkeypatch, fresh_tape_caches):
+        # a 256-byte block splits every table into one-chunk blocks: B = 256
+        # columns are four words and each m-row table several blocks; Q = 274
+        # rows take five 64-row gathers, and every Frobenius block but the
+        # first is rebuilt on each use. Every bit is checked against the
+        # tape's definition, <x^e, y> for e = 1..n, along a byte-comb chain.
+        # Fresh caches, so the squaring tables split too
         monkeypatch.setattr(prg, "_BLOCK_BYTES", 256)
-        monkeypatch.setattr(prg, "_workspace", functools.lru_cache(maxsize=4)(prg._workspace.__wrapped__))
         n = 70_000
         block, rows = tape_layout(n)
         assert (block, rows) == (256, 274)
         near_gather_steps = [i * block + r - 1 for i in (255, 256, 257) for r in (-1, 0, 1, block - 1)]
         for m in (24, 65):
             tables = prg._XorTables(np.zeros((m, block // 64), prg._WORD))
-            assert len({c0 for c0, _ in tables.spans}) > 1 and len({w0 for _, w0 in tables.spans}) == 4
-            assert prg._kept_table_bytes(m) == 0
+            assert tables.chunks == 1 and len(tables.starts) == -(-m // 8) > 1
             tape = tape_of_degree(m, n, BitSource(n + m).take_bits(2 * m))
             want = [(xe & tape.y).bit_count() & 1 for xe in byte_comb_powers(tape.gf, tape.x, n)[1:]]
             assert tape.bits.tolist() == want, m
@@ -508,8 +515,8 @@ class TestPackedProduct:
     @pytest.mark.parametrize("block_bytes", [None, 256])
     @pytest.mark.parametrize("inner", PRODUCT_SIZES)
     def test_matches_integer_product(self, monkeypatch, rng, inner, block_bytes):
-        # at 256 bytes every table block is one chunk by one word, so both the
-        # chunks and the columns of a table split; gathers split every 64 rows
+        # at 256 bytes every table block is one chunk, so the chunks of a
+        # table split; gathers split every 64 rows
         if block_bytes is not None:
             monkeypatch.setattr(prg, "_BLOCK_BYTES", block_bytes)
         for rows, cols in itertools.product(PRODUCT_SIZES, repeat=2):
@@ -619,58 +626,72 @@ class TestPinnedTapes:
 
 
 class TestTapeWorkspace:
-    def test_workspace_kept_per_degree_and_thread(self):
-        work = prg._workspace(526)
-        assert prg._workspace(526) is work
+    def test_degree_kept_per_degree_and_thread(self):
+        t_powers, square = prg._degree(526)
+        assert prg._degree(526)[1] is square
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            assert pool.submit(lambda: prg._workspace(526)).result() is work
+            assert pool.submit(lambda: prg._degree(526)).result()[1] is square
         # rows t^(2j), j < 256, are single bits: tables cover rows 256..525 only
-        assert len(work.t_powers) == 2 * 526 - 1 and work.square.plain == 256
-        assert work.square.tables.first.shape == (34 * 256, 9)
+        assert len(t_powers) == 2 * 526 - 1 and square.plain == 256
+        assert square.tables.first.shape == (34 * 256, 9)
 
     @pytest.mark.parametrize("m", [1, 2, 9, 64, 65, 130])
     @pytest.mark.parametrize("b", [0, 1, 5, 9])
     def test_frobenius_rows(self, m, b):
         # row j of F = S^b is t^(j 2^b)
         gf = GF2mField(m)
-        frobenius = prg._workspace(m).frobenius(b).mat
+        frobenius = prg._frobenius(m, b).mat
         got = [int.from_bytes(row.tobytes(), "little") for row in frobenius]
         assert got == [gf.pow(2, j << b) for j in range(m)]
 
-    def test_frobenius_tables_kept_within_one_block(self):
-        # m = 526: F's tables fit one 4 MiB block and are kept, in the bytes
-        # tape_bytes counts for them; m = 1052: they span two blocks and are
-        # rebuilt on each use, and only F is kept
-        small, large = prg._workspace(526), prg._workspace(1052)
-        tables = small.frobenius(9)
-        assert small.frobenius(9) is tables
-        assert tables.first.nbytes == prg._kept_table_bytes(526) == 66 * 256 * 9 * 8
-        assert large.frobenius(10) is not large.frobenius(10) and prg._kept_table_bytes(1052) == 0
-        assert large.frobenius(10).mat is large.frobenius(10).mat
-        assert small.frobenius(8) is not tables  # one b kept at a time
+    def test_frobenius_tables_kept_per_degree_and_b(self):
+        # m = 526: F's tables fit one 4 MiB block; m = 1052: they span two
+        # blocks, and the first is kept with F as well
+        small, large = prg._frobenius(526, 9), prg._frobenius(1052, 10)
+        assert prg._frobenius(526, 9) is small and prg._frobenius(1052, 10) is large
+        assert small.first.nbytes == 66 * 256 * 9 * 8 and len(small.starts) == 1
+        assert len(large.starts) == 2 and large.first.nbytes <= prg._BLOCK_BYTES
+        assert prg._frobenius(526, 8) is not small  # one entry per b
 
+    def test_frobenius_shared_by_tapes_past_one_block(self, monkeypatch, fresh_tape_caches):
+        # at m = 1052 every tape's U product reads one cached F, whose first
+        # block is built once
+        n = 20_000
+        used = []
+        product = prg._gf2_product
+        monkeypatch.setattr(prg, "_gf2_product", lambda a, tables: used.append(tables) or product(a, tables))
+        tape_of_degree(1052, n, BitSource(1).take_bits(2 * 1052))
+        tables = prg._frobenius(1052, prg._row_log2(n))
+        first = tables.first
+        assert len(tables.starts) == 2
+        tape_of_degree(1052, n, BitSource(2).take_bits(2 * 1052))
+        assert prg._frobenius(1052, prg._row_log2(n)) is tables and tables.first is first
+        assert sum(t is tables for t in used) == 2
+        assert prg._frobenius.cache_info().misses == 1
 
     def test_concurrent_tapes_match_sequential(self):
         # numpy releases the GIL inside the gathers: threads must not share buffers
         seeds = [BitSource(s).take_bits(2 * 129) for s in range(8)]
         want = [tape_of_degree(129, 20_000, b).bits for b in seeds]
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
-            for _ in range(4):  # one shared workspace failed about one tape in five here
+            for _ in range(4):  # shared tape buffers failed about one tape in five here
                 got = list(pool.map(lambda b: tape_of_degree(129, 20_000, b).bits, seeds))
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def test_threads_swap_the_shared_frobenius_memo(self):
-        # every thread shares the degree's workspace: tapes of n = 300 and
+    def test_threads_share_the_frobenius_cache(self, fresh_tape_caches):
+        # every thread shares the degree's caches: tapes of n = 300 and
         # n = 20,000 lay out rows of 2^4 and 2^7 bits, so threads running
-        # both keep swapping F's one-slot memo between two values of b
+        # both read F for two values of b, and each round builds them anew
         assert (prg._row_log2(300), prg._row_log2(20_000)) == (4, 7)
         jobs = [(n, BitSource(s).take_bits(2 * 129)) for s, n in enumerate([300, 20_000] * 4)]
         want = [tape_of_degree(129, n, b).bits for n, b in jobs]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads switch between the memo's read and its write
+        sys.setswitchinterval(1e-6)  # threads switch inside the caches' builds
         try:
             with concurrent.futures.ThreadPoolExecutor(4) as pool:
                 for _ in range(4):
+                    prg._degree.cache_clear()
+                    prg._frobenius.cache_clear()
                     got = list(pool.map(lambda job: tape_of_degree(129, *job).bits, jobs))
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
         finally:
@@ -679,11 +700,10 @@ class TestTapeWorkspace:
 
 class TestTapeCapacity:
     @pytest.mark.parametrize("m,n", [(526, 276_393), (1052, 20_000)])
-    def test_model_bounds_first_and_repeated_tapes(self, monkeypatch, m, n):
+    def test_model_bounds_first_and_repeated_tapes(self, fresh_tape_caches, m, n):
         # every table, gather and index is allocated per tape; the first tape
-        # of a fresh workspace also builds t's powers, the squaring tables and
-        # F, and tape_bytes must bound the traced peak of both tapes
-        monkeypatch.setattr(prg, "_workspace", functools.lru_cache(maxsize=4)(prg._workspace.__wrapped__))
+        # of fresh caches also builds t's powers, the squaring tables and F,
+        # and tape_bytes must bound the traced peak of both tapes
         GF2mField(m)  # its modulus's first-use Rabin check is not measured
         peaks = []
         for seed in (1, 2):
