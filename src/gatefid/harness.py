@@ -348,7 +348,7 @@ def exhaustive_bias_check(n: int, k: int, theta: float) -> BiasReport:
     if r > EXHAUSTIVE_R_CAP:
         raise CapacityError(f"exhaustive enumeration needs r <= {EXHAUSTIVE_R_CAP}, got {r}")
     # n uint16 powers per x, one int64 per class, and the larger working
-    # block: a transform's int64 spectrum with its butterfly temporaries, or
+    # block: a transform's int64 spectrum with its gather temporaries, or
     # a slice of x values, 3 bytes a value and 8 more for each class of size
     # < k (_root_count_sums)
     classes = sum(math.comb(n - 1, j) for j in range(k))
@@ -488,11 +488,14 @@ def _walsh_hadamard_laws(sums: list, seeds: int, n: int | None = None) -> tuple:
             for p in range(shift, j):
                 rank = rank + binom[sets[:, where[j][:, p]] - least, p + 1 - shift]
             spectrum[:, picks[j]] = sums[j][rank]
-        # Walsh-Hadamard butterflies: entry v becomes 2^k * count(v) - seeds
+        # Walsh-Hadamard butterflies, in place on the paired views: (a, b) becomes
+        # (a + b, a - b), and entry v ends as 2^k * count(v) - seeds
         for h in (1 << p for p in range(k)):
             pairs = spectrum.reshape(len(ranks), -1, 2, h)
-            spectrum = np.stack((pairs[:, :, 0] + pairs[:, :, 1],
-                                 pairs[:, :, 0] - pairs[:, :, 1]), axis=2)
+            a, b = pairs[:, :, 0], pairs[:, :, 1]
+            a += b
+            b *= -2
+            b += a
         worst = max(worst, int(np.abs(spectrum).reshape(len(ranks), -1).sum(axis=1).max()))
     subsets = sum(math.comb(n, j) for j in range(1, k + 1))
     return subsets, worst / (seeds << k), worst_bias

@@ -38,7 +38,8 @@ gathers are built in blocks of bounded size, each in an array of its own.
 Two lru caches keep what tapes share: per field degree t's packed powers and
 the squaring tables (_degree), and per degree and b the tables of F, whose
 first block is kept (_frobenius). Both are seed-independent and read-only
-once built, so every thread shares them.
+once built, so every thread shares them; a tape reads them under one lock,
+so threads that miss a key together build it once.
 The rest of the per-seed set-up is word work with no loop over bits: x and
 y are one packbits of the seed; the parities <t^a, y> are one pass over the
 degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
@@ -58,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -594,6 +596,11 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.
     return out
 
 
+# Held while a tape reads the two caches below: lru_cache lets every thread
+# that misses a key build its own copy, and this makes a concurrent miss build once.
+_CACHE_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=4)
 def _degree(m: int) -> tuple:
     """What every tape of field degree m shares: packed rows t^0 .. t^(2m-2), and the
@@ -671,9 +678,10 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
         )
     b = _row_log2(n)
     block, rows = 1 << b, -(-n >> b)
-    t_powers, square = _degree(m)
+    with _CACHE_LOCK:
+        (t_powers, square), frobenius = _degree(m), _frobenius(m, b)
     v = _power_chain(gf, x, max(block, rows - 1), square)
-    u = _gf2_product(v[:rows], _frobenius(m, b))  # row i is x^(iB)
+    u = _gf2_product(v[:rows], frobenius)  # row i is x^(iB)
     vt = _transposed(v[1 + (np.arange(block) ^ 7)], m)  # column c is x^((c ^ 7) + 1)
     del v
     hv = _gf2_product(_hankel_rows(t_powers, y), _XorTables(vt))

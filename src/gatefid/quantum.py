@@ -27,8 +27,13 @@ ATOL = 1e-10
 TRACE_TOL = 1e-9
 # Default cap on Hilbert-space dimension for dense storage.
 MAX_DIM = 64
-# Bytes of float64 temporaries the fidelity kernel holds per block of rows, about.
+# Bytes of temporaries per block of Kraus operators in _weight_matrix and
+# choi_matrix, about; also the budget that sets the fidelity kernel's tile height.
 _BLOCK_BYTES = 1 << 22
+# Bytes of float64 temporaries the fidelity kernel holds per block of rows,
+# about: an L2-sized working set, small enough that glibc keeps it between
+# calls instead of returning it and faulting it in again on the next.
+_KERNEL_BYTES = 1 << 20
 # Bytes one run may hold: an estimator's trials and draws, a gen-bits tape, a
 # channel composition's Kraus products, or a product ensemble's first columns.
 # Each module that checks it imports it by name and reads its own binding.
@@ -180,16 +185,24 @@ def _coordinates(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real**2 + c.imag**2, z.real, z.imag], axis=1)
 
 
+def _rows_within(budget: int, w: np.ndarray) -> int:
+    """Rows whose temporaries fit `budget` bytes of float64: the 2K outputs and
+    about 4 d^2 coordinate and pair-product temporaries per row."""
+    return max(1, budget // (8 * (w.shape[0] + 4 * w.shape[1])))
+
+
 def _block_rows(w: np.ndarray) -> int:
-    """Rows per kernel block: the 2K outputs and about 4 d^2 coordinate and
-    pair-product temporaries per row, in _BLOCK_BYTES of float64."""
-    return max(1, _BLOCK_BYTES // (8 * (w.shape[0] + 4 * w.shape[1])))
+    """Rows per kernel block: the most whole tiles that fit _KERNEL_BYTES, and
+    one tile when not even one fits."""
+    tile = _tile_rows(w)
+    return tile * max(1, _rows_within(_KERNEL_BYTES, w) // tile)
 
 
 def _tile_rows(w: np.ndarray) -> int:
     """Rows per tile of the kernel's matrix product: the largest power of two
-    that is at most 512 and fits one block, so it depends on W's shape alone."""
-    return 1 << (min(512, _block_rows(w)).bit_length() - 1)
+    that is at most 512 and whose rows fit _BLOCK_BYTES, so it depends on W's
+    shape alone (512 rows at d = 2 and 8, 256 at d = 16, 16 at d = 64)."""
+    return 1 << (min(512, _rows_within(_BLOCK_BYTES, w)).bit_length() - 1)
 
 
 def gate_fidelities(ch: KrausChannel, columns) -> np.ndarray:
@@ -197,20 +210,20 @@ def gate_fidelities(ch: KrausChannel, columns) -> np.ndarray:
 
     columns has shape (n, d); the result has shape (n,). p(c) is
     sum_k |<c|A_k|c>|^2 = |W r(c)|^2 with the channel's cached weights W, taken
-    a block of rows at a time, so the temporaries stay near _BLOCK_BYTES
-    whatever n is. A BLAS product may round a row differently in a product of
-    another height, so every product runs on tiles of _tile_rows rows: a
-    block's full tiles go through one batched matmul, and its last rows
-    through one tile padded with zero rows. A row's p then depends only on the
-    row and the channel: a member's probability is one float whatever batch it
-    is read in.
+    _block_rows rows at a time, so the temporaries stay near _KERNEL_BYTES
+    whatever n is: a block small enough to sit in L2, and one the allocator
+    keeps between calls. A BLAS product may round a row differently in a
+    product of another height, so every product runs on tiles of _tile_rows
+    rows, a height set apart from the block budget: a block's full tiles go
+    through one batched matmul, and its last rows through one tile padded with
+    zero rows. A row's p then depends only on the row and the channel: a
+    member's probability is one float whatever batch or block it is read in.
     """
     cols = np.asarray(columns, dtype=np.complex128)
     if cols.ndim != 2 or cols.shape[1] != ch.dim:
         raise DimensionError(f"expected columns of shape (n, {ch.dim}), got {cols.shape}")
     w = ch.weights
-    tile = _tile_rows(w)
-    step = _block_rows(w) // tile * tile
+    tile, step = _tile_rows(w), _block_rows(w)
     p = np.empty(len(cols))
     for s in range(0, len(cols), step):
         r = _coordinates(cols[s : s + step])

@@ -6,6 +6,7 @@ import itertools
 import math
 import sys
 import textwrap
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -694,6 +695,29 @@ class TestTapeWorkspace:
                     prg._frobenius.cache_clear()
                     got = list(pool.map(lambda job: tape_of_degree(129, *job).bits, jobs))
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_concurrent_misses_build_each_key_once(self, fresh_tape_caches):
+        # four threads that start one degree's tapes together must build t's
+        # powers and F once between them, not once each (with lru_cache alone,
+        # each round at m = 1052 built F four times)
+        seeds = [BitSource(s).take_bits(2 * 1052) for s in range(4)]
+
+        def tape(seed_bits, start):
+            start.wait(10)
+            return tape_of_degree(1052, 20_000, seed_bits)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                for _ in range(4):
+                    prg._degree.cache_clear()
+                    prg._frobenius.cache_clear()
+                    list(pool.map(tape, seeds, [threading.Barrier(4)] * 4))
+                    assert prg._degree.cache_info().misses == 1
+                    assert prg._frobenius.cache_info().misses == 1
         finally:
             sys.setswitchinterval(interval)
 

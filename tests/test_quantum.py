@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,7 @@ class TestFidelityKernel:
     def test_batch_sizes_around_one_block(self, rng):
         ch = parse_channel_spec("depolarizing:0.1+over_rotation:z,0.35", 4)
         rows = quantum._block_rows(ch.weights)
+        assert rows == 2 * quantum._tile_rows(ch.weights)  # a block of two whole tiles
         cols = unit_rows(rows + 1, 4, rng)
         assert np.max(np.abs(gate_fidelities(ch, cols) - reference_fidelities(ch, cols))) <= 1e-13
         for n in (0, 1, rows - 1, rows, rows + 1):
@@ -256,9 +258,24 @@ class TestFidelityKernel:
     def test_one_row_blocks(self, rng, monkeypatch):
         ch = random_kraus(3, 9, rng)
         cols = unit_rows(50, 3, rng)
+        # one-row tiles, and blocks of one tile
         monkeypatch.setattr(quantum, "_BLOCK_BYTES", 1)
-        assert quantum._block_rows(ch.weights) == 1
+        monkeypatch.setattr(quantum, "_KERNEL_BYTES", 1)
+        assert quantum._tile_rows(ch.weights) == quantum._block_rows(ch.weights) == 1
         assert np.max(np.abs(gate_fidelities(ch, cols) - reference_fidelities(ch, cols))) <= 1e-13
+
+    def test_working_set_stays_near_the_block_budget(self, rng):
+        # 16,000 rows at d = 4 are 16 blocks; one block's temporaries are held
+        # at a time, beside the 128 KiB result
+        ch = parse_channel_spec("depolarizing:0.25", 4)
+        cols = unit_rows(16_000, 4, rng)
+        tracemalloc.start()
+        try:
+            gate_fidelities(ch, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * quantum._KERNEL_BYTES, peak
 
     def test_empty_batch(self):
         ch = noise_preset("depolarizing", (0.2,), 2)
@@ -336,11 +353,25 @@ class TestBatchInvariance:
                 got = gate_fidelities(ch, cols[s : s + h])
                 assert got.tobytes() == whole[s : s + h].tobytes(), (h, s)
 
-    @pytest.mark.parametrize("d,tile", [(2, 512), (8, 512), (16, 256), (64, 16)])
-    def test_tiles_depend_on_the_weights_shape_alone(self, d, tile):
-        # depolarizing's W has shape (2 d^2, d^2); only the shape is read
+    @pytest.mark.parametrize("d", [2, 4, 16, 64])
+    def test_rows_across_blocks_equal_one_tile_calls(self, d, rng):
+        # a call of three row blocks and a ragged last tile gives, byte for
+        # byte, the rows of calls one tile high
+        ch = parse_channel_spec("depolarizing:0.2", d)
+        tile, block = quantum._tile_rows(ch.weights), quantum._block_rows(ch.weights)
+        n = 3 * block + tile // 2 + 1
+        cols = unit_rows(n, d, rng)
+        whole = gate_fidelities(ch, cols)
+        tiles = [gate_fidelities(ch, cols[s : s + tile]) for s in range(0, n, tile)]
+        assert whole.tobytes() == np.concatenate(tiles).tobytes()
+
+    @pytest.mark.parametrize("d,tile,block", [(2, 512, 5120), (4, 512, 1024), (8, 512, 512),
+                                              (16, 256, 256), (64, 16, 16)])
+    def test_tiles_depend_on_the_weights_shape_alone(self, d, tile, block):
+        # depolarizing's W has shape (2 d^2, d^2); only the shape is read. A
+        # block is the most whole tiles in _KERNEL_BYTES, and at least one
         w = np.broadcast_to(0.0, (2 * d * d, d * d))
-        assert quantum._tile_rows(w) == tile <= quantum._block_rows(w)
+        assert (quantum._tile_rows(w), quantum._block_rows(w)) == (tile, block)
 
 
 class TestExactAverageFidelity:
