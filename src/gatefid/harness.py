@@ -14,7 +14,6 @@ tables, walked with a multiply-by-g table.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -159,17 +158,31 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return cols
 
 
-@functools.lru_cache(maxsize=1)
+# The tail check's kept Haar samples by (seed, d, count), oldest first.
+_SAMPLES: dict = {}
+
+
 def _haar_sample(seed: int, d: int, count: int) -> np.ndarray:
     """The tail check's Haar columns for one seed, read-only. The sample does
-    not depend on the channel, so the last one is kept: a suite run over several
-    channels at one d draws it once. It holds 16 d bytes per column until a
-    tail check with another (seed, d, count) replaces it."""
-    # a miss: drop the last sample before drawing, so two are never held at once
-    _haar_sample.cache_clear()
+    not depend on the channel, so it is kept: a suite run over several
+    channels at several d draws each d's sample once, however often it runs.
+    A sample holds 16 d bytes per column. Before a draw the oldest samples are
+    dropped until the kept ones and the new one fit MC_MEMORY_CAP // 2; any
+    sample _check_draws admits fits there alone, as it charges 32 d + 16 a column."""
+    key = (seed, d, count)
+    if key in _SAMPLES:
+        return _SAMPLES[key]
+    need = 16 * d * count
+    while _SAMPLES and sum(s.nbytes for s in _SAMPLES.values()) + need > MC_MEMORY_CAP // 2:
+        del _SAMPLES[next(iter(_SAMPLES))]
     cols = _haar_columns(d, count, _generator(seed, "harness", 2))
     cols.flags.writeable = False
+    _SAMPLES[key] = cols
     return cols
+
+
+# drops every kept sample, as an lru_cache's cache_clear would
+_haar_sample.cache_clear = _SAMPLES.clear
 
 
 def _check_draws(name: str, reps: int, t: int, draw_bytes: int) -> None:

@@ -674,9 +674,10 @@ class TestHaarColumns:
 
 
 class TestHaarSample:
-    """The tail check keeps its last Haar sample, keyed by (seed, d, count):
-    the suite over criterion 9's channels draws once per d, and every check
-    reads as if each call had drawn its own."""
+    """The tail check keeps its Haar samples, keyed by (seed, d, count), within
+    half of MC_MEMORY_CAP: the suite over criterion 9's channels draws once per
+    d however often it runs, and every check reads as if each call had drawn
+    its own."""
 
     @pytest.fixture(scope="class")
     def points(self, clifford):
@@ -707,7 +708,7 @@ class TestHaarSample:
         assert len(column_draws) == 2
         harness._haar_sample.cache_clear()
         assert tail_check(second, params2) == kept
-        # and back: the first key was replaced, so it is drawn again
+        # and back: cache_clear dropped the first key as well, so it is drawn again
         tail_check(first, FAST)
         assert len(column_draws) == 4
 
@@ -718,9 +719,13 @@ class TestHaarSample:
         with pytest.raises(ValueError):
             sample[0, 0] = 0.0
 
-    def test_last_sample_dropped_before_the_next_draw(self, monkeypatch, fresh_sample):
+    def test_oldest_sample_dropped_when_two_do_not_fit(self, monkeypatch, fresh_sample):
+        count = FAST.repeats * harness.TAIL_T
+        # the cap the tail check charges at d = 2, 80 bytes a column: half of
+        # it holds one sample of 32 bytes a column, not two
+        monkeypatch.setattr(harness, "MC_MEMORY_CAP", 80 * count)
         tail_check(DEPOL, FAST)
-        last = weakref.ref(harness._haar_sample(FAST.seed, 2, FAST.repeats * harness.TAIL_T))
+        last = weakref.ref(harness._haar_sample(FAST.seed, 2, count))
         draw, alive = harness._haar_columns, []
 
         def checking(d, count, rng):
@@ -728,8 +733,40 @@ class TestHaarSample:
             return draw(d, count, rng)
 
         monkeypatch.setattr(harness, "_haar_columns", checking)
-        tail_check(DEPOL, SuiteParams(repeats=400, seed=4660))
+        tail_check(DEPOL, SuiteParams(repeats=FAST.repeats, seed=4660))
         assert alive == [False]
+        assert list(harness._SAMPLES) == [(4660, 2, count)]
+
+    def test_both_d_kept_at_the_default_cap(self, monkeypatch, fresh_sample):
+        draw, drawn = harness._haar_columns, []
+
+        def kept_bytes():
+            return sum(sample.nbytes for sample in harness._SAMPLES.values())
+
+        def checking(d, count, rng):
+            # what is kept when the draw starts, the new sample counted
+            drawn.append(kept_bytes() + 16 * d * count)
+            return draw(d, count, rng)
+
+        monkeypatch.setattr(harness, "_haar_columns", checking)
+        for d in (2, 4, 2):
+            tail_check(noise_preset("dephasing", (0.25,), d))
+            assert kept_bytes() <= harness.MC_MEMORY_CAP // 2
+        count = SuiteParams().repeats * harness.TAIL_T
+        assert drawn == [32 * count, 96 * count]
+        assert max(drawn) <= harness.MC_MEMORY_CAP // 2
+
+    def test_criterion_9_twice_draws_twice(self, points, column_draws):
+        def bits(checks):
+            return [(c.name, c.bound.hex(), c.empirical.hex(), c.slack.hex(), c.passed, c.vacuous)
+                    for c in checks]
+
+        params = SuiteParams()
+        rounds = [[bits(bound_validation_suite(*point, params).checks) for point in points]
+                  for _ in range(2)]
+        count = params.repeats * harness.TAIL_T
+        assert column_draws == [(2, count), (4, count)]
+        assert rounds[0] == rounds[1]
 
     @pytest.mark.parametrize("seed", [0x0F0F, 4660])
     def test_checks_match_a_draw_per_call(self, points, fresh_sample, seed):

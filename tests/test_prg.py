@@ -8,6 +8,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -783,6 +784,22 @@ class TestSampleIndices:
         assert index_width(24) == 13 and draw.bits_consumed == 130
         # each index's probability is off by at most set_size / 2^w
         assert 24 / 2 ** index_width(24) <= 2**-8
+
+    @pytest.mark.parametrize("set_size", [3, 24, 576, 1000])
+    def test_padding_bias_over_every_value(self, set_size):
+        # every w-bit value once: index i takes floor or ceil of 2^w / |S| of
+        # them, and the law's exact distance from uniform is r(|S| - r) / (|S| 2^w)
+        w = index_width(set_size)
+        values = np.arange(1 << w, dtype=np.int64)
+        bits = (values[:, None] >> np.arange(w - 1, -1, -1)) & 1
+        packed = np.concatenate((np.packbits(bits.astype(np.uint8)), np.zeros(8, np.uint8)))
+        counts = np.bincount(indices_from_packed(packed, 0, set_size, 1 << w), minlength=set_size)
+        assert len(counts) == set_size
+        assert set(counts.tolist()) <= {(1 << w) // set_size, -(-(1 << w) // set_size)}
+        tv = Fraction(sum(abs(int(c) * set_size - (1 << w)) for c in counts), 2 * set_size << w)
+        r = (1 << w) % set_size
+        assert tv == Fraction(r * (set_size - r), set_size << w)
+        assert tv <= Fraction(1, 2**10)
 
     def test_exhaustion_raises(self):
         with pytest.raises(CapacityError):
