@@ -190,7 +190,7 @@ def compose_channels(models: list) -> KrausChannel:
 
 
 def parse_channel_spec(text: str, d: int) -> KrausChannel:
-    """Mini-grammar: kind[:param[,param]], composed with '+'.
+    """Mini-grammar: kind[:param[,param]], composed with '+'; identity takes no parameter.
 
     Examples: "depolarizing:0.2", "depolarizing:0.1+over_rotation:z,0.2".
     """
@@ -199,10 +199,12 @@ def parse_channel_spec(text: str, d: int) -> KrausChannel:
         raise FormatError(f"empty channel spec {text!r}")
     models = []
     for part in parts:
-        kind, _, arg = part.partition(":")
+        kind, sep, arg = part.partition(":")
         kind = kind.strip()
         try:
             if kind == "identity":
+                if sep:
+                    raise ValueError("identity takes no parameter")
                 models.append(noise_preset("identity", (), d))
             elif kind in ("depolarizing", "dephasing", "amplitude_damping"):
                 models.append(noise_preset(kind, (float(arg),), d))

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .estimators import (
     ALGORITHMS,
-    RUN_MEMORY_CAP,
     estimate_design_iid,
     estimate_kwise_design,
     estimate_naive_haar,
@@ -226,12 +225,7 @@ def hex_stream(packed, n: int) -> str:
 
 def cmd_gen_bits(args) -> int:
     plan = KwisePlan(args.n, args.k, 1, theta_log2_of(args.theta))
-    r, need = plan.r, plan.tape_bytes
-    if need > RUN_MEMORY_CAP:
-        raise CapacityError(
-            f"a {args.n}-bit tape needs {need / 2**20:.0f} MiB as bits and hex text,"
-            f" over the {RUN_MEMORY_CAP >> 20} MiB cap"
-        )
+    r = plan.r
     hex_len = (r + 3) // 4
     if len(args.seed) != hex_len:
         raise ParameterError(
@@ -369,7 +363,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser = _parser()
-        args = parser.parse_args(_apply_config(parser, argv))
+        try:
+            args = parser.parse_args(_apply_config(parser, argv))
+        except SystemExit as exc:  # a usage error (3) or --help (0), returned like any other code
+            return exc.code
         if args.config is not None:
             # an abbreviation such as --conf, or a second --config, that would be ignored
             raise FormatError("give the config file once, as --config PATH or --config=PATH")

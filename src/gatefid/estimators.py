@@ -61,21 +61,21 @@ EXACT_DESIGN_LAMBDA = 1e-10
 # unitary to implement U and U^dag, but transforms only the 2d of a trial's
 # state (BitSource.take_gaussians with step d).
 HAAR_BITS_PER_DIM2 = 128
-# Phase-1 sample cap for the two-phase algorithm.
-T_CAP = 1 << 20
-# _Run.reserve refuses a plan past RUN_MEMORY_CAP before any bit is drawn. The
-# model: a trial holds its unitary id, probability, outcome and the outcome's
-# uniform (32 bytes, rounded up); while drawn, an iid index plan is charged 2
-# bytes a bit, an over-bound that leaves every plan's exit code as it was (a
-# bit holds a quarter byte: its drawn word and that word's big-endian copy,
-# which its index is decoded from), a k-wise plan its tape's prg.tape_bytes,
-# each drawn 64-bit word 8 bytes, and each Box-Muller gaussian read 40 bytes (its
-# uniform and value, half of its pair's radius and angle, then its share of the
-# complex state: 32 bytes, plus 8 of margin). Without the margin naive-haar's
-# model was only 3% above its traced peak at d = 4, epsilon = 0.05 (544 bytes a
-# trial against 529), and 11-75% above it at d = 1, 2 and 8; with it the model
-# is at least 13% above the peak (d = 4, whose peak includes about 30 KB for
-# the fidelity kernel's zero-padded last tile).
+# _Run.reserve refuses a plan past RUN_MEMORY_CAP before any bit is drawn. It
+# is a run's one capacity check: the planners only compute plans, and a
+# two-phase pool member is charged as a trial. The model: a trial holds its
+# unitary id, probability, outcome and the outcome's uniform (32 bytes, rounded
+# up); while drawn, an iid index plan is charged 2 bytes a bit, an over-bound
+# that leaves every plan's exit code as it was (a bit holds a quarter byte: its
+# drawn word and that word's big-endian copy, which its index is decoded from),
+# a k-wise plan its tape's prg.tape_bytes, each drawn 64-bit word 8 bytes, and
+# each Box-Muller gaussian read 40 bytes (its uniform and value, half of its
+# pair's radius and angle, then its share of the complex state: 32 bytes, plus
+# 8 of margin). Without the margin naive-haar's model was only 3% above its
+# traced peak at d = 4, epsilon = 0.05 (544 bytes a trial against 529), and
+# 11-75% above it at d = 1, 2 and 8; with it the model is at least 13% above
+# the peak (d = 4, whose peak includes about 30 KB for the fidelity kernel's
+# zero-padded last tile).
 
 _E_THIRD = math.exp(-1.0 / 3.0)
 
@@ -253,8 +253,6 @@ def plan_two_phase(epsilon: float, delta: float, d: int, set_size: int) -> TwoPh
             f" {4.0 * math.log2(16.0 / delta):g} >= {rhs:g}"
         )
     pool = math.ceil(2.0**11 * order / (epsilon**2 * d))
-    if pool > T_CAP:
-        raise CapacityError(f"phase-1 sample count t = {pool} exceeds the cap {T_CAP}")
     lambda_req_log2 = order * (2.0 * math.log2(epsilon) - 5.0 - 2.0 * math.log2(d))
     n = math.ceil(16.0 * math.log2(4.0 / delta) / epsilon**2)
     phase2 = None

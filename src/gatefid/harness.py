@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,8 +159,11 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return cols
 
 
-# The tail check's kept Haar samples by (seed, d, count), oldest first.
+# The tail check's kept Haar samples by (seed, d, count), oldest first, and the
+# lock a check holds across its lookup, eviction, draw and insert, as
+# prg._CACHE_LOCK is held for the tape caches.
 _SAMPLES: dict = {}
+_SAMPLES_LOCK = threading.Lock()
 
 
 def _haar_sample(seed: int, d: int, count: int) -> np.ndarray:
@@ -170,19 +174,16 @@ def _haar_sample(seed: int, d: int, count: int) -> np.ndarray:
     dropped until the kept ones and the new one fit MC_MEMORY_CAP // 2; any
     sample _check_draws admits fits there alone, as it charges 32 d + 16 a column."""
     key = (seed, d, count)
-    if key in _SAMPLES:
-        return _SAMPLES[key]
-    need = 16 * d * count
-    while _SAMPLES and sum(s.nbytes for s in _SAMPLES.values()) + need > MC_MEMORY_CAP // 2:
-        del _SAMPLES[next(iter(_SAMPLES))]
-    cols = _haar_columns(d, count, _generator(seed, "harness", 2))
-    cols.flags.writeable = False
-    _SAMPLES[key] = cols
-    return cols
-
-
-# drops every kept sample, as an lru_cache's cache_clear would
-_haar_sample.cache_clear = _SAMPLES.clear
+    with _SAMPLES_LOCK:
+        if key in _SAMPLES:
+            return _SAMPLES[key]
+        need = 16 * d * count
+        while _SAMPLES and sum(s.nbytes for s in _SAMPLES.values()) + need > MC_MEMORY_CAP // 2:
+            del _SAMPLES[next(iter(_SAMPLES))]
+        cols = _haar_columns(d, count, _generator(seed, "harness", 2))
+        cols.flags.writeable = False
+        _SAMPLES[key] = cols
+        return cols
 
 
 def _check_draws(name: str, reps: int, t: int, draw_bytes: int) -> None:

@@ -48,9 +48,9 @@ bit blocks, each a word put through three delta swaps.
 Indices decode exactly from packed bytes (the bytes a tape is computed as,
 or a BitSource's drawn words) through 8-byte windows, so an index field is
 at most 57 bits wide. Every entry is an XOR of bits, so the tape is bit-exact
-on any host; fields of degree 2^24 or more, whose
-m x m matrices alone would take 32 TiB, are refused with CapacityError.
-gen-bits and the tape estimators check the plan's tape_bytes, the one tape memory model, first.
+on any host. The plan's tape_bytes is the one tape memory model:
+generate_tape refuses a plan past RUN_MEMORY_CAP with CapacityError as its
+first step, for every caller, before it reads the seed or searches a modulus.
 BiasedTape.bit() keeps the slow square-and-multiply path as the reference.
 """
 
@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ParameterError, ValidationError
+from .quantum import RUN_MEMORY_CAP
 
 # Sparse irreducible moduli over GF(2): degree m -> the exponents t of the
 # middle terms of x^m + sum(x^t) + 1. For m >= 2 each entry is the modulus
@@ -388,7 +389,11 @@ class BiasedTape:
 
 
 def generate_tape(plan: KwisePlan, seed_bits) -> BiasedTape:
-    """Expand the plan's r = 2m true-random seed bits into its n w-bit tape."""
+    """Expand the plan's r = 2m true-random seed bits into its n w-bit tape; CapacityError
+    first when the plan's tape_bytes pass RUN_MEMORY_CAP."""
+    if plan.tape_bytes > RUN_MEMORY_CAP:
+        raise CapacityError(f"a {plan.n_bits}-bit tape needs {plan.tape_bytes / 2**20:.0f} MiB,"
+                            f" over the {RUN_MEMORY_CAP >> 20} MiB cap")
     m = plan.field_degree
     bits = np.asarray(seed_bits)
     if bits.ndim == 1 and bits.dtype.kind in "biu":
@@ -408,9 +413,6 @@ def generate_tape(plan: KwisePlan, seed_bits) -> BiasedTape:
 # Packed GF(2) rows: bit l of a row is bit l % 64 of its word l // 64, and
 # words are little-endian, so a byte view reads the same on every host.
 _WORD = np.dtype("<u8")
-# Field degrees from here on are refused: an m x m bit matrix alone would
-# take m^2 / 8 bytes, 32 TiB at m = 2^24.
-_MAX_DEGREE = 1 << 24
 # Largest block of XOR tables, of gathered table rows and of unpacked bits,
 # so the working set stays O(m^2 / 8) bytes whatever n.
 _BLOCK_BYTES = 1 << 22
@@ -672,10 +674,6 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     past n zero, then 8 zero bytes, so indices_from_packed reads it as it is.
     """
     m = gf.m
-    if m >= _MAX_DEGREE:
-        raise CapacityError(
-            f"field degree m = {m} is at least 2^24: an m x m bit matrix would need m^2/8 bytes"
-        )
     b = _row_log2(n)
     block, rows = 1 << b, -(-n >> b)
     with _CACHE_LOCK:

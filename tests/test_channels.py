@@ -292,8 +292,11 @@ class TestSpecParsing:
         assert parse_channel_spec("identity", 4).exact_fidelity == 1.0
 
     def test_bad_parameter(self):
-        with pytest.raises(FormatError):
-            parse_channel_spec("depolarizing:abc", 2)
+        # identity takes no parameter: "identity:5" once ran as the plain identity
+        for spec in ("depolarizing:abc", "depolarizing:0.1,0.2", "identity:5", "identity:",
+                     "depolarizing:0.1+identity:0.5"):
+            with pytest.raises(FormatError, match="bad parameters in channel spec"):
+                parse_channel_spec(spec, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

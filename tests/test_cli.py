@@ -207,7 +207,7 @@ class TestCheckDesign:
         ]
 
     def test_dense_cap_flag_gone(self, capsys):
-        code, _, err = run_cli_exit(
+        code, _, err = run_cli(
             capsys, "check-design", "--ensemble", "clifford1q", "--dense-cap", "16"
         )
         assert code == 3 and "--dense-cap" in err
@@ -369,7 +369,8 @@ def warm_cli_peak(capsys, argv) -> int:
 
 
 class TestGenBitsCapacity:
-    """gen-bits refuses a tape whose bits and hex text pass RUN_MEMORY_CAP."""
+    """gen-bits refuses a tape whose bits and hex text pass RUN_MEMORY_CAP, through the check
+    generate_tape makes for every caller."""
 
     HUGE = ["gen-bits", "--k", "4", "--n", "100000000000", "--theta", "0.1",
             "--seed", "0123456789abcdef012345"]
@@ -386,18 +387,25 @@ class TestGenBitsCapacity:
         assert err.startswith("capacity: a 100000000000-bit tape needs ") and "1024 MiB cap" in err
         assert peak < 4 << 20
 
+    def test_seed_length_checked_before_the_tape(self, capsys):
+        # the over-cap tape's seed one digit short is a parameter error (exit 3)
+        code, out, err = run_cli(capsys, *self.HUGE[:-1], self.HUGE[-1][:-1])
+        assert code == 3 and out == ""
+        assert err == "error: seed must be exactly 22 hex digits (86 bits), got 21\n"
+
     @pytest.mark.parametrize("k,n,theta", [(4, 64, 0.25), (4, 20000, 1e-20), (64, 200, 1e-30)])
     def test_model_bounds_the_traced_peak(self, capsys, monkeypatch, k, n, theta):
         # a cap one byte below the traced peak refuses the run before its tape
-        from gatefid import cli
+        from gatefid import prg
 
         argv = gen_bits_argv(k, n, theta)
         peak = warm_cli_peak(capsys, argv)
         tapes = []
-        monkeypatch.setattr(cli, "generate_tape", lambda *a: tapes.append(a))
-        monkeypatch.setattr(cli, "RUN_MEMORY_CAP", peak - 1)
+        monkeypatch.setattr(prg, "_tape_bits", lambda *a: tapes.append(a))
+        monkeypatch.setattr(prg, "RUN_MEMORY_CAP", peak - 1)
         code, out, err = run_cli(capsys, *argv)
-        assert code == 4 and out == "" and err.startswith("capacity: ") and tapes == []
+        assert code == 4 and out == "" and tapes == []
+        assert err.startswith(f"capacity: a {n}-bit tape needs ")
 
     def test_peak_grows_by_under_two_bytes_a_bit(self, capsys):
         # the model's per-bit term: 2 bytes bound the tape, its bits and its hex text
@@ -471,7 +479,7 @@ class TestBadArgvExitCode:
         ],
     )
     def test_exit_3(self, capsys, argv):
-        code, _, err = run_cli_exit(capsys, *argv)
+        code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert err.startswith(("error: ", "gatefid: error: unrecognized arguments: "))
 
@@ -524,16 +532,6 @@ class TestBadArgvExitCode:
         assert code == 3 and "hex digits" in err
 
 
-def run_cli_exit(capsys, *argv):
-    """Like run_cli, with argparse's usage exit turned into its code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestClaimedLambda:
     """A claimed lambda must be finite and >= 0; lambda = 0 is an exact design."""
 
@@ -541,11 +539,11 @@ class TestClaimedLambda:
                  "--epsilon", "0.2", "--delta", "0.3", "--ensemble", "clifford1q", "--seed", "2a"]
 
     def test_two_phase_zero_passes_the_lambda_check(self, capsys):
-        code, out, err = run_cli_exit(capsys, *self.TWO_PHASE, "--claimed-lambda", "0",
-                                      "--waive-preconditions")
+        code, out, err = run_cli(capsys, *self.TWO_PHASE, "--claimed-lambda", "0",
+                                 "--waive-preconditions")
         assert code == 0 and json.loads(out)["algorithm"] == "two-phase"
         assert "lambda" not in err
-        code, _, err = run_cli_exit(capsys, *self.TWO_PHASE, "--claimed-lambda", "0")
+        code, _, err = run_cli(capsys, *self.TWO_PHASE, "--claimed-lambda", "0")
         assert code == 2 and "lambda" not in err
 
     def test_two_phase_refuses_a_lambda_past_its_gate(self, capsys):
@@ -553,9 +551,9 @@ class TestClaimedLambda:
         # run still exits 2 on its d precondition
         gate = "lambda <= (eps^2/(2^5 d^2))^l violated"
         argv = [*self.TWO_PHASE[:-1], "1", "--d", "2", "--claimed-lambda"]
-        code, out, err = run_cli_exit(capsys, *argv, "0.5")
+        code, out, err = run_cli(capsys, *argv, "0.5")
         assert code == 2 and out == "" and gate in err
-        code, out, err = run_cli_exit(capsys, *argv, "0")
+        code, out, err = run_cli(capsys, *argv, "0")
         assert code == 2 and out == "" and gate not in err
         assert "4 log2(16/delta) < d^(1/6)/(10 log2 d) violated" in err
 
@@ -563,7 +561,7 @@ class TestClaimedLambda:
                                            "two-phase"])
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-0.5e-3"])
     def test_estimate_refuses_bad_claims(self, capsys, algorithm, value):
-        code, out, err = run_cli_exit(
+        code, out, err = run_cli(
             capsys, *ESTIMATE_ARGS[:2], algorithm, *ESTIMATE_ARGS[3:], f"--claimed-lambda={value}"
         )
         assert code == 3 and out == ""
@@ -573,12 +571,26 @@ class TestClaimedLambda:
     @pytest.mark.parametrize("flag", ["--claimed-lambda", "--claimed-lambda4"])
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_validate_refuses_bad_claims(self, capsys, suite, flag, value):
-        code, out, err = run_cli_exit(
+        code, out, err = run_cli(
             capsys, "validate", "--suite", suite, "--channel", "depolarizing:0.2",
             "--ensemble", "clifford1q", flag, value,
         )
         assert code == 3 and out == ""
         assert f"argument {flag}: must be a finite number >= 0" in err
+
+
+class TestUsageExitCodes:
+    """main returns argparse's usage exits as codes, as it returns every other code."""
+
+    def test_usage_error_returns_3(self, capsys):
+        code = main([*ESTIMATE_ARGS, "--claimed-lambda", "inf"])
+        assert code == 3
+        assert "argument --claimed-lambda: must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gen-bits", "--help"]])
+    def test_help_returns_0(self, capsys, argv):
+        code = main(argv)
+        assert code == 0 and capsys.readouterr().out.startswith("usage: gatefid")
 
 
 def readme_cli_commands() -> list:
@@ -659,7 +671,7 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon": 0.3}))
         argv = [a.format(cfg) for a in form]
-        code, out, err = run_cli_exit(capsys, *argv, *ESTIMATE_ARGS)
+        code, out, err = run_cli(capsys, *argv, *ESTIMATE_ARGS)
         assert code == 3 and out == ""
         assert "config" in err
 
@@ -759,7 +771,7 @@ class TestSharedParser:
         ]
         outputs = []
         for argv, expect in runs:
-            code, out, _ = run_cli_exit(capsys, *argv)
+            code, out, _ = run_cli(capsys, *argv)
             assert code == expect, argv
             outputs.append(out)
         assert cli._parser() is cli._parser()
@@ -1004,6 +1016,21 @@ class TestSmallEpsilonCap:
         assert peak < 4 << 20
 
 
+class TestTwoPhasePool:
+    """A two-phase pool member is charged as a trial, by the run's one memory check."""
+
+    def test_criterion_6_point_exits_0(self, capsys):
+        # a pool of 3,276,800 members of 13 bits each, then phase 2's 740-bit tape seed
+        code, out, _ = run_cli(
+            capsys, "estimate", "--algorithm", "two-phase", "--channel", "depolarizing:0.2",
+            "--d", "2", "--epsilon", "0.05", "--delta", "0.1", "--ensemble", "clifford1q",
+            "--seed", "1", "--waive-preconditions",
+        )
+        assert code == 0
+        ledger = [e["bits"] for e in json.loads(out)["ledger"]]
+        assert ledger == [3_276_800 * 13, 740] and sum(ledger) == 42_599_140
+
+
 class TestTapeAndCompositionCaps:
     """A k-wise tape past the cap, counted with its m x m workspace, and a
     composition whose Kraus products pass the cap exit 4: the tapes before any
@@ -1166,7 +1193,7 @@ def _golden_cli_cases():
         # exit 3: the Pauli group is not a 2-design
         "design-iid-pauli": ["--algorithm", "design-iid", "--epsilon", "0.1", "--delta", "0.2",
                              "--ensemble", "pauli1q"],
-        # exit 4: phase-1 pool above T_CAP
+        # exit 4: a pool of 61,440,000 members, each charged as a trial, passes RUN_MEMORY_CAP
         "two-phase-cap": ["--algorithm", "two-phase", "--epsilon", "0.01", "--delta", "0.3",
                           "--ensemble", "clifford1q", "--waive-preconditions"],
         # exit 2 on a claimed lambda above 1/(4 d^3); exit 0 with notes when waived
@@ -1230,7 +1257,7 @@ GOLDEN_CLI = {
     'two-phase-acc6-trials': (0, '36f708edc14615bc75c1b9d2611c7eae0a1bbd910550d21ff6ed956a51e40459', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
     'two-phase-acc7-csv': (0, 'd394111cb4e31da4ee93b5de0f74f1f4055dd3dbcbb7a1826e7e933431c89684', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
     'two-phase-acc7-trials': (0, 'd196dced8877c6c606c73f47b8c982692bcdadc03db78e4067e487d08de8d8f4', 'note: 4l-copy lambda unverifiable; trusting the ensemble claim\nnote: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
-    'two-phase-cap': (4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'capacity: phase-1 sample count t = 61440000 exceeds the cap 1048576\n'),
+    'two-phase-cap': (4, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'capacity: 62037915 trials of two-phase need 3476 MiB of draws and outcomes, over the 1024 MiB cap\n'),
     'two-phase-claimed': (0, '37a1ba3539c9a3269703840ef97e6eb692ae721dfb13e30e0f0a402dc7509d63', 'note: 4 log2(16/delta) < d^(1/6)/(10 log2 d) violated: 22.9479 >= 0.112246\n'),
     'two-phase-d4-dims': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: channel dim 4 != ensemble dim 2\n'),
 }

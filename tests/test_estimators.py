@@ -423,11 +423,18 @@ class TestEntropyInstrumentation:
         result = estimate_kwise_design(DEPOL, 0.2, 0.5, clifford, seed=2, lambda2=0.0)
         assert result.n_trials == result.plan.n
 
-    def test_two_phase_capacity_cap(self):
+    def test_two_phase_pool_charged_by_the_run(self, clifford, monkeypatch):
+        # the planner computes the 51,200,000-member pool; the run refuses it
+        # before any word is drawn, each member charged as a trial
+        from gatefid import streams
         from gatefid.errors import CapacityError
 
-        with pytest.raises(CapacityError):
-            plan_two_phase(0.01, 0.5, 2, 24)
+        assert plan_two_phase(0.01, 0.5, 2, 24).phase1.n == 51_200_000
+        drawn = []
+        monkeypatch.setattr(streams.BitSource, "_span", lambda self, count: drawn.append(count))
+        with pytest.raises(CapacityError, match=r"trials of two-phase need \d+ MiB"):
+            estimate_two_phase(DEPOL, 0.01, 0.5, clifford, seed=1, waive_preconditions=True)
+        assert drawn == []
 
 
 def warm_traced_peak(run) -> int:
@@ -561,6 +568,9 @@ class TestRunMemoryCap:
             DEPOL, 0.01, 0.1, c, seed=1, waive_preconditions=True),
         "two-phase": lambda c: estimate_two_phase(
             DEPOL, 0.2, 0.3, c, seed=1, waive_preconditions=True),
+        # criterion 6's point: a pool of 3,276,800 members
+        "two-phase-criterion-6": lambda c: estimate_two_phase(
+            DEPOL, 0.05, 0.1, c, seed=1, waive_preconditions=True),
     }
 
     @pytest.mark.parametrize("point", sorted(POINTS))

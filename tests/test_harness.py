@@ -1,8 +1,11 @@
+import concurrent.futures
 import functools
 import gc
 import itertools
 import math
 import operator
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -617,9 +620,9 @@ def ginibre_first_columns(d, count, rng):
 def fresh_sample():
     """No kept tail sample before or after the test, so a draw the test patches
     is made and does not outlive it."""
-    harness._haar_sample.cache_clear()
+    harness._SAMPLES.clear()
     yield
-    harness._haar_sample.cache_clear()
+    harness._SAMPLES.clear()
 
 
 @pytest.fixture
@@ -665,7 +668,7 @@ class TestHaarColumns:
 
         monkeypatch.setattr(harness, "_haar_columns", reference)
         # the fast suite's sample is kept under the same key; drop it so the reference draws
-        harness._haar_sample.cache_clear()
+        harness._SAMPLES.clear()
         slow = bound_validation_suite(model, ens, lam2, lam4, FAST)
         assert calls == [(d, FAST.repeats * harness.TAIL_T)]
         for a, b in zip(fast.checks, slow.checks):
@@ -706,9 +709,9 @@ class TestHaarSample:
         tail_check(first, FAST)
         kept = tail_check(second, params2)
         assert len(column_draws) == 2
-        harness._haar_sample.cache_clear()
+        harness._SAMPLES.clear()
         assert tail_check(second, params2) == kept
-        # and back: cache_clear dropped the first key as well, so it is drawn again
+        # and back: clearing dropped the first key as well, so it is drawn again
         tail_check(first, FAST)
         assert len(column_draws) == 4
 
@@ -774,11 +777,52 @@ class TestHaarSample:
         kept = [bound_validation_suite(*point, params).checks for point in points]
         drawn = []
         for point in points:
-            harness._haar_sample.cache_clear()
+            harness._SAMPLES.clear()
             drawn.append(bound_validation_suite(*point, params).checks)
         for a, b in zip(itertools.chain(*kept), itertools.chain(*drawn)):
             assert a.name == b.name
             assert (a.bound, a.empirical, a.slack) == (b.bound, b.empirical, b.slack)
+
+    def test_threads_evicting_together(self, monkeypatch, fresh_sample):
+        # half of this cap holds a few 16-column samples, so nearly every check
+        # evicts; unlocked, a thread summing the kept bytes saw the dict resized
+        # under it ("dictionary changed size during iteration")
+        monkeypatch.setattr(harness, "MC_MEMORY_CAP", 3072)
+        channels = {d: noise_preset("depolarizing", (0.25,), d) for d in range(1, 5)}
+        keys = [(i % 50, 1 + i % 4) for i in range(100)]
+
+        def check(key):
+            seed, d = key
+            return tail_check(channels[d], SuiteParams(repeats=2, seed=seed))
+
+        want = {}
+        for key in keys:
+            harness._SAMPLES.clear()
+            want[key] = check(key)
+        offsets = (0, 25, 50, 75)
+        barrier = threading.Barrier(len(offsets), timeout=60)
+
+        def run(offset):
+            order = keys[offset:] + keys[:offset]
+            got = []
+            try:
+                for _ in range(10):  # the threads start each round together
+                    barrier.wait()
+                    got.extend(check(key) for key in order)
+            except Exception:
+                barrier.abort()  # so the other threads stop waiting for this one
+                raise
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(offsets)) as pool:
+                runs = list(pool.map(run, offsets))
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, got in zip(offsets, runs):
+            assert got == 10 * [want[key] for key in keys[offset:] + keys[:offset]]
 
     def test_over_cap_repeats_refused_before_any_draw(self, capsys, column_draws):
         code = main(["validate", "--suite", "tail", "--channel", "identity", "--repeats", "100000000"])

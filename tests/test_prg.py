@@ -9,7 +9,6 @@ import textwrap
 import threading
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -741,10 +740,23 @@ class TestTapeCapacity:
                 tracemalloc.stop()
         assert max(peaks) < prg.tape_bytes(n, m), peaks
 
-    def test_degree_cap_at_2_pow_24(self):
-        # from m = 2^24 on, one m x m bit matrix alone would take m^2 / 8 bytes (32 TiB)
-        with pytest.raises(CapacityError):
-            _tape_bits(SimpleNamespace(m=1 << 24), 3, 5, 4)
+    def test_over_cap_tape_refused_before_the_modulus_search(self, monkeypatch):
+        # m = 40,008 is off the table, and its modulus search ran for more than 20 s;
+        # the model puts the tape at 1,738 MiB, so it is refused before the search
+        def no_search(m):
+            raise AssertionError(f"modulus search for m = {m}")
+
+        monkeypatch.setattr(prg, "_search_modulus", no_search)
+        plan = KwisePlan(64, 2, 1, -40000.0)
+        assert plan.field_degree == 40_008 and round(plan.tape_bytes / 2**20) == 1738
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="a 64-bit tape needs 1738 MiB, over the 1024 MiB cap"):
+                generate_tape(plan, [0] * plan.r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_high_confidence_plan(self):
         # delta = 1e-10 plans a field ten times wider than the contract point;
