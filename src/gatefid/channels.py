@@ -23,6 +23,8 @@ from .errors import (
 from .quantum import RUN_MEMORY_CAP, KrausChannel, check_dense_dim, choi_matrix
 
 _CLOSED_FORM_TOL = 1e-9
+# Parameters each preset kind takes.
+_ARITY = {"identity": 0, "depolarizing": 1, "dephasing": 1, "over_rotation": 2, "amplitude_damping": 1}
 
 
 def _closed_form(kind, params, d):
@@ -111,12 +113,16 @@ def _check_prob(p, name):
 def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
     """Build a preset channel; F-bar is recorded from the Kraus oracle.
 
-    Parameters are checked first and the dimension cap next, so that no
-    operator is allocated for a refused d.
+    Parameters are checked first, their count for every kind (ParameterError),
+    and the dimension cap next, so that no operator is allocated for a refused d.
     """
     params = tuple(params)
     if d < 1:
         raise DimensionError(f"dimension must be >= 1, got d={d}")
+    if kind not in _ARITY:
+        raise ConfigError(f"unknown channel kind {kind!r}")
+    if len(params) != _ARITY[kind]:
+        raise ParameterError(f"{kind} takes {_ARITY[kind]} parameter(s), got {len(params)}")
     if kind == "identity":
         spec, build = "identity", lambda: (np.eye(d, dtype=np.complex128),)
     elif kind in ("depolarizing", "dephasing"):
@@ -135,7 +141,7 @@ def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
             raise ParameterError(f"axis {axis!r} over-rotation is qubit-only, got d={d}")
         spec = f"over_rotation:{axis},{angle:g}"
         build = lambda: (_over_rotation_unitary(axis, angle, d),)
-    elif kind == "amplitude_damping":
+    else:  # amplitude_damping
         (g,) = params
         _check_prob(g, "damping gamma")
         if d != 2:
@@ -143,8 +149,6 @@ def noise_preset(kind: str, params=(), d: int = 2) -> KrausChannel:
         a0 = np.array([[1, 0], [0, math.sqrt(1 - g)]], dtype=np.complex128)
         a1 = np.array([[0, math.sqrt(g)], [0, 0]], dtype=np.complex128)
         spec, build = f"amplitude_damping:{float(g):g}", lambda: (a0, a1) if g > 0 else (a0,)
-    else:
-        raise ConfigError(f"unknown channel kind {kind!r}")
     check_dense_dim(d)
     ch = KrausChannel(build(), spec)
     closed = _closed_form(kind, params, d)

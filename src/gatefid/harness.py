@@ -25,7 +25,7 @@ from .ensembles import UnitaryEnsemble, checked_lambda, lambda_t
 from .errors import CapacityError, ParameterError
 from .estimators import _checked_channel, _fidelity_columns, _fidelity_table
 from .prg import GF2mField, KwisePlan, theta_log2_of
-from .quantum import haar_second_moment
+from .quantum import coordinate_fidelities, haar_second_moment, kernel_coordinates
 # Not called here any more (the bound suite samples first columns without QR,
 # and takes lambda from ensembles.lambda_t); kept importable from this module,
 # where perfbench/spans.py looks them up.
@@ -166,24 +166,25 @@ _SAMPLES: dict = {}
 _SAMPLES_LOCK = threading.Lock()
 
 
-def _haar_sample(seed: int, d: int, count: int) -> np.ndarray:
-    """The tail check's Haar columns for one seed, read-only. The sample does
-    not depend on the channel, so it is kept: a suite run over several
-    channels at several d draws each d's sample once, however often it runs.
-    A sample holds 16 d bytes per column. Before a draw the oldest samples are
-    dropped until the kept ones and the new one fit MC_MEMORY_CAP // 2; any
-    sample _check_draws admits fits there alone, as it charges 32 d + 16 a column."""
+def _haar_sample(seed: int, d: int, count: int) -> np.ndarray | None:
+    """The tail check's Haar sample for one seed as read-only kernel coordinates,
+    8 d^2 bytes a column, or None when it is not kept. It does not depend on the
+    channel, so it is kept: a suite run over several channels at several d draws
+    each d's sample and builds its r(c) once, however often it runs. Before a draw
+    the oldest samples are dropped until the kept ones and the new one fit
+    MC_MEMORY_CAP // 2; one that does not fit there alone (d = 64 at the default
+    repeats) is not kept."""
     key = (seed, d, count)
     with _SAMPLES_LOCK:
         if key in _SAMPLES:
             return _SAMPLES[key]
-        need = 16 * d * count
+        need = 8 * d * d * count
+        if need > MC_MEMORY_CAP // 2:
+            return None
         while _SAMPLES and sum(s.nbytes for s in _SAMPLES.values()) + need > MC_MEMORY_CAP // 2:
             del _SAMPLES[next(iter(_SAMPLES))]
-        cols = _haar_columns(d, count, _generator(seed, "harness", 2))
-        cols.flags.writeable = False
-        _SAMPLES[key] = cols
-        return cols
+        _SAMPLES[key] = kernel_coordinates(_haar_columns(d, count, _generator(seed, "harness", 2)))
+        return _SAMPLES[key]
 
 
 def _check_draws(name: str, reps: int, t: int, draw_bytes: int) -> None:
@@ -216,7 +217,12 @@ def tail_check(channel, params: SuiteParams = SuiteParams()) -> BoundCheck:
     # the complex column and one real Gaussian block filling it, then a fidelity
     # and its clip: within 32 d + 16 bytes a draw
     _check_draws("haar-tail", reps, t, 32 * d + 16)
-    fids = _fidelity_columns(ch, _haar_sample(params.seed, d, reps * t)).reshape(reps, t)
+    coords = _haar_sample(params.seed, d, reps * t)
+    if coords is None:  # too large to keep: the kernel on fresh columns
+        fids = _fidelity_columns(ch, _haar_columns(d, reps * t, _generator(params.seed, "harness", 2)))
+    else:
+        fids = coordinate_fidelities(ch, coords)
+    fids = fids.reshape(reps, t)
     emp = float(np.mean(np.abs(fids.mean(axis=1) - fbar) > dlt))
     bound = 4.0 * math.exp(-(dlt**2) * d * t / 256.0)
     slack = 3.0 * math.sqrt(emp * (1.0 - emp) / reps) + 3.0 / reps

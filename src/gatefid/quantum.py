@@ -4,9 +4,11 @@ Everything is desk scale: dense complex128 matrices, dimension capped at
 MAX_DIM by default. KrausChannel, the one channel type, is immutable after
 construction and safe to share between workers.
 
-Every gate fidelity in the package comes from one kernel, gate_fidelities,
-over the real weight matrix each KrausChannel caches at construction. Its
-Haar mean and second moment are closed forms: exact_average_fidelity and
+Every gate fidelity in the package comes from one kernel over the real weight
+matrix each KrausChannel caches at construction: gate_fidelities on states'
+columns, or coordinate_fidelities, with the same floats, on coordinates r(c)
+that kernel_coordinates builds once for every channel. The gate fidelity's Haar
+mean and second moment are closed forms: exact_average_fidelity and
 haar_second_moment.
 """
 
@@ -178,11 +180,25 @@ def _upper_pairs(d: int) -> tuple:
     return i, j
 
 
-def _coordinates(c: np.ndarray) -> np.ndarray:
-    """r(c) of shape (n, d^2) for rows c of shape (n, d); see _weight_matrix."""
+def _coordinates(c: np.ndarray, out=None) -> np.ndarray:
+    """r(c) of shape (n, d^2) for rows c of shape (n, d), into out if given; see _weight_matrix."""
     i, j = _upper_pairs(c.shape[1])
     z = c[:, i].conj() * c[:, j]
-    return np.concatenate([c.real**2 + c.imag**2, z.real, z.imag], axis=1)
+    return np.concatenate([c.real**2 + c.imag**2, z.real, z.imag], axis=1, out=out)
+
+
+def kernel_coordinates(columns) -> np.ndarray:
+    """Read-only r(c) of the rows c of columns, shape (n, d^2), for any channel's
+    coordinate_fidelities; built in row blocks whose temporaries, about 32 d^2
+    bytes a row, stay near _KERNEL_BYTES."""
+    cols = np.asarray(columns, dtype=np.complex128)
+    n, d = cols.shape
+    r = np.empty((n, d * d))
+    step = max(1, _KERNEL_BYTES // (32 * d * d))
+    for s in range(0, n, step):
+        _coordinates(cols[s : s + step], out=r[s : s + step])
+    r.flags.writeable = False
+    return r
 
 
 def _rows_within(budget: int, w: np.ndarray) -> int:
@@ -222,11 +238,24 @@ def gate_fidelities(ch: KrausChannel, columns) -> np.ndarray:
     cols = np.asarray(columns, dtype=np.complex128)
     if cols.ndim != 2 or cols.shape[1] != ch.dim:
         raise DimensionError(f"expected columns of shape (n, {ch.dim}), got {cols.shape}")
-    w = ch.weights
+    return _fidelities(ch.weights, len(cols), lambda rows: _coordinates(cols[rows]))
+
+
+def coordinate_fidelities(ch: KrausChannel, coords) -> np.ndarray:
+    """gate_fidelities of the rows c whose r(c) are the rows of coords, shape
+    (n, d^2): the same tiles, so the same floats, with r(c) not rebuilt."""
+    r = np.asarray(coords, dtype=np.float64)
+    if r.ndim != 2 or r.shape[1] != ch.dim**2:
+        raise DimensionError(f"expected coordinates of shape (n, {ch.dim**2}), got {r.shape}")
+    return _fidelities(ch.weights, len(r), r.__getitem__)
+
+
+def _fidelities(w: np.ndarray, n: int, block) -> np.ndarray:
+    """gate_fidelities' loop over n rows, block(rows) giving r(c) of a slice of rows."""
     tile, step = _tile_rows(w), _block_rows(w)
-    p = np.empty(len(cols))
-    for s in range(0, len(cols), step):
-        r = _coordinates(cols[s : s + step])
+    p = np.empty(n)
+    for s in range(0, n, step):
+        r = block(slice(s, s + step))
         full = len(r) // tile * tile
         p[s : s + full] = _tile_norms(r[:full], w, tile)
         if full < len(r):

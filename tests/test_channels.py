@@ -142,6 +142,17 @@ class TestPresets:
         expect = ((1 + math.sqrt(1 - g)) ** 2 + 2) / 6
         assert model.exact_fidelity == pytest.approx(expect, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("identity", (5,)), ("depolarizing", ()), ("depolarizing", (0.1, 0.2)), ("dephasing", ()),
+         ("dephasing", (0.1, 0.2)), ("over_rotation", ("z",)), ("over_rotation", ("z", 0.2, 0.3)),
+         ("amplitude_damping", ()), ("amplitude_damping", (0.1, 0.2))],
+    )
+    def test_parameter_count_checked(self, kind, params):
+        # identity once ignored a parameter, and the others raised a bare ValueError
+        with pytest.raises(ParameterError, match=f"{kind} takes .* got {len(params)}"):
+            noise_preset(kind, params, 2)
+
     def test_parameter_range_checked(self):
         with pytest.raises(ParameterError):
             noise_preset("depolarizing", (1.5,), 2)

@@ -24,7 +24,7 @@ from gatefid import (
     tensor_product,
     tpe_lambda,
 )
-from gatefid import ensembles, estimators, harness
+from gatefid import ensembles, estimators, harness, quantum
 from gatefid.cli import main
 from gatefid.errors import CapacityError, ParameterError
 from gatefid.harness import (
@@ -39,7 +39,7 @@ from gatefid.harness import (
 )
 from gatefid.prg import GF2mField, KwisePlan
 from gatefid.quantum import haar_unitaries_batch, phase_fixed_qr
-from gatefid.streams import BitSource, split_seed
+from gatefid.streams import BitSource, _generator, split_seed
 
 DEPOL = noise_preset("depolarizing", (0.2,), 2)
 IDENT = noise_preset("identity", (), 2)
@@ -725,7 +725,7 @@ class TestHaarSample:
     def test_oldest_sample_dropped_when_two_do_not_fit(self, monkeypatch, fresh_sample):
         count = FAST.repeats * harness.TAIL_T
         # the cap the tail check charges at d = 2, 80 bytes a column: half of
-        # it holds one sample of 32 bytes a column, not two
+        # it holds one sample of 8 d^2 = 32 bytes a column of coordinates, not two
         monkeypatch.setattr(harness, "MC_MEMORY_CAP", 80 * count)
         tail_check(DEPOL, FAST)
         last = weakref.ref(harness._haar_sample(FAST.seed, 2, count))
@@ -747,8 +747,9 @@ class TestHaarSample:
             return sum(sample.nbytes for sample in harness._SAMPLES.values())
 
         def checking(d, count, rng):
-            # what is kept when the draw starts, the new sample counted
-            drawn.append(kept_bytes() + 16 * d * count)
+            # what is kept when the draw starts, the new sample's 8 d^2 bytes a
+            # column of coordinates counted
+            drawn.append(kept_bytes() + 8 * d * d * count)
             return draw(d, count, rng)
 
         monkeypatch.setattr(harness, "_haar_columns", checking)
@@ -756,8 +757,36 @@ class TestHaarSample:
             tail_check(noise_preset("dephasing", (0.25,), d))
             assert kept_bytes() <= harness.MC_MEMORY_CAP // 2
         count = SuiteParams().repeats * harness.TAIL_T
-        assert drawn == [32 * count, 96 * count]
+        assert drawn == [32 * count, 160 * count]
         assert max(drawn) <= harness.MC_MEMORY_CAP // 2
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    def test_kept_coordinates_give_the_kernel_bytes(self, fresh_sample, d):
+        ch = noise_preset("depolarizing", (0.25,), d)
+        tile, block = quantum._tile_rows(ch.weights), quantum._block_rows(ch.weights)
+        # three kernel blocks and three blocks of the coordinates' build (32 d^2
+        # bytes a row), then a ragged last tile
+        count = 3 * max(block, quantum._KERNEL_BYTES // (32 * d * d)) + tile // 2 + 1
+        assert count % tile
+        coords = harness._haar_sample(d, d, count)
+        assert list(harness._SAMPLES) == [(d, d, count)]
+        cols = harness._haar_columns(d, count, _generator(d, "harness", 2))
+        got = quantum.coordinate_fidelities(ch, coords)
+        assert got.tobytes() == gate_fidelities(ch, cols).tobytes()
+
+    def test_sample_too_large_to_keep(self, monkeypatch, column_draws):
+        model = noise_preset("over_rotation", ("z", 2.5), 4)
+        kept = tail_check(model, FAST)
+        assert kept.empirical > 0
+        count = FAST.repeats * harness.TAIL_T
+        # the cap the tail check charges at d = 4, 144 bytes a column: half of it
+        # is less than 8 d^2 = 128 bytes a column of coordinates
+        monkeypatch.setattr(harness, "MC_MEMORY_CAP", 144 * count)
+        harness._SAMPLES.clear()
+        assert harness._haar_sample(FAST.seed, 4, count) is None
+        assert [tail_check(model, FAST) for _ in range(2)] == [kept, kept]
+        assert harness._SAMPLES == {}
+        assert column_draws == [(4, count)] * 3
 
     def test_criterion_9_twice_draws_twice(self, points, column_draws):
         def bits(checks):
@@ -784,9 +813,10 @@ class TestHaarSample:
             assert (a.bound, a.empirical, a.slack) == (b.bound, b.empirical, b.slack)
 
     def test_threads_evicting_together(self, monkeypatch, fresh_sample):
-        # half of this cap holds a few 16-column samples, so nearly every check
-        # evicts; unlocked, a thread summing the kept bytes saw the dict resized
-        # under it ("dictionary changed size during iteration")
+        # half of this cap holds a few 16-column samples at d <= 3, so nearly
+        # every check evicts, and d = 4's 2048 bytes of coordinates are not kept;
+        # unlocked, a thread summing the kept bytes saw the dict resized under it
+        # ("dictionary changed size during iteration")
         monkeypatch.setattr(harness, "MC_MEMORY_CAP", 3072)
         channels = {d: noise_preset("depolarizing", (0.25,), d) for d in range(1, 5)}
         keys = [(i % 50, 1 + i % 4) for i in range(100)]
