@@ -161,7 +161,7 @@ def _haar_columns(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 # The tail check's kept Haar samples by (seed, d, count), oldest first, and the
 # lock a check holds across its lookup, eviction, draw and insert, as
-# prg._CACHE_LOCK is held for the tape caches.
+# prg._CACHE_LOCK is held for the tape cache.
 _SAMPLES: dict = {}
 _SAMPLES_LOCK = threading.Lock()
 

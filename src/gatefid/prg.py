@@ -17,34 +17,33 @@ theta_log2 = log2(theta), because the theta a plan asks for is often far below
 the smallest float; theta_log2_of converts a float theta once, where one
 enters from outside.
 
-Expansion: with e = i*B + s, 1 <= s <= B and B = 2^b >= 8, bilinearity of
-(u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B matrix, into
-the GF(2) product U H V^T: row i of U holds the bits of x^(iB), row c of V
-those of x^((c ^ 7) + 1), and H is the m x m Hankel matrix
-H[j, l] = <t^(j+l), y>. Matrices are kept as rows of little-endian 64-bit
-words, so bit c of a row is bit c % 8 of its byte c // 8: with V's rows in
-that order each byte of the product reads MSB first, and the product's rows,
-read as bytes, are the tape every reader takes. Every product is an XOR of
-table rows (the method of four Russians): each 8-row chunk of the right
-factor gets a 256-entry XOR table, and the left factor's bytes pick one
-entry per chunk. The powers of x come from square-and-multiply doubling,
-since squaring is GF(2)-linear: x^(2q) is row q times the squaring matrix
-S, and x^(2q+1) that times the matrix of multiplication by x. One chain
-serves the whole tape: V is its rows 1 .. B, and as B is a power of two,
-x^(iB) = (x^i)^(2^b) is its row i times F = S^b, the degree's Frobenius
-matrix for b. Row j of S is the single bit 2j while 2j < m, so its low
-rows are a byte-table spread and only the rest get XOR tables. Tables and
-gathers are built in blocks of bounded size, each in an array of its own.
-Two lru caches keep what tapes share: per field degree t's packed powers and
-the squaring tables (_degree), and per degree and b the tables of F, whose
-first block is kept (_frobenius). Both are seed-independent and read-only
-once built, so every thread shares them; a tape reads them under one lock,
-so threads that miss a key together build it once.
+Expansion: with e = i*B + s, 1 <= s <= B and B = 2^b >= 8, x^(iB) = (x^i)^(2^b)
+is sum_j u_j t^(jB) for the bits u of x^i, as squaring is GF(2)-linear, so
+bilinearity of (u, v) -> <u*v, y> turns the whole tape, laid out as a Q x B
+matrix, into the GF(2) product V_Q G V_B^T: row i of V_Q holds the bits of
+x^i, row c of V_B those of x^((c ^ 7) + 1), and G is the m x m Hankel matrix
+of stride B, G[j, l] = <t^(jB+l), y>. Matrices are kept as rows of
+little-endian 64-bit words, so bit c of a row is bit c % 8 of its byte c // 8:
+with V_B's rows in that order each byte of the product reads MSB first, and
+the product's rows, read as bytes, are the tape every reader takes. Every
+product is an XOR of table rows (the method of four Russians): each 8-row
+chunk of the right factor gets a 256-entry XOR table, and the left factor's
+bytes pick one entry per chunk. One chain of powers of x serves the whole
+tape, its rows 0 .. Q-1 V_Q and its rows 1 .. B V_B. It comes from
+square-and-multiply doubling: x^(2q) is row q times the squaring matrix S,
+and x^(2q+1) that times the matrix of multiplication by x. Row j of S is the
+single bit 2j while 2j < m, so its low rows are a byte-table spread and only
+the rest get XOR tables. Tables and gathers are built in blocks of bounded
+size, each in an array of its own. One lru cache keeps what tapes share, the
+squaring tables per field degree (_degree). They are seed-independent and
+read-only once built, so every thread shares them; a tape reads the cache
+under one lock, so threads that miss a key together build it once.
 The rest of the per-seed set-up is word work with no loop over bits: x and
-y are one packbits of the seed; the parities <t^a, y> are one pass over the
-degree's packed powers t^0 .. t^(2m-2), and row j of H is the window of
-parities j .. j+m-1, packed in row blocks; V^T is V transposed in 8 x 8
-bit blocks, each a word put through three delta swaps.
+y are one packbits of the seed; the parities seq(a) = <t^a, y> start with
+y's m bits and follow the modulus's recurrence in its Frobenius images,
+seq(a + 2^j m) = XOR over taps k of seq(a + 2^j k), a few slices a step;
+row j of G is the window seq[jB : jB+m], packed in row blocks; V_B^T is V_B
+transposed in 8 x 8 bit blocks, each a word put through three delta swaps.
 Indices decode exactly from packed bytes (the bytes a tape is computed as,
 or a BitSource's drawn words) through 8-byte windows, so an index field is
 at most 57 bits wide. Every entry is an XOR of bits, so the tape is bit-exact
@@ -424,9 +423,9 @@ def tape_bytes(n: int, m: int) -> int:
     """Bytes an n-bit tape over GF(2^m) holds at most. 2 a bit is an over-bound, kept so that
     no plan's cap moves: the tape takes a quarter byte a bit (its packed words and the byte
     copy it is read from), and gen-bits with its hex text and lines about 1.25. Degree m adds
-    under m^2 of packed m x m matrices and Python-int powers, the kept Frobenius matrix F
-    (m^2/8 packed) and 5 blocks of _BLOCK_BYTES: F's kept first table block, and the XOR
-    tables and gathers."""
+    m^2 + 8m ceil(m/64) and 5 blocks of _BLOCK_BYTES: packed m x m matrices, the Python-int
+    powers behind the squaring tables, the XOR tables and gathers, and G's parity sequence,
+    under m(B + 1) bytes, which is at most (m^2 + B^2)/2 with B^2 <= max(2n, 64)."""
     return 2 * n + m * m + m * 8 * -(-m // 64) + 5 * _BLOCK_BYTES
 
 
@@ -598,29 +597,15 @@ def _power_chain(gf: GF2mField, base: int, count: int, square: _Squaring) -> np.
     return out
 
 
-# Held while a tape reads the two caches below: lru_cache lets every thread
-# that misses a key build its own copy, and this makes a concurrent miss build once.
+# Held while a tape reads the cache below: lru_cache lets every thread that
+# misses a key build its own copy, and this makes a concurrent miss build once.
 _CACHE_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=4)
-def _degree(m: int) -> tuple:
-    """What every tape of field degree m shares: packed rows t^0 .. t^(2m-2), and the
-    squaring tables."""
-    t_powers = _packed(_times_t(GF2mField(m), 1, 2 * m - 1), -(-m // 64))
-    return t_powers, _Squaring(t_powers[::2])  # row j of S is t^(2j)
-
-
-@functools.lru_cache(maxsize=4)
-def _frobenius(m: int, b: int) -> _XorTables:
-    """The XOR tables of F = S^b over GF(2^m): row j is t^(j 2^b), so row i of A F is
-    row i of A to the 2^b. F is the power chain of t^(2^b)."""
-    gf = GF2mField(m)
-    taps = _low_taps(gf.modulus)
-    base = gf.mul_t(1)
-    for _ in range(b):
-        base = _fold(_gf2_square(base), m, taps)
-    return _XorTables(_power_chain(gf, base, m - 1, _degree(m)[1]))
+def _degree(m: int) -> _Squaring:
+    """The squaring tables every tape of field degree m shares: row j of S is t^(2j)."""
+    return _Squaring(_packed(_times_t(GF2mField(m), 1, 2 * m - 1)[::2], -(-m // 64)))
 
 
 def _row_log2(n: int) -> int:
@@ -633,17 +618,38 @@ def _row_log2(n: int) -> int:
     return min(range(3, n.bit_length() + 4), key=lambda b: max((1 << b) + 1, -(-n >> b)))
 
 
-def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
-    """Packed rows of the m x m Hankel matrix H[j, l] = <t^(j+l), y>.
+def _parities(gf: GF2mField, y: int, length: int) -> np.ndarray:
+    """seq(a) = <t^a, y> for a < length, one uint8 a bit; length >= m.
 
-    Bit a of seq is the parity <t^a, y>, for a = 0 .. 2m-2, so row j of H is
-    the window seq[j : j+m]. The windows are packed in row blocks whose
-    unpacked bytes stay within _BLOCK_BYTES, as all m of them hold m^2.
+    seq starts with y's m bits. As t^(2^j m) = sum over the modulus's low taps
+    k of t^(2^j k) (squaring is GF(2)-linear), seq(a + 2^j m) is the XOR of
+    seq(a + 2^j k) over the taps: with the largest 2^j m within the known
+    prefix, each step extends it by 2^j (m - top tap) bits from slices of it.
     """
-    m, words = (len(t_powers) + 1) // 2, t_powers.shape[1]
-    masked = t_powers & _packed([y], words)
-    seq = np.bitwise_count(np.bitwise_xor.reduce(masked, axis=1)) & 1
-    windows = np.lib.stride_tricks.sliding_window_view(seq, m)
+    m = gf.m
+    taps = _low_taps(gf.modulus)
+    seq = np.zeros(length, np.uint8)
+    seq[:m] = np.unpackbits(np.frombuffer(y.to_bytes(-(-m // 8), "little"), np.uint8), count=m, bitorder="little")
+    known = m
+    while known < length:
+        step = 1 << (known // m).bit_length() - 1
+        start, count = known - step * m, min(step * (m - taps[-1]), length - known)
+        new = seq[known : known + count]
+        for k in taps:
+            new ^= seq[start + step * k : start + step * k + count]
+        known += count
+    return seq
+
+
+def _stride_hankel(gf: GF2mField, y: int, block: int) -> np.ndarray:
+    """Packed rows of the m x m matrix G[j, l] = <t^(j block + l), y>.
+
+    Row j of G is the window seq[j block : j block + m] of _parities. The
+    windows are packed in row blocks whose unpacked bytes stay within
+    _BLOCK_BYTES, as all m of them hold m^2.
+    """
+    m, words = gf.m, -(-gf.m // 64)
+    windows = np.lib.stride_tricks.sliding_window_view(_parities(gf, y, (m - 1) * block + m), m)[::block]
     out = np.zeros((m, 8 * words), np.uint8)
     step = max(1, _BLOCK_BYTES // m)
     for j0 in range(0, m, step):
@@ -652,23 +658,18 @@ def _hankel_rows(t_powers: np.ndarray, y: int) -> np.ndarray:
 
 
 def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
-    """Bits <x^e, y> for e = 1..n as MSB-first bytes, computed as one GF(2) matrix product.
+    """Bits <x^e, y> for e = 1..n as MSB-first bytes, computed as V_Q (G V_B^T) over GF(2).
 
     Row i of the tape holds exponents iB + 1 .. iB + B, with B = 2^b >= 8 (b
-    from _row_log2) and 0 <= i < Q = ceil(n / B). Since (u, v) -> <u*v, y> is
-    GF(2)-bilinear, the bit of exponent iB + s is u H v^T with u, v the
-    coefficient bits of x^(iB), x^s and H the m x m Hankel matrix
-    H[j, l] = <t^(j+l), y>. The tape laid out as a Q x B matrix is therefore
-    U (H V^T), where row i of U holds x^(iB) and column c of V^T holds
-    x^((c ^ 7) + 1): bit c of a row's little-endian words is bit c % 8 of its
-    byte c // 8, so each byte reads its 8 exponents MSB first and the rows'
-    bytes, in order, are the tape. One power chain gives x^0 .. x^max(B, Q - 1);
-    V is its rows 1 .. B in that column order, and as x^(iB) = (x^i)^(2^b), U
-    is its first Q rows times the degree's Frobenius matrix F = S^b. All three
-    products are XOR-table products on packed words, and each operand is freed
-    once read. Tables and gathers stay within _BLOCK_BYTES, so apart from the
-    output the working set is a few packed m x m and m x max(B, Q) matrices
-    whatever n.
+    from _row_log2) and 0 <= i < Q = ceil(n / B): as x^(iB) = sum_j u_j t^(jB)
+    for the bits u of x^i, the bit of exponent iB + s is u G v^T with v the
+    bits of x^s. One power chain gives x^0 .. x^max(B, Q - 1): V_Q is its first
+    Q rows, and column c of V_B^T its row (c ^ 7) + 1, so each byte of the
+    product reads its 8 exponents MSB first and the rows' bytes, in order, are
+    the tape. Each operand is freed once read, and tables and gathers stay
+    within _BLOCK_BYTES: apart from the output and G's parity sequence (under
+    m(B + 1) bytes) the working set is a few packed m x m and m x max(B, Q)
+    matrices whatever n.
 
     Returns a read-only uint8 buffer: the ceil(n/8) tape bytes, with the bits
     past n zero, then 8 zero bytes, so indices_from_packed reads it as it is.
@@ -677,15 +678,13 @@ def _tape_bits(gf: GF2mField, x: int, y: int, n: int) -> np.ndarray:
     b = _row_log2(n)
     block, rows = 1 << b, -(-n >> b)
     with _CACHE_LOCK:
-        (t_powers, square), frobenius = _degree(m), _frobenius(m, b)
+        square = _degree(m)
     v = _power_chain(gf, x, max(block, rows - 1), square)
-    u = _gf2_product(v[:rows], frobenius)  # row i is x^(iB)
     vt = _transposed(v[1 + (np.arange(block) ^ 7)], m)  # column c is x^((c ^ 7) + 1)
-    del v
-    hv = _gf2_product(_hankel_rows(t_powers, y), _XorTables(vt))
+    gv = _gf2_product(_stride_hankel(gf, y, block), _XorTables(vt))
     del vt
-    tape = _gf2_product(u, _XorTables(hv))
-    del u, hv
+    tape = _gf2_product(v[:rows], _XorTables(gv))
+    del v, gv
     nbytes = -(-n // 8)
     out = np.zeros(nbytes + 8, np.uint8)
     out[:nbytes] = tape.view(np.uint8)[:, : block // 8].reshape(-1)[:nbytes]

@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import functools
 import hashlib
 import inspect
 import itertools
@@ -298,14 +299,12 @@ class TestGenerateTape:
 
 
 @pytest.fixture
-def fresh_tape_caches():
-    """Empty per-degree caches before and after: the test's first tape builds t's powers,
-    the squaring tables and F, and no tables built under a patched block size outlive it."""
+def fresh_tape_cache():
+    """Empty the per-degree cache before and after: the test's first tape builds the
+    squaring tables, and no tables built under a patched block size outlive it."""
     prg._degree.cache_clear()
-    prg._frobenius.cache_clear()
     yield
     prg._degree.cache_clear()
-    prg._frobenius.cache_clear()
 
 
 def tape_of_degree(m, n, seed_bits, k=2):
@@ -353,6 +352,19 @@ class TestTapeAgainstLocalDecoder:
         packed = _tape_bits(tape.gf, tape.x, tape.y, n)
         assert_matches_local_decoder(tape, bits=np.unpackbits(packed, count=n))
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 200), n=st.integers(1, 5000), data=st.data())
+    def test_sampled_positions_of_any_shape(self, m, n, data):
+        # any field element pair at any degree and length, including degrees
+        # no plan reaches; the plan sets only the reference tape's length
+        x, y = (data.draw(st.integers(0, (1 << m) - 1), label=name) for name in "xy")
+        gf = GF2mField(m)
+        packed = _tape_bits(gf, x, y, n)
+        assert len(packed) == -(-n // 8) + 8 and not np.unpackbits(packed)[n:].any()
+        positions = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=16), label="positions")
+        tape = prg.BiasedTape(KwisePlan(max(n, 2), 2, 1, -1.0), (), gf, x, y)
+        assert_matches_local_decoder(tape, positions + [n - 1], np.unpackbits(packed, count=n))
+
     @pytest.mark.parametrize("m", [65, 128, 129])
     def test_multiword_field_every_position(self, m):
         assert_matches_local_decoder(tape_of_degree(m, 300, BitSource(m).take_bits(2 * m)))
@@ -396,8 +408,8 @@ class TestTapeAgainstLocalDecoder:
         assert chain <= max(9, 2 * math.isqrt(n) + 2)
 
     @pytest.mark.parametrize("n,m", [(4000, 24), (4099, 24), (276_393, 65)])
-    def test_u_rows_are_powers_at_row_starts(self, monkeypatch, n, m):
-        # U is the left factor of the tape's last product: row i must be x^(iB),
+    def test_last_left_rows_are_powers(self, monkeypatch, n, m):
+        # V_Q is the left factor of the tape's last product: row i must be x^i,
         # here with B > Q (n = 4000) and Q > B (the other two)
         left = []
         product = prg._gf2_product
@@ -411,17 +423,17 @@ class TestTapeAgainstLocalDecoder:
         x = int.from_bytes(np.random.default_rng(n).bytes(-(-m // 8)), "little") % (1 << m) | 1 << (m - 1)
         _tape_bits(gf, x, 0b1011, n)
         block, rows = tape_layout(n)
-        reference = byte_comb_powers(gf, x, (rows - 1) * block)
+        reference = byte_comb_powers(gf, x, rows - 1)
         got = [int.from_bytes(row.tobytes(), "little") for row in left[-1]]
-        assert got == reference[::block] and len(got) == rows
+        assert got == reference and len(got) == rows
 
-    def test_column_blocks(self, monkeypatch, fresh_tape_caches):
+    def test_column_blocks(self, monkeypatch, fresh_tape_cache):
         # a 256-byte block splits every table into one-chunk blocks: B = 256
         # columns are four words and each m-row table several blocks; Q = 274
-        # rows take five 64-row gathers, and every Frobenius block but the
-        # first is rebuilt on each use. Every bit is checked against the
-        # tape's definition, <x^e, y> for e = 1..n, along a byte-comb chain.
-        # Fresh caches, so the squaring tables split too
+        # rows take five 64-row gathers, and G is packed a few rows at a time.
+        # Every bit is checked against the tape's definition, <x^e, y> for
+        # e = 1..n, along a byte-comb chain. A fresh cache, so the squaring
+        # tables split too
         monkeypatch.setattr(prg, "_BLOCK_BYTES", 256)
         n = 70_000
         block, rows = tape_layout(n)
@@ -487,26 +499,57 @@ class TestTransposeAgainstReference:
         assert got.dtype == prg._WORD and np.array_equal(got, reference_transposed(words, nbits))
 
 
-def reference_hankel_rows(gf, y):
-    """Row j of H is bits j .. j+m-1 of seq = sum_a <t^a, y> 2^a, from Python ints."""
-    m = gf.m
-    seq = sum(((z & y).bit_count() & 1) << a for a, z in enumerate(prg._times_t(gf, 1, 2 * m - 1)))
-    return prg._packed([(seq >> j) & ((1 << m) - 1) for j in range(m)], -(-m // 64))
+@functools.cache
+def reference_stride_hankel(m, block, ys):
+    """Row j of G is sum_l <t^(j block + l), y> 2^l, from Python ints, for each y in ys:
+    t^(j block) is the last row's start times t^block, and t^(j block + l) its l-th mul_t.
+    Cached, as both block sizes of a test compare with it."""
+    gf, words = GF2mField(m), -(-m // 64)
+    step, start = gf.pow(2, block), 1
+    rows = {y: [] for y in ys}
+    for _ in range(m):
+        for y in ys:
+            rows[y].append(sum(((z & y).bit_count() & 1) << l for l, z in enumerate(prg._times_t(gf, start, m))))
+        start = gf.mul(start, step)
+    return {y: prg._packed(r, words) for y, r in rows.items()}
 
 
-class TestHankelAgainstReference:
+class TestStrideHankelAgainstReference:
     @pytest.mark.parametrize("block_bytes", [None, 256])
+    @pytest.mark.parametrize("block", [8, 64, 512, 2048])
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 526])
-    def test_matches_python_int_windows(self, monkeypatch, rng, m, block_bytes):
-        # at 256 bytes the windows are packed a few rows (one at m = 526) at a time
+    def test_matches_python_int_rows(self, monkeypatch, rng, m, block, block_bytes):
+        # B < m makes G's rows overlap in the parity sequence, and B > m skips
+        # parities between them; at 256 bytes the windows are packed a few
+        # rows (one at m = 526) at a time
         if block_bytes is not None:
             monkeypatch.setattr(prg, "_BLOCK_BYTES", block_bytes)
         gf = GF2mField(m)
-        t_powers = prg._packed(prg._times_t(gf, 1, 2 * m - 1), -(-m // 64))
         full = (1 << m) - 1
-        for y in sorted({0, 1, full, 1 << (m - 1), int.from_bytes(rng.bytes(-(-m // 8)), "little") & full}):
-            got = prg._hankel_rows(t_powers, y)
-            assert got.dtype == prg._WORD and np.array_equal(got, reference_hankel_rows(gf, y)), (m, y)
+        ys = tuple(sorted({0, 1, full, 1 << (m - 1), int.from_bytes(rng.bytes(-(-m // 8)), "little") & full}))
+        want = reference_stride_hankel(m, block, ys)
+        for y in ys:
+            got = prg._stride_hankel(gf, y, block)
+            assert got.dtype == prg._WORD and np.array_equal(got, want[y]), (m, block, y)
+
+
+class TestParities:
+    @pytest.mark.parametrize("m", [526, 931, 80])
+    def test_recurrence_matches_masked_powers(self, rng, m):
+        # a trinomial, a pentanomial from the table and a searched pentanomial:
+        # lengths from y's bits alone to many Frobenius steps, every one a
+        # prefix of the same sequence
+        gf = GF2mField(m)
+        if m == 80:
+            assert m not in IRREDUCIBLE_TABLE and gf.modulus == _search_modulus(80)
+        assert len(prg._low_taps(gf.modulus)) == (2 if m == 526 else 4)
+        full = (1 << m) - 1
+        powers = prg._times_t(gf, 1, 40 * m)
+        for y in (0, 1, full, int.from_bytes(rng.bytes(-(-m // 8)), "little") & full):
+            want = [(z & y).bit_count() & 1 for z in powers]
+            for length in (m, m + 1, 2 * m - 1, 3 * m + 5, 40 * m):
+                got = prg._parities(gf, y, length)
+                assert got.dtype == np.uint8 and got.tolist() == want[:length], (m, y, length)
 
 
 PRODUCT_SIZES = [1, 7, 8, 9, 63, 64, 65, 130]
@@ -549,8 +592,8 @@ class TestPackedProduct:
 
     def test_no_blas_products(self):
         # the tape is XORs of table rows: no matmul operator, dot or einsum on its path
-        path = (prg.generate_tape, prg._tape_bits, prg._power_chain, prg._gf2_product,
-                prg._XorTables, prg._xor_table, prg._transposed, prg._packed, prg._times_t)
+        path = (prg.generate_tape, prg._tape_bits, prg._power_chain, prg._gf2_product, prg._XorTables,
+                prg._xor_table, prg._transposed, prg._packed, prg._times_t, prg._parities, prg._stride_hankel)
         for func in path:
             tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
             assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree)), func
@@ -628,47 +671,31 @@ class TestPinnedTapes:
 
 class TestTapeWorkspace:
     def test_degree_kept_per_degree_and_thread(self):
-        t_powers, square = prg._degree(526)
-        assert prg._degree(526)[1] is square
+        square = prg._degree(526)
+        assert prg._degree(526) is square
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
-            assert pool.submit(lambda: prg._degree(526)).result()[1] is square
+            assert pool.submit(lambda: prg._degree(526)).result() is square
         # rows t^(2j), j < 256, are single bits: tables cover rows 256..525 only
-        assert len(t_powers) == 2 * 526 - 1 and square.plain == 256
+        assert square.plain == 256 and len(square.tables.mat) == 526 - 256
         assert square.tables.first.shape == (34 * 256, 9)
 
-    @pytest.mark.parametrize("m", [1, 2, 9, 64, 65, 130])
-    @pytest.mark.parametrize("b", [0, 1, 5, 9])
-    def test_frobenius_rows(self, m, b):
-        # row j of F = S^b is t^(j 2^b)
-        gf = GF2mField(m)
-        frobenius = prg._frobenius(m, b).mat
-        got = [int.from_bytes(row.tobytes(), "little") for row in frobenius]
-        assert got == [gf.pow(2, j << b) for j in range(m)]
-
-    def test_frobenius_tables_kept_per_degree_and_b(self):
-        # m = 526: F's tables fit one 4 MiB block; m = 1052: they span two
-        # blocks, and the first is kept with F as well
-        small, large = prg._frobenius(526, 9), prg._frobenius(1052, 10)
-        assert prg._frobenius(526, 9) is small and prg._frobenius(1052, 10) is large
-        assert small.first.nbytes == 66 * 256 * 9 * 8 and len(small.starts) == 1
-        assert len(large.starts) == 2 and large.first.nbytes <= prg._BLOCK_BYTES
-        assert prg._frobenius(526, 8) is not small  # one entry per b
-
-    def test_frobenius_shared_by_tapes_past_one_block(self, monkeypatch, fresh_tape_caches):
-        # at m = 1052 every tape's U product reads one cached F, whose first
-        # block is built once
+    def test_degree_tables_shared_by_tapes_past_one_block(self, monkeypatch, fresh_tape_cache):
+        # at m = 1467 the squaring tables span two blocks; every tape's power
+        # chain reads the one cached set, whose first block is built once
         n = 20_000
         used = []
         product = prg._gf2_product
         monkeypatch.setattr(prg, "_gf2_product", lambda a, tables: used.append(tables) or product(a, tables))
-        tape_of_degree(1052, n, BitSource(1).take_bits(2 * 1052))
-        tables = prg._frobenius(1052, prg._row_log2(n))
-        first = tables.first
-        assert len(tables.starts) == 2
-        tape_of_degree(1052, n, BitSource(2).take_bits(2 * 1052))
-        assert prg._frobenius(1052, prg._row_log2(n)) is tables and tables.first is first
-        assert sum(t is tables for t in used) == 2
-        assert prg._frobenius.cache_info().misses == 1
+        tape_of_degree(1467, n, BitSource(1).take_bits(2 * 1467))
+        square = prg._degree(1467)
+        first = square.tables.first
+        assert len(square.tables.starts) == 2
+        rounds = sum(t is square.tables for t in used)
+        assert rounds == max(1 << prg._row_log2(n), -(-n >> prg._row_log2(n)) - 1).bit_length() - 1
+        tape_of_degree(1467, n, BitSource(2).take_bits(2 * 1467))
+        assert prg._degree(1467) is square and square.tables.first is first
+        assert sum(t is square.tables for t in used) == 2 * rounds
+        assert prg._degree.cache_info().misses == 1
 
     def test_concurrent_tapes_match_sequential(self):
         # numpy releases the GIL inside the gathers: threads must not share buffers
@@ -679,29 +706,28 @@ class TestTapeWorkspace:
                 got = list(pool.map(lambda b: tape_of_degree(129, 20_000, b).bits, seeds))
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def test_threads_share_the_frobenius_cache(self, fresh_tape_caches):
-        # every thread shares the degree's caches: tapes of n = 300 and
-        # n = 20,000 lay out rows of 2^4 and 2^7 bits, so threads running
-        # both read F for two values of b, and each round builds them anew
-        assert (prg._row_log2(300), prg._row_log2(20_000)) == (4, 7)
-        jobs = [(n, BitSource(s).take_bits(2 * 129)) for s, n in enumerate([300, 20_000] * 4)]
-        want = [tape_of_degree(129, n, b).bits for n, b in jobs]
+    def test_threads_share_the_degree_cache(self, fresh_tape_cache):
+        # every thread shares the degree cache: threads running tapes of
+        # m = 129 and m = 130 read two keys, and each round builds them anew
+        shapes = list(itertools.product([129, 130], [300, 20_000])) * 2
+        jobs = [(m, n, BitSource(s).take_bits(2 * m)) for s, (m, n) in enumerate(shapes)]
+        want = [tape_of_degree(*job).bits for job in jobs]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads switch inside the caches' builds
+        sys.setswitchinterval(1e-6)  # threads switch inside the cache's builds
         try:
             with concurrent.futures.ThreadPoolExecutor(4) as pool:
                 for _ in range(4):
                     prg._degree.cache_clear()
-                    prg._frobenius.cache_clear()
-                    got = list(pool.map(lambda job: tape_of_degree(129, *job).bits, jobs))
+                    got = list(pool.map(lambda job: tape_of_degree(*job).bits, jobs))
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    assert prg._degree.cache_info().misses == 2
         finally:
             sys.setswitchinterval(interval)
 
-    def test_concurrent_misses_build_each_key_once(self, fresh_tape_caches):
-        # four threads that start one degree's tapes together must build t's
-        # powers and F once between them, not once each (with lru_cache alone,
-        # each round at m = 1052 built F four times)
+    def test_concurrent_misses_build_each_key_once(self, fresh_tape_cache):
+        # four threads that start one degree's tapes together must build the
+        # squaring tables once between them, not once each (with lru_cache
+        # alone, rounds at m = 1052 built them up to three times)
         seeds = [BitSource(s).take_bits(2 * 1052) for s in range(4)]
 
         def tape(seed_bits, start):
@@ -714,20 +740,20 @@ class TestTapeWorkspace:
             with concurrent.futures.ThreadPoolExecutor(4) as pool:
                 for _ in range(4):
                     prg._degree.cache_clear()
-                    prg._frobenius.cache_clear()
                     list(pool.map(tape, seeds, [threading.Barrier(4)] * 4))
                     assert prg._degree.cache_info().misses == 1
-                    assert prg._frobenius.cache_info().misses == 1
         finally:
             sys.setswitchinterval(interval)
 
 
 class TestTapeCapacity:
-    @pytest.mark.parametrize("m,n", [(526, 276_393), (1052, 20_000)])
-    def test_model_bounds_first_and_repeated_tapes(self, fresh_tape_caches, m, n):
+    @pytest.mark.parametrize("m,n", [(526, 276_393), (1052, 20_000), (24, 10**6), (1052, 10**6)])
+    def test_model_bounds_first_and_repeated_tapes(self, fresh_tape_cache, m, n):
         # every table, gather and index is allocated per tape; the first tape
-        # of fresh caches also builds t's powers, the squaring tables and F,
-        # and tape_bytes must bound the traced peak of both tapes
+        # of a fresh cache also builds the squaring tables, and tape_bytes must
+        # bound the traced peak of both tapes. G's parity sequence takes
+        # m (B + 1) bytes: B = 1024 > m = 24, then m > B = 128, and at
+        # m = 1052, B = 1024 about the m^2 of the model's degree term
         GF2mField(m)  # its modulus's first-use Rabin check is not measured
         peaks = []
         for seed in (1, 2):
